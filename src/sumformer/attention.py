@@ -14,7 +14,7 @@ layer plus the block's residual connections then produce rows
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -48,8 +48,47 @@ def _mm(a: np.ndarray, b: np.ndarray, counter: MacCounter | None) -> np.ndarray:
     return a @ b
 
 
+class HeadSpec:
+    """What a head variant knows about itself; each spec class is one entry of HEADS.
+
+    The default forward is row-softmax attention softmax(Q K^T / sqrt(m)) V
+    whose keys and values read the rows ``sources`` returns.
+    """
+
+    k = None            # projection rank / feature count, for variants that have one
+    needs_k = False     # the variant takes k
+    k_below_n = False   # the variant refuses k >= n
+
+    @staticmethod
+    def extra_shapes(n: int, m: int, k: int | None) -> dict[str, tuple[int, int]]:
+        """Name and shape of each matrix the variant holds besides W_Q, W_K, W_V."""
+        return {}
+
+    @classmethod
+    def require_k(cls, n: int, k: int | None):
+        if cls.needs_k and (k is None or k < 1 or (cls.k_below_n and k >= n)):
+            bound = f"1 <= k < n={n}" if cls.k_below_n else "k >= 1"
+            raise ContractError(f"{cls.variant} needs {bound}, got k={k}")
+
+    def sources(self, x: np.ndarray, counter: MacCounter | None):
+        """Rows the keys and the values are computed from."""
+        return x, x
+
+    def attention(self, x: np.ndarray, counter: MacCounter | None = None):
+        """The row-stochastic matrix A and the rows its values are computed from."""
+        m = _check_head_input(x, self)
+        key_rows, value_rows = self.sources(x, counter)
+        q = _mm(x, self.w_q, counter)
+        k = _mm(key_rows, self.w_k, counter)
+        return softmax_rows(_mm(q, k.T, counter) / np.sqrt(m)), value_rows
+
+    def forward(self, x: np.ndarray, counter: MacCounter | None = None) -> np.ndarray:
+        a, value_rows = self.attention(x, counter)
+        return _mm(a, _mm(value_rows, self.w_v, counter), counter)
+
+
 @dataclass(frozen=True)
-class StandardHeadSpec:
+class StandardHeadSpec(HeadSpec):
     """softmax((X Wq)(X Wk)^T / sqrt(m)) X Wv with row-wise softmax."""
 
     w_q: np.ndarray
@@ -58,9 +97,13 @@ class StandardHeadSpec:
 
     variant = "standard"
 
+    @staticmethod
+    def mac_count(n: int, m: int, k: int | None) -> int:
+        return 3 * n * m * m + 2 * n * n * m
+
 
 @dataclass(frozen=True)
-class LinformerHeadSpec:
+class LinformerHeadSpec(HeadSpec):
     """softmax((X Wq)(E X Wk)^T / sqrt(m)) F X Wv with k x n projections E, F."""
 
     w_q: np.ndarray
@@ -70,18 +113,29 @@ class LinformerHeadSpec:
     f: np.ndarray
 
     variant = "linformer"
+    needs_k = True
+    k_below_n = True
 
     @property
     def k(self) -> int:
         return self.e.shape[0]
 
-    @property
-    def n(self) -> int:
-        return self.e.shape[1]
+    @staticmethod
+    def extra_shapes(n, m, k):
+        return {"e": (k, n), "f": (k, n)}
+
+    @staticmethod
+    def mac_count(n: int, m: int, k: int | None) -> int:
+        return n * m * m + 2 * k * m * m + 4 * n * k * m
+
+    def sources(self, x, counter):
+        # (E X) W_k and (F X) W_v keep every intermediate at k or n rows; no
+        # n x n matrix is ever formed.
+        return _mm(self.e, x, counter), _mm(self.f, x, counter)
 
 
 @dataclass(frozen=True)
-class PerformerHeadSpec:
+class PerformerHeadSpec(HeadSpec):
     """a(X Wq) (a(X Wk)^T (X Wv)) with the positive random-feature map a."""
 
     w_q: np.ndarray
@@ -90,13 +144,45 @@ class PerformerHeadSpec:
     omegas: np.ndarray  # k x m, one feature vector per row
 
     variant = "performer"
+    needs_k = True
 
     @property
     def k(self) -> int:
         return self.omegas.shape[0]
 
+    @staticmethod
+    def extra_shapes(n, m, k):
+        return {"omegas": (k, m)}
 
-HeadSpec = Union[StandardHeadSpec, LinformerHeadSpec, PerformerHeadSpec]
+    @staticmethod
+    def mac_count(n: int, m: int, k: int | None) -> int:
+        return 3 * n * m * m + 2 * n * m + 4 * n * k * m
+
+    def attention(self, x, counter=None):
+        """The random-feature variant never materializes an attention matrix,
+        so asking for one is an error rather than an approximation."""
+        raise UnsupportedInspectionError(
+            "random-feature attention has no softmax matrix to inspect"
+        )
+
+    def forward(self, x, counter=None):
+        _check_head_input(x, self)
+        q = _performer_features_rows(_mm(x, self.w_q, counter), self.omegas, counter)
+        k = _performer_features_rows(_mm(x, self.w_k, counter), self.omegas, counter)
+        v = _mm(x, self.w_v, counter)
+        # Right-associated product: the k x m intermediate comes first.
+        return _mm(q, _mm(k.T, v, counter), counter)
+
+
+HEADS: dict[str, type[HeadSpec]] = {
+    head.variant: head for head in (StandardHeadSpec, LinformerHeadSpec, PerformerHeadSpec)
+}
+
+
+def head_class(variant: str) -> type[HeadSpec]:
+    if variant not in HEADS:
+        raise ContractError(f"unknown variant {variant!r}")
+    return HEADS[variant]
 
 
 def _check_head_input(x: np.ndarray, spec: HeadSpec) -> int:
@@ -109,32 +195,11 @@ def _check_head_input(x: np.ndarray, spec: HeadSpec) -> int:
             raise ShapeError(f"{name} must be {m}x{m}, got {w.shape}")
     if x.shape[1] != m:
         raise ShapeError(f"X has width {x.shape[1]}, weights expect {m}")
+    for name, shape in spec.extra_shapes(x.shape[0], m, spec.k).items():
+        if getattr(spec, name).shape != shape:
+            raise ShapeError(f"{name} must be {shape}, got {getattr(spec, name).shape}")
+    spec.require_k(x.shape[0], spec.k)
     return m
-
-
-def standard_head(x: np.ndarray, spec: StandardHeadSpec, counter: MacCounter | None = None) -> np.ndarray:
-    m = _check_head_input(x, spec)
-    q = _mm(x, spec.w_q, counter)
-    k = _mm(x, spec.w_k, counter)
-    v = _mm(x, spec.w_v, counter)
-    a = softmax_rows(_mm(q, k.T, counter) / np.sqrt(m))
-    return _mm(a, v, counter)
-
-
-def linformer_head(x: np.ndarray, spec: LinformerHeadSpec, counter: MacCounter | None = None) -> np.ndarray:
-    m = _check_head_input(x, spec)
-    n = x.shape[0]
-    if spec.e.shape != spec.f.shape or spec.e.shape[1] != n:
-        raise ShapeError(f"E/F must be k x {n}, got {spec.e.shape} and {spec.f.shape}")
-    if spec.k >= n:
-        raise ContractError(f"projection rank k={spec.k} must be < n={n}")
-    # (E X) W_k and (F X) W_v keep every intermediate at k or n rows; no
-    # n x n matrix is ever formed.
-    q = _mm(x, spec.w_q, counter)
-    k_proj = _mm(_mm(spec.e, x, counter), spec.w_k, counter)
-    v_proj = _mm(_mm(spec.f, x, counter), spec.w_v, counter)
-    a = softmax_rows(_mm(q, k_proj.T, counter) / np.sqrt(m))
-    return _mm(a, v_proj, counter)
 
 
 def performer_features(x: np.ndarray, omegas: np.ndarray, counter: MacCounter | None = None) -> np.ndarray:
@@ -142,60 +207,29 @@ def performer_features(x: np.ndarray, omegas: np.ndarray, counter: MacCounter | 
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if omegas.ndim != 2 or omegas.shape[1] != x.shape[0]:
         raise ShapeError(f"omegas shape {omegas.shape} vs vector length {x.shape[0]}")
-    k = omegas.shape[0]
-    if counter is not None:
-        counter.dots(1, x.shape[0])       # squared norm
-        counter.dots(k, x.shape[0])       # k projections
-    return np.exp(omegas @ x - 0.5 * float(x @ x)) / np.sqrt(k)
+    return _performer_features_rows(x[np.newaxis, :], omegas, counter)[0]
 
 
 def _performer_features_rows(rows: np.ndarray, omegas: np.ndarray, counter: MacCounter | None) -> np.ndarray:
     k = omegas.shape[0]
     if counter is not None:
-        counter.dots(rows.shape[0], rows.shape[1])
-        counter.dots(rows.shape[0] * k, rows.shape[1])
+        counter.dots(rows.shape[0], rows.shape[1])        # squared norms
+        counter.dots(rows.shape[0] * k, rows.shape[1])    # k projections per row
     norms = np.sum(rows * rows, axis=1, keepdims=True)
     return np.exp(rows @ omegas.T - 0.5 * norms) / np.sqrt(k)
 
 
-def performer_head(x: np.ndarray, spec: PerformerHeadSpec, counter: MacCounter | None = None) -> np.ndarray:
-    _check_head_input(x, spec)
-    if spec.omegas.shape[1] != x.shape[1]:
-        raise ShapeError(f"omegas width {spec.omegas.shape[1]} vs model dim {x.shape[1]}")
-    q = _performer_features_rows(_mm(x, spec.w_q, counter), spec.omegas, counter)
-    k = _performer_features_rows(_mm(x, spec.w_k, counter), spec.omegas, counter)
-    v = _mm(x, spec.w_v, counter)
-    # Right-associated product: the k x m intermediate comes first.
-    return _mm(q, _mm(k.T, v, counter), counter)
-
-
 def head_forward(x: np.ndarray, spec: HeadSpec, counter: MacCounter | None = None) -> np.ndarray:
-    if isinstance(spec, StandardHeadSpec):
-        return standard_head(x, spec, counter)
-    if isinstance(spec, LinformerHeadSpec):
-        return linformer_head(x, spec, counter)
-    if isinstance(spec, PerformerHeadSpec):
-        return performer_head(x, spec, counter)
-    raise TypeError(f"unknown head spec {type(spec)!r}")
+    return spec.forward(x, counter)
+
+
+# One forward serves every variant; the spec's class selects it.
+standard_head = linformer_head = performer_head = head_forward
 
 
 def attention_matrix(x: np.ndarray, spec: HeadSpec) -> np.ndarray:
-    """The row-stochastic matrix A (n x n standard, n x k projected).
-
-    The random-feature variant never materializes an attention matrix,
-    so asking for one is an error rather than an approximation.
-    """
-    if isinstance(spec, PerformerHeadSpec):
-        raise UnsupportedInspectionError(
-            "random-feature attention has no softmax matrix to inspect"
-        )
-    m = _check_head_input(x, spec)
-    q = x @ spec.w_q
-    if isinstance(spec, StandardHeadSpec):
-        return softmax_rows(q @ (x @ spec.w_k).T / np.sqrt(m))
-    if spec.k >= x.shape[0]:
-        raise ContractError(f"projection rank k={spec.k} must be < n={x.shape[0]}")
-    return softmax_rows(q @ ((spec.e @ x) @ spec.w_k).T / np.sqrt(m))
+    """The row-stochastic matrix A (n x n standard, n x k projected)."""
+    return spec.attention(x)[0]
 
 
 @dataclass(frozen=True)
@@ -270,16 +304,12 @@ class SumExtractionConstruction:
     k: int | None = None
     seed: int | None = None
     lambda_value: float | None = None
-    post_scale: float | None = None
     wv_scale: str = "k"
     _phi: PhiMap = field(default=None, repr=False, compare=False)
 
     @property
     def d_latent(self) -> int:
         return self.basis.size
-
-    def phi_rows(self, x: np.ndarray) -> np.ndarray:
-        return self._phi(x)
 
     def lift(self, x: np.ndarray) -> np.ndarray:
         """Token-wise lift of raw n x d input to the 1 + d + 2d' layout."""
@@ -289,16 +319,12 @@ class SumExtractionConstruction:
         return np.hstack([
             np.ones((n, 1)),
             x,
-            self.phi_rows(x),
+            self._phi(x),
             np.zeros((n, self.d_latent)),
         ])
 
     def forward(self, x: np.ndarray, counter: MacCounter | None = None) -> np.ndarray:
         return transformer_forward(self.network, self.lift(x), counter)
-
-    def extract_sum(self, x: np.ndarray) -> np.ndarray:
-        """The Sigma block of the output (identical in every row; row 0 returned)."""
-        return self.forward(x)[0, -self.d_latent:]
 
 
 def _construction_wq(m: int) -> np.ndarray:
@@ -378,14 +404,12 @@ def build_sum_extraction(
     w_q = _construction_wq(m)
     w_k = _construction_wq(m)
     lambda_value = None
-    post_scale = None
 
     if variant == "standard":
         head: HeadSpec = StandardHeadSpec(w_q, w_k, _construction_wv(d, d_latent, float(n)))
         fc_scale = 1.0
     elif variant == "linformer":
-        if k is None or not (1 <= k < n):
-            raise ContractError(f"linformer needs 1 <= k < n, got k={k}, n={n}")
+        LinformerHeadSpec.require_k(n, k)
         if wv_scale not in ("k", "n"):
             raise ContractError(f"wv_scale must be 'k' or 'n', got {wv_scale!r}")
         scale = float(k if wv_scale == "k" else n)
@@ -407,8 +431,7 @@ def build_sum_extraction(
                 f"gram constant {lambda_value} out of safe range; resample omegas"
             )
         head = PerformerHeadSpec(w_q, w_k, _construction_wv(d, d_latent, float(n)), omegas)
-        post_scale = 1.0 / (lambda_value * n)
-        fc_scale = post_scale
+        fc_scale = 1.0 / (lambda_value * n)
     else:
         raise ContractError(f"unknown variant {variant!r}")
 
@@ -420,7 +443,7 @@ def build_sum_extraction(
     return SumExtractionConstruction(
         variant=variant, n=n, d=d, basis=basis, model_dim=m, network=network,
         phi_kind=phi_kind, phi_spec=phi_spec, phi_params=phi_params,
-        k=k, seed=seed, lambda_value=lambda_value, post_scale=post_scale,
+        k=k, seed=seed, lambda_value=lambda_value,
         wv_scale=wv_scale, _phi=phi,
     )
 
@@ -430,34 +453,24 @@ def mac_count(variant: str, n: int, d_model: int, k: int | None = None) -> int:
 
     Mirrors the algorithms above: matmul p x q @ q x r costs p*q*r, the
     random-feature map costs one squared norm plus k projections per row.
+    A head the library refuses to run (k >= n for the low-rank variant)
+    has no count.
     """
     if n < 1 or d_model < 1:
         raise ContractError("n and d_model must be positive")
-    m = d_model
-    if variant == "standard":
-        return 3 * n * m * m + 2 * n * n * m
-    if k is None or k < 1:
-        raise ContractError(f"variant {variant!r} needs k >= 1")
-    if variant == "linformer":
-        return n * m * m + 2 * k * m * m + 4 * n * k * m
-    if variant == "performer":
-        return 3 * n * m * m + 2 * n * m + 4 * n * k * m
-    raise ContractError(f"unknown variant {variant!r}")
+    head = head_class(variant)
+    head.require_k(n, k)
+    return head.mac_count(n, d_model, k)
 
 
 def audited_mac_count(variant: str, n: int, d_model: int, k: int | None = None, seed: int = 0) -> int:
     """Run the head on random data with a counter and report observed MACs."""
+    head = head_class(variant)
+    head.require_k(n, k)
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=(n, d_model))
     w = [rng.uniform(-1, 1, size=(d_model, d_model)) for _ in range(3)]
-    if variant == "standard":
-        spec: HeadSpec = StandardHeadSpec(*w)
-    elif variant == "linformer":
-        spec = LinformerHeadSpec(*w, e=rng.uniform(size=(k, n)), f=rng.uniform(size=(k, n)))
-    elif variant == "performer":
-        spec = PerformerHeadSpec(*w, omegas=rng.standard_normal((k, d_model)))
-    else:
-        raise ContractError(f"unknown variant {variant!r}")
+    extras = {name: rng.uniform(size=shape) for name, shape in head.extra_shapes(n, d_model, k).items()}
     counter = MacCounter()
-    head_forward(x, spec, counter)
+    head(*w, **extras).forward(x, counter)
     return counter.total

@@ -12,7 +12,8 @@ import argparse
 import os
 import sys
 
-from .errors import ConfigError, TrainingDivergedError
+from .attention import HEADS, head_class, mac_count
+from .errors import ConfigError, ContractError, TrainingDivergedError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,7 +124,7 @@ DEFAULTS = {
         "n": [32, 64, 128, 256],
         "d_model": 4,
         "k": 4,
-        "variant": ["standard", "linformer", "performer"],
+        "variant": list(HEADS),
         "out": "out",
     },
 }
@@ -164,8 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--n", default=None)
     p_bench.add_argument("--k", type=int, default=None)
     p_bench.add_argument("--d-model", dest="d_model", type=int, default=None)
-    p_bench.add_argument("--variant", default=None,
-                         choices=["standard", "linformer", "performer"])
+    p_bench.add_argument("--variant", default=None, choices=list(HEADS))
 
     return parser
 
@@ -209,7 +209,7 @@ def cmd_verify(config: dict) -> int:
     write_report(os.path.join(out, "verify_report.txt"), records)
     for r in records:
         print(f"{r.name}: {r.status} (max residual {r.max_residual:.3e})")
-    return EXIT_OK if all(r.passed for r in records) else EXIT_VERIFY_FAILED
+    return EXIT_VERIFY_FAILED if any(r.status == "fail" for r in records) else EXIT_OK
 
 
 def cmd_train(config: dict) -> int:
@@ -283,23 +283,16 @@ def cmd_sweep(config: dict) -> int:
 
 
 def cmd_bench(config: dict) -> int:
-    from .attention import mac_count
-
-    variants = [v for v in _as_list(config["variant"])]
-    for v in variants:
-        if v not in ("standard", "linformer", "performer"):
-            raise ConfigError(f"unknown variant {v!r}")
+    variants = _as_list(config["variant"])
     n_list = _as_int_list(config["n"], "n")
     d_model = int(config["d_model"])
-    k = int(config["k"])
-    out = _ensure_out(config)
     lines = ["variant,n,d_model,k,macs"]
     for variant in variants:
+        k = int(config["k"]) if head_class(variant).needs_k else None
         for n in n_list:
-            macs = mac_count(variant, n, d_model, None if variant == "standard" else k)
-            k_field = "" if variant == "standard" else str(k)
-            lines.append(f"{variant},{n},{d_model},{k_field},{macs}")
-    path = os.path.join(out, "bench.csv")
+            macs = mac_count(variant, n, d_model, k)
+            lines.append(f"{variant},{n},{d_model},{'' if k is None else k},{macs}")
+    path = os.path.join(_ensure_out(config), "bench.csv")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {path}")
@@ -320,7 +313,7 @@ def main(argv=None) -> int:
     try:
         config = _resolve(args, args.command)
         return COMMANDS[args.command](config)
-    except ConfigError as exc:
+    except (ConfigError, ContractError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

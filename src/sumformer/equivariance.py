@@ -22,14 +22,6 @@ from .errors import ShapeError
 SemiInvariantFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def random_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.permutation(n)
-
-
-def identity_permutation(n: int) -> np.ndarray:
-    return np.arange(n)
-
-
 def permute(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Row i of the output is row p[i] of the input."""
     p = np.asarray(p)
@@ -75,20 +67,13 @@ class CheckReport:
         return self.max_violation <= tol
 
 
-def _permutations_for(n: int, rng: np.random.Generator, fix_first: bool):
+def _permutations_for(n: int, rng: np.random.Generator):
     """All permutations for n <= 6, a single random draw otherwise."""
     if n <= 6:
-        if fix_first:
-            for rest in _all_perms(range(1, n)):
-                yield np.array((0,) + rest)
-        else:
-            for p in _all_perms(range(n)):
-                yield np.array(p)
+        for p in _all_perms(range(n)):
+            yield np.array(p)
     else:
-        if fix_first:
-            yield np.concatenate([[0], 1 + rng.permutation(n - 1)])
-        else:
-            yield rng.permutation(n)
+        yield rng.permutation(n)
 
 
 def check_equivariance(
@@ -110,7 +95,7 @@ def check_equivariance(
     for _ in range(trials):
         x = rng.uniform(size=(n, d))
         fx = f(x)
-        for p in _permutations_for(n, rng, fix_first=False):
+        for p in _permutations_for(n, rng):
             violation = float(np.max(np.abs(f(permute(x, p)) - permute(fx, p))))
             if violation > worst:
                 worst, witness_x, witness_p = violation, x, p
@@ -133,7 +118,7 @@ def check_semi_invariance(
         x = rng.uniform(size=(n, d))
         first, rest = x[0], x[1:]
         reference = np.asarray(g(first, rest), dtype=np.float64)
-        for p in _permutations_for(n - 1, rng, fix_first=False):
+        for p in _permutations_for(n - 1, rng):
             violation = float(np.max(np.abs(np.asarray(g(first, rest[p])) - reference)))
             if violation > worst:
                 worst, witness_x, witness_p = violation, x, p

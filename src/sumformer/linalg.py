@@ -36,18 +36,6 @@ def require_finite(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=np.float64)
-
-
-def eye(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.float64)
-
-
-def ones(rows: int, cols: int) -> np.ndarray:
-    return np.ones((rows, cols), dtype=np.float64)
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with explicit shape checking."""
     require_matrix(a, "a")

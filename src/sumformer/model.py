@@ -23,6 +23,7 @@ from .mlp import MlpParams, MlpSpec, init_mlp_params, mlp_forward
 from .multisym import (
     DegreeBasis,
     MultiDegree,
+    _canonical_row_order,
     enumerate_multidegrees,
     monomial_feature_matrix,
 )
@@ -95,9 +96,11 @@ class PolynomialCombiner:
     out_width: int
 
     def apply(self, x_rows: np.ndarray, phi_rows: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        """``sigma`` is the Sigma of each row's sequence, one row per token
+        (or one d'-vector shared by all rows)."""
         n = x_rows.shape[0]
         out = np.zeros((n, self.out_width))
-        others = sigma[np.newaxis, :] - phi_rows
+        others = sigma - phi_rows
         for alpha, latent_poly in self.terms:
             mono = np.prod(x_rows ** np.asarray(alpha), axis=1)
             for i in range(n):
@@ -115,8 +118,7 @@ class MlpCombiner:
         return self.spec.out_width
 
     def apply(self, x_rows: np.ndarray, phi_rows: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        n = x_rows.shape[0]
-        stacked = np.hstack([x_rows, np.tile(sigma, (n, 1))])
+        stacked = np.hstack([x_rows, np.broadcast_to(sigma, phi_rows.shape)])
         return mlp_forward(self.spec, self.params, stacked)
 
 
@@ -151,18 +153,35 @@ class SumformerModel:
         return out
 
 
+def batch_forward(model: SumformerModel, seqs: np.ndarray) -> np.ndarray:
+    """Forward over a stack of sequences (S, n, d) -> (S, n, out_width).
+
+    phi runs on all S*n token rows at once, Sigma is summed per sequence
+    and repeated to one row per token, and psi runs on all rows at once.
+    The taped training forward performs the same operations in the same
+    order, so recorded losses and evaluation metrics refer to one function.
+    """
+    s_count, n, d = seqs.shape
+    rows = seqs.reshape(s_count * n, d)
+    phi_rows = model.phi.rows(rows)
+    sigma = phi_rows.reshape(s_count, n, model.d_latent).sum(axis=1)
+    out = model.psi.apply(rows, phi_rows, np.repeat(sigma, n, axis=0))
+    return out.reshape(s_count, n, -1)
+
+
 def sumformer_forward(model: SumformerModel, x: np.ndarray) -> np.ndarray:
     """Compute Sigma once, then apply psi token-wise.
 
-    Feature rows are summed in canonical (lexicographic token) order, so
-    permuting the input rows permutes the output bitwise.
+    The tokens are evaluated in canonical (lexicographic) order and the
+    output rows scattered back, so permuting the input rows permutes the
+    output bitwise.
     """
     if x.ndim != 2 or x.shape[1] != model.d:
         raise ShapeError(f"input shape {x.shape}, model expects n x {model.d}")
-    phi_rows = model.phi.rows(x)
-    order = np.lexsort(x.T[::-1])
-    sigma = np.sum(phi_rows[order], axis=0)
-    return model.psi.apply(x, phi_rows, sigma)
+    order = _canonical_row_order(x)
+    out = np.empty((x.shape[0], model.psi.out_width))
+    out[order] = batch_forward(model, x[order][np.newaxis])[0]
+    return out
 
 
 def build_mlp_sumformer(

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .attention import build_sum_extraction
+from .errors import ConfigError, ContractError, ShapeError
 from .mlp import MlpParams, MlpSpec
 from .model import (
-    DiscreteSumformer,
     LatentPolynomial,
     MlpCombiner,
     MlpFeatureMap,
@@ -117,7 +117,7 @@ def _load(text: str) -> tuple[str, dict, dict]:
 
 
 # ---------------------------------------------------------------------------
-# Head specs and sum-extraction constructions
+# Sum-extraction constructions
 # ---------------------------------------------------------------------------
 
 def _mlp_entries(prefix: str, spec: MlpSpec, params: MlpParams):
@@ -139,38 +139,11 @@ def _mlp_from_entries(prefix: str, fields: dict, matrices: dict) -> tuple[MlpSpe
     return spec, params
 
 
-def dump_head(spec) -> str:
-    from . import attention as att
-
-    fields: dict = {"variant": spec.variant}
-    mats = [("W_Q", spec.w_q), ("W_K", spec.w_k), ("W_V", spec.w_v)]
-    if isinstance(spec, att.LinformerHeadSpec):
-        mats += [("E", spec.e), ("F", spec.f)]
-    elif isinstance(spec, att.PerformerHeadSpec):
-        mats.append(("omegas", spec.omegas))
-    return _dump("attention_head", fields, mats)
-
-
-def load_head(text: str):
-    from . import attention as att
-
-    kind, fields, mats = _load(text)
-    if kind != "attention_head":
-        raise ConfigError(f"expected attention_head, got {kind}")
-    variant = fields["variant"]
-    base = (mats["W_Q"], mats["W_K"], mats["W_V"])
-    if variant == "standard":
-        return att.StandardHeadSpec(*base)
-    if variant == "linformer":
-        return att.LinformerHeadSpec(*base, e=mats["E"], f=mats["F"])
-    if variant == "performer":
-        return att.PerformerHeadSpec(*base, omegas=mats["omegas"])
-    raise ConfigError(f"unknown head variant {variant!r}")
-
-
 def dump_construction(con) -> str:
-    from . import attention as att
-
+    """Write the build parameters (and phi's weights when phi is an MLP); random
+    features drawn without a seed cannot be redrawn, so those are refused."""
+    if con.lambda_value is not None and con.seed is None:
+        raise ContractError("a random-feature construction needs a seed to be written")
     fields = {
         "variant": con.variant,
         "n": con.n,
@@ -179,65 +152,41 @@ def dump_construction(con) -> str:
         "k": con.k,
         "seed": con.seed,
         "lambda": con.lambda_value,
-        "post_scale": con.post_scale,
         "wv_scale": con.wv_scale,
         "phi_kind": con.phi_kind,
     }
-    block = con.network.blocks[0]
-    head = block.heads[0]
-    mats = [("W_Q", head.w_q), ("W_K", head.w_k), ("W_V", head.w_v)]
-    if isinstance(head, att.LinformerHeadSpec):
-        mats += [("E", head.e), ("F", head.f)]
-    elif isinstance(head, att.PerformerHeadSpec):
-        mats.append(("omegas", head.omegas))
-    mats.append(("W_O", block.w_o))
-    fc_fields, fc_mats = _mlp_entries("fc.", block.fc_spec, list(block.fc_params))
-    fields.update(fc_fields)
-    mats += fc_mats
+    mats = []
     if con.phi_kind == "mlp":
-        phi_fields, phi_mats = _mlp_entries("phi.", con.phi_spec, con.phi_params)
+        phi_fields, mats = _mlp_entries("phi.", con.phi_spec, con.phi_params)
         fields.update(phi_fields)
-        mats += phi_mats
     return _dump("sum_extraction", fields, mats)
 
 
 def load_construction(text: str):
-    from . import attention as att
-    from .mlp import mlp_forward
-    from .multisym import monomial_feature_matrix
+    """Rebuild a construction from its build parameters.
 
+    Files that also hold the weight matrices load the same way; the
+    matrices are ignored.  The random-feature vectors are redrawn from
+    the seed, so a stored Gram constant that the redraw does not
+    reproduce is an error.
+    """
     kind, fields, mats = _load(text)
     if kind != "sum_extraction":
         raise ConfigError(f"expected sum_extraction, got {kind}")
-    basis = enumerate_multidegrees(fields["d"], fields["n_max"])
-    variant = fields["variant"]
-    base = (mats["W_Q"], mats["W_K"], mats["W_V"])
-    if variant == "standard":
-        head = att.StandardHeadSpec(*base)
-    elif variant == "linformer":
-        head = att.LinformerHeadSpec(*base, e=mats["E"], f=mats["F"])
-    elif variant == "performer":
-        head = att.PerformerHeadSpec(*base, omegas=mats["omegas"])
-    else:
-        raise ConfigError(f"unknown variant {variant!r}")
-    fc_spec, fc_params = _mlp_from_entries("fc.", fields, mats)
-    block = att.TransformerBlockSpec(
-        heads=(head,), w_o=mats["W_O"], fc_spec=fc_spec, fc_params=tuple(fc_params),
-    )
-    if fields["phi_kind"] == "mlp":
-        phi_spec, phi_params = _mlp_from_entries("phi.", fields, mats)
-        phi = lambda rows: mlp_forward(phi_spec, phi_params, rows)
-    else:
-        phi_spec = phi_params = None
-        phi = lambda rows: monomial_feature_matrix(rows, basis)
-    return att.SumExtractionConstruction(
-        variant=variant, n=fields["n"], d=fields["d"], basis=basis,
-        model_dim=1 + fields["d"] + 2 * basis.size,
-        network=att.TransformerNetworkSpec(blocks=(block,)),
-        phi_kind=fields["phi_kind"], phi_spec=phi_spec, phi_params=phi_params,
-        k=fields["k"], seed=fields["seed"], lambda_value=fields["lambda"],
-        post_scale=fields["post_scale"], wv_scale=fields["wv_scale"], _phi=phi,
-    )
+    phi_net = _mlp_from_entries("phi.", fields, mats) if fields["phi_kind"] == "mlp" else None
+    try:
+        con = build_sum_extraction(
+            fields["variant"], fields["n"], fields["d"],
+            enumerate_multidegrees(fields["d"], fields["n_max"]),
+            phi_net=phi_net, k=fields["k"], seed=fields["seed"], wv_scale=fields["wv_scale"],
+        )
+    except (ContractError, ShapeError) as exc:
+        raise ConfigError(f"cannot rebuild construction: {exc}") from exc
+    if con.lambda_value != fields["lambda"]:
+        raise ConfigError(
+            f"rebuilt gram constant {con.lambda_value!r} differs from stored {fields['lambda']!r}"
+        )
+    return con
 
 
 # ---------------------------------------------------------------------------
@@ -298,22 +247,3 @@ def load_model(text: str) -> SumformerModel:
             terms.append((alpha, latent_poly))
         psi = PolynomialCombiner(tuple(terms), fields["psi_out_width"])
     return SumformerModel(d=d, d_latent=fields["d_latent"], phi=phi, psi=psi)
-
-
-def export_discrete_table(ds: DiscreteSumformer) -> str:
-    """Human-inspectable dump of the lookup table, one entry per line."""
-    lines = [
-        FORMAT_LINE,
-        "object discrete_table",
-        f"field delta int {ds.delta_cells}",
-        f"field n int {ds.n}",
-        f"field d int {ds.d}",
-        f"field entries int {len(ds.table)}",
-    ]
-    for (cell, hist), value in sorted(ds.table.items()):
-        cell_s = ",".join(str(c) for c in cell)
-        hist_s = ",".join(str(h) for h in hist)
-        value_s = " ".join(repr(float(v)) for v in value)
-        lines.append(f"entry {cell_s} {hist_s} {value_s}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"

@@ -15,9 +15,8 @@ import numpy as np
 
 from .autodiff import Tape, gradient
 from .errors import ContractError, DivisionGuardError, TrainingDivergedError
-from .mlp import mlp_forward, mlp_param_nodes, mlp_taped
-from .model import MlpCombiner, MlpFeatureMap, PolynomialFeatureMap, SumformerModel
-from .multisym import monomial_feature_matrix
+from .mlp import mlp_param_nodes, mlp_taped
+from .model import DEFAULT_HIDDEN, MlpFeatureMap, SumformerModel, batch_forward, build_mlp_sumformer
 from .targets import TargetFunction
 
 
@@ -123,27 +122,6 @@ def trainable_arrays(model: SumformerModel) -> list[np.ndarray]:
     return arrays
 
 
-def batch_forward(model: SumformerModel, seqs: np.ndarray) -> np.ndarray:
-    """Vectorized forward over a stack of sequences (S, n, d) -> (S, n, d).
-
-    Matches the taped training forward operation for operation (plain
-    row order, no canonical sort), so recorded losses and evaluation
-    metrics refer to the same function.
-    """
-    s_count, n, d = seqs.shape
-    rows = seqs.reshape(s_count * n, d)
-    if isinstance(model.phi, PolynomialFeatureMap):
-        phi_rows = monomial_feature_matrix(rows, model.phi.basis)
-    else:
-        phi_rows = mlp_forward(model.phi.spec, model.phi.params, rows)
-    sig = phi_rows.reshape(s_count, n, model.d_latent).sum(axis=1)
-    psi_in = np.hstack([rows, np.repeat(sig, n, axis=0)])
-    if not isinstance(model.psi, MlpCombiner):
-        raise ContractError("training requires an MLP psi")
-    pred = mlp_forward(model.psi.spec, model.psi.params, psi_in)
-    return pred.reshape(s_count, n, d)
-
-
 @dataclass
 class TrainReport:
     """Validation curve (every 5 epochs), per-epoch train losses, and config echo."""
@@ -172,7 +150,7 @@ def _loss_step(model: SumformerModel, x_seqs: np.ndarray, y_seqs: np.ndarray):
         sig_rows = tape.repeat_rows(sig, n)
         psi_in = tape.concat_cols(x_node, sig_rows)
     else:
-        phi_rows = monomial_feature_matrix(rows, model.phi.basis)
+        phi_rows = model.phi.rows(rows)
         sig = phi_rows.reshape(s_count, n, model.d_latent).sum(axis=1)
         psi_in = tape.constant(np.hstack([rows, np.repeat(sig, n, axis=0)]))
     psi_nodes = mlp_param_nodes(tape, model.psi.params, "psi.")
@@ -277,8 +255,6 @@ def latent_sweep(
     The formula column records C(n+d, d) - 1, the latent width at which
     the exact monomial feature map exists for this n and d.
     """
-    from .model import DEFAULT_HIDDEN, build_mlp_sumformer
-
     if not d_list or not dprime_list or not seeds:
         raise ContractError("d_list, dprime_list, seeds must be nonempty")
     if hidden is None:

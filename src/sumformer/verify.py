@@ -2,8 +2,10 @@
 
 Each check returns a record {name, status, max_residual, witness_path};
 the driver writes the report and any witness inputs to the output
-directory.  Tolerances are per check but can be overridden globally
-(setting them to 0 demonstrates that they are load-bearing).
+directory.  A check that ran no case (the low-rank checks when every n
+is 1) reports ``skip`` rather than ``pass``.  Tolerances are per check
+but can be overridden globally (setting them to 0 demonstrates that
+they are load-bearing).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import attention_matrix, build_sum_extraction
+from .attention import HEADS, attention_matrix, build_sum_extraction
 from .autodiff import Tape, central_difference, gradient
 from .equivariance import check_equivariance
 from .mlp import MlpSpec, init_mlp_params, mlp_forward, mlp_param_nodes, mlp_taped
@@ -35,10 +37,6 @@ class CheckRecord:
     max_residual: float
     witness_path: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
 
 @dataclass
 class VerifyConfig:
@@ -53,8 +51,11 @@ class VerifyConfig:
     delta: int = 4
 
 
-def _tol(config: VerifyConfig, default: float) -> float:
-    return default if config.tol is None else config.tol
+def _record(name: str, config: VerifyConfig, default_tol: float, worst: float, cases: int) -> CheckRecord:
+    """``skip`` when no case ran, else ``pass`` or ``fail`` against the tolerance."""
+    tol = default_tol if config.tol is None else config.tol
+    status = "skip" if cases == 0 else "pass" if worst <= tol else "fail"
+    return CheckRecord(name, status, worst)
 
 
 def _sigma_residual(construction, x: np.ndarray) -> float:
@@ -63,48 +64,38 @@ def _sigma_residual(construction, x: np.ndarray) -> float:
     return float(np.max(np.abs(out[:, -construction.d_latent:] - expected)))
 
 
-def _sigma_recovery(variant: str, config: VerifyConfig, seeds=(0,), wv_scale="k"):
-    worst = 0.0
-    witness = None
+def _sigma_recovery(variant: str, config: VerifyConfig, tol: float, seeds=(0,), wv_scale="k"):
+    """Sigma block against the power sums; k = n - 1 where the variant takes k."""
+    needs_k = HEADS[variant].needs_k
+    worst, witness, cases = 0.0, None, 0
     for n in config.n_list:
+        if needs_k and n < 2:
+            continue
         for d in config.d_list:
             basis = enumerate_multidegrees(d, n)
             for seed in seeds:
-                kwargs = {}
-                if variant in ("linformer", "performer"):
-                    if n < 2:
-                        continue
-                    kwargs["k"] = n - 1
-                if variant == "linformer":
-                    kwargs["wv_scale"] = wv_scale
-                if variant == "performer":
-                    kwargs["seed"] = seed
-                con = build_sum_extraction(variant, n, d, basis, **kwargs)
+                con = build_sum_extraction(variant, n, d, basis, k=n - 1 if needs_k else None,
+                                           seed=seed, wv_scale=wv_scale)
                 rng = np.random.default_rng(1000 + seed)
                 for _ in range(config.samples):
                     x = rng.uniform(size=(n, d))
                     residual = _sigma_residual(con, x)
+                    cases += 1
                     if residual > worst:
                         worst, witness = residual, x
-    return worst, witness
+    return _record(f"sigma_recovery_{variant}", config, tol, worst, cases), witness
 
 
 def check_sigma_standard(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
-    worst, witness = _sigma_recovery("standard", config)
-    tol = _tol(config, 1e-10)
-    return CheckRecord("sigma_recovery_standard", "pass" if worst <= tol else "fail", worst), witness
+    return _sigma_recovery("standard", config, 1e-10)
 
 
 def check_sigma_linformer(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
-    worst, witness = _sigma_recovery("linformer", config, wv_scale=config.linformer_wv_scale)
-    tol = _tol(config, 1e-10)
-    return CheckRecord("sigma_recovery_linformer", "pass" if worst <= tol else "fail", worst), witness
+    return _sigma_recovery("linformer", config, 1e-10, wv_scale=config.linformer_wv_scale)
 
 
 def check_sigma_performer(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
-    worst, witness = _sigma_recovery("performer", config, seeds=range(config.omega_seeds))
-    tol = _tol(config, 1e-8)
-    return CheckRecord("sigma_recovery_performer", "pass" if worst <= tol else "fail", worst), witness
+    return _sigma_recovery("performer", config, 1e-8, seeds=range(config.omega_seeds))
 
 
 def check_averaging_attention(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
@@ -113,15 +104,15 @@ def check_averaging_attention(config: VerifyConfig) -> tuple[CheckRecord, np.nda
     witness = None
     basis = enumerate_multidegrees(1, 2)
     rng = np.random.default_rng(7)
-    for n in sorted(set(config.n_list) | {2, 3, 5, 64}):
+    n_values = sorted(set(config.n_list) | {2, 3, 5, 64})
+    for n in n_values:
         con = build_sum_extraction("standard", n, 1, basis)
         x = rng.uniform(size=(n, 1))
         a = attention_matrix(con.lift(x), con.network.blocks[0].heads[0])
         residual = float(np.max(np.abs(a - 1.0 / n)))
         if residual > worst:
             worst, witness = residual, x
-    tol = _tol(config, 1e-12)
-    return CheckRecord("averaging_attention", "pass" if worst <= tol else "fail", worst), witness
+    return _record("averaging_attention", config, 1e-12, worst, len(n_values)), witness
 
 
 def check_equivariance_models(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
@@ -129,21 +120,17 @@ def check_equivariance_models(config: VerifyConfig) -> tuple[CheckRecord, np.nda
     basis = enumerate_multidegrees(d, n)
     mlp_model = build_mlp_sumformer(d, 6, seed=0)
     poly_model = build_polynomial_sumformer(n, d, seed=0)
-    models = [
-        ("mlp", lambda x: sumformer_forward(mlp_model, x)),
-        ("poly", lambda x: sumformer_forward(poly_model, x)),
-        ("standard", build_sum_extraction("standard", n, d, basis).forward),
-        ("linformer", build_sum_extraction("linformer", n, d, basis, k=n - 1).forward),
-        ("performer", build_sum_extraction("performer", n, d, basis, k=n - 1, seed=0).forward),
-    ]
+    models = [lambda x: sumformer_forward(mlp_model, x), lambda x: sumformer_forward(poly_model, x)]
+    for variant, head in HEADS.items():
+        k = n - 1 if head.needs_k else None
+        models.append(build_sum_extraction(variant, n, d, basis, k=k, seed=0).forward)
     worst = 0.0
     witness = None
-    for _, fn in models:
+    for fn in models:
         report = check_equivariance(fn, n, d, trials=config.trials, seed=11)
         if report.max_violation > worst:
             worst, witness = report.max_violation, report.witness_input
-    tol = _tol(config, 1e-10)
-    return CheckRecord("equivariance_models", "pass" if worst <= tol else "fail", worst), witness
+    return _record("equivariance_models", config, 1e-10, worst, config.trials * len(models)), witness
 
 
 def check_discrete_exactness(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
@@ -171,8 +158,7 @@ def check_discrete_exactness(config: VerifyConfig) -> tuple[CheckRecord, np.ndar
         ))))
         if residual > worst:
             worst, witness = residual, x
-    tol = _tol(config, 0.0)
-    return CheckRecord("discrete_exactness", "pass" if worst <= tol else "fail", worst), witness
+    return _record("discrete_exactness", config, 0.0, worst, config.samples), witness
 
 
 def check_generation_oracle(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
@@ -195,8 +181,7 @@ def check_generation_oracle(config: VerifyConfig) -> tuple[CheckRecord, np.ndarr
     for target_fn, d, n in cases:
         report = generation_oracle(target_fn, d, n, sample_count=config.samples * 25, seed=3)
         worst = max(worst, report.residual)
-    tol = _tol(config, 1e-8)
-    return CheckRecord("generation_oracle", "pass" if worst <= tol else "fail", worst), None
+    return _record("generation_oracle", config, 1e-8, worst, len(cases)), None
 
 
 def gradient_check_once(seed: int, step: float = 1e-5) -> float:
@@ -246,8 +231,7 @@ def check_gradients(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | Non
     worst = 0.0
     for seed in range(config.gradient_seeds):
         worst = max(worst, gradient_check_once(seed))
-    tol = _tol(config, 1e-5)
-    return CheckRecord("gradient_check", "pass" if worst <= tol else "fail", worst), None
+    return _record("gradient_check", config, 1e-5, worst, config.gradient_seeds), None
 
 
 ALL_CHECKS = [
@@ -266,7 +250,7 @@ def run_verification(config: VerifyConfig, out_dir: str | None = None) -> list[C
     records = []
     for check in ALL_CHECKS:
         record, witness = check(config)
-        if not record.passed and witness is not None and out_dir is not None:
+        if record.status == "fail" and witness is not None and out_dir is not None:
             path = os.path.join(out_dir, f"witness_{record.name}.txt")
             np.savetxt(path, np.atleast_2d(witness))
             record.witness_path = path

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sumformer.attention import (
+    HEADS,
     LinformerHeadSpec,
     PerformerHeadSpec,
     StandardHeadSpec,
@@ -22,6 +23,7 @@ from sumformer.attention import (
 from sumformer.errors import ContractError, ShapeError, UnsupportedInspectionError
 from sumformer.mlp import MlpSpec, init_mlp_params
 from sumformer.multisym import enumerate_multidegrees, power_sum_vector
+from sumformer.serialize import dump_construction, load_construction
 
 
 def _random_spec(m, rng):
@@ -243,20 +245,32 @@ def test_standard_construction_layout_n3_d1():
     assert np.max(np.abs(out - expected)) <= 1e-10
 
 
-@pytest.mark.parametrize("variant,kwargs,tol", [
-    ("standard", {}, 1e-10),
-    ("linformer", {"k": 2}, 1e-10),
-    ("performer", {"k": 2, "seed": 0}, 1e-8),
-])
+# Per-variant construction arguments and Sigma tolerance; every HEADS entry needs one.
+VARIANT_CASES = {
+    "standard": ({}, 1e-10),
+    "linformer": ({"k": 2}, 1e-10),
+    "performer": ({"k": 2, "seed": 0}, 1e-8),
+}
+
+
+@pytest.mark.parametrize("variant,kwargs,tol", [(v, *VARIANT_CASES[v]) for v in HEADS])
 def test_sum_recovery_all_variants(variant, kwargs, tol):
+    """Each HEADS entry: its MAC formula matches an instrumented run, its
+    construction recovers Sigma, and the construction round-trips bitwise."""
+    for n, m in [(8, 4), (16, 5)]:
+        k = 3 if HEADS[variant].needs_k else None
+        assert mac_count(variant, n, m, k) == audited_mac_count(variant, n, m, k)
     n, d = 4, 2
     basis = enumerate_multidegrees(d, n)
     con = build_sum_extraction(variant, n, d, basis, **kwargs)
+    loaded = load_construction(dump_construction(con))
     rng = np.random.default_rng(18)
     for _ in range(20):
         x = rng.uniform(size=(n, d))
         out = con.forward(x)
         assert np.max(np.abs(out[:, -basis.size:] - power_sum_vector(x, basis))) <= tol
+        assert np.array_equal(loaded.forward(x), out)
+    assert (loaded.variant, loaded.wv_scale, loaded.lambda_value) == (variant, con.wv_scale, con.lambda_value)
 
 
 def test_literal_n_scaling_overshoots():
@@ -318,12 +332,6 @@ def test_construction_k_bounds():
         build_sum_extraction("linformer", 3, 1, basis, k=3)
     with pytest.raises(ContractError):
         build_sum_extraction("performer", 3, 1, basis, k=0, seed=0)
-
-
-def test_mac_count_matches_instrumented_execution():
-    for variant, k in [("standard", None), ("linformer", 3), ("performer", 3)]:
-        for n, m in [(8, 4), (16, 5)]:
-            assert mac_count(variant, n, m, k) == audited_mac_count(variant, n, m, k)
 
 
 def test_mac_count_scaling_ratios():

@@ -34,6 +34,16 @@ def test_bench_writes_scaling_csv(tmp_path):
             assert 1.8 <= b / a <= 2.2
 
 
+def test_bench_rejects_unrunnable_heads_before_output(tmp_path, capsys):
+    # n=8 with k=8 is a low-rank head the library refuses to run.
+    for args in (["--n", "8,16", "--k", "8"], ["--k", "0"], ["--n", "0"]):
+        out = tmp_path / "bench"
+        assert main(["bench", "--out", str(out)] + args) == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_train_zero_epochs_single_row(tmp_path):
     out = str(tmp_path / "t0")
     code = main([
@@ -143,6 +153,18 @@ def test_verify_passes_with_small_config(tmp_path):
     report = _read(os.path.join(out, "verify_report.txt"))
     assert "status=fail" not in report
     assert report.count("name=") == 8
+
+
+def test_verify_reports_skip_for_checks_without_cases(tmp_path):
+    # The low-rank checks need n >= 2, so with n = 1 they run no case.
+    out = str(tmp_path / "verify_n1")
+    assert main(["verify", "--out", out, "--n", "1", "--d", "1"]) == EXIT_OK
+    records = [dict(part.split("=", 1) for part in ln.split())
+               for ln in _read(os.path.join(out, "verify_report.txt")).splitlines()]
+    status = {r["name"]: r["status"] for r in records}
+    assert status.pop("sigma_recovery_linformer") == status.pop("sigma_recovery_performer") == "skip"
+    assert set(status.values()) == {"pass"}
+    assert main(["verify", "--out", out, "--n", "1", "--d", "1", "--tol", "0"]) == EXIT_VERIFY_FAILED
 
 
 def test_verify_literal_n_scaling_fails(tmp_path):

@@ -128,6 +128,18 @@ def test_all_model_kinds_are_equivariant():
         assert report.max_violation <= 1e-10
 
 
+def test_sumformer_forward_is_bitwise_equivariant():
+    # Row-permuted matrix products need not agree bitwise; evaluating the
+    # tokens in canonical order makes every permutation see one computation.
+    for n, d in [(3, 2), (4, 1), (6, 3), (8, 2)]:
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            x = rng.uniform(size=(n, d))
+            perm = rng.permutation(n)
+            for model in (build_mlp_sumformer(d, 6, seed), build_polynomial_sumformer(n, d, seed)):
+                assert np.array_equal(sumformer_forward(model, x[perm]), sumformer_forward(model, x)[perm])
+
+
 def test_mlp_phi_sigma_matches_manual_sum():
     model = build_mlp_sumformer(2, 4, seed=2)
     x = np.random.default_rng(6).uniform(size=(3, 2))

@@ -1,17 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sumformer.attention import (
-    LinformerHeadSpec,
-    PerformerHeadSpec,
-    StandardHeadSpec,
-    build_sum_extraction,
-)
-from sumformer.errors import ConfigError
+from sumformer.attention import build_sum_extraction
+from sumformer.errors import ConfigError, ContractError
 from sumformer.model import (
     LatentPolynomial,
     build_continuous_sumformer,
-    build_discrete_sumformer,
     build_mlp_sumformer,
     build_polynomial_sumformer,
     sumformer_forward,
@@ -19,41 +15,12 @@ from sumformer.model import (
 from sumformer.multisym import enumerate_multidegrees
 from sumformer.serialize import (
     dump_construction,
-    dump_head,
     dump_model,
-    export_discrete_table,
     load_construction,
-    load_head,
     load_model,
 )
 
-
-def _rng_mats(m, rng, count=3):
-    return [rng.uniform(-1, 1, size=(m, m)) for _ in range(count)]
-
-
-def test_standard_head_round_trip_bitwise():
-    rng = np.random.default_rng(0)
-    spec = StandardHeadSpec(*_rng_mats(4, rng))
-    loaded = load_head(dump_head(spec))
-    assert isinstance(loaded, StandardHeadSpec)
-    for name in ("w_q", "w_k", "w_v"):
-        assert np.array_equal(getattr(loaded, name), getattr(spec, name))
-
-
-def test_linformer_head_round_trip():
-    rng = np.random.default_rng(1)
-    spec = LinformerHeadSpec(*_rng_mats(3, rng), e=rng.uniform(size=(2, 5)), f=rng.uniform(size=(2, 5)))
-    loaded = load_head(dump_head(spec))
-    assert np.array_equal(loaded.e, spec.e)
-    assert np.array_equal(loaded.f, spec.f)
-
-
-def test_performer_head_round_trip():
-    rng = np.random.default_rng(2)
-    spec = PerformerHeadSpec(*_rng_mats(3, rng), omegas=rng.standard_normal((4, 3)))
-    loaded = load_head(dump_head(spec))
-    assert np.array_equal(loaded.omegas, spec.omegas)
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize("variant,kwargs", [
@@ -62,14 +29,27 @@ def test_performer_head_round_trip():
     ("performer", {"k": 2, "seed": 9}),
 ])
 def test_construction_round_trip_same_forward(variant, kwargs):
+    """Constructions are written as build parameters; files of the earlier
+    form, which also hold every weight matrix, load to the same forward."""
     basis = enumerate_multidegrees(2, 2)
     con = build_sum_extraction(variant, 4, 2, basis, **kwargs)
-    loaded = load_construction(dump_construction(con))
+    text = dump_construction(con)
+    assert "matrix" not in text
+    with open(DATA / f"legacy_sum_extraction_{variant}.txt") as fh:
+        legacy = load_construction(fh.read())
     x = np.random.default_rng(3).uniform(size=(4, 2))
-    assert np.array_equal(loaded.forward(x), con.forward(x))
-    assert loaded.variant == variant
-    assert loaded.wv_scale == con.wv_scale
-    assert loaded.lambda_value == con.lambda_value
+    assert np.array_equal(legacy.forward(x), con.forward(x))
+    assert legacy.lambda_value == con.lambda_value
+    assert (legacy.variant, legacy.k, legacy.seed) == (variant, con.k, con.seed)
+
+
+def test_construction_files_need_reproducible_random_features():
+    con = build_sum_extraction("performer", 4, 2, enumerate_multidegrees(2, 2), k=2, seed=9)
+    text = dump_construction(con).replace(repr(con.lambda_value), repr(2.0 * con.lambda_value))
+    with pytest.raises(ConfigError):
+        load_construction(text)
+    with pytest.raises(ContractError):
+        dump_construction(build_sum_extraction("performer", 4, 2, enumerate_multidegrees(2, 2), k=2))
 
 
 def test_construction_with_mlp_phi_round_trip():
@@ -110,19 +90,12 @@ def test_continuous_model_round_trip():
     assert np.array_equal(sumformer_forward(loaded, x), sumformer_forward(model, x))
 
 
-def test_export_discrete_table_lists_all_entries():
-    ds = build_discrete_sumformer(lambda x, rest: x, delta_cells=2, n=2, d=1)
-    text = export_discrete_table(ds)
-    assert "object discrete_table" in text
-    assert text.count("entry ") == len(ds.table) == 4
-
-
 def test_load_rejects_bad_header():
     with pytest.raises(ConfigError):
-        load_head("not a header\nobject attention_head\nend\n")
+        load_model("not a header\nobject sumformer_model\nend\n")
 
 
 def test_load_rejects_wrong_kind():
     model = build_mlp_sumformer(1, 2, seed=0)
     with pytest.raises(ConfigError):
-        load_head(dump_model(model))
+        load_construction(dump_model(model))
