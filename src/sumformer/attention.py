@@ -207,7 +207,11 @@ def performer_features(x: np.ndarray, omegas: np.ndarray, counter: MacCounter | 
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if omegas.ndim != 2 or omegas.shape[1] != x.shape[0]:
         raise ShapeError(f"omegas shape {omegas.shape} vs vector length {x.shape[0]}")
-    return _performer_features_rows(x[np.newaxis, :], omegas, counter)[0]
+    k = omegas.shape[0]
+    if counter is not None:
+        counter.dots(1, x.shape[0])       # squared norm
+        counter.dots(k, x.shape[0])       # k projections
+    return np.exp(omegas @ x - 0.5 * float(x @ x)) / np.sqrt(k)
 
 
 def _performer_features_rows(rows: np.ndarray, omegas: np.ndarray, counter: MacCounter | None) -> np.ndarray:
@@ -361,6 +365,7 @@ def build_sum_extraction(
     k: int | None = None,
     seed: int | None = None,
     wv_scale: str = "k",
+    omegas: np.ndarray | None = None,
 ) -> SumExtractionConstruction:
     """Build the fixed-weight sum-extraction network for one head variant.
 
@@ -376,7 +381,8 @@ def build_sum_extraction(
     - performer: with fixed feature vectors the query/key Gram matrix is
       lambda * 1_{n x n} with lambda = (1/k) e^{-1} sum_j exp(2 w_{j,1});
       scale n in the value matrix and 1/(lambda n) folded into the
-      token-wise layer undo it.
+      token-wise layer undo it.  The k x m feature vectors are ``omegas``
+      when given, else drawn from ``seed``.
 
     The token-wise layer of the block selects the trailing d' columns of
     (X + Att(X)); with the block's outer residual this leaves rows
@@ -422,8 +428,8 @@ def build_sum_extraction(
     elif variant == "performer":
         if k is None or not (1 <= k < n):
             raise ContractError(f"performer needs 1 <= k < n, got k={k}, n={n}")
-        rng = np.random.default_rng(seed)
-        omegas = rng.standard_normal((k, m))
+        if omegas is None:
+            omegas = np.random.default_rng(seed).standard_normal((k, m))
         # All query and key rows equal e_1, so the Gram value is analytic.
         lambda_value = float(np.exp(-1.0) * np.mean(np.exp(2.0 * omegas[:, 0])))
         if not (1e-300 < abs(lambda_value) < 1e300):

@@ -287,11 +287,14 @@ def cmd_bench(config: dict) -> int:
     n_list = _as_int_list(config["n"], "n")
     d_model = int(config["d_model"])
     lines = ["variant,n,d_model,k,macs"]
-    for variant in variants:
-        k = int(config["k"]) if head_class(variant).needs_k else None
-        for n in n_list:
-            macs = mac_count(variant, n, d_model, k)
-            lines.append(f"{variant},{n},{d_model},{'' if k is None else k},{macs}")
+    try:
+        for variant in variants:
+            k = int(config["k"]) if head_class(variant).needs_k else None
+            for n in n_list:
+                macs = mac_count(variant, n, d_model, k)
+                lines.append(f"{variant},{n},{d_model},{'' if k is None else k},{macs}")
+    except ContractError as exc:
+        raise ConfigError(str(exc)) from exc
     path = os.path.join(_ensure_out(config), "bench.csv")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -313,7 +316,7 @@ def main(argv=None) -> int:
     try:
         config = _resolve(args, args.command)
         return COMMANDS[args.command](config)
-    except (ConfigError, ContractError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -63,9 +63,6 @@ class CheckReport:
     witness_input: np.ndarray | None
     witness_permutation: np.ndarray | None
 
-    def passed(self, tol: float) -> bool:
-        return self.max_violation <= tol
-
 
 def _permutations_for(n: int, rng: np.random.Generator):
     """All permutations for n <= 6, a single random draw otherwise."""
@@ -82,7 +79,6 @@ def check_equivariance(
     d: int,
     trials: int = 100,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> CheckReport:
     """Max over sampled (X, pi) of ||f(pi X) - pi f(X)||_inf.
 
@@ -108,7 +104,6 @@ def check_semi_invariance(
     d: int,
     trials: int = 100,
     seed: int = 0,
-    tol: float = 1e-12,
 ) -> CheckReport:
     """Like check_equivariance but permutes only the ``rest`` argument of g."""
     rng = np.random.default_rng(seed)

@@ -78,14 +78,14 @@ def monomial_features(x: np.ndarray, basis: DegreeBasis) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.shape[0] != basis.d:
         raise ShapeError(f"token has dimension {x.shape[0]}, basis expects {basis.d}")
-    return monomial_feature_matrix(x[np.newaxis, :], basis)[0]
+    # 0**0 == 1 under numpy float power, as required for absent variables.
+    return np.prod(x[np.newaxis, :] ** basis.exponents, axis=1)
 
 
 def monomial_feature_matrix(x_rows: np.ndarray, basis: DegreeBasis) -> np.ndarray:
     """monomial_features applied to every row of an n x d matrix."""
     if x_rows.ndim != 2 or x_rows.shape[1] != basis.d:
         raise ShapeError(f"rows have shape {x_rows.shape}, basis expects d={basis.d}")
-    # 0**0 == 1 under numpy float power, as required for absent variables.
     return np.prod(x_rows[:, np.newaxis, :] ** basis.exponents[np.newaxis, :, :], axis=2)
 
 

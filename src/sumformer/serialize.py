@@ -140,10 +140,8 @@ def _mlp_from_entries(prefix: str, fields: dict, matrices: dict) -> tuple[MlpSpe
 
 
 def dump_construction(con) -> str:
-    """Write the build parameters (and phi's weights when phi is an MLP); random
-    features drawn without a seed cannot be redrawn, so those are refused."""
-    if con.lambda_value is not None and con.seed is None:
-        raise ContractError("a random-feature construction needs a seed to be written")
+    """Write the build parameters, plus phi's weights when phi is an MLP and
+    the random features when no seed can redraw them."""
     fields = {
         "variant": con.variant,
         "n": con.n,
@@ -156,19 +154,22 @@ def dump_construction(con) -> str:
         "phi_kind": con.phi_kind,
     }
     mats = []
+    if con.lambda_value is not None and con.seed is None:
+        mats.append(("omegas", con.network.blocks[0].heads[0].omegas))
     if con.phi_kind == "mlp":
-        phi_fields, mats = _mlp_entries("phi.", con.phi_spec, con.phi_params)
+        phi_fields, phi_mats = _mlp_entries("phi.", con.phi_spec, con.phi_params)
         fields.update(phi_fields)
+        mats += phi_mats
     return _dump("sum_extraction", fields, mats)
 
 
 def load_construction(text: str):
     """Rebuild a construction from its build parameters.
 
-    Files that also hold the weight matrices load the same way; the
-    matrices are ignored.  The random-feature vectors are redrawn from
-    the seed, so a stored Gram constant that the redraw does not
-    reproduce is an error.
+    Files that also hold the weight matrices load the same way; of those
+    only the random-feature vectors are read.  Without them the vectors
+    are redrawn from the seed, so a stored Gram constant that the redraw
+    does not reproduce is an error.
     """
     kind, fields, mats = _load(text)
     if kind != "sum_extraction":
@@ -179,6 +180,7 @@ def load_construction(text: str):
             fields["variant"], fields["n"], fields["d"],
             enumerate_multidegrees(fields["d"], fields["n_max"]),
             phi_net=phi_net, k=fields["k"], seed=fields["seed"], wv_scale=fields["wv_scale"],
+            omegas=mats.get("omegas"),
         )
     except (ContractError, ShapeError) as exc:
         raise ConfigError(f"cannot rebuild construction: {exc}") from exc

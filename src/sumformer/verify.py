@@ -58,12 +58,6 @@ def _record(name: str, config: VerifyConfig, default_tol: float, worst: float, c
     return CheckRecord(name, status, worst)
 
 
-def _sigma_residual(construction, x: np.ndarray) -> float:
-    out = construction.forward(x)
-    expected = power_sum_vector(x, construction.basis)
-    return float(np.max(np.abs(out[:, -construction.d_latent:] - expected)))
-
-
 def _sigma_recovery(variant: str, config: VerifyConfig, tol: float, seeds=(0,), wv_scale="k"):
     """Sigma block against the power sums; k = n - 1 where the variant takes k."""
     needs_k = HEADS[variant].needs_k
@@ -79,7 +73,8 @@ def _sigma_recovery(variant: str, config: VerifyConfig, tol: float, seeds=(0,), 
                 rng = np.random.default_rng(1000 + seed)
                 for _ in range(config.samples):
                     x = rng.uniform(size=(n, d))
-                    residual = _sigma_residual(con, x)
+                    sigma = con.forward(x)[:, -con.d_latent:]
+                    residual = float(np.max(np.abs(sigma - power_sum_vector(x, basis))))
                     cases += 1
                     if residual > worst:
                         worst, witness = residual, x

@@ -3,8 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sumformer.attention import build_sum_extraction
-from sumformer.errors import ConfigError, ContractError
+from sumformer.attention import HEADS, build_sum_extraction
+from sumformer.errors import ConfigError
 from sumformer.model import (
     LatentPolynomial,
     build_continuous_sumformer,
@@ -14,42 +14,60 @@ from sumformer.model import (
 )
 from sumformer.multisym import enumerate_multidegrees
 from sumformer.serialize import (
+    _load,
     dump_construction,
     dump_model,
     load_construction,
     load_model,
 )
+from test_attention import VARIANT_CASES
 
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("variant,kwargs", [
-    ("standard", {}),
-    ("linformer", {"k": 2}),
-    ("performer", {"k": 2, "seed": 9}),
-])
+def _network_matrix(con, name):
+    """The matrix of ``con`` that files of the earlier form store as ``name``."""
+    block = con.network.blocks[0]
+    if name.startswith("fc."):
+        w, b = block.fc_params[int(name[4:])]
+        return w if name[3] == "W" else b
+    return getattr(block if name == "W_O" else block.heads[0], name.lower())
+
+
+@pytest.mark.parametrize("variant,kwargs", [(v, VARIANT_CASES[v][0]) for v in HEADS])
 def test_construction_round_trip_same_forward(variant, kwargs):
-    """Constructions are written as build parameters; files of the earlier
-    form, which also hold every weight matrix, load to the same forward."""
-    basis = enumerate_multidegrees(2, 2)
-    con = build_sum_extraction(variant, 4, 2, basis, **kwargs)
-    text = dump_construction(con)
-    assert "matrix" not in text
-    with open(DATA / f"legacy_sum_extraction_{variant}.txt") as fh:
-        legacy = load_construction(fh.read())
+    """New files hold the build parameters and no matrix; files of the
+    earlier form hold every matrix and load to a network with exactly those
+    matrices, whose forward survives a round trip through the new form."""
+    con = build_sum_extraction(variant, 4, 2, enumerate_multidegrees(2, 2), **kwargs)
+    assert "matrix" not in dump_construction(con)
     x = np.random.default_rng(3).uniform(size=(4, 2))
-    assert np.array_equal(legacy.forward(x), con.forward(x))
-    assert legacy.lambda_value == con.lambda_value
-    assert (legacy.variant, legacy.k, legacy.seed) == (variant, con.k, con.seed)
+    paths = sorted(DATA.glob(f"legacy_sum_extraction_{variant}*.txt"))
+    assert paths
+    for path in paths:
+        text = path.read_text()
+        legacy = load_construction(text)
+        _, fields, stored = _load(text)
+        for name, mat in stored.items():
+            assert np.array_equal(_network_matrix(legacy, name), mat), (path.name, name)
+        assert (legacy.variant, legacy.k, legacy.seed) == (variant, fields["k"], fields["seed"])
+        assert legacy.lambda_value == fields["lambda"]
+        again = load_construction(dump_construction(legacy))
+        assert np.array_equal(again.forward(x), legacy.forward(x))
 
 
-def test_construction_files_need_reproducible_random_features():
-    con = build_sum_extraction("performer", 4, 2, enumerate_multidegrees(2, 2), k=2, seed=9)
+def test_construction_files_reproduce_random_features():
+    basis = enumerate_multidegrees(2, 2)
+    con = build_sum_extraction("performer", 4, 2, basis, k=2, seed=9)
     text = dump_construction(con).replace(repr(con.lambda_value), repr(2.0 * con.lambda_value))
     with pytest.raises(ConfigError):
         load_construction(text)
-    with pytest.raises(ContractError):
-        dump_construction(build_sum_extraction("performer", 4, 2, enumerate_multidegrees(2, 2), k=2))
+    # Without a seed the feature vectors themselves are written.
+    seedless = build_sum_extraction("performer", 4, 2, basis, k=2)
+    loaded = load_construction(dump_construction(seedless))
+    x = np.random.default_rng(4).uniform(size=(4, 2))
+    assert np.array_equal(loaded.forward(x), seedless.forward(x))
+    assert loaded.lambda_value == seedless.lambda_value
 
 
 def test_construction_with_mlp_phi_round_trip():
