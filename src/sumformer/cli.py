@@ -64,6 +64,38 @@ def _as_int_list(value, key: str) -> list[int]:
     return out
 
 
+def _ints(config: dict, key: str, low: int) -> list[int]:
+    """config[key] as a list of integers, each at least ``low``."""
+    values = _as_int_list(config[key], key)
+    if any(v < low for v in values):
+        raise ConfigError(f"{key} must be >= {low}, got {config[key]!r}")
+    return values
+
+
+def _int(config: dict, key: str, low: int) -> int:
+    """config[key] as one integer, at least ``low``."""
+    if isinstance(config[key], list):
+        raise ConfigError(f"{key} must be a single integer, got {config[key]!r}")
+    return _ints(config, key, low)[0]
+
+
+def _number(config: dict, key: str) -> float:
+    value = config[key]
+    if not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _optimizer_config(config: dict):
+    from .train import OptimizerConfig
+
+    full = config["batch_size"] in (None, "full")
+    return OptimizerConfig(
+        lr=_number(config, "lr"),
+        batch_size=None if full else _int(config, "batch_size", 1),
+    )
+
+
 def merge_config(defaults: dict, file_values: dict, flag_values: dict) -> dict:
     config = dict(defaults)
     for source, values in (("config file", file_values), ("flag", flag_values)):
@@ -215,28 +247,24 @@ def cmd_verify(config: dict) -> int:
 def cmd_train(config: dict) -> int:
     from .model import build_mlp_sumformer
     from .targets import get_target
-    from .train import (
-        OptimizerConfig,
-        generate_dataset,
-        train,
-        write_curve_csv,
-        write_manifest,
-    )
+    from .train import generate_dataset, train, write_curve_csv, write_manifest
 
     target = get_target(str(config["target"]))
-    seed = int(config["seed"]) if not isinstance(config["seed"], list) else int(config["seed"][0])
+    d = _int(config, "d", 1)
+    d_latent = _int(config, "d_latent", 1)
+    epochs = _int(config, "epochs", 0)
+    seed = _ints(config, "seed", 0)[0]
+    split_fraction = _number(config, "split_fraction")
+    if not 0.0 < split_fraction < 1.0:
+        raise ConfigError(f"split_fraction must be in (0, 1), got {split_fraction!r}")
+    opt = _optimizer_config(config)
     data = generate_dataset(
-        target, int(config["n"]), int(config["d"]), int(config["points"]),
-        float(config["split_fraction"]), seed,
+        target, _int(config, "n", 1), d, _int(config, "points", 2), split_fraction, seed,
     )
-    model = build_mlp_sumformer(int(config["d"]), int(config["d_latent"]), seed)
-    opt = OptimizerConfig(
-        lr=float(config["lr"]),
-        batch_size=None if config["batch_size"] in (None, "full") else int(config["batch_size"]),
-    )
+    model = build_mlp_sumformer(d, d_latent, seed)
     out = _ensure_out(config)
     try:
-        report = train(model, data, int(config["epochs"]), opt, seed)
+        report = train(model, data, epochs, opt, seed)
     except TrainingDivergedError as exc:
         if exc.report is not None:
             write_curve_csv(os.path.join(out, "curve.csv"), exc.report)
@@ -250,28 +278,19 @@ def cmd_train(config: dict) -> int:
 
 def cmd_sweep(config: dict) -> int:
     from .targets import get_target
-    from .train import OptimizerConfig, latent_sweep, write_manifest, write_sweep_csv
+    from .train import latent_sweep, write_manifest, write_sweep_csv
 
     target = get_target(str(config["target"]))
-    opt = OptimizerConfig(
-        lr=float(config["lr"]),
-        batch_size=None if config["batch_size"] in (None, "full") else int(config["batch_size"]),
-    )
-    d_list = _as_int_list(config["d"], "d")
-    dprime_list = _as_int_list(config["d_latent"], "d_latent")
-    seeds = _as_int_list(config["seed"], "seed")
+    opt = _optimizer_config(config)
+    n = _int(config, "n", 1)
+    d_list = _ints(config, "d", 1)
+    dprime_list = _ints(config, "d_latent", 1)
+    epochs = _int(config, "epochs", 0)
+    points = _int(config, "points", 2)
+    seeds = _ints(config, "seed", 0)
     out = _ensure_out(config)
     try:
-        rows = latent_sweep(
-            target,
-            int(config["n"]),
-            d_list,
-            dprime_list,
-            int(config["epochs"]),
-            int(config["points"]),
-            seeds,
-            opt,
-        )
+        rows = latent_sweep(target, n, d_list, dprime_list, epochs, points, seeds, opt)
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -284,12 +303,13 @@ def cmd_sweep(config: dict) -> int:
 
 def cmd_bench(config: dict) -> int:
     variants = _as_list(config["variant"])
-    n_list = _as_int_list(config["n"], "n")
-    d_model = int(config["d_model"])
+    n_list = _ints(config, "n", 1)
+    d_model = _int(config, "d_model", 1)
+    k_value = _int(config, "k", 1)
     lines = ["variant,n,d_model,k,macs"]
     try:
         for variant in variants:
-            k = int(config["k"]) if head_class(variant).needs_k else None
+            k = k_value if head_class(variant).needs_k else None
             for n in n_list:
                 macs = mac_count(variant, n, d_model, k)
                 lines.append(f"{variant},{n},{d_model},{'' if k is None else k},{macs}")

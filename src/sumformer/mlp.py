@@ -65,18 +65,80 @@ def _check_params(spec: MlpSpec, params: MlpParams):
             raise ShapeError(f"layer {i}: weight {w.shape} / bias {b.shape} vs widths {fi}->{fo}")
 
 
-def mlp_forward(spec: MlpSpec, params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Apply the network row-wise (each row of x is one token)."""
+def mlp_forward(
+    spec: MlpSpec, params: MlpParams, x: np.ndarray, acts: list | None = None
+) -> np.ndarray:
+    """Apply the network row-wise (each row of x is one token).
+
+    With ``acts`` given, each layer's input is appended to it: what
+    ``mlp_backward`` reads.
+    """
     _check_params(spec, params)
     if x.ndim != 2 or x.shape[1] != spec.in_width:
         raise ShapeError(f"input shape {x.shape} vs expected width {spec.in_width}")
     h = x
     last = spec.n_layers - 1
     for i, (w, b) in enumerate(params):
+        if acts is not None:
+            acts.append(h)
         h = h @ w + b
         if i != last:
-            h = np.where(h > 0.0, h, 0.0)
+            h = relu(h)
     return h
+
+
+def relu(h: np.ndarray) -> np.ndarray:
+    """Bitwise ``np.where(h > 0.0, h, 0.0)``, which branches per entry.
+
+    ``fmax`` maps negatives and NaN to 0.0 and adding 0.0 turns a -0.0
+    into +0.0.  Only a signaling NaN would come out differently (quieted
+    instead of zeroed), and no sum such as ``h @ w + b`` produces one.
+    """
+    out = np.fmax(h, 0.0)
+    out += 0.0
+    return out
+
+
+def mlp_backward(
+    params: MlpParams, acts: list, g: np.ndarray, grads: MlpParams, input_grad: bool = True
+) -> np.ndarray | None:
+    """Reverse of ``mlp_forward`` from the layer inputs it recorded.
+
+    ``g`` is d(loss)/d(output).  Each layer's weight and bias gradients
+    are written into the matching ``grads`` pair; the result is
+    d(loss)/d(x), or None when ``input_grad`` is false.  The expressions
+    are those of the tape's matmul, row-add and ReLU rules, so the
+    gradients equal the tape's bitwise.  A ReLU was active exactly where
+    the next layer's input is positive.
+    """
+    for i in reversed(range(len(params))):
+        h = acts[i]
+        gw, gb = grads[i]
+        np.matmul(h.T, g, out=gw)
+        g.sum(axis=0, keepdims=True, out=gb)
+        if i == 0 and not input_grad:
+            return None
+        g = g @ params[i][0].T
+        if i != 0:
+            np.multiply(g, h > 0.0, out=g)
+    return g
+
+
+def param_views(buffer: np.ndarray, shaped_like: list[MlpParams]) -> list[MlpParams]:
+    """(W, b) views into consecutive slices of a flat ``buffer``, shaped and
+    ordered like the parameter lists in ``shaped_like``."""
+    out: list[MlpParams] = []
+    offset = 0
+    for params in shaped_like:
+        views = []
+        for pair in params:
+            view = []
+            for a in pair:
+                view.append(buffer[offset:offset + a.size].reshape(a.shape))
+                offset += a.size
+            views.append(tuple(view))
+        out.append(views)
+    return out
 
 
 def mlp_taped(tape: Tape, spec: MlpSpec, param_nodes: list[tuple[Node, Node]], x: Node) -> Node:

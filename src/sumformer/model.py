@@ -45,7 +45,8 @@ class PolynomialFeatureMap:
     def out_width(self) -> int:
         return self.basis.size
 
-    def rows(self, x: np.ndarray) -> np.ndarray:
+    def rows(self, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+        """Features of each row; ``acts`` is unused, as nothing here is trained."""
         return monomial_feature_matrix(x, self.basis)
 
 
@@ -58,8 +59,8 @@ class MlpFeatureMap:
     def out_width(self) -> int:
         return self.spec.out_width
 
-    def rows(self, x: np.ndarray) -> np.ndarray:
-        return mlp_forward(self.spec, self.params, x)
+    def rows(self, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+        return mlp_forward(self.spec, self.params, x, acts)
 
 
 @dataclass(frozen=True)
@@ -95,9 +96,12 @@ class PolynomialCombiner:
     terms: tuple[tuple[MultiDegree, LatentPolynomial], ...]
     out_width: int
 
-    def apply(self, x_rows: np.ndarray, phi_rows: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    def apply(
+        self, x_rows: np.ndarray, phi_rows: np.ndarray, sigma: np.ndarray, acts: list | None = None
+    ) -> np.ndarray:
         """``sigma`` is the Sigma of each row's sequence, one row per token
-        (or one d'-vector shared by all rows)."""
+        (or one d'-vector shared by all rows); ``acts`` is unused, as
+        nothing here is trained."""
         n = x_rows.shape[0]
         out = np.zeros((n, self.out_width))
         others = sigma - phi_rows
@@ -117,9 +121,11 @@ class MlpCombiner:
     def out_width(self) -> int:
         return self.spec.out_width
 
-    def apply(self, x_rows: np.ndarray, phi_rows: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    def apply(
+        self, x_rows: np.ndarray, phi_rows: np.ndarray, sigma: np.ndarray, acts: list | None = None
+    ) -> np.ndarray:
         stacked = np.hstack([x_rows, np.broadcast_to(sigma, phi_rows.shape)])
-        return mlp_forward(self.spec, self.params, stacked)
+        return mlp_forward(self.spec, self.params, stacked, acts)
 
 
 Phi = Union[PolynomialFeatureMap, MlpFeatureMap]
@@ -153,19 +159,23 @@ class SumformerModel:
         return out
 
 
-def batch_forward(model: SumformerModel, seqs: np.ndarray) -> np.ndarray:
+def batch_forward(
+    model: SumformerModel, seqs: np.ndarray, acts: tuple[list, list] | None = None
+) -> np.ndarray:
     """Forward over a stack of sequences (S, n, d) -> (S, n, out_width).
 
     phi runs on all S*n token rows at once, Sigma is summed per sequence
     and repeated to one row per token, and psi runs on all rows at once.
-    The taped training forward performs the same operations in the same
-    order, so recorded losses and evaluation metrics refer to one function.
+    With ``acts = (phi_acts, psi_acts)`` the MLP layer inputs are recorded
+    for the training step's backward, so the recorded losses and the
+    evaluation metrics come from this one forward.
     """
+    phi_acts, psi_acts = acts if acts is not None else (None, None)
     s_count, n, d = seqs.shape
     rows = seqs.reshape(s_count * n, d)
-    phi_rows = model.phi.rows(rows)
+    phi_rows = model.phi.rows(rows, phi_acts)
     sigma = phi_rows.reshape(s_count, n, model.d_latent).sum(axis=1)
-    out = model.psi.apply(rows, phi_rows, np.repeat(sigma, n, axis=0))
+    out = model.psi.apply(rows, phi_rows, np.repeat(sigma, n, axis=0), psi_acts)
     return out.reshape(s_count, n, -1)
 
 

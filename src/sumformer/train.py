@@ -2,8 +2,10 @@
 
 Equivariant targets are sampled on uniform inputs in [0,1]^{n x d}.
 Batches stack all token rows of the batch sequences into one matrix, so
-the per-sequence feature sums reduce to fixed-size row-group sums and
-the whole step stays inside the tape's matrix primitives.
+the per-sequence feature sums reduce to fixed-size row-group sums.  A
+training step is ``model.batch_forward`` recording the MLP layer inputs,
+then one hand-written backward through the fixed graph.  All trainable
+arrays live in one flat buffer, so Adam updates a single vector.
 """
 
 from __future__ import annotations
@@ -13,10 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, gradient
 from .errors import ContractError, DivisionGuardError, TrainingDivergedError
-from .mlp import mlp_param_nodes, mlp_taped
-from .model import DEFAULT_HIDDEN, MlpFeatureMap, SumformerModel, batch_forward, build_mlp_sumformer
+from .mlp import MlpParams, mlp_backward, param_views
+from .model import (
+    DEFAULT_HIDDEN,
+    MlpCombiner,
+    MlpFeatureMap,
+    SumformerModel,
+    batch_forward,
+    build_mlp_sumformer,
+)
 from .targets import TargetFunction
 
 
@@ -114,7 +122,7 @@ class Adam:
 
 
 def trainable_arrays(model: SumformerModel) -> list[np.ndarray]:
-    """Flat list of parameter arrays in tape order (phi layers, then psi)."""
+    """Flat list of parameter arrays in a fixed order (phi layers, then psi)."""
     arrays: list[np.ndarray] = []
     for params in model.trainable_params():
         for w, b in params:
@@ -137,27 +145,47 @@ class TrainReport:
 VALIDATION_EVERY = 5
 
 
-def _loss_step(model: SumformerModel, x_seqs: np.ndarray, y_seqs: np.ndarray):
-    """One taped forward + MSE loss over a batch of sequences."""
+def flatten_params(model: SumformerModel) -> np.ndarray:
+    """Move every trainable array into one float64 buffer and return it.
+
+    The model's (W, b) pairs are replaced by views into the buffer, so an
+    update of the buffer is an update of the model.
+    """
+    params = model.trainable_params()
+    flat = np.concatenate([a.ravel() for a in trainable_arrays(model)], dtype=np.float64)
+    for held, views in zip(params, param_views(flat, params)):
+        held[:] = views
+    return flat
+
+
+def loss_and_gradient(
+    model: SumformerModel, x_seqs: np.ndarray, y_seqs: np.ndarray, grads: list[MlpParams]
+) -> float:
+    """MSE over a batch of sequences, and its gradient written into ``grads``.
+
+    ``grads`` is shaped like ``model.trainable_params()``.  The forward is
+    ``batch_forward`` recording the MLP layer inputs; the backward runs
+    MSE, psi, the repeat and per-sequence sum of Sigma and phi in
+    reverse, with the tape's expressions, so loss and gradients equal the
+    tape's bitwise.  No gradient is formed for the inputs or targets.  A
+    loss that is not finite is returned with ``grads`` left untouched.
+    """
     s_count, n, d = x_seqs.shape
-    rows = x_seqs.reshape(s_count * n, d)
-    tape = Tape()
-    x_node = tape.constant(rows)
-    if isinstance(model.phi, MlpFeatureMap):
-        phi_nodes = mlp_param_nodes(tape, model.phi.params, "phi.")
-        phi_out = mlp_taped(tape, model.phi.spec, phi_nodes, x_node)
-        sig = tape.group_sum(phi_out, n)
-        sig_rows = tape.repeat_rows(sig, n)
-        psi_in = tape.concat_cols(x_node, sig_rows)
-    else:
-        phi_rows = model.phi.rows(rows)
-        sig = phi_rows.reshape(s_count, n, model.d_latent).sum(axis=1)
-        psi_in = tape.constant(np.hstack([rows, np.repeat(sig, n, axis=0)]))
-    psi_nodes = mlp_param_nodes(tape, model.psi.params, "psi.")
-    pred = mlp_taped(tape, model.psi.spec, psi_nodes, psi_in)
-    diff = tape.sub(pred, tape.constant(y_seqs.reshape(s_count * n, d)))
-    loss = tape.mean(tape.square(diff))
-    return float(loss.value[0, 0]), tape, loss
+    phi_acts: list = []
+    psi_acts: list = []
+    pred = batch_forward(model, x_seqs, (phi_acts, psi_acts))
+    diff = (pred - y_seqs).reshape(s_count * n, -1)
+    loss = float((diff * diff).mean())
+    if not math.isfinite(loss):
+        return loss
+    g = np.full(diff.shape, 1.0 / diff.size) * (2.0 * diff)
+    mlp_phi = isinstance(model.phi, MlpFeatureMap)
+    g = mlp_backward(model.psi.params, psi_acts, g, grads[-1], input_grad=mlp_phi)
+    if mlp_phi:
+        g_sigma = g[:, d:].reshape(s_count, n, model.d_latent).sum(axis=1)
+        mlp_backward(model.phi.params, phi_acts, np.repeat(g_sigma, n, axis=0), grads[0],
+                     input_grad=False)
+    return loss
 
 
 def train(
@@ -174,10 +202,14 @@ def train(
     """
     if config is None:
         config = OptimizerConfig()
-    arrays = trainable_arrays(model)
-    if not arrays:
+    if not model.trainable_params():
         raise ContractError("model has no trainable parameters")
-    adam = Adam(arrays, config)
+    if not isinstance(model.psi, MlpCombiner):
+        raise ContractError("training needs an MLP psi")
+    flat = flatten_params(model)
+    grad_flat = np.zeros_like(flat)
+    grads = param_views(grad_flat, model.trainable_params())
+    adam = Adam([flat], config)
     rng = np.random.default_rng(seed)
     x_train = data.inputs[data.train_idx]
     y_train = data.targets[data.train_idx]
@@ -214,13 +246,12 @@ def train(
         entries = 0
         for start in range(0, n_train, batch):
             idx = order[start:start + batch]
-            loss_value, tape, loss = _loss_step(model, x_train[idx], y_train[idx])
+            loss_value = loss_and_gradient(model, x_train[idx], y_train[idx], grads)
             if not math.isfinite(loss_value):
                 raise TrainingDivergedError(
                     f"loss became {loss_value} at epoch {epoch}", report=report
                 )
-            grads = gradient(tape, loss)
-            adam.step(arrays, [grads[p] for p in tape.parameters])
+            adam.step([flat], [grad_flat])
             size = idx.size * data.n * data.d
             sq_sum += loss_value * size
             entries += size

@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from sumformer.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -42,6 +44,34 @@ def test_bench_rejects_unrunnable_heads_before_output(tmp_path, capsys):
         assert not out.exists()
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+# Each of these is checked before any output: exit 2, one line, no directory.
+# (--epochs 0 keeps a run short should a value slip through.)
+BAD_VALUES = {
+    "sweep_points_1": (["sweep", "--epochs", "0", "--points", "1"], None),
+    "sweep_n_list": (["sweep", "--epochs", "0", "--n", "2,3"], None),
+    "train_n_0": (["train", "--epochs", "0", "--n", "0"], None),
+    "train_d_latent_0": (["train", "--epochs", "0", "--d-latent", "0"], None),
+    "train_points_1": (["train", "--epochs", "0", "--points", "1"], None),
+    "train_seed_negative": (["train", "--epochs", "0", "--seed", "-1"], None),
+    "bench_k_list_in_config": (["bench"], "k = 1,2\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_VALUES))
+def test_bad_values_rejected_before_output(tmp_path, capsys, case):
+    args, config_text = BAD_VALUES[case]
+    if config_text is not None:
+        config = tmp_path / "bad.cfg"
+        config.write_text(config_text)
+        args = args + ["--config", str(config)]
+    out = tmp_path / "never"
+    assert main(args + ["--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_train_zero_epochs_single_row(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sumformer.errors import ShapeError
-from sumformer.mlp import MlpSpec, init_mlp_params, mlp_forward, zero_mlp_params
+from sumformer.mlp import MlpSpec, init_mlp_params, mlp_forward, relu, zero_mlp_params
 
 
 def test_zero_net_maps_everything_to_zero():
@@ -23,6 +23,24 @@ def test_relu_net_computes_max_zero_x():
     params = [(np.array([[1.0]]), np.zeros((1, 1))), (np.array([[1.0]]), np.zeros((1, 1)))]
     assert mlp_forward(spec, params, np.array([[-1.0]]))[0, 0] == 0.0
     assert mlp_forward(spec, params, np.array([[2.0]]))[0, 0] == 2.0
+
+
+def test_relu_is_bitwise_the_where_form():
+    # Every sign of zero, infinity and quiet NaN, the subnormals and the
+    # extremes, then random bit patterns of either sign.  Whether fmax
+    # keeps the sign of a -0.0 depends on the array length (vector or
+    # scalar loop), so -0.0 is tried at every length up to 40.
+    negative_zeros = [np.full((1, n), -0.0) for n in range(1, 41)]
+    finfo = np.finfo(np.float64)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                        finfo.tiny, -finfo.tiny, finfo.max, -finfo.max, 1.0, -1.0])
+    bits = np.random.default_rng(3).integers(0, 2**63, size=10000, dtype=np.int64)
+    with np.errstate(invalid="ignore"):
+        noise = bits.view(np.float64) + 0.0  # quiets any signaling NaN
+    noise[::2] *= -1.0
+    for h in (special.reshape(2, 7), noise.reshape(100, 100), *negative_zeros):
+        reference = np.where(h > 0.0, h, 0.0)
+        assert np.array_equal(relu(h).view(np.int64), reference.view(np.int64))
 
 
 def test_forward_is_token_wise():

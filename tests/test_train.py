@@ -1,13 +1,22 @@
 import numpy as np
 import pytest
 
+from sumformer.autodiff import Tape, gradient
 from sumformer.errors import ContractError, DivisionGuardError, TrainingDivergedError
-from sumformer.model import build_mlp_sumformer, build_polynomial_sumformer
+from sumformer.mlp import mlp_param_nodes, mlp_taped, param_views
+from sumformer.model import (
+    MlpFeatureMap,
+    batch_forward,
+    build_mlp_sumformer,
+    build_polynomial_sumformer,
+)
+from sumformer.serialize import dump_model, load_model
 from sumformer.targets import get_target
 from sumformer.train import (
     OptimizerConfig,
     generate_dataset,
     latent_sweep,
+    loss_and_gradient,
     relative_l2_error,
     train,
     trainable_arrays,
@@ -129,12 +138,16 @@ def test_divergence_aborts_with_report():
 
 
 def test_untrainable_model_rejected():
-    from sumformer.model import build_continuous_sumformer
+    from sumformer.model import PolynomialCombiner, SumformerModel, build_continuous_sumformer
 
-    model = build_continuous_sumformer(2, 1, [])
     data = generate_dataset(get_target("quadratic_sum"), 2, 1, 10, 0.8, seed=12)
-    with pytest.raises(ContractError):
-        train(model, data, epochs=1, config=FAST, seed=0)
+    fixed = build_continuous_sumformer(2, 1, [])
+    # A trainable phi is not enough: the training step needs an MLP psi.
+    mlp_phi = build_mlp_sumformer(1, 2, seed=0).phi
+    no_mlp_psi = SumformerModel(1, 2, mlp_phi, PolynomialCombiner((), 1))
+    for model in (fixed, no_mlp_psi):
+        with pytest.raises(ContractError):
+            train(model, data, epochs=1, config=FAST, seed=0)
 
 
 def test_latent_sweep_single_cell_matches_train():
@@ -154,3 +167,98 @@ def test_latent_sweep_grid_shape_and_formula():
     assert len(rows) == 8
     formulas = {r.d: r.dprime_formula for r in rows}
     assert formulas == {1: 3, 2: 9}
+
+
+def _taped_loss_and_gradient(model, x_seqs, y_seqs):
+    """Loss and parameter gradients of one batch, recorded on a Tape."""
+    s_count, n, d = x_seqs.shape
+    rows = x_seqs.reshape(s_count * n, d)
+    tape = Tape()
+    x_node = tape.constant(rows)
+    if isinstance(model.phi, MlpFeatureMap):
+        phi_nodes = mlp_param_nodes(tape, model.phi.params, "phi.")
+        phi_out = mlp_taped(tape, model.phi.spec, phi_nodes, x_node)
+        sig_rows = tape.repeat_rows(tape.group_sum(phi_out, n), n)
+        psi_in = tape.concat_cols(x_node, sig_rows)
+    else:
+        sig = model.phi.rows(rows).reshape(s_count, n, model.d_latent).sum(axis=1)
+        psi_in = tape.constant(np.hstack([rows, np.repeat(sig, n, axis=0)]))
+    psi_nodes = mlp_param_nodes(tape, model.psi.params, "psi.")
+    pred = mlp_taped(tape, model.psi.spec, psi_nodes, psi_in)
+    diff = tape.sub(pred, tape.constant(y_seqs.reshape(s_count * n, d)))
+    loss = tape.mean(tape.square(diff))
+    grads = gradient(tape, loss)
+    return float(loss.value[0, 0]), [grads[p] for p in tape.parameters]
+
+
+def _fused_loss_and_gradient(model, x_seqs, y_seqs):
+    """The training step's loss and gradients, in trainable_arrays order.
+
+    The gradient buffer starts as NaN, so an entry the step does not
+    write shows up as a mismatch.
+    """
+    size = sum(a.size for a in trainable_arrays(model))
+    grad_flat = np.full(size, np.nan)
+    grads = param_views(grad_flat, model.trainable_params())
+    loss = loss_and_gradient(model, x_seqs, y_seqs, grads)
+    return loss, [g for params in grads for pair in params for g in pair]
+
+
+# (model constructor, n, d, dataset size, batch size): every split leaves a
+# final minibatch smaller than the rest.
+ORACLE_CASES = {
+    "mlp_phi": (lambda: build_mlp_sumformer(2, 4, seed=3, hidden=(6, 5)), 3, 2, 13, 4),
+    "polynomial_phi": (lambda: build_polynomial_sumformer(3, 2, seed=4, hidden=(7,)), 3, 2, 13, 4),
+    "mlp_phi_d4": (lambda: build_mlp_sumformer(4, 8, seed=5), 3, 4, 30, 9),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_fused_step_matches_tape_oracle(case):
+    build, n, d, count, batch = ORACLE_CASES[case]
+    data = generate_dataset(get_target("cubic_coupling"), n, d, count, 0.8, seed=13)
+    model = build()
+    # A few steps first, so the ReLU masks are not those of the initial weights.
+    train(model, data, epochs=2, config=OptimizerConfig(lr=1e-2, batch_size=batch), seed=1)
+    x_train, y_train = data.inputs[data.train_idx], data.targets[data.train_idx]
+    sizes = []
+    for start in range(0, len(x_train), batch):
+        x, y = x_train[start:start + batch], y_train[start:start + batch]
+        sizes.append(x.shape[0])
+        tape_loss, tape_grads = _taped_loss_and_gradient(model, x, y)
+        loss, grads = _fused_loss_and_gradient(model, x, y)
+        assert abs(loss - tape_loss) <= 1e-12 * abs(tape_loss)
+        assert loss == tape_loss
+        assert len(grads) == len(tape_grads) == len(trainable_arrays(model))
+        for g, tg in zip(grads, tape_grads):
+            assert g.shape == tg.shape
+            assert np.max(np.abs(g - tg)) <= 1e-12 * max(np.max(np.abs(tg)), 1e-300)
+            assert np.array_equal(g, tg)
+    assert sizes[0] > 1 and sizes[-1] < sizes[0]
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_step_loss_is_the_batch_forward_mse(case):
+    build, n, d, count, _ = ORACLE_CASES[case]
+    data = generate_dataset(get_target("cubic_coupling"), n, d, count, 0.8, seed=14)
+    model = build()
+    x, y = data.inputs[:5], data.targets[:5]
+    loss, _ = _fused_loss_and_gradient(model, x, y)
+    assert loss == np.mean((batch_forward(model, x) - y) ** 2)
+
+
+def test_train_keeps_parameters_in_one_flat_buffer():
+    data = generate_dataset(get_target("quadratic_sum"), 3, 2, 30, 0.8, seed=15)
+    model = build_mlp_sumformer(2, 4, seed=6)
+    for _ in range(2):  # a second call on the same model re-flattens it
+        report = train(model, data, epochs=3, config=FAST, seed=0)
+        assert all(np.isfinite(report.train_losses))
+        assert np.isfinite(report.best_validation_error)
+        arrays = trainable_arrays(model)
+        buffer = arrays[0].base
+        assert buffer is not None and buffer.ndim == 1
+        assert buffer.size == sum(a.size for a in arrays)
+        assert all(a.base is buffer for a in arrays)
+    reloaded = load_model(dump_model(model))
+    x = data.inputs[data.val_idx]
+    assert np.array_equal(batch_forward(reloaded, x), batch_forward(model, x))
