@@ -1,19 +1,26 @@
 """Command-line interface: verify | train | sweep | bench.
 
-Configuration comes from defaults, overridden by a ``key = value`` file
-(--config), overridden by flags.  Unknown config keys are rejected
-before any output is written.  Exit codes: 0 success, 2 config error,
-3 verification failure, 4 training divergence.
+Each command's keys form one table, ``SCHEMA[command]``.  It gives every
+key its default, its kind, its bounds, whether it takes a comma list and
+which strings it allows.  The table makes the flags (``--d-latent`` sets
+``d_latent``), and it checks every value given in a ``key = value`` file
+(--config) or as a flag.  Values merge as defaults < file < flags.  An
+unknown key or a bad value is rejected before any output is written.
+Exit codes: 0 success, 2 config error, 3 verification failure, 4
+training divergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from typing import NamedTuple
 
 from .attention import HEADS, head_class, mac_count
 from .errors import ConfigError, ContractError, TrainingDivergedError
+from .targets import TARGETS, get_target
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,167 +58,120 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def _as_list(value) -> list:
-    return value if isinstance(value, list) else [value]
+class Key(NamedTuple):
+    """One config key.
+
+    ``kind`` is int, float (a finite number) or str.  Integer bounds are
+    inclusive and number bounds exclusive.  ``many`` admits a comma list.
+    A string in ``choices`` is accepted whatever the kind; a str key
+    without choices takes any single value.
+    """
+
+    default: object
+    kind: type = int
+    low: float = -math.inf
+    high: float = math.inf
+    many: bool = False
+    choices: tuple = ()
 
 
-def _as_int_list(value, key: str) -> list[int]:
-    out = []
-    for v in _as_list(value):
-        if not isinstance(v, int):
-            raise ConfigError(f"{key} must be an integer or list of integers")
-        out.append(v)
-    return out
-
-
-def _ints(config: dict, key: str, low: int) -> list[int]:
-    """config[key] as a list of integers, each at least ``low``."""
-    values = _as_int_list(config[key], key)
-    if any(v < low for v in values):
-        raise ConfigError(f"{key} must be >= {low}, got {config[key]!r}")
-    return values
-
-
-def _int(config: dict, key: str, low: int) -> int:
-    """config[key] as one integer, at least ``low``."""
-    if isinstance(config[key], list):
-        raise ConfigError(f"{key} must be a single integer, got {config[key]!r}")
-    return _ints(config, key, low)[0]
-
-
-def _number(config: dict, key: str) -> float:
-    value = config[key]
-    if not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _optimizer_config(config: dict):
-    from .train import OptimizerConfig
-
-    full = config["batch_size"] in (None, "full")
-    return OptimizerConfig(
-        lr=_number(config, "lr"),
-        batch_size=None if full else _int(config, "batch_size", 1),
-    )
-
-
-def merge_config(defaults: dict, file_values: dict, flag_values: dict) -> dict:
-    config = dict(defaults)
-    for source, values in (("config file", file_values), ("flag", flag_values)):
-        for key, value in values.items():
-            if value is None:
-                continue
-            if key not in defaults:
-                raise ConfigError(f"unknown {source} key {key!r}")
-            config[key] = value
-    return config
-
-
-def _add_common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", default=None, help="key = value config file")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", default=None, help="seed or comma list of seeds")
-
-
-DEFAULTS = {
+OUT = Key("out", str)
+TRAINING = {
+    "target": Key("cubic_coupling", str, choices=tuple(TARGETS)),
+    "n": Key(3, low=1),
+    "epochs": Key(200, low=0),
+    "points": Key(2000, low=2),
+    "lr": Key(1e-3, float),
+    "batch_size": Key(100, low=1, choices=("full",)),
+}
+SCHEMA = {
     "verify": {
-        "n": [2, 3, 4],
-        "d": [1, 2],
-        "samples": 20,
-        "trials": 20,
-        "omega_seeds": 3,
-        "gradient_seeds": 20,
-        "tol": None,
-        "linformer_wv_scale": "k",
-        "delta": 4,
-        "out": "out",
+        "n": Key([2, 3, 4], low=1, many=True),
+        "d": Key([1, 2], low=1, many=True),
+        "samples": Key(20, low=1),
+        "trials": Key(20, low=0),
+        "omega_seeds": Key(3, low=0),
+        "gradient_seeds": Key(20, low=0),
+        "tol": Key(None, float),
+        "linformer_wv_scale": Key("k", str, choices=("k", "n")),
+        # The discrete check tabulates n=2, d=1, so delta**2 anchor pairs;
+        # build_discrete_sumformer refuses more than its 1e6 grid budget.
+        "delta": Key(4, low=1, high=1000),
+        "out": OUT,
     },
     "train": {
-        "target": "cubic_coupling",
-        "n": 3,
-        "d": 2,
-        "d_latent": 32,
-        "epochs": 200,
-        "points": 2000,
-        "seed": 0,
-        "lr": 1e-3,
-        "batch_size": 100,
-        "split_fraction": 0.8,
-        "out": "out",
+        **TRAINING,
+        "d": Key(2, low=1),
+        "d_latent": Key(32, low=1),
+        "seed": Key(0, low=0),
+        "split_fraction": Key(0.8, float, low=0.0, high=1.0),
+        "out": OUT,
     },
     "sweep": {
-        "target": "cubic_coupling",
-        "n": 3,
-        "d": [1, 2],
-        "d_latent": [2, 8, 32],
-        "epochs": 200,
-        "points": 2000,
-        "seed": [0, 1, 2],
-        "lr": 1e-3,
-        "batch_size": 100,
-        "out": "out",
+        **TRAINING,
+        "d": Key([1, 2], low=1, many=True),
+        "d_latent": Key([2, 8, 32], low=1, many=True),
+        "seed": Key([0, 1, 2], low=0, many=True),
+        "out": OUT,
     },
     "bench": {
-        "n": [32, 64, 128, 256],
-        "d_model": 4,
-        "k": 4,
-        "variant": list(HEADS),
-        "out": "out",
+        "n": Key([32, 64, 128, 256], low=1, many=True),
+        "d_model": Key(4, low=1),
+        "k": Key(4, low=1),
+        "variant": Key(list(HEADS), str, many=True, choices=tuple(HEADS)),
+        "out": OUT,
     },
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sumformer")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run the oracle and invariant suites")
-    _add_common_flags(p_verify)
-    p_verify.add_argument("--n", default=None)
-    p_verify.add_argument("--d", default=None)
-    p_verify.add_argument("--delta", type=int, default=None)
-    p_verify.add_argument("--tol", type=float, default=None)
-    p_verify.add_argument("--linformer-wv-scale", dest="linformer_wv_scale", default=None)
-
-    p_train = sub.add_parser("train", help="train one model, write the curve CSV")
-    _add_common_flags(p_train)
-    p_train.add_argument("--target", default=None)
-    p_train.add_argument("--n", default=None)
-    p_train.add_argument("--d", default=None)
-    p_train.add_argument("--d-latent", dest="d_latent", default=None)
-    p_train.add_argument("--epochs", type=int, default=None)
-    p_train.add_argument("--points", type=int, default=None)
-
-    p_sweep = sub.add_parser("sweep", help="latent-dimension sweep, write the sweep CSV")
-    _add_common_flags(p_sweep)
-    p_sweep.add_argument("--target", default=None)
-    p_sweep.add_argument("--n", default=None)
-    p_sweep.add_argument("--d", default=None)
-    p_sweep.add_argument("--d-latent", dest="d_latent", default=None)
-    p_sweep.add_argument("--epochs", type=int, default=None)
-    p_sweep.add_argument("--points", type=int, default=None)
-
-    p_bench = sub.add_parser("bench", help="multiply-accumulate scaling CSV")
-    _add_common_flags(p_bench)
-    p_bench.add_argument("--n", default=None)
-    p_bench.add_argument("--k", type=int, default=None)
-    p_bench.add_argument("--d-model", dest="d_model", type=int, default=None)
-    p_bench.add_argument("--variant", default=None, choices=list(HEADS))
-
-    return parser
+def _listed(value) -> list:
+    return value if isinstance(value, list) else [value]
 
 
-def _resolve(args: argparse.Namespace, command: str) -> dict:
-    flag_values = {}
-    for key in DEFAULTS[command]:
-        if hasattr(args, key):
-            value = getattr(args, key)
-            if isinstance(value, str):
-                value = _parse_value(value)
-            flag_values[key] = value
-    file_values = read_config_file(args.config) if args.config else {}
-    return merge_config(DEFAULTS[command], file_values, flag_values)
+def _describe(spec: Key) -> str:
+    """What ``spec`` admits, in words (flag help and error messages)."""
+    if spec.kind is str:
+        text = "one of " + ", ".join(spec.choices) if spec.choices else "a string"
+    else:
+        text = "an integer" if spec.kind is int else "a finite number"
+        if spec.high < math.inf:
+            ends = "[]" if spec.kind is int else "()"
+            text += f" in {ends[0]}{spec.low}, {spec.high}{ends[1]}"
+        elif spec.low > -math.inf:
+            text += f" {'>=' if spec.kind is int else '>'} {spec.low}"
+        text += "".join(f" or {choice}" for choice in spec.choices)
+    return text + (", or a comma list of these" if spec.many else "")
+
+
+def _admits(spec: Key, v) -> bool:
+    if isinstance(v, list):
+        return False
+    if v in spec.choices or (spec.kind is str and not spec.choices):
+        return True
+    if spec.kind is int:
+        return isinstance(v, int) and spec.low <= v <= spec.high
+    # The largest float bounds abs(v): that rejects nan, +-inf and integers beyond any float.
+    return (spec.kind is float and isinstance(v, (int, float))
+            and abs(v) <= sys.float_info.max and spec.low < v < spec.high)
+
+
+def _check(key: str, spec: Key, value):
+    """``value``, a scalar or a comma list as read, if ``spec`` admits it."""
+    if not all(_admits(spec, v) for v in (_listed(value) if spec.many else [value])):
+        raise ConfigError(f"{key} must be {_describe(spec)}, got {value!r}")
+    return value
+
+
+def resolve(command: str, file_values: dict, flag_values: dict) -> dict:
+    """Defaults < file < flags; every given value is checked against the table."""
+    keys = SCHEMA[command]
+    config = {key: spec.default for key, spec in keys.items()}
+    for source, values in (("config file", file_values), ("flag", flag_values)):
+        for key, value in values.items():
+            if key not in keys:
+                raise ConfigError(f"unknown {source} key {key!r}")
+            config[key] = _check(key, keys[key], value)
+    return config
 
 
 def _ensure_out(config: dict) -> str:
@@ -220,22 +180,24 @@ def _ensure_out(config: dict) -> str:
     return out
 
 
+def _optimizer_config(config: dict):
+    from .train import OptimizerConfig
+
+    batch_size = config["batch_size"]
+    return OptimizerConfig(
+        lr=float(config["lr"]), batch_size=None if batch_size == "full" else batch_size,
+    )
+
+
 def cmd_verify(config: dict) -> int:
+    """Run the oracle and invariant suites."""
     from .verify import VerifyConfig, run_verification, write_report
 
     vconfig = VerifyConfig(
-        n_list=_as_int_list(config["n"], "n"),
-        d_list=_as_int_list(config["d"], "d"),
-        samples=int(config["samples"]),
-        trials=int(config["trials"]),
-        omega_seeds=int(config["omega_seeds"]),
-        gradient_seeds=int(config["gradient_seeds"]),
-        tol=None if config["tol"] is None else float(config["tol"]),
-        linformer_wv_scale=str(config["linformer_wv_scale"]),
-        delta=int(config["delta"]),
+        n_list=_listed(config["n"]),
+        d_list=_listed(config["d"]),
+        **{key: value for key, value in config.items() if key not in ("n", "d", "out")},
     )
-    if vconfig.linformer_wv_scale not in ("k", "n"):
-        raise ConfigError("linformer_wv_scale must be 'k' or 'n'")
     out = _ensure_out(config)
     records = run_verification(vconfig, out)
     write_report(os.path.join(out, "verify_report.txt"), records)
@@ -245,26 +207,20 @@ def cmd_verify(config: dict) -> int:
 
 
 def cmd_train(config: dict) -> int:
+    """Train one model, write the curve CSV."""
     from .model import build_mlp_sumformer
-    from .targets import get_target
     from .train import generate_dataset, train, write_curve_csv, write_manifest
 
-    target = get_target(str(config["target"]))
-    d = _int(config, "d", 1)
-    d_latent = _int(config, "d_latent", 1)
-    epochs = _int(config, "epochs", 0)
-    seed = _ints(config, "seed", 0)[0]
-    split_fraction = _number(config, "split_fraction")
-    if not 0.0 < split_fraction < 1.0:
-        raise ConfigError(f"split_fraction must be in (0, 1), got {split_fraction!r}")
+    d, seed = config["d"], config["seed"]
     opt = _optimizer_config(config)
     data = generate_dataset(
-        target, _int(config, "n", 1), d, _int(config, "points", 2), split_fraction, seed,
+        get_target(config["target"]), config["n"], d, config["points"],
+        config["split_fraction"], seed,
     )
-    model = build_mlp_sumformer(d, d_latent, seed)
+    model = build_mlp_sumformer(d, config["d_latent"], seed)
     out = _ensure_out(config)
     try:
-        report = train(model, data, epochs, opt, seed)
+        report = train(model, data, config["epochs"], opt, seed)
     except TrainingDivergedError as exc:
         if exc.report is not None:
             write_curve_csv(os.path.join(out, "curve.csv"), exc.report)
@@ -277,40 +233,34 @@ def cmd_train(config: dict) -> int:
 
 
 def cmd_sweep(config: dict) -> int:
-    from .targets import get_target
+    """Latent-dimension sweep, write the sweep CSV."""
     from .train import latent_sweep, write_manifest, write_sweep_csv
 
-    target = get_target(str(config["target"]))
     opt = _optimizer_config(config)
-    n = _int(config, "n", 1)
-    d_list = _ints(config, "d", 1)
-    dprime_list = _ints(config, "d_latent", 1)
-    epochs = _int(config, "epochs", 0)
-    points = _int(config, "points", 2)
-    seeds = _ints(config, "seed", 0)
     out = _ensure_out(config)
     try:
-        rows = latent_sweep(target, n, d_list, dprime_list, epochs, points, seeds, opt)
+        rows = latent_sweep(
+            get_target(config["target"]), config["n"], _listed(config["d"]),
+            _listed(config["d_latent"]), config["epochs"], config["points"],
+            _listed(config["seed"]), opt,
+        )
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     write_sweep_csv(os.path.join(out, "sweep.csv"), rows)
-    manifest = dict(config)
-    write_manifest(os.path.join(out, "manifest.txt"), manifest)
+    write_manifest(os.path.join(out, "manifest.txt"), config)
     print(f"wrote {len(rows)} sweep rows")
     return EXIT_OK
 
 
 def cmd_bench(config: dict) -> int:
-    variants = _as_list(config["variant"])
-    n_list = _ints(config, "n", 1)
-    d_model = _int(config, "d_model", 1)
-    k_value = _int(config, "k", 1)
+    """Multiply-accumulate scaling CSV."""
+    d_model = config["d_model"]
     lines = ["variant,n,d_model,k,macs"]
     try:
-        for variant in variants:
-            k = k_value if head_class(variant).needs_k else None
-            for n in n_list:
+        for variant in _listed(config["variant"]):
+            k = config["k"] if head_class(variant).needs_k else None
+            for n in _listed(config["n"]):
                 macs = mac_count(variant, n, d_model, k)
                 lines.append(f"{variant},{n},{d_model},{'' if k is None else k},{macs}")
     except ContractError as exc:
@@ -330,12 +280,26 @@ COMMANDS = {
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="sumformer")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, keys in SCHEMA.items():
+        p = sub.add_parser(command, help=COMMANDS[command].__doc__)
+        p.add_argument("--config", help="key = value config file")
+        for key, spec in keys.items():
+            default = ",".join(map(str, _listed(spec.default)))
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           help=f"{_describe(spec)} (default {default})")
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    flags = vars(build_parser().parse_args(argv))
+    command, config_path = flags.pop("command"), flags.pop("config")
     try:
-        config = _resolve(args, args.command)
-        return COMMANDS[args.command](config)
+        file_values = read_config_file(config_path) if config_path else {}
+        flag_values = {key: _parse_value(raw) for key, raw in flags.items() if raw is not None}
+        return COMMANDS[command](resolve(command, file_values, flag_values))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

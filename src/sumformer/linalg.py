@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 
 
 def matrix(data) -> np.ndarray:
@@ -32,7 +32,7 @@ def require_matrix(m: np.ndarray, name: str) -> np.ndarray:
 
 def require_finite(m: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(m)):
-        raise ShapeError(f"{name} contains non-finite entries")
+        raise DomainError(f"{name} contains non-finite entries")
     return m
 
 

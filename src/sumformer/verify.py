@@ -119,13 +119,14 @@ def check_equivariance_models(config: VerifyConfig) -> tuple[CheckRecord, np.nda
     for variant, head in HEADS.items():
         k = n - 1 if head.needs_k else None
         models.append(build_sum_extraction(variant, n, d, basis, k=k, seed=0).forward)
+    trials = max(config.trials, 0)
     worst = 0.0
     witness = None
     for fn in models:
-        report = check_equivariance(fn, n, d, trials=config.trials, seed=11)
+        report = check_equivariance(fn, n, d, trials=trials, seed=11)
         if report.max_violation > worst:
             worst, witness = report.max_violation, report.witness_input
-    return _record("equivariance_models", config, 1e-10, worst, config.trials * len(models)), witness
+    return _record("equivariance_models", config, 1e-10, worst, trials * len(models)), witness
 
 
 def check_discrete_exactness(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
@@ -138,7 +139,8 @@ def check_discrete_exactness(config: VerifyConfig) -> tuple[CheckRecord, np.ndar
     witness = None
     rng = np.random.default_rng(5)
     f = target.lifted()
-    for _ in range(config.samples):
+    samples = max(config.samples, 0)
+    for _ in range(samples):
         anchors = rng.integers(0, delta, size=(n, d)) / delta
         residual = float(np.max(np.abs(discrete_forward(ds, anchors) - f(anchors))))
         x = rng.uniform(size=(n, d))
@@ -153,7 +155,7 @@ def check_discrete_exactness(config: VerifyConfig) -> tuple[CheckRecord, np.ndar
         ))))
         if residual > worst:
             worst, witness = residual, x
-    return _record("discrete_exactness", config, 0.0, worst, config.samples), witness
+    return _record("discrete_exactness", config, 0.0, worst, samples), witness
 
 
 def check_generation_oracle(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
@@ -223,10 +225,11 @@ def gradient_check_once(seed: int, step: float = 1e-5) -> float:
 
 
 def check_gradients(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
+    seeds = max(config.gradient_seeds, 0)
     worst = 0.0
-    for seed in range(config.gradient_seeds):
+    for seed in range(seeds):
         worst = max(worst, gradient_check_once(seed))
-    return _record("gradient_check", config, 1e-5, worst, config.gradient_seeds), None
+    return _record("gradient_check", config, 1e-5, worst, seeds), None
 
 
 ALL_CHECKS = [

@@ -9,6 +9,12 @@ from sumformer.cli import (
     main,
     read_config_file,
 )
+from sumformer.verify import (
+    VerifyConfig,
+    check_discrete_exactness,
+    check_equivariance_models,
+    check_gradients,
+)
 
 FAST_VERIFY = [
     "--n", "2,3", "--d", "1",
@@ -56,6 +62,19 @@ BAD_VALUES = {
     "train_points_1": (["train", "--epochs", "0", "--points", "1"], None),
     "train_seed_negative": (["train", "--epochs", "0", "--seed", "-1"], None),
     "bench_k_list_in_config": (["bench"], "k = 1,2\n"),
+    "verify_tol_none_in_config": (["verify"], "tol = none\n"),
+    "verify_samples_abc_in_config": (["verify"], "samples = abc\n"),
+    "verify_trials_fraction_in_config": (["verify"], "trials = 1.5\n"),
+    "verify_n_0": (["verify", "--n", "0"], None),
+    "verify_d_0": (["verify", "--d", "0"], None),
+    "verify_delta_0": (["verify", "--delta", "0"], None),
+    # delta**2 anchor pairs would exceed the discrete table's 1e6 grid budget.
+    "verify_delta_over_budget": (["verify", "--delta", "1001"], None),
+    "train_seed_list": (["train", "--epochs", "0", "--seed", "1,2"], None),
+    "train_epochs_abc": (["train", "--epochs", "abc"], None),
+    "train_lr_nan_in_config": (["train", "--epochs", "0"], "lr = nan\n"),
+    "train_lr_beyond_float_in_config": (["train", "--epochs", "0"], "lr = 1" + "0" * 400 + "\n"),
+    "train_split_fraction_1": (["train", "--epochs", "0", "--split-fraction", "1"], None),
 }
 
 
@@ -72,6 +91,22 @@ def test_bad_values_rejected_before_output(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_seed_flag_exists_only_where_it_sets_a_seed(tmp_path, command):
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, "--seed", "7", "--out", str(out)])
+    assert exc_info.value.code == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_verify_checks_that_run_no_case_report_skip():
+    config = VerifyConfig(samples=-1, trials=-1, gradient_seeds=-1)
+    for check in (check_discrete_exactness, check_equivariance_models, check_gradients):
+        record, _ = check(config)
+        assert record.status == "skip", record.name
 
 
 def test_train_zero_epochs_single_row(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sumformer.errors import ShapeError
+from sumformer.errors import DomainError, ShapeError
 from sumformer.linalg import matmul, matrix, softmax_rows
 
 
@@ -40,7 +40,7 @@ def test_matmul_associativity_bounded_entries():
 
 
 def test_matrix_rejects_nan():
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError):
         matrix([[np.nan, 0.0]])
 
 
