@@ -7,8 +7,6 @@ from .attention import (
     PerformerHeadSpec,
     StandardHeadSpec,
     SumExtractionConstruction,
-    TransformerBlockSpec,
-    TransformerNetworkSpec,
     attention_matrix,
     build_sum_extraction,
     head_forward,
@@ -17,7 +15,6 @@ from .attention import (
     performer_features,
     performer_head,
     standard_head,
-    transformer_forward,
 )
 from .autodiff import Tape, central_difference, gradient
 from .equivariance import (
@@ -27,7 +24,7 @@ from .equivariance import (
     lift,
     permute,
 )
-from .linalg import matmul, matrix, softmax_rows
+from .linalg import softmax_rows
 from .mlp import MlpSpec, init_mlp_params, mlp_forward
 from .model import (
     DiscreteSumformer,

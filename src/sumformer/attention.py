@@ -1,20 +1,19 @@
-"""Attention heads (standard, low-rank projected, random-feature), blocks,
-networks, and the fixed-weight constructions that write the feature sum
-into dedicated output columns.
+"""Attention heads (standard, low-rank projected, random-feature) and the
+fixed-weight constructions that write the feature sum into dedicated
+output columns.
 
 The sum-extraction construction lifts each token x to
 [1, x, phi(x), 0_{d'}] (model dim m = 1 + d + 2d'), runs one attention
-block whose queries and keys read only the constant leading 1 (so the
+head whose queries and keys read only the constant leading 1 (so the
 attention averages uniformly over tokens), and whose value matrix routes
 scaled phi-features into the trailing d' columns.  One linear token-wise
-layer plus the block's residual connections then produce rows
+layer plus two residual connections then produce rows
 [1, x_i, phi(x_i), Sigma] with Sigma = sum_i phi(x_i).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +24,9 @@ from .errors import (
     UnsupportedInspectionError,
 )
 from .linalg import require_finite, require_matrix, softmax_rows
-from .mlp import MlpParams, MlpSpec, mlp_forward
-from .multisym import DegreeBasis, monomial_feature_matrix
+from .mlp import MlpParams, MlpSpec
+from .model import MlpFeatureMap, PolynomialFeatureMap
+from .multisym import DegreeBasis
 
 
 class MacCounter:
@@ -69,6 +69,13 @@ class HeadSpec:
         if cls.needs_k and (k is None or k < 1 or (cls.k_below_n and k >= n)):
             bound = f"1 <= k < n={n}" if cls.k_below_n else "k >= 1"
             raise ContractError(f"{cls.variant} needs {bound}, got k={k}")
+
+    @classmethod
+    def construction(cls, n, d, d_latent, k=None, seed=None, wv_scale="k", omegas=None):
+        """This variant's sum-extraction head, its token-wise scale and its Gram
+        constant lambda.  By default A = (1/n) 1_{n x n}, which scale n in the
+        value matrix cancels."""
+        return cls(*_construction_weights(d, d_latent, float(n))), 1.0, None
 
     def sources(self, x: np.ndarray, counter: MacCounter | None):
         """Rows the keys and the values are computed from."""
@@ -128,6 +135,20 @@ class LinformerHeadSpec(HeadSpec):
     def mac_count(n: int, m: int, k: int | None) -> int:
         return n * m * m + 2 * k * m * m + 4 * n * k * m
 
+    @classmethod
+    def construction(cls, n, d, d_latent, k=None, seed=None, wv_scale="k", omegas=None):
+        """E = (1/n) 1_{k x n} and F = (1/k) 1_{k x n}: the value rows the
+        attention sees are already summed over all n tokens, so the
+        cancelling scale is k.  ``wv_scale="n"`` selects the literal
+        alternative, which overshoots by n/k and exists for comparison."""
+        cls.require_k(n, k)
+        if wv_scale not in ("k", "n"):
+            raise ContractError(f"wv_scale must be 'k' or 'n', got {wv_scale!r}")
+        scale = float(k if wv_scale == "k" else n)
+        head = cls(*_construction_weights(d, d_latent, scale),
+                   e=np.full((k, n), 1.0 / n), f=np.full((k, n), 1.0 / k))
+        return head, 1.0, None
+
     def sources(self, x, counter):
         # (E X) W_k and (F X) W_v keep every intermediate at k or n rows; no
         # n x n matrix is ever formed.
@@ -157,6 +178,26 @@ class PerformerHeadSpec(HeadSpec):
     @staticmethod
     def mac_count(n: int, m: int, k: int | None) -> int:
         return 3 * n * m * m + 2 * n * m + 4 * n * k * m
+
+    @classmethod
+    def construction(cls, n, d, d_latent, k=None, seed=None, wv_scale="k", omegas=None):
+        """With fixed feature vectors the query/key Gram matrix is
+        lambda * 1_{n x n}, lambda = (1/k) e^{-1} sum_j exp(2 w_{j,1}); scale
+        n in the value matrix and 1/(lambda n) in the token-wise layer undo
+        it.  The k x m feature vectors are ``omegas`` when given, else drawn
+        from ``seed``."""
+        if k is None or not (1 <= k < n):
+            raise ContractError(f"performer needs 1 <= k < n, got k={k}, n={n}")
+        if omegas is None:
+            omegas = np.random.default_rng(seed).standard_normal((k, 1 + d + 2 * d_latent))
+        # All query and key rows equal e_1, so the Gram value is analytic.
+        lambda_value = float(np.exp(-1.0) * np.mean(np.exp(2.0 * omegas[:, 0])))
+        if not (1e-300 < abs(lambda_value) < 1e300):
+            raise ConditioningError(
+                f"gram constant {lambda_value} out of safe range; resample omegas"
+            )
+        head = cls(*_construction_weights(d, d_latent, float(n)), omegas)
+        return head, 1.0 / (lambda_value * n), lambda_value
 
     def attention(self, x, counter=None):
         """The random-feature variant never materializes an attention matrix,
@@ -236,80 +277,33 @@ def attention_matrix(x: np.ndarray, spec: HeadSpec) -> np.ndarray:
     return spec.attention(x)[0]
 
 
-@dataclass(frozen=True)
-class TransformerBlockSpec:
-    """Block(X) = X + FC(X + Att(X)); Att concatenates heads through w_o."""
-
-    heads: tuple[HeadSpec, ...]
-    w_o: np.ndarray
-    fc_spec: MlpSpec
-    fc_params: tuple[tuple[np.ndarray, np.ndarray], ...]
-    zero_attention: bool = False
-
-
-@dataclass(frozen=True)
-class TransformerNetworkSpec:
-    blocks: tuple[TransformerBlockSpec, ...]
-
-
-def block_forward(x: np.ndarray, block: TransformerBlockSpec, counter: MacCounter | None = None) -> np.ndarray:
-    require_matrix(x, "X")
-    if block.zero_attention:
-        att = np.zeros_like(x)
-    else:
-        outputs = [head_forward(x, h, counter) for h in block.heads]
-        att = _mm(np.hstack(outputs), block.w_o, counter)
-    inner = x + att
-    out = x + mlp_forward(block.fc_spec, list(block.fc_params), inner)
-    return require_finite(out, "block output")
-
-
-def transformer_forward(net: TransformerNetworkSpec, x: np.ndarray, counter: MacCounter | None = None) -> np.ndarray:
-    for block in net.blocks:
-        x = block_forward(x, block, counter)
-    return x
-
-
-def constant_mlp(width: int, bias: np.ndarray) -> tuple[MlpSpec, tuple]:
-    """Single linear layer with zero weights and a fixed bias row."""
-    spec = MlpSpec((width, width))
-    params = ((np.zeros((width, width)), np.asarray(bias, dtype=np.float64).reshape(1, width)),)
-    return spec, params
-
-
-def linear_mlp(weight: np.ndarray) -> tuple[MlpSpec, tuple]:
-    """Single linear layer y = x @ weight with zero bias."""
-    w = np.asarray(weight, dtype=np.float64)
-    spec = MlpSpec((w.shape[0], w.shape[1]))
-    params = ((w, np.zeros((1, w.shape[1]))),)
-    return spec, params
-
-
 # ---------------------------------------------------------------------------
 # Sum-extraction construction
 # ---------------------------------------------------------------------------
 
-PhiMap = Callable[[np.ndarray], np.ndarray]
-
-
 @dataclass(frozen=True)
 class SumExtractionConstruction:
-    """Fixed-weight network mapping raw X to rows [1, x_i, phi(x_i), Sigma]."""
+    """Fixed-weight network mapping raw X to rows [1, x_i, phi(x_i), Sigma]:
+    X + (X + head(X)) @ w_fc on the lifted rows X."""
 
-    variant: str
     n: int
     d: int
     basis: DegreeBasis
-    model_dim: int
-    network: TransformerNetworkSpec
-    phi_kind: str  # "monomial" or "mlp"
-    phi_spec: MlpSpec | None = None
-    phi_params: MlpParams | None = None
+    head: HeadSpec
+    w_fc: np.ndarray  # m x m token-wise weight
+    phi: PolynomialFeatureMap | MlpFeatureMap
     k: int | None = None
     seed: int | None = None
     lambda_value: float | None = None
     wv_scale: str = "k"
-    _phi: PhiMap = field(default=None, repr=False, compare=False)
+
+    @property
+    def variant(self) -> str:
+        return self.head.variant
+
+    @property
+    def model_dim(self) -> int:
+        return self.w_fc.shape[0]
 
     @property
     def d_latent(self) -> int:
@@ -320,40 +314,23 @@ class SumExtractionConstruction:
         if x.ndim != 2 or x.shape[1] != self.d:
             raise ShapeError(f"input shape {x.shape}, expected n x {self.d}")
         n = x.shape[0]
-        return np.hstack([
-            np.ones((n, 1)),
-            x,
-            self._phi(x),
-            np.zeros((n, self.d_latent)),
-        ])
+        return np.hstack([np.ones((n, 1)), x, self.phi.rows(x), np.zeros((n, self.d_latent))])
 
     def forward(self, x: np.ndarray, counter: MacCounter | None = None) -> np.ndarray:
-        return transformer_forward(self.network, self.lift(x), counter)
+        lifted = self.lift(x)
+        out = lifted + _mm(lifted + self.head.forward(lifted, counter), self.w_fc, counter)
+        return require_finite(out, "block output")
 
 
-def _construction_wq(m: int) -> np.ndarray:
-    """First column e_1, all other columns zero: queries/keys read the constant 1."""
-    w = np.zeros((m, m))
-    w[0, 0] = 1.0
-    return w
-
-
-def _construction_wv(d: int, d_latent: int, scale: float) -> np.ndarray:
-    """Routes phi-columns into the trailing d' columns, scaled."""
+def _construction_weights(d: int, d_latent: int, scale: float) -> tuple[np.ndarray, ...]:
+    """W_Q = W_K = e_1 e_1^T, so queries and keys read only the constant 1;
+    W_V routes the phi-columns into the trailing d' columns, scaled."""
     m = 1 + d + 2 * d_latent
-    w = np.zeros((m, m))
-    lo = 1 + d
-    hi = 1 + d + d_latent
-    w[lo:hi, hi:] = scale * np.eye(d_latent)
-    return w
-
-
-def _select_last_columns(m: int, d_latent: int, scale: float) -> np.ndarray:
-    """Linear map keeping only the trailing d' columns, scaled."""
-    w = np.zeros((m, m))
-    hi = m - d_latent
-    w[hi:, hi:] = scale * np.eye(d_latent)
-    return w
+    w_q = np.zeros((m, m))
+    w_q[0, 0] = 1.0
+    w_v = np.zeros((m, m))
+    w_v[1 + d:1 + d + d_latent, -d_latent:] = scale * np.eye(d_latent)
+    return w_q, w_q.copy(), w_v
 
 
 def build_sum_extraction(
@@ -369,23 +346,14 @@ def build_sum_extraction(
 ) -> SumExtractionConstruction:
     """Build the fixed-weight sum-extraction network for one head variant.
 
-    The block's queries and keys depend only on the constant leading 1 of
+    The head's queries and keys depend only on the constant leading 1 of
     the lifted layout, so every attention weight is uniform.  The value
-    matrix carries a scale that exactly cancels the averaging:
+    matrix and the token-wise layer carry scales that exactly cancel the
+    averaging; each variant's ``construction`` says which.  phi is the
+    monomial map over ``basis`` or, when given, the MLP ``phi_net``.
 
-    - standard: scale n, since A = (1/n) 1_{n x n};
-    - linformer: E = (1/n) 1_{k x n} and F = (1/k) 1_{k x n}; the value
-      rows seen by the attention are already summed over all n tokens, so
-      the cancelling scale is k (``wv_scale="n"`` selects the literal
-      alternative, which overshoots by n/k and exists for comparison);
-    - performer: with fixed feature vectors the query/key Gram matrix is
-      lambda * 1_{n x n} with lambda = (1/k) e^{-1} sum_j exp(2 w_{j,1});
-      scale n in the value matrix and 1/(lambda n) folded into the
-      token-wise layer undo it.  The k x m feature vectors are ``omegas``
-      when given, else drawn from ``seed``.
-
-    The token-wise layer of the block selects the trailing d' columns of
-    (X + Att(X)); with the block's outer residual this leaves rows
+    The token-wise layer selects the trailing d' columns of
+    (X + head(X)); with the outer residual this leaves rows
     [1, x_i, phi(x_i), Sigma].
     """
     if n < 1:
@@ -394,63 +362,22 @@ def build_sum_extraction(
         raise ShapeError(f"basis built for d={basis.d}, construction wants d={d}")
     d_latent = basis.size
     m = 1 + d + 2 * d_latent
-
     if phi_net is None:
-        phi_kind, phi_spec, phi_params = "monomial", None, None
-        phi = lambda rows: monomial_feature_matrix(rows, basis)
+        phi = PolynomialFeatureMap(basis)
     else:
-        phi_spec, phi_params = phi_net
-        if phi_spec.in_width != d or phi_spec.out_width != d_latent:
+        phi = MlpFeatureMap(*phi_net)
+        if phi.spec.in_width != d or phi.out_width != d_latent:
             raise ShapeError(
-                f"phi net maps {phi_spec.in_width}->{phi_spec.out_width}, need {d}->{d_latent}"
+                f"phi net maps {phi.spec.in_width}->{phi.out_width}, need {d}->{d_latent}"
             )
-        phi_kind = "mlp"
-        phi = lambda rows: mlp_forward(phi_spec, phi_params, rows)
-
-    w_q = _construction_wq(m)
-    w_k = _construction_wq(m)
-    lambda_value = None
-
-    if variant == "standard":
-        head: HeadSpec = StandardHeadSpec(w_q, w_k, _construction_wv(d, d_latent, float(n)))
-        fc_scale = 1.0
-    elif variant == "linformer":
-        LinformerHeadSpec.require_k(n, k)
-        if wv_scale not in ("k", "n"):
-            raise ContractError(f"wv_scale must be 'k' or 'n', got {wv_scale!r}")
-        scale = float(k if wv_scale == "k" else n)
-        head = LinformerHeadSpec(
-            w_q, w_k, _construction_wv(d, d_latent, scale),
-            e=np.full((k, n), 1.0 / n),
-            f=np.full((k, n), 1.0 / k),
-        )
-        fc_scale = 1.0
-    elif variant == "performer":
-        if k is None or not (1 <= k < n):
-            raise ContractError(f"performer needs 1 <= k < n, got k={k}, n={n}")
-        if omegas is None:
-            omegas = np.random.default_rng(seed).standard_normal((k, m))
-        # All query and key rows equal e_1, so the Gram value is analytic.
-        lambda_value = float(np.exp(-1.0) * np.mean(np.exp(2.0 * omegas[:, 0])))
-        if not (1e-300 < abs(lambda_value) < 1e300):
-            raise ConditioningError(
-                f"gram constant {lambda_value} out of safe range; resample omegas"
-            )
-        head = PerformerHeadSpec(w_q, w_k, _construction_wv(d, d_latent, float(n)), omegas)
-        fc_scale = 1.0 / (lambda_value * n)
-    else:
-        raise ContractError(f"unknown variant {variant!r}")
-
-    fc_spec, fc_params = linear_mlp(_select_last_columns(m, d_latent, fc_scale))
-    block = TransformerBlockSpec(
-        heads=(head,), w_o=np.eye(m), fc_spec=fc_spec, fc_params=fc_params,
+    head, fc_scale, lambda_value = head_class(variant).construction(
+        n, d, d_latent, k=k, seed=seed, wv_scale=wv_scale, omegas=omegas,
     )
-    network = TransformerNetworkSpec(blocks=(block,))
+    w_fc = np.zeros((m, m))  # keeps only the trailing d' columns, scaled
+    w_fc[-d_latent:, -d_latent:] = fc_scale * np.eye(d_latent)
     return SumExtractionConstruction(
-        variant=variant, n=n, d=d, basis=basis, model_dim=m, network=network,
-        phi_kind=phi_kind, phi_spec=phi_spec, phi_params=phi_params,
-        k=k, seed=seed, lambda_value=lambda_value,
-        wv_scale=wv_scale, _phi=phi,
+        n=n, d=d, basis=basis, head=head, w_fc=w_fc, phi=phi,
+        k=k, seed=seed, lambda_value=lambda_value, wv_scale=wv_scale,
     )
 
 

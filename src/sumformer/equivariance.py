@@ -64,6 +64,13 @@ class CheckReport:
     witness_permutation: np.ndarray | None
 
 
+def worse(residual: float, worst: float) -> bool:
+    """Whether ``residual`` replaces ``worst`` as the worst case.  NaN is worse
+    than every number, so a check whose cases come out NaN fails rather than
+    passing with residual 0."""
+    return residual > worst or (np.isnan(residual) and not np.isnan(worst))
+
+
 def _permutations_for(n: int, rng: np.random.Generator):
     """All permutations for n <= 6, a single random draw otherwise."""
     if n <= 6:
@@ -93,7 +100,7 @@ def check_equivariance(
         fx = f(x)
         for p in _permutations_for(n, rng):
             violation = float(np.max(np.abs(f(permute(x, p)) - permute(fx, p))))
-            if violation > worst:
+            if worse(violation, worst):
                 worst, witness_x, witness_p = violation, x, p
     return CheckReport(worst, witness_x, witness_p)
 
@@ -115,6 +122,6 @@ def check_semi_invariance(
         reference = np.asarray(g(first, rest), dtype=np.float64)
         for p in _permutations_for(n - 1, rng):
             violation = float(np.max(np.abs(np.asarray(g(first, rest[p])) - reference)))
-            if violation > worst:
+            if worse(violation, worst):
                 worst, witness_x, witness_p = violation, x, p
     return CheckReport(worst, witness_x, witness_p)

@@ -13,17 +13,6 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 
-def matrix(data) -> np.ndarray:
-    """Build a validated 2-D float64 matrix from nested lists or an array."""
-    m = np.array(data, dtype=np.float64, order="C")
-    if m.ndim != 2:
-        raise ShapeError(f"matrix must be 2-D, got shape {m.shape}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ShapeError(f"matrix dimensions must be positive, got {m.shape}")
-    require_finite(m, "matrix")
-    return m
-
-
 def require_matrix(m: np.ndarray, name: str) -> np.ndarray:
     if not isinstance(m, np.ndarray) or m.ndim != 2:
         raise ShapeError(f"{name} must be a 2-D array")
@@ -34,17 +23,6 @@ def require_finite(m: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise DomainError(f"{name} contains non-finite entries")
     return m
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit shape checking."""
-    require_matrix(a, "a")
-    require_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"inner dimensions differ: {a.shape[0]}x{a.shape[1]} @ {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:

@@ -315,9 +315,11 @@ def build_discrete_sumformer(
     """Tabulate g at all grid anchors, keyed by (own cell, histogram of rest)."""
     if delta_cells < 1 or n < 1 or d < 1:
         raise ShapeError("delta_cells, n, d must all be >= 1")
-    if delta_cells ** (n * d) > 10**6:
+    # Up to delta^(n d) keys, each holding a delta^d-long histogram.
+    if delta_cells ** ((n + 1) * d) > 10**6:
         raise BudgetError(
-            f"grid of {delta_cells}^{n * d} anchor combinations exceeds the 1e6 budget"
+            f"table of {delta_cells}^{n * d} keys with {delta_cells}^{d}-long histograms "
+            "exceeds the 1e6 budget"
         )
     ds = DiscreteSumformer(delta_cells=delta_cells, n=n, d=d, table={})
     cells = list(product(range(delta_cells), repeat=d))

@@ -70,47 +70,70 @@ def _dump(kind: str, fields: dict, matrices: list[tuple[str, np.ndarray]]) -> st
     return "\n".join(lines) + "\n"
 
 
+class _Entries(dict):
+    """The fields or the matrices of one file; asking for a missing one is
+    a ConfigError that names it."""
+
+    def __init__(self, what: str):
+        super().__init__()
+        self.what = what
+
+    def __missing__(self, name):
+        raise ConfigError(f"missing {self.what} {name!r}")
+
+
+_KEYWORDS = ("format", "object", "field", "matrix", "imatrix", "end")
+
+
 def _load(text: str) -> tuple[str, dict, dict]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != FORMAT_LINE:
         raise ConfigError("missing or unsupported format header")
-    if not lines[1].startswith("object "):
+    if len(lines) < 2 or not lines[1].startswith("object "):
         raise ConfigError("missing object line")
     kind = lines[1].split(None, 1)[1]
-    fields: dict = {}
-    matrices: dict = {}
+    fields = _Entries("field")
+    matrices = _Entries("matrix")
     i = 2
     while i < len(lines):
         parts = lines[i].split()
-        if parts[0] == "end":
-            break
-        if parts[0] == "field":
-            name, ftype = parts[1], parts[2]
-            raw = lines[i].split(None, 3)[3]
-            if ftype == "none":
-                fields[name] = None
-            elif ftype == "bool":
-                fields[name] = bool(int(raw))
-            elif ftype == "int":
-                fields[name] = int(raw)
-            elif ftype == "float":
-                fields[name] = float(raw)
+        try:
+            if parts[0] == "end":
+                break
+            if parts[0] == "field":
+                name, ftype = parts[1], parts[2]
+                raw = lines[i].split(None, 3)[3]
+                if ftype == "none":
+                    fields[name] = None
+                elif ftype == "bool":
+                    fields[name] = bool(int(raw))
+                elif ftype == "int":
+                    fields[name] = int(raw)
+                elif ftype == "float":
+                    fields[name] = float(raw)
+                else:
+                    fields[name] = raw
+                i += 1
+            elif parts[0] in ("matrix", "imatrix"):
+                name, rows, cols = parts[1], int(parts[2]), int(parts[3])
+                body = [ln.split() for ln in lines[i + 1:i + 1 + rows]]
+                given = next((r for r, row in enumerate(body) if row[0] in _KEYWORDS), len(body))
+                if given < rows:
+                    raise ConfigError(f"matrix {name}: {rows} rows declared, {given} given")
+                dtype = np.int64 if parts[0] == "imatrix" else np.float64
+                data = np.empty((rows, cols), dtype=dtype)
+                for r, row in enumerate(body):
+                    if len(row) != cols:
+                        raise ConfigError(f"matrix {name}: row {r} has {len(row)} values, want {cols}")
+                    data[r] = [dtype(v) for v in row]
+                matrices[name] = data
+                i += 1 + rows
             else:
-                fields[name] = raw
-            i += 1
-        elif parts[0] in ("matrix", "imatrix"):
-            name, rows, cols = parts[1], int(parts[2]), int(parts[3])
-            dtype = np.int64 if parts[0] == "imatrix" else np.float64
-            data = np.empty((rows, cols), dtype=dtype)
-            for r in range(rows):
-                row = lines[i + 1 + r].split()
-                if len(row) != cols:
-                    raise ConfigError(f"matrix {name}: row {r} has {len(row)} values, want {cols}")
-                data[r] = [dtype(v) for v in row]
-            matrices[name] = data
-            i += 1 + rows
-        else:
-            raise ConfigError(f"unexpected line: {lines[i]!r}")
+                raise ConfigError(f"unexpected line: {lines[i]!r}")
+        except ConfigError:
+            raise
+        except (ValueError, IndexError):
+            raise ConfigError(f"malformed line: {lines[i]!r}") from None
     else:
         raise ConfigError("missing end line")
     return kind, fields, matrices
@@ -151,13 +174,13 @@ def dump_construction(con) -> str:
         "seed": con.seed,
         "lambda": con.lambda_value,
         "wv_scale": con.wv_scale,
-        "phi_kind": con.phi_kind,
+        "phi_kind": "mlp" if isinstance(con.phi, MlpFeatureMap) else "monomial",
     }
     mats = []
     if con.lambda_value is not None and con.seed is None:
-        mats.append(("omegas", con.network.blocks[0].heads[0].omegas))
-    if con.phi_kind == "mlp":
-        phi_fields, phi_mats = _mlp_entries("phi.", con.phi_spec, con.phi_params)
+        mats.append(("omegas", con.head.omegas))
+    if isinstance(con.phi, MlpFeatureMap):
+        phi_fields, phi_mats = _mlp_entries("phi.", con.phi.spec, con.phi.params)
         fields.update(phi_fields)
         mats += phi_mats
     return _dump("sum_extraction", fields, mats)

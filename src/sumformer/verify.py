@@ -17,7 +17,7 @@ import numpy as np
 
 from .attention import HEADS, attention_matrix, build_sum_extraction
 from .autodiff import Tape, central_difference, gradient
-from .equivariance import check_equivariance
+from .equivariance import check_equivariance, worse
 from .mlp import MlpSpec, init_mlp_params, mlp_forward, mlp_param_nodes, mlp_taped
 from .model import (
     build_discrete_sumformer,
@@ -76,7 +76,7 @@ def _sigma_recovery(variant: str, config: VerifyConfig, tol: float, seeds=(0,), 
                     sigma = con.forward(x)[:, -con.d_latent:]
                     residual = float(np.max(np.abs(sigma - power_sum_vector(x, basis))))
                     cases += 1
-                    if residual > worst:
+                    if worse(residual, worst):
                         worst, witness = residual, x
     return _record(f"sigma_recovery_{variant}", config, tol, worst, cases), witness
 
@@ -103,9 +103,9 @@ def check_averaging_attention(config: VerifyConfig) -> tuple[CheckRecord, np.nda
     for n in n_values:
         con = build_sum_extraction("standard", n, 1, basis)
         x = rng.uniform(size=(n, 1))
-        a = attention_matrix(con.lift(x), con.network.blocks[0].heads[0])
+        a = attention_matrix(con.lift(x), con.head)
         residual = float(np.max(np.abs(a - 1.0 / n)))
-        if residual > worst:
+        if worse(residual, worst):
             worst, witness = residual, x
     return _record("averaging_attention", config, 1e-12, worst, len(n_values)), witness
 
@@ -124,7 +124,7 @@ def check_equivariance_models(config: VerifyConfig) -> tuple[CheckRecord, np.nda
     witness = None
     for fn in models:
         report = check_equivariance(fn, n, d, trials=trials, seed=11)
-        if report.max_violation > worst:
+        if worse(report.max_violation, worst):
             worst, witness = report.max_violation, report.witness_input
     return _record("equivariance_models", config, 1e-10, worst, trials * len(models)), witness
 
@@ -142,18 +142,16 @@ def check_discrete_exactness(config: VerifyConfig) -> tuple[CheckRecord, np.ndar
     samples = max(config.samples, 0)
     for _ in range(samples):
         anchors = rng.integers(0, delta, size=(n, d)) / delta
-        residual = float(np.max(np.abs(discrete_forward(ds, anchors) - f(anchors))))
         x = rng.uniform(size=(n, d))
         cells = np.floor(x * delta)
         same_cell = (cells + rng.uniform(0, 1, size=x.shape)) / delta
-        residual = max(residual, float(np.max(np.abs(
-            discrete_forward(ds, x) - discrete_forward(ds, same_cell)
-        ))))
         perm = rng.permutation(n)
-        residual = max(residual, float(np.max(np.abs(
-            discrete_forward(ds, x[perm]) - discrete_forward(ds, x)[perm]
-        ))))
-        if residual > worst:
+        residual = float(np.max([  # np.max, unlike max, keeps a NaN
+            np.max(np.abs(discrete_forward(ds, anchors) - f(anchors))),
+            np.max(np.abs(discrete_forward(ds, x) - discrete_forward(ds, same_cell))),
+            np.max(np.abs(discrete_forward(ds, x[perm]) - discrete_forward(ds, x)[perm])),
+        ]))
+        if worse(residual, worst):
             worst, witness = residual, x
     return _record("discrete_exactness", config, 0.0, worst, samples), witness
 
@@ -174,10 +172,10 @@ def check_generation_oracle(config: VerifyConfig) -> tuple[CheckRecord, np.ndarr
         (first_power_sum, 1, 3),
         (mixed_elementary, 2, 2),
     ]
-    worst = 0.0
-    for target_fn, d, n in cases:
-        report = generation_oracle(target_fn, d, n, sample_count=config.samples * 25, seed=3)
-        worst = max(worst, report.residual)
+    worst = float(np.max([  # np.max, unlike max, keeps a NaN
+        generation_oracle(target_fn, d, n, sample_count=config.samples * 25, seed=3).residual
+        for target_fn, d, n in cases
+    ], initial=0.0))
     return _record("generation_oracle", config, 1e-8, worst, len(cases)), None
 
 
@@ -217,18 +215,15 @@ def gradient_check_once(seed: int, step: float = 1e-5) -> float:
         return float(np.mean((out - y) ** 2))
 
     flat_fd = central_difference(loss_fn, flat_values, step)
-    worst = 0.0
-    for ad, fd in zip(flat_ad, flat_fd):
-        denom = np.maximum(np.maximum(np.abs(ad), np.abs(fd)), 1e-6)
-        worst = max(worst, float(np.max(np.abs(ad - fd) / denom)))
-    return worst
+    return float(np.max([
+        np.max(np.abs(ad - fd) / np.maximum(np.maximum(np.abs(ad), np.abs(fd)), 1e-6))
+        for ad, fd in zip(flat_ad, flat_fd)
+    ]))
 
 
 def check_gradients(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
     seeds = max(config.gradient_seeds, 0)
-    worst = 0.0
-    for seed in range(seeds):
-        worst = max(worst, gradient_check_once(seed))
+    worst = float(np.max([gradient_check_once(seed) for seed in range(seeds)], initial=0.0))
     return _record("gradient_check", config, 1e-5, worst, seeds), None
 
 

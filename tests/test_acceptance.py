@@ -97,7 +97,7 @@ def test_criterion_04_averaging_attention():
     rng = np.random.default_rng(4)
     for n in range(2, 65):
         con = build_sum_extraction("standard", n, 1, basis)
-        head = con.network.blocks[0].heads[0]
+        head = con.head
         for _ in range(3):
             a = attention_matrix(con.lift(rng.uniform(size=(n, 1))), head)
             worst = max(worst, float(np.max(np.abs(a - 1.0 / n))))

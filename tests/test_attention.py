@@ -4,21 +4,17 @@ import pytest
 from sumformer.attention import (
     HEADS,
     LinformerHeadSpec,
+    MacCounter,
     PerformerHeadSpec,
     StandardHeadSpec,
-    TransformerBlockSpec,
-    TransformerNetworkSpec,
     attention_matrix,
     audited_mac_count,
     build_sum_extraction,
-    constant_mlp,
-    linear_mlp,
     linformer_head,
     mac_count,
     performer_features,
     performer_head,
     standard_head,
-    transformer_forward,
 )
 from sumformer.errors import ContractError, ShapeError, UnsupportedInspectionError
 from sumformer.mlp import MlpSpec, init_mlp_params
@@ -55,7 +51,7 @@ def test_constant_query_construction_gives_uniform_attention():
     for n in (2, 3, 5, 17, 64):
         con = build_sum_extraction("standard", n, 1, basis)
         x = np.random.default_rng(n).uniform(size=(n, 1))
-        a = attention_matrix(con.lift(x), con.network.blocks[0].heads[0])
+        a = attention_matrix(con.lift(x), con.head)
         assert np.max(np.abs(a - 1.0 / n)) <= 1e-12
 
 
@@ -71,7 +67,7 @@ def test_attention_matrix_linformer_uniform():
     n, k = 5, 3
     con = build_sum_extraction("linformer", n, 1, basis, k=k)
     x = np.random.default_rng(3).uniform(size=(n, 1))
-    a = attention_matrix(con.lift(x), con.network.blocks[0].heads[0])
+    a = attention_matrix(con.lift(x), con.head)
     assert a.shape == (n, k)
     assert np.max(np.abs(a - 1.0 / k)) <= 1e-12
 
@@ -125,7 +121,7 @@ def test_linformer_construction_attention_output_is_sum_block():
     basis = enumerate_multidegrees(d, 2)
     con = build_sum_extraction("linformer", n, d, basis, k=2)
     x = np.random.default_rng(8).uniform(size=(n, d))
-    head_out = linformer_head(con.lift(x), con.network.blocks[0].heads[0])
+    head_out = linformer_head(con.lift(x), con.head)
     expected = np.zeros((n, con.model_dim))
     expected[:, -basis.size:] = power_sum_vector(x, basis)
     assert np.max(np.abs(head_out - expected)) <= 1e-12
@@ -177,7 +173,7 @@ def test_performer_construction_gram_is_constant():
     n, d = 5, 1
     basis = enumerate_multidegrees(d, 2)
     con = build_sum_extraction("performer", n, d, basis, k=3, seed=12)
-    head = con.network.blocks[0].heads[0]
+    head = con.head
     x = np.random.default_rng(13).uniform(size=(n, d))
     lifted = con.lift(x)
     q = np.vstack([performer_features(row, head.omegas) for row in lifted @ head.w_q])
@@ -192,45 +188,6 @@ def test_performer_lambda_closed_form_k1_zero_omega():
     # a(q) = e^{-1/2} when omega = 0, so the gram value is e^{-1}
     q = performer_features(np.array([1.0, 0.0]), np.zeros((1, 2)))
     assert float(q @ q) == pytest.approx(np.exp(-1.0))
-
-
-def test_transformer_forward_zero_block_is_identity():
-    m = 3
-    fc_spec = MlpSpec((m, m))
-    fc_params = ((np.zeros((m, m)), np.zeros((1, m))),)
-    rng = np.random.default_rng(14)
-    block = TransformerBlockSpec(
-        heads=(), w_o=np.eye(m), fc_spec=fc_spec, fc_params=fc_params, zero_attention=True
-    )
-    net = TransformerNetworkSpec(blocks=(block,))
-    x = rng.uniform(size=(4, m))
-    assert np.array_equal(transformer_forward(net, x), x)
-
-
-def test_transformer_forward_bias_block_broadcasts():
-    m = 3
-    bias = np.array([1.0, -2.0, 0.5])
-    fc_spec, fc_params = constant_mlp(m, bias)
-    block = TransformerBlockSpec(
-        heads=(), w_o=np.eye(m), fc_spec=fc_spec, fc_params=fc_params, zero_attention=True
-    )
-    x = np.random.default_rng(15).uniform(size=(4, m))
-    out = transformer_forward(TransformerNetworkSpec(blocks=(block,)), x)
-    assert np.allclose(out, x + bias, atol=1e-15)
-
-
-def test_zero_attention_block_commutes_with_permutation_exactly():
-    m = 3
-    rng = np.random.default_rng(16)
-    fc_spec = MlpSpec((m, 5, m))
-    fc_params = tuple(init_mlp_params(fc_spec, rng))
-    block = TransformerBlockSpec(
-        heads=(), w_o=np.eye(m), fc_spec=fc_spec, fc_params=fc_params, zero_attention=True
-    )
-    net = TransformerNetworkSpec(blocks=(block,))
-    x = rng.uniform(size=(5, m))
-    perm = rng.permutation(5)
-    assert np.array_equal(transformer_forward(net, x[perm]), transformer_forward(net, x)[perm])
 
 
 def test_standard_construction_layout_n3_d1():
@@ -273,6 +230,19 @@ def test_sum_recovery_all_variants(variant, kwargs, tol):
     assert (loaded.variant, loaded.wv_scale, loaded.lambda_value) == (variant, con.wv_scale, con.lambda_value)
 
 
+@pytest.mark.parametrize("variant", list(HEADS))
+def test_construction_mac_count_is_head_plus_token_wise_layer(variant):
+    """The construction's counted MACs are the head's closed form plus the
+    n x m x m token-wise matmul."""
+    kwargs = VARIANT_CASES[variant][0]
+    for n, d in [(3, 1), (4, 2)]:
+        con = build_sum_extraction(variant, n, d, enumerate_multidegrees(d, n), **kwargs)
+        counter = MacCounter()
+        con.forward(np.random.default_rng(n).uniform(size=(n, d)), counter)
+        m = con.model_dim
+        assert counter.total == mac_count(variant, n, m, kwargs.get("k")) + n * m * m
+
+
 def test_literal_n_scaling_overshoots():
     n, d, k = 4, 1, 2
     basis = enumerate_multidegrees(d, n)
@@ -311,7 +281,7 @@ def test_heads_are_permutation_equivariant():
         ("performer", {"k": 3, "seed": 4}),
     ]:
         con = build_sum_extraction(variant, n, d, basis, **kwargs)
-        head = con.network.blocks[0].heads[0]
+        head = con.head
         lifted = con.lift(rng.uniform(size=(n, d)))
         perm = rng.permutation(n)
         from sumformer.attention import head_forward
@@ -332,6 +302,13 @@ def test_construction_k_bounds():
         build_sum_extraction("linformer", 3, 1, basis, k=3)
     with pytest.raises(ContractError):
         build_sum_extraction("performer", 3, 1, basis, k=0, seed=0)
+    # The random-feature head runs with k >= n; its construction refuses it.
+    with pytest.raises(ContractError):
+        build_sum_extraction("performer", 3, 1, basis, k=3, seed=0)
+    with pytest.raises(ContractError):
+        build_sum_extraction("linformer", 3, 1, basis, k=2, wv_scale="m")
+    with pytest.raises(ContractError):
+        build_sum_extraction("softmax", 3, 1, basis)
 
 
 def test_mac_count_scaling_ratios():
@@ -344,29 +321,3 @@ def test_mac_count_scaling_ratios():
         counts = [mac_count(variant, n, m, k) for n in ns]
         for a, b in zip(counts, counts[1:]):
             assert 1.8 <= b / a <= 2.2
-
-
-def test_linear_mlp_helper():
-    w = np.array([[1.0, 2.0], [3.0, 4.0]])
-    spec, params = linear_mlp(w)
-    from sumformer.mlp import mlp_forward
-
-    x = np.array([[1.0, 1.0]])
-    assert np.array_equal(mlp_forward(spec, list(params), x), x @ w)
-
-
-def test_multi_head_block_concatenates_through_w_o():
-    # two heads, W_O stacking them with weights 1 and 2, identity FC:
-    # Block(X) = X + (X + Att(X)) with Att = head1 + 2 * head2
-    m = 3
-    rng = np.random.default_rng(22)
-    h1, h2 = _random_spec(m, rng), _random_spec(m, rng)
-    w_o = np.vstack([np.eye(m), 2.0 * np.eye(m)])
-    fc_spec, fc_params = linear_mlp(np.eye(m))
-    block = TransformerBlockSpec(heads=(h1, h2), w_o=w_o, fc_spec=fc_spec, fc_params=fc_params)
-    x = rng.uniform(size=(4, m))
-    from sumformer.attention import block_forward, standard_head
-
-    out = block_forward(x, block)
-    att = standard_head(x, h1) + 2.0 * standard_head(x, h2)
-    assert np.allclose(out, 2.0 * x + att, atol=1e-13)

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from sumformer.cli import (
@@ -68,8 +69,9 @@ BAD_VALUES = {
     "verify_n_0": (["verify", "--n", "0"], None),
     "verify_d_0": (["verify", "--d", "0"], None),
     "verify_delta_0": (["verify", "--delta", "0"], None),
-    # delta**2 anchor pairs would exceed the discrete table's 1e6 grid budget.
+    # delta**2 keys of delta-long histograms would exceed the discrete table's 1e6 budget.
     "verify_delta_over_budget": (["verify", "--delta", "1001"], None),
+    "verify_delta_just_over_budget": (["verify", "--delta", "101"], None),
     "train_seed_list": (["train", "--epochs", "0", "--seed", "1,2"], None),
     "train_epochs_abc": (["train", "--epochs", "abc"], None),
     "train_lr_nan_in_config": (["train", "--epochs", "0"], "lr = nan\n"),
@@ -242,6 +244,23 @@ def test_verify_literal_n_scaling_fails(tmp_path):
     residual = float(line.split("max_residual=")[1].split()[0])
     assert residual >= 1e-2
     assert os.path.exists(os.path.join(out, "witness_sigma_recovery_linformer.txt"))
+
+
+SIGMA_CHECKS = {f"sigma_recovery_{v}" for v in ("standard", "linformer", "performer")}
+
+
+@pytest.mark.parametrize("name,nan_result,failing", [
+    ("power_sum_vector", lambda x, basis: np.full(basis.size, np.nan), SIGMA_CHECKS),
+    ("gradient_check_once", lambda seed: float("nan"), {"gradient_check"}),
+], ids=["power_sum_vector", "gradient_check_once"])
+def test_verify_nan_residual_fails(tmp_path, monkeypatch, name, nan_result, failing):
+    monkeypatch.setattr(f"sumformer.verify.{name}", nan_result)
+    out = str(tmp_path / "verify_nan")
+    assert main(["verify", "--out", out] + FAST_VERIFY) == EXIT_VERIFY_FAILED
+    records = [dict(part.split("=", 1) for part in ln.split())
+               for ln in _read(os.path.join(out, "verify_report.txt")).splitlines()]
+    assert {r["name"] for r in records if r["status"] == "fail"} == failing
+    assert all(r["max_residual"] == "nan" for r in records if r["name"] in failing)
 
 
 def test_verify_zero_tolerance_fails(tmp_path):

@@ -60,6 +60,14 @@ def test_check_equivariance_identity_has_zero_violation():
     assert report.max_violation == 0.0
 
 
+def test_nan_output_is_the_worst_violation():
+    equivariance = check_equivariance(lambda x: np.full_like(x, np.nan), n=3, d=1, trials=2)
+    semi_invariance = check_semi_invariance(lambda x, rest: np.full_like(x, np.nan), n=3, d=1, trials=2)
+    for report in (equivariance, semi_invariance):
+        assert np.isnan(report.max_violation)
+        assert report.witness_input is not None
+
+
 def test_check_equivariance_flags_broken_function():
     def broken(x):
         return np.tile(x[0], (x.shape[0], 1))  # every row copies row 1

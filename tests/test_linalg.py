@@ -1,47 +1,13 @@
 import numpy as np
 import pytest
 
-from sumformer.errors import DomainError, ShapeError
-from sumformer.linalg import matmul, matrix, softmax_rows
+from sumformer.errors import DomainError
+from sumformer.linalg import require_finite, softmax_rows
 
 
-def test_matmul_identity():
-    a = matrix([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(np.eye(2), a), a)
-
-
-def test_matmul_permutation():
-    p = matrix([[0.0, 1.0], [1.0, 0.0]])
-    assert np.array_equal(matmul(np.eye(2), p), p)
-    assert np.array_equal(matmul(p, p), np.eye(2))
-
-
-def test_matmul_all_ones_contraction():
-    a = np.ones((2, 3))
-    b = np.ones((3, 2))
-    assert np.array_equal(matmul(a, b), 3.0 * np.ones((2, 2)))
-
-
-def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
-def test_matmul_associativity_bounded_entries():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a = rng.uniform(-1e3, 1e3, size=(4, 5))
-        b = rng.uniform(-1e3, 1e3, size=(5, 3))
-        c = rng.uniform(-1e3, 1e3, size=(3, 6))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        scale = np.maximum(np.abs(left), 1.0)
-        assert np.max(np.abs(left - right) / scale) <= 1e-10
-
-
-def test_matrix_rejects_nan():
+def test_require_finite_rejects_nan():
     with pytest.raises(DomainError):
-        matrix([[np.nan, 0.0]])
+        require_finite(np.array([[np.nan, 0.0]]), "m")
 
 
 def test_softmax_symmetry():

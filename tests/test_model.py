@@ -237,6 +237,19 @@ def test_discrete_budget_guard():
         build_discrete_sumformer(lambda x, rest: x, delta_cells=10, n=7, d=1)
 
 
+def test_discrete_budget_counts_stored_histograms():
+    """verify's delta bound is the largest table the budget admits at n=2, d=1:
+    delta**2 keys, each holding a delta-long histogram."""
+    from sumformer.cli import SCHEMA
+
+    bound = SCHEMA["verify"]["delta"].high
+    assert bound**3 <= 10**6 < (bound + 1) ** 3
+    ds = build_discrete_sumformer(lambda x, rest: x, delta_cells=bound, n=2, d=1)
+    assert len(ds.table) == bound**2
+    with pytest.raises(BudgetError):
+        build_discrete_sumformer(lambda x, rest: x, delta_cells=bound + 1, n=2, d=1)
+
+
 def test_discrete_multidimensional_tokens():
     def g(x, rest):
         return x + rest.sum(axis=0)

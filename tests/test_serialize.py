@@ -26,12 +26,11 @@ DATA = Path(__file__).parent / "data"
 
 
 def _network_matrix(con, name):
-    """The matrix of ``con`` that files of the earlier form store as ``name``."""
-    block = con.network.blocks[0]
-    if name.startswith("fc."):
-        w, b = block.fc_params[int(name[4:])]
-        return w if name[3] == "W" else b
-    return getattr(block if name == "W_O" else block.heads[0], name.lower())
+    """The matrix of ``con`` that files of the earlier form store as ``name``:
+    their one-head W_O is the identity and their token-wise bias is zero."""
+    m = con.model_dim
+    fixed = {"W_O": np.eye(m), "fc.W0": con.w_fc, "fc.b0": np.zeros((1, m))}
+    return fixed[name] if name in fixed else getattr(con.head, name.lower())
 
 
 @pytest.mark.parametrize("variant,kwargs", [(v, VARIANT_CASES[v][0]) for v in HEADS])
@@ -117,3 +116,35 @@ def test_load_rejects_wrong_kind():
     model = build_mlp_sumformer(1, 2, seed=0)
     with pytest.raises(ConfigError):
         load_construction(dump_model(model))
+
+
+def _drop_first_row(text, matrix):
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"matrix {matrix} "))
+    return "\n".join(lines[:i + 1] + lines[i + 2:]) + "\n"
+
+
+# Each damages a valid file with d = 1: (damage, words the error must name).
+DAMAGED_FILES = {
+    "header_only": (lambda text: text.splitlines()[0] + "\n", "object line"),
+    "missing_field": (lambda text: text.replace("field d int 1\n", ""), "field 'd'"),
+    "field_not_an_int": (lambda text: text.replace("field d int 1", "field d int one"), "field d int one"),
+    "matrix_short_of_rows": (lambda text: _drop_first_row(text, "phi.W0"), "rows declared"),
+}
+
+
+@pytest.mark.parametrize("case", list(DAMAGED_FILES))
+def test_damaged_files_raise_config_error_naming_the_fault(case):
+    from sumformer.mlp import MlpSpec, init_mlp_params
+
+    damage, named = DAMAGED_FILES[case]
+    basis = enumerate_multidegrees(1, 2)
+    spec = MlpSpec((1, 5, basis.size))
+    con = build_sum_extraction("standard", 3, 1, basis, phi_net=(spec, init_mlp_params(spec, np.random.default_rng(0))))
+    for load, text in ((load_model, dump_model(build_mlp_sumformer(1, 2, seed=0))),
+                       (load_construction, dump_construction(con))):
+        assert damage(text) != text
+        with pytest.raises(ConfigError) as exc_info:
+            load(damage(text))
+        message = str(exc_info.value)
+        assert named in message and "\n" not in message, (load.__name__, message)
