@@ -20,7 +20,7 @@ def require_matrix(m: np.ndarray, name: str) -> np.ndarray:
 
 
 def require_finite(m: np.ndarray, name: str) -> np.ndarray:
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise DomainError(f"{name} contains non-finite entries")
     return m
 
@@ -30,9 +30,12 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
 
     Each output row is nonnegative and sums to 1 (within float rounding);
     adding a constant to an input row leaves its output row unchanged.
+    The input is not modified; the exp and the normalisation run in place
+    on the one shifted copy.
     """
     require_matrix(m, "m")
     require_finite(m, "softmax input")
-    shifted = m - np.max(m, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=1, keepdims=True)
+    e = m - m.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e

@@ -82,6 +82,21 @@ class _Entries(dict):
         raise ConfigError(f"missing {self.what} {name!r}")
 
 
+def _field(fields: dict, name: str, kind: type, low=None, choices=None, nullable=False):
+    """The field ``name``, checked to be a ``kind`` (bool is not an int) of at
+    least ``low`` and among ``choices``; ``nullable`` also admits none."""
+    value = fields[name]
+    if value is None and nullable:
+        return value
+    if type(value) is not kind or (low is not None and value < low) or (
+        choices is not None and value not in choices
+    ):
+        want = " or ".join(choices) if choices else kind.__name__
+        want += f" >= {low}" if low is not None else ""
+        raise ConfigError(f"field {name} must be {want}{' or none' if nullable else ''}, got {value!r}")
+    return value
+
+
 _KEYWORDS = ("format", "object", "field", "matrix", "imatrix", "end")
 
 
@@ -153,7 +168,11 @@ def _mlp_entries(prefix: str, spec: MlpSpec, params: MlpParams):
 
 
 def _mlp_from_entries(prefix: str, fields: dict, matrices: dict) -> tuple[MlpSpec, MlpParams]:
-    widths = tuple(int(w) for w in fields[f"{prefix}widths"].split(","))
+    text = _field(fields, f"{prefix}widths", str)
+    try:
+        widths = tuple(int(w) for w in text.split(","))
+    except ValueError:
+        raise ConfigError(f"field {prefix}widths must list integers, got {text!r}") from None
     spec = MlpSpec(widths)
     params = [
         (matrices[f"{prefix}W{i}"], matrices[f"{prefix}b{i}"])
@@ -197,17 +216,20 @@ def load_construction(text: str):
     kind, fields, mats = _load(text)
     if kind != "sum_extraction":
         raise ConfigError(f"expected sum_extraction, got {kind}")
-    phi_net = _mlp_from_entries("phi.", fields, mats) if fields["phi_kind"] == "mlp" else None
+    phi_kind = _field(fields, "phi_kind", str, choices=("mlp", "monomial"))
+    d = _field(fields, "d", int, 1)
     try:
+        phi_net = _mlp_from_entries("phi.", fields, mats) if phi_kind == "mlp" else None
         con = build_sum_extraction(
-            fields["variant"], fields["n"], fields["d"],
-            enumerate_multidegrees(fields["d"], fields["n_max"]),
-            phi_net=phi_net, k=fields["k"], seed=fields["seed"], wv_scale=fields["wv_scale"],
-            omegas=mats.get("omegas"),
+            _field(fields, "variant", str), _field(fields, "n", int, 1), d,
+            enumerate_multidegrees(d, _field(fields, "n_max", int, 1)),
+            phi_net=phi_net, k=_field(fields, "k", int, 1, nullable=True),
+            seed=_field(fields, "seed", int, 0, nullable=True),
+            wv_scale=_field(fields, "wv_scale", str), omegas=mats.get("omegas"),
         )
     except (ContractError, ShapeError) as exc:
         raise ConfigError(f"cannot rebuild construction: {exc}") from exc
-    if con.lambda_value != fields["lambda"]:
+    if con.lambda_value != _field(fields, "lambda", float, nullable=True):
         raise ConfigError(
             f"rebuilt gram constant {con.lambda_value!r} differs from stored {fields['lambda']!r}"
         )
@@ -251,24 +273,31 @@ def load_model(text: str) -> SumformerModel:
     kind, fields, mats = _load(text)
     if kind != "sumformer_model":
         raise ConfigError(f"expected sumformer_model, got {kind}")
-    d = fields["d"]
-    if fields["phi_kind"] == "polynomial":
-        phi = PolynomialFeatureMap(enumerate_multidegrees(d, fields["phi_n_max"]))
-    else:
-        spec, params = _mlp_from_entries("phi.", fields, mats)
-        phi = MlpFeatureMap(spec, params)
-    if fields["psi_kind"] == "mlp":
-        spec, params = _mlp_from_entries("psi.", fields, mats)
-        psi = MlpCombiner(spec, params)
-    else:
-        terms = []
-        for t in range(fields["psi_terms"]):
-            alpha = tuple(int(v) for v in mats[f"psi.term{t}.alpha"][0])
-            coeffs = mats[f"psi.term{t}.coeffs"]
-            exps = mats[f"psi.term{t}.exps"]
-            latent_poly = LatentPolynomial(tuple(
-                (coeffs[r], tuple(int(v) for v in exps[r])) for r in range(coeffs.shape[0])
-            ))
-            terms.append((alpha, latent_poly))
-        psi = PolynomialCombiner(tuple(terms), fields["psi_out_width"])
-    return SumformerModel(d=d, d_latent=fields["d_latent"], phi=phi, psi=psi)
+    d = _field(fields, "d", int, 1)
+    d_latent = _field(fields, "d_latent", int, 1)
+    kinds = ("polynomial", "mlp")
+    try:
+        if _field(fields, "phi_kind", str, choices=kinds) == "polynomial":
+            phi = PolynomialFeatureMap(enumerate_multidegrees(d, _field(fields, "phi_n_max", int, 1)))
+        else:
+            phi = MlpFeatureMap(*_mlp_from_entries("phi.", fields, mats))
+        if _field(fields, "psi_kind", str, choices=kinds) == "mlp":
+            psi = MlpCombiner(*_mlp_from_entries("psi.", fields, mats))
+        else:
+            psi = _polynomial_psi(fields, mats)
+        return SumformerModel(d=d, d_latent=d_latent, phi=phi, psi=psi)
+    except (ContractError, ShapeError) as exc:
+        raise ConfigError(f"cannot rebuild model: {exc}") from exc
+
+
+def _polynomial_psi(fields: dict, mats: dict) -> PolynomialCombiner:
+    terms = []
+    for t in range(_field(fields, "psi_terms", int, 0)):
+        alpha = tuple(int(v) for v in mats[f"psi.term{t}.alpha"][0])
+        coeffs = mats[f"psi.term{t}.coeffs"]
+        exps = mats[f"psi.term{t}.exps"]
+        latent_poly = LatentPolynomial(tuple(
+            (coeffs[r], tuple(int(v) for v in exps[r])) for r in range(coeffs.shape[0])
+        ))
+        terms.append((alpha, latent_poly))
+    return PolynomialCombiner(tuple(terms), _field(fields, "psi_out_width", int, 1))

@@ -99,26 +99,35 @@ def relative_l2_error(pred, truth) -> float:
 
 
 class Adam:
-    """Per-array first/second moment state with bias correction."""
+    """Per-array first/second moment state with bias correction.
+
+    A step writes every intermediate into two work arrays per parameter
+    array, allocated here, so it allocates nothing of the parameters' size.
+    """
 
     def __init__(self, arrays: list[np.ndarray], config: OptimizerConfig):
         self.config = config
         self.t = 0
         self.m = [np.zeros_like(a) for a in arrays]
         self.v = [np.zeros_like(a) for a in arrays]
+        self.work = [(np.empty_like(a), np.empty_like(a)) for a in arrays]
 
     def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]):
         cfg = self.config
         self.t += 1
         b1t = 1.0 - cfg.beta1**self.t
         b2t = 1.0 - cfg.beta2**self.t
-        for a, g, m, v in zip(arrays, grads, self.m, self.v):
+        for a, g, m, v, (num, den) in zip(arrays, grads, self.m, self.v, self.work):
             m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
+            m += np.multiply(1.0 - cfg.beta1, g, out=num)
             v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
+            v += np.multiply(1.0 - cfg.beta2, np.multiply(g, g, out=num), out=num)
             if cfg.lr != 0.0:
-                a -= cfg.lr * (m / b1t) / (np.sqrt(v / b2t) + cfg.eps)
+                # a -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
+                np.multiply(cfg.lr, np.divide(m, b1t, out=num), out=num)
+                np.sqrt(np.divide(v, b2t, out=den), out=den)
+                den += cfg.eps
+                a -= np.divide(num, den, out=num)
 
 
 def trainable_arrays(model: SumformerModel) -> list[np.ndarray]:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sumformer.attention import (
     HEADS,
+    ROW_BLOCK,
     LinformerHeadSpec,
     MacCounter,
     PerformerHeadSpec,
@@ -10,13 +13,14 @@ from sumformer.attention import (
     attention_matrix,
     audited_mac_count,
     build_sum_extraction,
+    head_forward,
     linformer_head,
     mac_count,
     performer_features,
     performer_head,
     standard_head,
 )
-from sumformer.errors import ContractError, ShapeError, UnsupportedInspectionError
+from sumformer.errors import ContractError, DomainError, ShapeError, UnsupportedInspectionError
 from sumformer.mlp import MlpSpec, init_mlp_params
 from sumformer.multisym import enumerate_multidegrees, power_sum_vector
 from sumformer.serialize import dump_construction, load_construction
@@ -284,8 +288,6 @@ def test_heads_are_permutation_equivariant():
         head = con.head
         lifted = con.lift(rng.uniform(size=(n, d)))
         perm = rng.permutation(n)
-        from sumformer.attention import head_forward
-
         direct = head_forward(lifted[perm], head)
         permuted = head_forward(lifted, head)[perm]
         assert np.max(np.abs(direct - permuted)) <= 1e-10, variant
@@ -321,3 +323,76 @@ def test_mac_count_scaling_ratios():
         counts = [mac_count(variant, n, m, k) for n in ns]
         for a, b in zip(counts, counts[1:]):
             assert 1.8 <= b / a <= 2.2
+
+
+# ---------------------------------------------------------------------------
+# Row-blocked forward of the softmax heads
+# ---------------------------------------------------------------------------
+
+SOFTMAX_VARIANTS = ("standard", "linformer")
+
+
+def _softmax_head(variant, n, m=16, seed=0):
+    """Random input and head; the low-rank head projects to k = min(8, n - 1)."""
+    rng = np.random.default_rng(seed)
+    k = min(8, n - 1)
+    w = [rng.uniform(-1, 1, size=(m, m)) for _ in range(3)]
+    extras = {name: rng.uniform(size=shape) for name, shape in HEADS[variant].extra_shapes(n, m, k).items()}
+    return rng.uniform(-1, 1, size=(n, m)), HEADS[variant](*w, **extras), k
+
+
+def _unblocked(x, spec):
+    return attention_matrix(x, spec) @ (spec.sources(x, None)[1] @ spec.w_v)
+
+
+@pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
+@pytest.mark.parametrize("n", [1, ROW_BLOCK, 4 * ROW_BLOCK])
+def test_blocked_forward_is_bitwise_the_unblocked_product(variant, n):
+    # The low-rank head needs k < n, so it starts at n = 2.
+    x, spec, _ = _softmax_head(variant, max(n, 2) if variant == "linformer" else n)
+    assert np.array_equal(head_forward(x, spec), _unblocked(x, spec))
+
+
+@pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
+@pytest.mark.parametrize("n", [ROW_BLOCK + 1, 3 * ROW_BLOCK - 1])
+def test_blocked_forward_with_a_ragged_last_block(variant, n):
+    x, spec, k = _softmax_head(variant, n, seed=n)
+    out, reference = head_forward(x, spec), _unblocked(x, spec)
+    assert np.max(np.abs(out - reference)) <= 1e-13 * np.max(np.abs(reference))
+    counter = MacCounter()
+    head_forward(x, spec, counter)
+    assert counter.total == mac_count(variant, n, x.shape[1], k)
+
+
+def test_blocked_forward_never_holds_the_score_matrix():
+    n = 2048
+    x, spec, _ = _softmax_head("standard", n)
+    tracemalloc.start()
+    try:
+        head_forward(x, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4, peak
+
+
+@pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
+def test_score_overflow_in_the_last_block_raises(variant):
+    n = 2 * ROW_BLOCK + 5
+    x, spec, _ = _softmax_head(variant, n)
+    x[-1] = 1e200  # only the last query row's scores leave the float range
+    with pytest.raises(DomainError):
+        head_forward(x, spec)
+
+
+def test_random_features_refuse_underflow_and_overflow():
+    m = 3
+    eye = np.eye(m)
+    x = np.random.default_rng(30).uniform(size=(4, m))
+    big = x * (1e3 / np.linalg.norm(x, axis=1, keepdims=True))
+    spec = PerformerHeadSpec(eye, eye, eye, omegas=np.random.default_rng(31).standard_normal((2, m)))
+    with pytest.raises(DomainError, match="underflow"):
+        performer_head(big, spec)
+    wide = PerformerHeadSpec(eye, eye, eye, omegas=np.array([[60.0, 0.0, 0.0]]))
+    with pytest.raises(DomainError, match="non-finite"):
+        performer_head(np.array([[60.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), wide)

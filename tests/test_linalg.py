@@ -35,3 +35,10 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-12
     shifted = softmax_rows(m + rng.normal(size=(6, 1)))
     assert np.max(np.abs(shifted - out)) <= 1e-12
+
+
+def test_softmax_leaves_its_input_unchanged():
+    m = np.random.default_rng(2).normal(size=(5, 7))
+    before = m.copy()
+    softmax_rows(m)
+    assert np.array_equal(m, before)

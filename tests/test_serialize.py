@@ -130,6 +130,11 @@ DAMAGED_FILES = {
     "missing_field": (lambda text: text.replace("field d int 1\n", ""), "field 'd'"),
     "field_not_an_int": (lambda text: text.replace("field d int 1", "field d int one"), "field d int one"),
     "matrix_short_of_rows": (lambda text: _drop_first_row(text, "phi.W0"), "rows declared"),
+    "field_of_the_wrong_type": (lambda text: text.replace("field d int 1", "field d str one"), "field d must be int"),
+    "field_out_of_range": (lambda text: text.replace("field d int 1", "field d int -1"), "field d must be int >= 1"),
+    "field_bool_for_int": (lambda text: text.replace("field d int 1", "field d bool 1"), "field d must be int"),
+    "widths_not_integers": (lambda text: text.replace("field phi.widths str 1,", "field phi.widths str x,"),
+                            "field phi.widths must list integers"),
 }
 
 
@@ -148,3 +153,20 @@ def test_damaged_files_raise_config_error_naming_the_fault(case):
             load(damage(text))
         message = str(exc_info.value)
         assert named in message and "\n" not in message, (load.__name__, message)
+
+
+# Fields only a construction file holds: (old line, damaged line, words the error must name).
+DAMAGED_CONSTRUCTION_FIELDS = [
+    ("field n int 3", "field n str x", "field n must be int"),
+    ("field n int 3", "field n int 0", "field n must be int >= 1"),
+    ("field seed none -", "field seed int -1", "field seed must be int >= 0 or none"),
+    ("field phi_kind str monomial", "field phi_kind str spline", "field phi_kind must be mlp or monomial"),
+]
+
+
+@pytest.mark.parametrize("old, new, named", DAMAGED_CONSTRUCTION_FIELDS)
+def test_damaged_construction_fields_raise_config_error(old, new, named):
+    text = dump_construction(build_sum_extraction("standard", 3, 1, enumerate_multidegrees(1, 2)))
+    assert old in text
+    with pytest.raises(ConfigError, match=named):
+        load_construction(text.replace(old, new))
