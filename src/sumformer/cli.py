@@ -27,6 +27,11 @@ EXIT_CONFIG = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_DIVERGED = 4
 
+# ``train`` and ``sweep`` refuse a configuration whose estimated memory
+# (``train.training_bytes``; for a sweep, its largest cell) exceeds this.
+# ``epochs`` costs time, not memory, and has no upper bound.
+MEMORY_BUDGET_BYTES = 2 * 2**30
+
 
 def _parse_value(raw: str):
     raw = raw.strip()
@@ -189,6 +194,22 @@ def _optimizer_config(config: dict):
     )
 
 
+def _check_memory(config: dict, batch_size: int | None):
+    """Refuse a train or sweep config whose largest cell would not fit the budget."""
+    from .train import SWEEP_SPLIT, training_bytes
+
+    need = max(
+        training_bytes(config["n"], d, d_latent, config["points"],
+                       config.get("split_fraction", SWEEP_SPLIT), batch_size)
+        for d in _listed(config["d"]) for d_latent in _listed(config["d_latent"])
+    )
+    if need > MEMORY_BUDGET_BYTES:
+        raise ConfigError(
+            f"n, d, d_latent and points need about {need / 2**30:.3g} GiB, "
+            f"over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB budget"
+        )
+
+
 def cmd_verify(config: dict) -> int:
     """Run the oracle and invariant suites."""
     from .verify import VerifyConfig, run_verification, write_report
@@ -213,6 +234,7 @@ def cmd_train(config: dict) -> int:
 
     d, seed = config["d"], config["seed"]
     opt = _optimizer_config(config)
+    _check_memory(config, opt.batch_size)
     data = generate_dataset(
         get_target(config["target"]), config["n"], d, config["points"],
         config["split_fraction"], seed,
@@ -237,6 +259,7 @@ def cmd_sweep(config: dict) -> int:
     from .train import latent_sweep, write_manifest, write_sweep_csv
 
     opt = _optimizer_config(config)
+    _check_memory(config, opt.batch_size)
     out = _ensure_out(config)
     try:
         rows = latent_sweep(

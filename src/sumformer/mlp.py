@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,12 +67,18 @@ def _check_params(spec: MlpSpec, params: MlpParams):
 
 
 def mlp_forward(
-    spec: MlpSpec, params: MlpParams, x: np.ndarray, acts: list | None = None
+    spec: MlpSpec,
+    params: MlpParams,
+    x: np.ndarray,
+    acts: list | None = None,
+    outs: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Apply the network row-wise (each row of x is one token).
 
     With ``acts`` given, each layer's input is appended to it: what
-    ``mlp_backward`` reads.
+    ``mlp_backward`` reads.  With ``outs`` given, layer i writes its output
+    (x's rows by the layer's width) into ``outs[i]``, which must not share
+    memory with that layer's input; without it each layer allocates one.
     """
     _check_params(spec, params)
     if x.ndim != 2 or x.shape[1] != spec.in_width:
@@ -81,26 +88,38 @@ def mlp_forward(
     for i, (w, b) in enumerate(params):
         if acts is not None:
             acts.append(h)
-        h = h @ w + b
+        h = np.matmul(h, w, out=None if outs is None else outs[i])
+        h += b
         if i != last:
-            h = relu(h)
+            relu(h, out=h)
     return h
 
 
-def relu(h: np.ndarray) -> np.ndarray:
+def relu(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Bitwise ``np.where(h > 0.0, h, 0.0)``, which branches per entry.
 
     ``fmax`` maps negatives and NaN to 0.0 and adding 0.0 turns a -0.0
     into +0.0.  Only a signaling NaN would come out differently (quieted
     instead of zeroed), and no sum such as ``h @ w + b`` produces one.
+    ``out`` may be ``h`` itself.
     """
-    out = np.fmax(h, 0.0)
+    out = np.fmax(h, 0.0, out=out)
     out += 0.0
     return out
 
 
+def leading(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The first entries of the 1-D ``flat``, viewed as ``shape``."""
+    return flat[:math.prod(shape)].reshape(shape)
+
+
 def mlp_backward(
-    params: MlpParams, acts: list, g: np.ndarray, grads: MlpParams, input_grad: bool = True
+    params: MlpParams,
+    acts: list,
+    g: np.ndarray,
+    grads: MlpParams,
+    scratch: tuple[np.ndarray, np.ndarray, np.ndarray],
+    input_grad: bool = True,
 ) -> np.ndarray | None:
     """Reverse of ``mlp_forward`` from the layer inputs it recorded.
 
@@ -110,7 +129,14 @@ def mlp_backward(
     are those of the tape's matmul, row-add and ReLU rules, so the
     gradients equal the tape's bitwise.  A ReLU was active exactly where
     the next layer's input is positive.
+
+    ``scratch = (a, b, mask)`` holds two 1-D float64 arrays and a 1-D bool
+    array, each at least as long as the largest layer input.  The layers'
+    input gradients go in turn to the leading entries of ``a`` and ``b``
+    (so ``g`` must not lie in ``a``), and each ReLU mask to those of
+    ``mask``; the result is a view into ``a`` or ``b``.
     """
+    a, b, mask = scratch
     for i in reversed(range(len(params))):
         h = acts[i]
         gw, gb = grads[i]
@@ -118,9 +144,10 @@ def mlp_backward(
         g.sum(axis=0, keepdims=True, out=gb)
         if i == 0 and not input_grad:
             return None
-        g = g @ params[i][0].T
+        g = np.matmul(g, params[i][0].T, out=leading(a, h.shape))
+        a, b = b, a
         if i != 0:
-            np.multiply(g, h > 0.0, out=g)
+            np.multiply(g, np.greater(h, 0.0, out=leading(mask, h.shape)), out=g)
     return g
 
 

@@ -45,8 +45,9 @@ class PolynomialFeatureMap:
     def out_width(self) -> int:
         return self.basis.size
 
-    def rows(self, x: np.ndarray, acts: list | None = None) -> np.ndarray:
-        """Features of each row; ``acts`` is unused, as nothing here is trained."""
+    def rows(self, x: np.ndarray, acts: list | None = None, outs: list | None = None) -> np.ndarray:
+        """Features of each row; ``acts`` and ``outs`` are unused, as nothing
+        here is trained."""
         return monomial_feature_matrix(x, self.basis)
 
 
@@ -59,8 +60,8 @@ class MlpFeatureMap:
     def out_width(self) -> int:
         return self.spec.out_width
 
-    def rows(self, x: np.ndarray, acts: list | None = None) -> np.ndarray:
-        return mlp_forward(self.spec, self.params, x, acts)
+    def rows(self, x: np.ndarray, acts: list | None = None, outs: list | None = None) -> np.ndarray:
+        return mlp_forward(self.spec, self.params, x, acts, outs)
 
 
 @dataclass(frozen=True)
@@ -97,14 +98,21 @@ class PolynomialCombiner:
     out_width: int
 
     def apply(
-        self, x_rows: np.ndarray, phi_rows: np.ndarray, sigma: np.ndarray, acts: list | None = None
+        self,
+        x_rows: np.ndarray,
+        phi_rows: np.ndarray,
+        sigma: np.ndarray,
+        acts: list | None = None,
+        outs: ForwardOuts | None = None,
     ) -> np.ndarray:
-        """``sigma`` is the Sigma of each row's sequence, one row per token
-        (or one d'-vector shared by all rows); ``acts`` is unused, as
-        nothing here is trained."""
+        """``sigma`` holds one Sigma per sequence, (S, d'), for rows that
+        are S sequences of consecutive tokens (a single d'-vector is one
+        sequence of all rows); ``acts`` and ``outs`` are unused, as nothing
+        here is trained."""
         n = x_rows.shape[0]
         out = np.zeros((n, self.out_width))
-        others = sigma - phi_rows
+        per_seq = np.reshape(sigma, (-1, phi_rows.shape[1]))
+        others = np.repeat(per_seq, n // per_seq.shape[0], axis=0) - phi_rows
         for alpha, latent_poly in self.terms:
             mono = np.prod(x_rows ** np.asarray(alpha), axis=1)
             for i in range(n):
@@ -122,10 +130,22 @@ class MlpCombiner:
         return self.spec.out_width
 
     def apply(
-        self, x_rows: np.ndarray, phi_rows: np.ndarray, sigma: np.ndarray, acts: list | None = None
+        self,
+        x_rows: np.ndarray,
+        phi_rows: np.ndarray,
+        sigma: np.ndarray,
+        acts: list | None = None,
+        outs: ForwardOuts | None = None,
     ) -> np.ndarray:
-        stacked = np.hstack([x_rows, np.broadcast_to(sigma, phi_rows.shape)])
-        return mlp_forward(self.spec, self.params, stacked, acts)
+        """psi on each token beside its sequence's Sigma; ``sigma`` is as
+        for ``PolynomialCombiner.apply``.  The stacked input goes into
+        ``outs.psi_in`` and the layer outputs into ``outs.psi`` when given."""
+        rows, d = x_rows.shape
+        stacked = np.empty((rows, self.spec.in_width)) if outs is None else outs.psi_in
+        stacked[:, :d] = x_rows
+        per_seq = np.reshape(sigma, (-1, 1, phi_rows.shape[1]))
+        stacked.reshape(per_seq.shape[0], -1, self.spec.in_width)[:, :, d:] = per_seq
+        return mlp_forward(self.spec, self.params, stacked, acts, None if outs is None else outs.psi)
 
 
 Phi = Union[PolynomialFeatureMap, MlpFeatureMap]
@@ -159,23 +179,39 @@ class SumformerModel:
         return out
 
 
+@dataclass
+class ForwardOuts:
+    """Arrays that one ``batch_forward`` over S sequences of n tokens writes
+    into instead of allocating: each MLP layer's output has S*n rows."""
+
+    phi: list[np.ndarray]  # phi's layer outputs (unused for a polynomial phi)
+    sigma: np.ndarray      # (S, d'), one Sigma per sequence
+    psi_in: np.ndarray     # (S*n, d + d'), each token beside its Sigma
+    psi: list[np.ndarray]  # psi's layer outputs
+
+
 def batch_forward(
-    model: SumformerModel, seqs: np.ndarray, acts: tuple[list, list] | None = None
+    model: SumformerModel,
+    seqs: np.ndarray,
+    acts: tuple[list, list] | None = None,
+    outs: ForwardOuts | None = None,
 ) -> np.ndarray:
     """Forward over a stack of sequences (S, n, d) -> (S, n, out_width).
 
-    phi runs on all S*n token rows at once, Sigma is summed per sequence
-    and repeated to one row per token, and psi runs on all rows at once.
+    phi runs on all S*n token rows at once, Sigma is summed per sequence,
+    and psi runs on all rows at once, each beside its sequence's Sigma.
     With ``acts = (phi_acts, psi_acts)`` the MLP layer inputs are recorded
     for the training step's backward, so the recorded losses and the
-    evaluation metrics come from this one forward.
+    evaluation metrics come from this one forward.  With ``outs`` every
+    array the forward makes is written there instead of being allocated.
     """
     phi_acts, psi_acts = acts if acts is not None else (None, None)
     s_count, n, d = seqs.shape
     rows = seqs.reshape(s_count * n, d)
-    phi_rows = model.phi.rows(rows, phi_acts)
-    sigma = phi_rows.reshape(s_count, n, model.d_latent).sum(axis=1)
-    out = model.psi.apply(rows, phi_rows, np.repeat(sigma, n, axis=0), psi_acts)
+    phi_rows = model.phi.rows(rows, phi_acts, None if outs is None else outs.phi)
+    sigma = np.sum(phi_rows.reshape(s_count, n, model.d_latent), axis=1,
+                   out=None if outs is None else outs.sigma)
+    out = model.psi.apply(rows, phi_rows, sigma, psi_acts, outs)
     return out.reshape(s_count, n, -1)
 
 
@@ -194,6 +230,13 @@ def sumformer_forward(model: SumformerModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def mlp_sumformer_specs(
+    d: int, d_latent: int, hidden: tuple[int, ...] = DEFAULT_HIDDEN
+) -> tuple[MlpSpec, MlpSpec]:
+    """The phi and psi layer widths of ``build_mlp_sumformer``."""
+    return MlpSpec((d, *hidden, d_latent)), MlpSpec((d + d_latent, *hidden, d))
+
+
 def build_mlp_sumformer(
     d: int,
     d_latent: int,
@@ -202,8 +245,7 @@ def build_mlp_sumformer(
 ) -> SumformerModel:
     """Both phi and psi are MLPs (the fully trainable realization)."""
     rng = np.random.default_rng(seed)
-    phi_spec = MlpSpec((d, *hidden, d_latent))
-    psi_spec = MlpSpec((d + d_latent, *hidden, d))
+    phi_spec, psi_spec = mlp_sumformer_specs(d, d_latent, hidden)
     return SumformerModel(
         d=d,
         d_latent=d_latent,

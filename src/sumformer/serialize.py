@@ -293,9 +293,15 @@ def load_model(text: str) -> SumformerModel:
 def _polynomial_psi(fields: dict, mats: dict) -> PolynomialCombiner:
     terms = []
     for t in range(_field(fields, "psi_terms", int, 0)):
-        alpha = tuple(int(v) for v in mats[f"psi.term{t}.alpha"][0])
-        coeffs = mats[f"psi.term{t}.coeffs"]
-        exps = mats[f"psi.term{t}.exps"]
+        name = f"psi.term{t}"
+        alpha, coeffs, exps = (mats[f"{name}.{part}"] for part in ("alpha", "coeffs", "exps"))
+        if alpha.shape[0] != 1:
+            raise ConfigError(f"matrix {name}.alpha must have 1 row, got {alpha.shape[0]}")
+        if exps.shape[0] != coeffs.shape[0]:
+            raise ConfigError(
+                f"matrix {name}.exps has {exps.shape[0]} rows, {name}.coeffs {coeffs.shape[0]}"
+            )
+        alpha = tuple(int(v) for v in alpha[0])
         latent_poly = LatentPolynomial(tuple(
             (coeffs[r], tuple(int(v) for v in exps[r])) for r in range(coeffs.shape[0])
         ))

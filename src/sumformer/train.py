@@ -5,7 +5,9 @@ Batches stack all token rows of the batch sequences into one matrix, so
 the per-sequence feature sums reduce to fixed-size row-group sums.  A
 training step is ``model.batch_forward`` recording the MLP layer inputs,
 then one hand-written backward through the fixed graph.  All trainable
-arrays live in one flat buffer, so Adam updates a single vector.
+arrays live in one flat buffer, so Adam updates a single vector.  Every
+array a step or a validation forward writes is a view into one work
+buffer, allocated once per ``train`` call.
 """
 
 from __future__ import annotations
@@ -16,14 +18,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DivisionGuardError, TrainingDivergedError
-from .mlp import MlpParams, mlp_backward, param_views
+from .mlp import MlpParams, leading, mlp_backward, param_views
 from .model import (
     DEFAULT_HIDDEN,
+    ForwardOuts,
     MlpCombiner,
     MlpFeatureMap,
     SumformerModel,
     batch_forward,
     build_mlp_sumformer,
+    mlp_sumformer_specs,
 )
 from .targets import TargetFunction
 
@@ -74,8 +78,7 @@ def generate_dataset(
     inputs = rng.uniform(size=(count, n, d))
     f = target.lifted()
     targets = np.stack([f(x) for x in inputs])
-    n_train = int(count * split_fraction)
-    n_train = min(max(n_train, 1), count - 1)
+    n_train = split_sizes(count, split_fraction)[0]
     return Dataset(
         inputs=inputs,
         targets=targets,
@@ -84,6 +87,12 @@ def generate_dataset(
         seed=seed,
         target_name=target.name,
     )
+
+
+def split_sizes(count: int, split_fraction: float) -> tuple[int, int]:
+    """Training and validation sequence counts of ``generate_dataset``."""
+    n_train = min(max(int(count * split_fraction), 1), count - 1)
+    return n_train, count - n_train
 
 
 def relative_l2_error(pred, truth) -> float:
@@ -167,8 +176,118 @@ def flatten_params(model: SumformerModel) -> np.ndarray:
     return flat
 
 
+# The layer widths of phi (empty for a polynomial phi) and of psi.
+Widths = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _layout(widths: Widths, seqs: int, n: int, step: bool) -> dict[str, list[tuple[int, ...]]]:
+    """Shapes of the arrays that one step (``step``) or one validation
+    forward over ``seqs`` sequences of n tokens writes, by role, in buffer
+    order.
+
+    A step keeps every layer's output, as its backward reads them, plus two
+    1-D slots for the backward's layer gradients; a validation forward
+    alternates its layers between two 1-D slots.
+    """
+    phi, psi = widths
+    rows = seqs * n
+    d_latent = psi[0] - psi[-1]
+    shapes = {"sigma": [(seqs, d_latent)], "psi_in": [(rows, psi[0])]}
+    if step:
+        shapes["phi"] = [(rows, w) for w in phi[1:]]
+        shapes["psi"] = [(rows, w) for w in psi[1:]]
+        shapes["g_sigma"] = [(seqs, d_latent)]
+        shapes["grad"] = [(rows * max(phi[:-1] + psi[:-1]),)] * 2
+    else:
+        shapes["slots"] = [(rows * max(phi[1:] + psi[1:]),)] * 2
+    return shapes
+
+
+def work_buffer_sizes(widths: Widths, n: int, batch_seqs: int, val_seqs: int) -> tuple[int, int]:
+    """Entries of the float64 work buffer and of the bool ReLU-mask buffer for
+    steps of up to ``batch_seqs`` sequences and validation over ``val_seqs``."""
+    step = _layout(widths, batch_seqs, n, step=True)
+    validation = _layout(widths, val_seqs, n, step=False)
+    floats = max(
+        sum(math.prod(shape) for shapes in layout.values() for shape in shapes)
+        for layout in (step, validation)
+    )
+    return floats, step["grad"][0][0]
+
+
+class WorkBuffer:
+    """The arrays a training step and a validation forward write, as views
+    into one float64 buffer and one bool buffer (the ReLU masks), both
+    allocated here.
+
+    Every layout is cut from the start of the buffer, once per sequence
+    count, so a smaller last minibatch and the validation forward reuse
+    the memory of the full minibatch.
+    """
+
+    def __init__(self, model: SumformerModel, n: int, batch_seqs: int, val_seqs: int = 0):
+        phi = model.phi.spec.layer_widths if isinstance(model.phi, MlpFeatureMap) else ()
+        self.widths, self.n = (phi, model.psi.spec.layer_widths), n
+        self.batch_seqs, self.val_seqs = batch_seqs, val_seqs
+        floats, bools = work_buffer_sizes(self.widths, n, batch_seqs, val_seqs)
+        self.flat = np.empty(floats)
+        self.mask = np.empty(bools, dtype=bool)
+        self._views: dict = {}
+
+    def views(self, seqs: int, step: bool) -> tuple[ForwardOuts, dict[str, list[np.ndarray]]]:
+        """The forward's outputs, and every view by role, for one step
+        (``step``) or one validation forward over ``seqs`` sequences."""
+        if (seqs, step) not in self._views:
+            limit = self.batch_seqs if step else self.val_seqs
+            if seqs > limit:
+                raise ContractError(f"work buffer holds {limit} sequences, got {seqs}")
+            cut, offset = {}, 0
+            for role, shapes in _layout(self.widths, seqs, self.n, step).items():
+                cut[role] = []
+                for shape in shapes:
+                    cut[role].append(leading(self.flat[offset:], shape))
+                    offset += math.prod(shape)
+            if not step:  # layer i of either MLP writes into slot i % 2
+                rows = seqs * self.n
+                for role, widths in zip(("phi", "psi"), self.widths):
+                    cut[role] = [leading(cut["slots"][i % 2], (rows, w))
+                                 for i, w in enumerate(widths[1:])]
+            outs = ForwardOuts(cut["phi"], cut["sigma"][0], cut["psi_in"][0], cut["psi"])
+            self._views[seqs, step] = outs, cut
+        return self._views[seqs, step]
+
+
+def training_bytes(
+    n: int,
+    d: int,
+    d_latent: int,
+    points: int,
+    split_fraction: float,
+    batch_size: int | None,
+) -> int:
+    """Bytes that ``train`` of ``build_mlp_sumformer(d, d_latent)`` on
+    ``generate_dataset(..., n, d, points, split_fraction)`` holds at once.
+
+    That is the dataset's inputs and targets with their training and
+    validation copies, the work buffer and mask buffer of ``WorkBuffer``,
+    and six arrays the size of the parameters: the parameters, their
+    gradient, Adam's two moments and its two work arrays.  The epoch count
+    costs time, not memory, so it does not enter.
+    """
+    phi, psi = (spec.layer_widths for spec in mlp_sumformer_specs(d, d_latent))
+    n_train, n_val = split_sizes(points, split_fraction)
+    batch = n_train if batch_size is None else min(batch_size, n_train)
+    floats, bools = work_buffer_sizes((phi, psi), n, batch, n_val)
+    params = sum((fan_in + 1) * fan_out for w in (phi, psi) for fan_in, fan_out in zip(w, w[1:]))
+    return 8 * (4 * points * n * d + floats + 6 * params) + bools
+
+
 def loss_and_gradient(
-    model: SumformerModel, x_seqs: np.ndarray, y_seqs: np.ndarray, grads: list[MlpParams]
+    model: SumformerModel,
+    x_seqs: np.ndarray,
+    y_seqs: np.ndarray,
+    grads: list[MlpParams],
+    work: WorkBuffer,
 ) -> float:
     """MSE over a batch of sequences, and its gradient written into ``grads``.
 
@@ -178,22 +297,33 @@ def loss_and_gradient(
     reverse, with the tape's expressions, so loss and gradients equal the
     tape's bitwise.  No gradient is formed for the inputs or targets.  A
     loss that is not finite is returned with ``grads`` left untouched.
+    Every intermediate is a view into ``work``, which must hold batches of
+    at least S sequences.
     """
     s_count, n, d = x_seqs.shape
+    outs, cut = work.views(s_count, step=True)
+    grad_a, grad_b = cut["grad"]
+    scratch = (grad_a, grad_b, work.mask)
     phi_acts: list = []
     psi_acts: list = []
-    pred = batch_forward(model, x_seqs, (phi_acts, psi_acts))
-    diff = (pred - y_seqs).reshape(s_count * n, -1)
-    loss = float((diff * diff).mean())
+    pred = batch_forward(model, x_seqs, (phi_acts, psi_acts), outs)
+    diff = np.subtract(pred, y_seqs, out=pred).reshape(s_count * n, -1)
+    loss = float(np.multiply(diff, diff, out=leading(grad_a, diff.shape)).mean())
     if not math.isfinite(loss):
         return loss
-    g = np.full(diff.shape, 1.0 / diff.size) * (2.0 * diff)
+    # The tape's (1/size) * (2 diff), in b: mlp_backward writes into a first.
+    g = np.multiply(2.0, diff, out=leading(grad_b, diff.shape))
+    g *= 1.0 / diff.size
     mlp_phi = isinstance(model.phi, MlpFeatureMap)
-    g = mlp_backward(model.psi.params, psi_acts, g, grads[-1], input_grad=mlp_phi)
+    g = mlp_backward(model.psi.params, psi_acts, g, grads[-1], scratch, input_grad=mlp_phi)
     if mlp_phi:
-        g_sigma = g[:, d:].reshape(s_count, n, model.d_latent).sum(axis=1)
-        mlp_backward(model.phi.params, phi_acts, np.repeat(g_sigma, n, axis=0), grads[0],
-                     input_grad=False)
+        g_sigma = np.sum(g[:, d:].reshape(s_count, n, model.d_latent), axis=1,
+                         out=cut["g_sigma"][0])
+        # g is not read again, so the repeat may overwrite it; b, as above.
+        repeated = leading(grad_b, (s_count, n, model.d_latent))
+        repeated[...] = g_sigma[:, np.newaxis]
+        mlp_backward(model.phi.params, phi_acts, repeated.reshape(s_count * n, -1), grads[0],
+                     scratch, input_grad=False)
     return loss
 
 
@@ -224,6 +354,10 @@ def train(
     y_train = data.targets[data.train_idx]
     x_val = data.inputs[data.val_idx]
     y_val = data.targets[data.val_idx]
+    n_train = x_train.shape[0]
+    batch = config.batch_size if config.batch_size is not None else n_train
+    batch = min(batch, n_train)
+    work = WorkBuffer(model, data.n, batch, x_val.shape[0])
 
     report = TrainReport(
         epochs=epochs,
@@ -237,14 +371,12 @@ def train(
     )
 
     def record_validation(epoch: int):
-        err = relative_l2_error(batch_forward(model, x_val), y_val)
+        pred = batch_forward(model, x_val, outs=work.views(x_val.shape[0], step=False)[0])
+        err = relative_l2_error(pred, y_val)
         report.val_errors.append((epoch, err))
         report.best_validation_error = min(report.best_validation_error, err)
 
     record_validation(0)
-    n_train = x_train.shape[0]
-    batch = config.batch_size if config.batch_size is not None else n_train
-    batch = min(batch, n_train)
 
     for epoch in range(1, epochs + 1):
         if config.batch_size is None:
@@ -255,7 +387,7 @@ def train(
         entries = 0
         for start in range(0, n_train, batch):
             idx = order[start:start + batch]
-            loss_value = loss_and_gradient(model, x_train[idx], y_train[idx], grads)
+            loss_value = loss_and_gradient(model, x_train[idx], y_train[idx], grads, work)
             if not math.isfinite(loss_value):
                 raise TrainingDivergedError(
                     f"loss became {loss_value} at epoch {epoch}", report=report
@@ -268,6 +400,9 @@ def train(
         if epoch % VALIDATION_EVERY == 0:
             record_validation(epoch)
     return report
+
+
+SWEEP_SPLIT = 0.8  # the training fraction of every sweep dataset
 
 
 @dataclass(frozen=True)
@@ -306,7 +441,7 @@ def latent_sweep(
             for seed in seeds:
                 key = (d, seed)
                 if key not in datasets:
-                    datasets[key] = generate_dataset(target, n, d, points, 0.8, seed)
+                    datasets[key] = generate_dataset(target, n, d, points, SWEEP_SPLIT, seed)
                 model = build_mlp_sumformer(d, d_prime, seed, hidden)
                 report = train(model, datasets[key], epochs, config, seed)
                 rows.append(SweepRow(

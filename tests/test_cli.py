@@ -77,7 +77,28 @@ BAD_VALUES = {
     "train_lr_nan_in_config": (["train", "--epochs", "0"], "lr = nan\n"),
     "train_lr_beyond_float_in_config": (["train", "--epochs", "0"], "lr = 1" + "0" * 400 + "\n"),
     "train_split_fraction_1": (["train", "--epochs", "0", "--split-fraction", "1"], None),
+    # Beyond the memory budget (cli.MEMORY_BUDGET_BYTES), by train.training_bytes.
+    # Each is also far beyond any machine's memory, so a run that got past the
+    # check would fail at its first large allocation instead of filling memory.
+    "train_n_beyond_memory": (["train", "--epochs", "0", "--points", "2",
+                               "--n", "100000000000000000000"], None),
+    "train_points_beyond_memory": (["train", "--epochs", "0", "--points", "1000000000"], None),
+    "train_d_latent_beyond_memory": (["train", "--epochs", "0", "--d-latent", "1000000000"], None),
+    "train_d_beyond_memory_in_config": (["train", "--epochs", "0"], "d = 1000000000\n"),
+    "sweep_largest_cell_beyond_memory": (["sweep", "--epochs", "0", "--d", "1",
+                                          "--d-latent", "2,1000000000"], None),
 }
+
+
+def test_memory_budget_admits_the_defaults_and_a_large_batch_size(tmp_path):
+    from sumformer.cli import MEMORY_BUDGET_BYTES
+    from sumformer.train import training_bytes
+
+    assert training_bytes(3, 2, 32, 2000, 0.8, 100) < MEMORY_BUDGET_BYTES / 100
+    # A batch larger than the training split is clamped to it, not refused.
+    out = str(tmp_path / "big_batch")
+    assert main(["train", "--epochs", "1", "--points", "20", "--d-latent", "4",
+                 "--batch-size", "100000000000000000000", "--out", out]) == EXIT_OK
 
 
 @pytest.mark.parametrize("case", list(BAD_VALUES))

@@ -41,6 +41,9 @@ def test_relu_is_bitwise_the_where_form():
     for h in (special.reshape(2, 7), noise.reshape(100, 100), *negative_zeros):
         reference = np.where(h > 0.0, h, 0.0)
         assert np.array_equal(relu(h).view(np.int64), reference.view(np.int64))
+        in_place = h.copy()  # as mlp_forward applies it, to the layer's own output
+        assert relu(in_place, out=in_place) is in_place
+        assert np.array_equal(in_place.view(np.int64), reference.view(np.int64))
 
 
 def test_forward_is_token_wise():

@@ -95,13 +95,17 @@ def test_polynomial_phi_model_round_trip():
     assert np.array_equal(sumformer_forward(loaded, x), sumformer_forward(model, x))
 
 
-def test_continuous_model_round_trip():
+def _continuous_model():
     sigma0 = LatentPolynomial((
         (np.array([0.5]), (2, 0, 0)),
         (np.array([-0.5]), (0, 1, 0)),
     ))
     sigma1 = LatentPolynomial(((np.array([1.0]), (0, 0, 0)),))
-    model = build_continuous_sumformer(3, 1, [((0,), sigma0), ((1,), sigma1)])
+    return build_continuous_sumformer(3, 1, [((0,), sigma0), ((1,), sigma1)])
+
+
+def test_continuous_model_round_trip():
+    model = _continuous_model()
     loaded = load_model(dump_model(model))
     x = np.array([[1.0], [2.0], [3.0]])
     assert np.array_equal(sumformer_forward(loaded, x), sumformer_forward(model, x))
@@ -124,17 +128,30 @@ def _drop_first_row(text, matrix):
     return "\n".join(lines[:i + 1] + lines[i + 2:]) + "\n"
 
 
-# Each damages a valid file with d = 1: (damage, words the error must name).
+# Each damages a valid file with d = 1: (damage, words the error must name,
+# the files it applies to).
+MLP_FILES = ("mlp_model", "construction")
+POLYNOMIAL_PSI = ("polynomial_psi_model",)
 DAMAGED_FILES = {
-    "header_only": (lambda text: text.splitlines()[0] + "\n", "object line"),
-    "missing_field": (lambda text: text.replace("field d int 1\n", ""), "field 'd'"),
-    "field_not_an_int": (lambda text: text.replace("field d int 1", "field d int one"), "field d int one"),
-    "matrix_short_of_rows": (lambda text: _drop_first_row(text, "phi.W0"), "rows declared"),
-    "field_of_the_wrong_type": (lambda text: text.replace("field d int 1", "field d str one"), "field d must be int"),
-    "field_out_of_range": (lambda text: text.replace("field d int 1", "field d int -1"), "field d must be int >= 1"),
-    "field_bool_for_int": (lambda text: text.replace("field d int 1", "field d bool 1"), "field d must be int"),
+    "header_only": (lambda text: text.splitlines()[0] + "\n", "object line", MLP_FILES),
+    "missing_field": (lambda text: text.replace("field d int 1\n", ""), "field 'd'", MLP_FILES),
+    "field_not_an_int": (lambda text: text.replace("field d int 1", "field d int one"), "field d int one",
+                         MLP_FILES),
+    "matrix_short_of_rows": (lambda text: _drop_first_row(text, "phi.W0"), "rows declared", MLP_FILES),
+    "field_of_the_wrong_type": (lambda text: text.replace("field d int 1", "field d str one"),
+                                "field d must be int", MLP_FILES),
+    "field_out_of_range": (lambda text: text.replace("field d int 1", "field d int -1"),
+                           "field d must be int >= 1", MLP_FILES),
+    "field_bool_for_int": (lambda text: text.replace("field d int 1", "field d bool 1"), "field d must be int",
+                           MLP_FILES),
     "widths_not_integers": (lambda text: text.replace("field phi.widths str 1,", "field phi.widths str x,"),
-                            "field phi.widths must list integers"),
+                            "field phi.widths must list integers", MLP_FILES),
+    "alpha_without_rows": (lambda text: text.replace("imatrix psi.term0.alpha 1 1\n0\n",
+                                                     "imatrix psi.term0.alpha 0 1\n"),
+                           "psi.term0.alpha must have 1 row", POLYNOMIAL_PSI),
+    "exps_short_of_coeffs": (lambda text: text.replace("imatrix psi.term0.exps 2 3\n2 0 0\n",
+                                                       "imatrix psi.term0.exps 1 3\n"),
+                             "psi.term0.exps has 1 rows, psi.term0.coeffs 2", POLYNOMIAL_PSI),
 }
 
 
@@ -142,12 +159,16 @@ DAMAGED_FILES = {
 def test_damaged_files_raise_config_error_naming_the_fault(case):
     from sumformer.mlp import MlpSpec, init_mlp_params
 
-    damage, named = DAMAGED_FILES[case]
+    damage, named, applies_to = DAMAGED_FILES[case]
     basis = enumerate_multidegrees(1, 2)
     spec = MlpSpec((1, 5, basis.size))
     con = build_sum_extraction("standard", 3, 1, basis, phi_net=(spec, init_mlp_params(spec, np.random.default_rng(0))))
-    for load, text in ((load_model, dump_model(build_mlp_sumformer(1, 2, seed=0))),
-                       (load_construction, dump_construction(con))):
+    files = {
+        "mlp_model": (load_model, dump_model(build_mlp_sumformer(1, 2, seed=0))),
+        "construction": (load_construction, dump_construction(con)),
+        "polynomial_psi_model": (load_model, dump_model(_continuous_model())),
+    }
+    for load, text in (files[name] for name in applies_to):
         assert damage(text) != text
         with pytest.raises(ConfigError) as exc_info:
             load(damage(text))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,14 @@ from sumformer.serialize import dump_model, load_model
 from sumformer.targets import get_target
 from sumformer.train import (
     OptimizerConfig,
+    WorkBuffer,
     generate_dataset,
     latent_sweep,
     loss_and_gradient,
     relative_l2_error,
     train,
     trainable_arrays,
+    training_bytes,
 )
 
 FAST = OptimizerConfig(batch_size=50)
@@ -191,16 +195,22 @@ def _taped_loss_and_gradient(model, x_seqs, y_seqs):
     return float(loss.value[0, 0]), [grads[p] for p in tape.parameters]
 
 
-def _fused_loss_and_gradient(model, x_seqs, y_seqs):
+def _nan_gradient(model):
+    """Gradient views shaped like the model's parameters, filled with NaN."""
+    size = sum(a.size for a in trainable_arrays(model))
+    return param_views(np.full(size, np.nan), model.trainable_params())
+
+
+def _fused_loss_and_gradient(model, x_seqs, y_seqs, work):
     """The training step's loss and gradients, in trainable_arrays order.
 
-    The gradient buffer starts as NaN, so an entry the step does not
-    write shows up as a mismatch.
+    The gradient buffer and the step's work buffer start as NaN, so an
+    entry the step does not write, or reads before writing, shows up as
+    a mismatch.
     """
-    size = sum(a.size for a in trainable_arrays(model))
-    grad_flat = np.full(size, np.nan)
-    grads = param_views(grad_flat, model.trainable_params())
-    loss = loss_and_gradient(model, x_seqs, y_seqs, grads)
+    grads = _nan_gradient(model)
+    work.flat.fill(np.nan)
+    loss = loss_and_gradient(model, x_seqs, y_seqs, grads, work)
     return loss, [g for params in grads for pair in params for g in pair]
 
 
@@ -221,12 +231,13 @@ def test_fused_step_matches_tape_oracle(case):
     # A few steps first, so the ReLU masks are not those of the initial weights.
     train(model, data, epochs=2, config=OptimizerConfig(lr=1e-2, batch_size=batch), seed=1)
     x_train, y_train = data.inputs[data.train_idx], data.targets[data.train_idx]
+    work = WorkBuffer(model, n, batch)  # shared by every minibatch, as in train()
     sizes = []
     for start in range(0, len(x_train), batch):
         x, y = x_train[start:start + batch], y_train[start:start + batch]
         sizes.append(x.shape[0])
         tape_loss, tape_grads = _taped_loss_and_gradient(model, x, y)
-        loss, grads = _fused_loss_and_gradient(model, x, y)
+        loss, grads = _fused_loss_and_gradient(model, x, y, work)
         assert abs(loss - tape_loss) <= 1e-12 * abs(tape_loss)
         assert loss == tape_loss
         assert len(grads) == len(tape_grads) == len(trainable_arrays(model))
@@ -242,9 +253,10 @@ def test_step_loss_is_the_batch_forward_mse(case):
     build, n, d, count, _ = ORACLE_CASES[case]
     data = generate_dataset(get_target("cubic_coupling"), n, d, count, 0.8, seed=14)
     model = build()
-    x, y = data.inputs[:5], data.targets[:5]
-    loss, _ = _fused_loss_and_gradient(model, x, y)
-    assert loss == np.mean((batch_forward(model, x) - y) ** 2)
+    work = WorkBuffer(model, n, 5)
+    for x, y in ((data.inputs[:5], data.targets[:5]), (data.inputs[5:8], data.targets[5:8])):
+        loss, _ = _fused_loss_and_gradient(model, x, y, work)
+        assert loss == np.mean((batch_forward(model, x) - y) ** 2)
 
 
 def test_train_keeps_parameters_in_one_flat_buffer():
@@ -262,3 +274,62 @@ def test_train_keeps_parameters_in_one_flat_buffer():
     reloaded = load_model(dump_model(model))
     x = data.inputs[data.val_idx]
     assert np.array_equal(batch_forward(reloaded, x), batch_forward(model, x))
+
+
+def test_work_buffer_refuses_more_sequences_than_it_holds():
+    data = generate_dataset(get_target("cubic_coupling"), 3, 2, 20, 0.8, seed=19)
+    model = build_mlp_sumformer(2, 4, seed=0, hidden=(6,))
+    grads = _nan_gradient(model)
+    work = WorkBuffer(model, 3, 4, val_seqs=2)
+    with pytest.raises(ContractError):
+        loss_and_gradient(model, data.inputs[:5], data.targets[:5], grads, work)
+    with pytest.raises(ContractError):
+        work.views(3, step=False)
+
+
+def test_warm_step_allocates_less_than_one_layer():
+    # The default shape: 100 sequences of 3 tokens (300 rows), 50-wide layers.
+    data = generate_dataset(get_target("cubic_coupling"), 3, 2, 200, 0.8, seed=16)
+    model = build_mlp_sumformer(2, 32, seed=0)
+    x, y = data.inputs[:100], data.targets[:100]
+    grads = _nan_gradient(model)
+    work = WorkBuffer(model, 3, 100)
+    loss_and_gradient(model, x, y, grads, work)
+    tracemalloc.start()
+    try:
+        loss_and_gradient(model, x, y, grads, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * 50 * 8
+
+
+def test_validation_errors_are_the_allocating_forward_errors():
+    data = generate_dataset(get_target("cubic_coupling"), 3, 2, 57, 0.8, seed=17)
+    x_val, y_val = data.inputs[data.val_idx], data.targets[data.val_idx]
+    model = build_mlp_sumformer(2, 6, seed=7, hidden=(9, 8))
+    initial = build_mlp_sumformer(2, 6, seed=7, hidden=(9, 8))
+    report = train(model, data, epochs=5, config=OptimizerConfig(lr=1e-2, batch_size=20), seed=2)
+    (epoch0, err0), (epoch5, err5) = report.val_errors
+    assert (epoch0, epoch5) == (0, 5)
+    assert err0 == relative_l2_error(batch_forward(initial, x_val), y_val)
+    assert err5 == relative_l2_error(batch_forward(model, x_val), y_val)
+    assert err5 != err0
+
+
+def test_training_bytes_matches_what_train_allocates():
+    # The dataset exists before train() starts; its two copies and the rest
+    # of what train() holds are traced.  numpy's 64 KiB iterator buffer for
+    # a broadcast bias add is left out of the estimate.
+    n, d, d_latent, points = 3, 2, 8, 300
+    data = generate_dataset(get_target("cubic_coupling"), n, d, points, 0.8, seed=18)
+    model = build_mlp_sumformer(d, d_latent, seed=0)
+    tracemalloc.start()
+    try:
+        train(model, data, epochs=1, config=OptimizerConfig(batch_size=64), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = peak + data.inputs.nbytes + data.targets.nbytes
+    estimate = training_bytes(n, d, d_latent, points, 0.8, 64)
+    assert 0.9 * estimate <= held <= 1.1 * estimate
