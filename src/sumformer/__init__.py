@@ -10,11 +10,7 @@ from .attention import (
     attention_matrix,
     build_sum_extraction,
     head_forward,
-    linformer_head,
     mac_count,
-    performer_features,
-    performer_head,
-    standard_head,
 )
 from .autodiff import Tape, central_difference, gradient
 from .equivariance import (
@@ -22,6 +18,7 @@ from .equivariance import (
     check_semi_invariance,
     compose,
     lift,
+    per_sequence,
     permute,
 )
 from .linalg import softmax_rows
@@ -47,7 +44,6 @@ from .multisym import (
     basis_size,
     enumerate_multidegrees,
     generation_oracle,
-    monomial_features,
     power_sum,
     power_sum_vector,
 )

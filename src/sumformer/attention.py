@@ -25,7 +25,7 @@ from .errors import (
     ShapeError,
     UnsupportedInspectionError,
 )
-from .linalg import require_finite, require_matrix, softmax_rows
+from .linalg import require_finite, require_rows, softmax_rows
 from .mlp import MlpParams, MlpSpec
 from .model import MlpFeatureMap, PolynomialFeatureMap
 from .multisym import DegreeBasis
@@ -37,28 +37,28 @@ class MacCounter:
     def __init__(self):
         self.total = 0
 
-    def matmul(self, p: int, q: int, r: int):
-        self.total += p * q * r
-
     def dots(self, count: int, length: int):
         self.total += count * length
 
 
 def _mm(a: np.ndarray, b: np.ndarray, counter: MacCounter | None) -> np.ndarray:
+    """a @ b for matrices or (S, p, q) stacks; the counter counts every slice."""
+    out = a @ b
     if counter is not None:
-        counter.matmul(a.shape[0], a.shape[1], b.shape[1])
-    return a @ b
+        counter.dots(out.size, a.shape[-1])
+    return out
 
 
 # Query rows per block of the softmax heads' forward.  The softmax is row-local,
-# so blocking rows bounds the score memory at ROW_BLOCK x (key count) floats.
+# so blocking rows bounds the score memory at ROW_BLOCK x (key count) floats
+# per sequence.
 ROW_BLOCK = 128
 
 
 def _attention_rows(q: np.ndarray, k_t: np.ndarray, counter: MacCounter | None) -> np.ndarray:
     """softmax(q K^T / sqrt(m)) for the query rows q."""
     scores = _mm(q, k_t, counter)
-    scores /= math.sqrt(q.shape[1])
+    scores /= math.sqrt(q.shape[-1])
     return softmax_rows(scores)
 
 
@@ -66,7 +66,10 @@ class HeadSpec:
     """What a head variant knows about itself; each spec class is one entry of HEADS.
 
     The default forward is row-softmax attention softmax(Q K^T / sqrt(m)) V
-    whose keys and values read the rows ``sources`` returns.
+    whose keys and values read the rows ``sources`` returns.  Every forward
+    takes one n x m matrix or an (S, n, m) stack of sequences; each slice of
+    a stack goes through the same matmuls as that sequence alone, so its
+    output is bitwise the same.
     """
 
     k = None            # projection rank / feature count, for variants that have one
@@ -100,7 +103,7 @@ class HeadSpec:
         _check_head_input(x, self)
         key_rows, value_rows = self.sources(x, counter)
         q = _mm(x, self.w_q, counter)
-        return q, _mm(key_rows, self.w_k, counter).T, value_rows
+        return q, _mm(key_rows, self.w_k, counter).swapaxes(-1, -2), value_rows
 
     def attention(self, x: np.ndarray, counter: MacCounter | None = None):
         """The row-stochastic matrix A and the rows its values are computed from."""
@@ -112,10 +115,10 @@ class HeadSpec:
         once, and each output row comes from the same dot products as A @ V."""
         q, k_t, value_rows = self._queries_and_keys(x, counter)
         v = _mm(value_rows, self.w_v, counter)
-        out = np.empty((q.shape[0], v.shape[1]))
-        for start in range(0, q.shape[0], ROW_BLOCK):
+        out = np.empty((*q.shape[:-1], v.shape[-1]))
+        for start in range(0, q.shape[-2], ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
-            out[rows] = _mm(_attention_rows(q[rows], k_t, counter), v, counter)
+            out[..., rows, :] = _mm(_attention_rows(q[..., rows, :], k_t, counter), v, counter)
         return out
 
 
@@ -237,7 +240,7 @@ class PerformerHeadSpec(HeadSpec):
         k = _performer_features_rows(_mm(x, self.w_k, counter), self.omegas, counter)
         v = _mm(x, self.w_v, counter)
         # Right-associated product: the k x m intermediate comes first.
-        return _mm(q, _mm(k.T, v, counter), counter)
+        return _mm(q, _mm(k.swapaxes(-1, -2), v, counter), counter)
 
 
 HEADS: dict[str, type[HeadSpec]] = {
@@ -252,39 +255,30 @@ def head_class(variant: str) -> type[HeadSpec]:
 
 
 def _check_head_input(x: np.ndarray, spec: HeadSpec):
-    require_matrix(x, "X")
+    require_rows(x, "X")
     require_finite(x, "X")
     m = spec.w_q.shape[0]
     for name in ("w_q", "w_k", "w_v"):
         w = getattr(spec, name)
         if w.shape != (m, m):
             raise ShapeError(f"{name} must be {m}x{m}, got {w.shape}")
-    if x.shape[1] != m:
-        raise ShapeError(f"X has width {x.shape[1]}, weights expect {m}")
-    for name, shape in spec.extra_shapes(x.shape[0], m, spec.k).items():
+    n = x.shape[-2]
+    if x.shape[-1] != m:
+        raise ShapeError(f"X has width {x.shape[-1]}, weights expect {m}")
+    for name, shape in spec.extra_shapes(n, m, spec.k).items():
         if getattr(spec, name).shape != shape:
             raise ShapeError(f"{name} must be {shape}, got {getattr(spec, name).shape}")
-    spec.require_k(x.shape[0], spec.k)
-
-
-def performer_features(x: np.ndarray, omegas: np.ndarray, counter: MacCounter | None = None) -> np.ndarray:
-    """(1/sqrt(k)) exp(-|x|^2 / 2) [exp(w_1.x), ..., exp(w_k.x)] for one vector x."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if omegas.ndim != 2 or omegas.shape[1] != x.shape[0]:
-        raise ShapeError(f"omegas shape {omegas.shape} vs vector length {x.shape[0]}")
-    k = omegas.shape[0]
-    if counter is not None:
-        counter.dots(1, x.shape[0])       # squared norm
-        counter.dots(k, x.shape[0])       # k projections
-    return np.exp(omegas @ x - 0.5 * float(x @ x)) / np.sqrt(k)
+    spec.require_k(n, spec.k)
 
 
 def _performer_features_rows(rows: np.ndarray, omegas: np.ndarray, counter: MacCounter | None) -> np.ndarray:
+    """(1/sqrt(k)) exp(-|x|^2 / 2) [exp(w_1.x), ..., exp(w_k.x)] for every row x."""
     k = omegas.shape[0]
     if counter is not None:
-        counter.dots(rows.shape[0], rows.shape[1])        # squared norms
-        counter.dots(rows.shape[0] * k, rows.shape[1])    # k projections per row
-    norms = (rows * rows).sum(axis=1, keepdims=True)
+        row_count = rows.size // rows.shape[-1]
+        counter.dots(row_count, rows.shape[-1])        # squared norms
+        counter.dots(row_count * k, rows.shape[-1])    # k projections per row
+    norms = (rows * rows).sum(axis=-1, keepdims=True)
     features = np.exp(rows @ omegas.T - 0.5 * norms) / math.sqrt(k)
     # Features are >= 0, so a row sum is 0 only when the whole row underflowed.
     # The sums are a matrix-vector product: a row-wise numpy reduction over
@@ -296,10 +290,6 @@ def _performer_features_rows(rows: np.ndarray, omegas: np.ndarray, counter: MacC
 
 def head_forward(x: np.ndarray, spec: HeadSpec, counter: MacCounter | None = None) -> np.ndarray:
     return spec.forward(x, counter)
-
-
-# One forward serves every variant; the spec's class selects it.
-standard_head = linformer_head = performer_head = head_forward
 
 
 def attention_matrix(x: np.ndarray, spec: HeadSpec) -> np.ndarray:
@@ -340,13 +330,17 @@ class SumExtractionConstruction:
         return self.basis.size
 
     def lift(self, x: np.ndarray) -> np.ndarray:
-        """Token-wise lift of raw n x d input to the 1 + d + 2d' layout."""
-        if x.ndim != 2 or x.shape[1] != self.d:
-            raise ShapeError(f"input shape {x.shape}, expected n x {self.d}")
-        n = x.shape[0]
-        return np.hstack([np.ones((n, 1)), x, self.phi.rows(x), np.zeros((n, self.d_latent))])
+        """Token-wise lift of raw n x d input, or an (S, n, d) stack, to the
+        1 + d + 2d' layout."""
+        if x.ndim not in (2, 3) or x.shape[-1] != self.d:
+            raise ShapeError(f"input shape {x.shape}, expected n x {self.d} or S x n x {self.d}")
+        rows = x.shape[:-1]
+        return np.concatenate(
+            [np.ones((*rows, 1)), x, self.phi.rows(x), np.zeros((*rows, self.d_latent))], axis=-1)
 
     def forward(self, x: np.ndarray, counter: MacCounter | None = None) -> np.ndarray:
+        """Rows [1, x_i, phi(x_i), Sigma] of one sequence or of each sequence of
+        a stack, bitwise as if each were given alone."""
         lifted = self.lift(x)
         out = lifted + _mm(lifted + self.head.forward(lifted, counter), self.w_fc, counter)
         return require_finite(out, "block output")

@@ -27,9 +27,10 @@ EXIT_CONFIG = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_DIVERGED = 4
 
-# ``train`` and ``sweep`` refuse a configuration whose estimated memory
-# (``train.training_bytes``; for a sweep, its largest cell) exceeds this.
-# ``epochs`` costs time, not memory, and has no upper bound.
+# ``train``, ``sweep`` and ``verify`` refuse a configuration whose estimated
+# memory (``train.training_bytes``, for a sweep its largest cell;
+# ``verify.verify_bytes``) exceeds this.  ``epochs`` costs time, not memory,
+# and has no upper bound.
 MEMORY_BUDGET_BYTES = 2 * 2**30
 
 
@@ -194,6 +195,15 @@ def _optimizer_config(config: dict):
     )
 
 
+def _refuse_over_budget(need: int, keys: str):
+    if need > MEMORY_BUDGET_BYTES:
+        # A float holds the size up to about 2**1024 bytes.
+        size = f"about {need / 2**30:.3g} GiB" if need < 2**1000 else "over 2**1000 bytes"
+        raise ConfigError(
+            f"{keys} need {size}, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB budget"
+        )
+
+
 def _check_memory(config: dict, batch_size: int | None):
     """Refuse a train or sweep config whose largest cell would not fit the budget."""
     from .train import SWEEP_SPLIT, training_bytes
@@ -203,25 +213,23 @@ def _check_memory(config: dict, batch_size: int | None):
                        config.get("split_fraction", SWEEP_SPLIT), batch_size)
         for d in _listed(config["d"]) for d_latent in _listed(config["d_latent"])
     )
-    if need > MEMORY_BUDGET_BYTES:
-        raise ConfigError(
-            f"n, d, d_latent and points need about {need / 2**30:.3g} GiB, "
-            f"over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB budget"
-        )
+    _refuse_over_budget(need, "n, d, d_latent and points")
 
 
 def cmd_verify(config: dict) -> int:
     """Run the oracle and invariant suites."""
-    from .verify import VerifyConfig, run_verification, write_report
+    from .verify import VerifyConfig, run_verification, verify_bytes, write_report, write_timing
 
     vconfig = VerifyConfig(
         n_list=_listed(config["n"]),
         d_list=_listed(config["d"]),
         **{key: value for key, value in config.items() if key not in ("n", "d", "out")},
     )
+    _refuse_over_budget(verify_bytes(vconfig), "n, d and samples")
     out = _ensure_out(config)
     records = run_verification(vconfig, out)
     write_report(os.path.join(out, "verify_report.txt"), records)
+    write_timing(os.path.join(out, "verify_timing.txt"), records)
     for r in records:
         print(f"{r.name}: {r.status} (max residual {r.max_residual:.3e})")
     return EXIT_VERIFY_FAILED if any(r.status == "fail" for r in records) else EXIT_OK

@@ -35,10 +35,14 @@ def compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.asarray(p)[np.asarray(q)]
 
 
-def invert(p: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(p)
-    inv[p] = np.arange(len(p))
-    return inv
+def per_sequence(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """The stack map that applies the sequence map ``fn`` to each sequence of
+    an (S, n, d) stack in turn."""
+
+    def stacked(xs: np.ndarray) -> np.ndarray:
+        return np.stack([fn(x) for x in xs])
+
+    return stacked
 
 
 def lift(g: SemiInvariantFn) -> Callable[[np.ndarray], np.ndarray]:
@@ -71,6 +75,13 @@ def worse(residual: float, worst: float) -> bool:
     return residual > worst or (np.isnan(residual) and not np.isnan(worst))
 
 
+def first_worse(residuals: np.ndarray, worst: float) -> int | None:
+    """Index of the residual that a scan in order with ``worse`` would end on
+    (the first maximum, or the first NaN), if it replaces ``worst``."""
+    first = int(np.argmax(residuals))
+    return first if worse(float(residuals[first]), worst) else None
+
+
 def _permutations_for(n: int, rng: np.random.Generator):
     """All permutations for n <= 6, a single random draw otherwise."""
     if n <= 6:
@@ -91,17 +102,22 @@ def check_equivariance(
 
     Each trial draws one X uniform in [0,1]^{n x d}; for n <= 6 all n!
     permutations are checked per draw, otherwise one random permutation.
+    ``f`` maps an (S, n, d) stack to one output per sequence; it is called
+    once per draw, on the stack [X, p_1 X, ..., p_P X].  A map of single
+    sequences is checked as ``per_sequence(fn)``.  The witness is the first
+    worst (X, pi), a NaN violation counting as worst.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     witness_x = witness_p = None
     for _ in range(trials):
         x = rng.uniform(size=(n, d))
-        fx = f(x)
-        for p in _permutations_for(n, rng):
-            violation = float(np.max(np.abs(f(permute(x, p)) - permute(fx, p))))
-            if worse(violation, worst):
-                worst, witness_x, witness_p = violation, x, p
+        perms = np.array(list(_permutations_for(n, rng)))
+        out = f(np.concatenate([x[np.newaxis], x[perms]]))
+        violations = np.max(np.abs(out[1:] - out[0][perms]).reshape(len(perms), -1), axis=1)
+        first = first_worse(violations, worst)
+        if first is not None:
+            worst, witness_x, witness_p = float(violations[first]), x, perms[first]
     return CheckReport(worst, witness_x, witness_p)
 
 

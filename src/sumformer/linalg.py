@@ -1,7 +1,8 @@
 """Dense float64 matrix helpers.
 
 A "matrix" throughout the package is a 2-D C-contiguous float64 numpy
-array (rows x cols, row-major).  Reductions delegate to numpy, whose
+array (rows x cols, row-major); a stack is an (S, rows, cols) array of
+S such matrices.  Reductions delegate to numpy, whose
 kernels are deterministic for a fixed platform and array shape, so every
 run of the same program produces bitwise identical results.
 """
@@ -13,9 +14,10 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 
-def require_matrix(m: np.ndarray, name: str) -> np.ndarray:
-    if not isinstance(m, np.ndarray) or m.ndim != 2:
-        raise ShapeError(f"{name} must be a 2-D array")
+def require_rows(m: np.ndarray, name: str) -> np.ndarray:
+    """``m`` if it is a matrix or a stack of matrices."""
+    if not isinstance(m, np.ndarray) or m.ndim not in (2, 3):
+        raise ShapeError(f"{name} must be a 2-D array or a 3-D stack")
     return m
 
 
@@ -26,16 +28,17 @@ def require_finite(m: np.ndarray, name: str) -> np.ndarray:
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for stability.
+    """Row-wise softmax with max-subtraction for stability, of a matrix or
+    of each matrix of a stack.
 
     Each output row is nonnegative and sums to 1 (within float rounding);
     adding a constant to an input row leaves its output row unchanged.
     The input is not modified; the exp and the normalisation run in place
     on the one shifted copy.
     """
-    require_matrix(m, "m")
+    require_rows(m, "m")
     require_finite(m, "softmax input")
-    e = m - m.max(axis=1, keepdims=True)
+    e = m - m.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e

@@ -49,13 +49,6 @@ def init_mlp_params(spec: MlpSpec, rng: np.random.Generator) -> MlpParams:
     return params
 
 
-def zero_mlp_params(spec: MlpSpec) -> MlpParams:
-    return [
-        (np.zeros((fi, fo)), np.zeros((1, fo)))
-        for fi, fo in zip(spec.layer_widths, spec.layer_widths[1:])
-    ]
-
-
 def _check_params(spec: MlpSpec, params: MlpParams):
     if len(params) != spec.n_layers:
         raise ShapeError(f"expected {spec.n_layers} layers of params, got {len(params)}")
@@ -73,7 +66,9 @@ def mlp_forward(
     acts: list | None = None,
     outs: list[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Apply the network row-wise (each row of x is one token).
+    """Apply the network row-wise (each row of x is one token).  An (S, n, w)
+    stack runs each sequence's n rows through the same matmuls as that
+    sequence alone.
 
     With ``acts`` given, each layer's input is appended to it: what
     ``mlp_backward`` reads.  With ``outs`` given, layer i writes its output
@@ -81,7 +76,7 @@ def mlp_forward(
     memory with that layer's input; without it each layer allocates one.
     """
     _check_params(spec, params)
-    if x.ndim != 2 or x.shape[1] != spec.in_width:
+    if x.ndim not in (2, 3) or x.shape[-1] != spec.in_width:
         raise ShapeError(f"input shape {x.shape} vs expected width {spec.in_width}")
     h = x
     last = spec.n_layers - 1

@@ -73,49 +73,53 @@ def enumerate_multidegrees(d: int, n_max: int) -> DegreeBasis:
     return DegreeBasis(d=d, n_max=n_max, degrees=tuple(degrees), exponents=exponents)
 
 
-def monomial_features(x: np.ndarray, basis: DegreeBasis) -> np.ndarray:
-    """Evaluate every basis monomial at a single token x (length-d vector)."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != basis.d:
-        raise ShapeError(f"token has dimension {x.shape[0]}, basis expects {basis.d}")
-    # 0**0 == 1 under numpy float power, as required for absent variables.
-    return np.prod(x[np.newaxis, :] ** basis.exponents, axis=1)
-
-
 def monomial_feature_matrix(x_rows: np.ndarray, basis: DegreeBasis) -> np.ndarray:
-    """monomial_features applied to every row of an n x d matrix."""
-    if x_rows.ndim != 2 or x_rows.shape[1] != basis.d:
+    """Every basis monomial at every row of an n x d matrix or an (S, n, d) stack.
+
+    0**0 == 1 under numpy float power, as required for absent variables.
+    """
+    if x_rows.ndim not in (2, 3) or x_rows.shape[-1] != basis.d:
         raise ShapeError(f"rows have shape {x_rows.shape}, basis expects d={basis.d}")
-    return np.prod(x_rows[:, np.newaxis, :] ** basis.exponents[np.newaxis, :, :], axis=2)
+    return np.prod(x_rows[..., np.newaxis, :] ** basis.exponents, axis=-1)
 
 
 def _canonical_row_order(x: np.ndarray) -> np.ndarray:
-    """Indices sorting rows lexicographically (first column outermost)."""
-    return np.lexsort(x.T[::-1])
+    """Indices sorting the rows of each sequence lexicographically (first
+    column outermost): (n,) for one sequence, (S, n) for a stack."""
+    return np.lexsort(np.moveaxis(x, -1, 0)[::-1], axis=-1)
 
 
-def power_sum(x: np.ndarray, alpha: MultiDegree) -> float:
-    """Sum over tokens of x^alpha.
+def _canonical_rows(x: np.ndarray) -> np.ndarray:
+    """Each sequence's rows in canonical order."""
+    return np.take_along_axis(x, _canonical_row_order(x)[..., np.newaxis], axis=-2)
+
+
+def power_sum(x: np.ndarray, alpha: MultiDegree) -> float | np.ndarray:
+    """Sum over tokens of x^alpha: a float for one n x d sequence, an array
+    of S sums for an (S, n, d) stack.
 
     Tokens are sorted lexicographically before the reduction, so the
-    value is bitwise identical for any row permutation of x.
+    value is bitwise identical for any row permutation of x, and each
+    sum of a stack is bitwise that of its sequence alone.
     """
-    if x.ndim != 2 or x.shape[1] != len(alpha):
+    if x.ndim not in (2, 3) or x.shape[-1] != len(alpha):
         raise ShapeError(f"sequence shape {x.shape} vs multidegree length {len(alpha)}")
-    ordered = x[_canonical_row_order(x)]
     exps = np.asarray(alpha, dtype=np.int64)
-    return float(np.sum(np.prod(ordered**exps, axis=1)))
+    sums = np.sum(np.prod(_canonical_rows(x) ** exps, axis=-1), axis=-1)
+    return float(sums) if x.ndim == 2 else sums
 
 
 def power_sum_vector(x: np.ndarray, basis: DegreeBasis) -> np.ndarray:
-    """All power sums of the basis at once; equals monomial features summed over tokens.
+    """All power sums of the basis at once; equals monomial features summed
+    over tokens.  (d',) for one sequence, (S, d') for an (S, n, d) stack.
 
-    Uses the same canonical token order as power_sum, so each entry
-    matches power_sum(x, degree) bitwise and row permutations of x do
-    not change the result.
+    Uses the same canonical token order as power_sum, so row permutations
+    of x do not change the result, and each row of a stack's result is
+    bitwise that of its sequence alone.  Its entries agree with power_sum
+    to rounding, not bitwise: numpy's power may round a monomial differently
+    in the two functions' array layouts (seen at d = 1).
     """
-    ordered = x[_canonical_row_order(x)]
-    return np.sum(monomial_feature_matrix(ordered, basis), axis=0)
+    return np.sum(monomial_feature_matrix(_canonical_rows(x), basis), axis=-2)
 
 
 @dataclass(frozen=True)
@@ -125,13 +129,6 @@ class FitReport:
     residual: float
     terms: tuple[tuple[MultiDegree, ...], ...]
     coefficients: np.ndarray
-
-    def coefficient_of(self, *alphas: MultiDegree) -> float:
-        key = tuple(sorted(alphas))
-        for term, coeff in zip(self.terms, self.coefficients):
-            if term == key:
-                return float(coeff)
-        raise KeyError(f"term {key} not in fit")
 
 
 def product_terms(d: int, n: int, max_product_degree: int) -> list[tuple[MultiDegree, ...]]:
@@ -185,17 +182,14 @@ def generation_oracle(
     terms = product_terms(d, n, max_product_degree)
     generators = enumerate_multidegrees(d, n).degrees
     samples = rng.uniform(size=(sample_count, n, d))
+    sums = {alpha: power_sum(samples, alpha) for alpha in generators}
     design = np.empty((sample_count, len(terms)))
-    values = np.empty(sample_count)
-    for i in range(sample_count):
-        x = samples[i]
-        sums = {alpha: power_sum(x, alpha) for alpha in generators}
-        for j, term in enumerate(terms):
-            prod = 1.0
-            for alpha in term:
-                prod *= sums[alpha]
-            design[i, j] = prod
-        values[i] = target(x)
+    for j, term in enumerate(terms):
+        column = design[:, j]
+        column[:] = 1.0
+        for alpha in term:
+            column *= sums[alpha]
+    values = np.array([target(x) for x in samples], dtype=np.float64)
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
     residual = float(np.max(np.abs(design @ coeffs - values)))
     return FitReport(residual=residual, terms=tuple(terms), coefficients=coeffs)

@@ -10,14 +10,16 @@ they are load-bearing).
 
 from __future__ import annotations
 
+import math
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attention import HEADS, attention_matrix, build_sum_extraction
 from .autodiff import Tape, central_difference, gradient
-from .equivariance import check_equivariance, worse
+from .equivariance import check_equivariance, first_worse, per_sequence, worse
 from .mlp import MlpSpec, init_mlp_params, mlp_forward, mlp_param_nodes, mlp_taped
 from .model import (
     build_discrete_sumformer,
@@ -26,8 +28,13 @@ from .model import (
     discrete_forward,
     sumformer_forward,
 )
-from .multisym import enumerate_multidegrees, generation_oracle, power_sum_vector
+from .multisym import enumerate_multidegrees, generation_oracle, power_sum_vector, product_terms
 from .targets import get_target
+
+# The Sigma checks evaluate their samples as stacks of at most this many
+# lifted floats (sequences x n x m), so their memory does not grow with the
+# sample count; a sequence wider than this is evaluated alone.
+STACK_FLOATS = 2**20
 
 
 @dataclass
@@ -36,6 +43,7 @@ class CheckRecord:
     status: str
     max_residual: float
     witness_path: str = ""
+    seconds: float = 0.0  # wall time of the check; not part of the report
 
 
 @dataclass
@@ -58,6 +66,14 @@ def _record(name: str, config: VerifyConfig, default_tol: float, worst: float, c
     return CheckRecord(name, status, worst)
 
 
+def _stacks(rng: np.random.Generator, count: int, n: int, d: int, m: int):
+    """``count`` uniform n x d sequences in stacks of at most STACK_FLOATS
+    lifted floats: the same numbers as ``count`` draws of one sequence."""
+    size = max(1, STACK_FLOATS // (n * m))
+    for start in range(0, count, size):
+        yield rng.uniform(size=(min(size, count - start), n, d))
+
+
 def _sigma_recovery(variant: str, config: VerifyConfig, tol: float, seeds=(0,), wv_scale="k"):
     """Sigma block against the power sums; k = n - 1 where the variant takes k."""
     needs_k = HEADS[variant].needs_k
@@ -71,13 +87,14 @@ def _sigma_recovery(variant: str, config: VerifyConfig, tol: float, seeds=(0,), 
                 con = build_sum_extraction(variant, n, d, basis, k=n - 1 if needs_k else None,
                                            seed=seed, wv_scale=wv_scale)
                 rng = np.random.default_rng(1000 + seed)
-                for _ in range(config.samples):
-                    x = rng.uniform(size=(n, d))
-                    sigma = con.forward(x)[:, -con.d_latent:]
-                    residual = float(np.max(np.abs(sigma - power_sum_vector(x, basis))))
-                    cases += 1
-                    if worse(residual, worst):
-                        worst, witness = residual, x
+                for xs in _stacks(rng, config.samples, n, d, con.model_dim):
+                    sigma = con.forward(xs)[..., -con.d_latent:]
+                    errors = np.abs(sigma - power_sum_vector(xs, basis)[:, np.newaxis])
+                    residuals = np.max(errors.reshape(len(xs), -1), axis=1)
+                    first = first_worse(residuals, worst)
+                    cases += len(xs)
+                    if first is not None:
+                        worst, witness = float(residuals[first]), xs[first]
     return _record(f"sigma_recovery_{variant}", config, tol, worst, cases), witness
 
 
@@ -93,13 +110,16 @@ def check_sigma_performer(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray
     return _sigma_recovery("performer", config, 1e-8, seeds=range(config.omega_seeds))
 
 
+AVERAGING_N = {2, 3, 5, 64}  # sequence lengths the averaging check adds to n_list
+
+
 def check_averaging_attention(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
     """The constant-query construction must produce exactly uniform weights."""
     worst = 0.0
     witness = None
     basis = enumerate_multidegrees(1, 2)
     rng = np.random.default_rng(7)
-    n_values = sorted(set(config.n_list) | {2, 3, 5, 64})
+    n_values = sorted(set(config.n_list) | AVERAGING_N)
     for n in n_values:
         con = build_sum_extraction("standard", n, 1, basis)
         x = rng.uniform(size=(n, 1))
@@ -115,7 +135,11 @@ def check_equivariance_models(config: VerifyConfig) -> tuple[CheckRecord, np.nda
     basis = enumerate_multidegrees(d, n)
     mlp_model = build_mlp_sumformer(d, 6, seed=0)
     poly_model = build_polynomial_sumformer(n, d, seed=0)
-    models = [lambda x: sumformer_forward(mlp_model, x), lambda x: sumformer_forward(poly_model, x)]
+    # The sumformers stay per sequence: a stacked batch_forward's gemms run
+    # over S*n rows, which moves last bits and would make the rows of a stack
+    # only approximately equivariant.
+    models = [per_sequence(lambda x: sumformer_forward(mlp_model, x)),
+              per_sequence(lambda x: sumformer_forward(poly_model, x))]
     for variant, head in HEADS.items():
         k = n - 1 if head.needs_k else None
         models.append(build_sum_extraction(variant, n, d, basis, k=k, seed=0).forward)
@@ -156,27 +180,31 @@ def check_discrete_exactness(config: VerifyConfig) -> tuple[CheckRecord, np.ndar
     return _record("discrete_exactness", config, 0.0, worst, samples), witness
 
 
+def _pairwise_product(x):
+    n = x.shape[0]
+    return sum(float(x[i, 0] * x[j, 0]) for i in range(n) for j in range(i + 1, n))
+
+
+def _first_power_sum(x):
+    return float(np.sum(x[:, 0]))
+
+
+def _mixed_elementary(x):
+    return float(x[0, 0] * x[1, 1] + x[1, 0] * x[0, 1])
+
+
+# (target, d, n) of each generation-oracle case; each fits samples * 25 draws.
+GENERATION_CASES = [(_pairwise_product, 1, 2), (_first_power_sum, 1, 3), (_mixed_elementary, 2, 2)]
+GENERATION_DRAWS_PER_SAMPLE = 25
+
+
 def check_generation_oracle(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
-    def pairwise_product(x):
-        n = x.shape[0]
-        return sum(float(x[i, 0] * x[j, 0]) for i in range(n) for j in range(i + 1, n))
-
-    def first_power_sum(x):
-        return float(np.sum(x[:, 0]))
-
-    def mixed_elementary(x):
-        return float(x[0, 0] * x[1, 1] + x[1, 0] * x[0, 1])
-
-    cases = [
-        (pairwise_product, 1, 2),
-        (first_power_sum, 1, 3),
-        (mixed_elementary, 2, 2),
-    ]
+    draws = config.samples * GENERATION_DRAWS_PER_SAMPLE
     worst = float(np.max([  # np.max, unlike max, keeps a NaN
-        generation_oracle(target_fn, d, n, sample_count=config.samples * 25, seed=3).residual
-        for target_fn, d, n in cases
+        generation_oracle(target_fn, d, n, sample_count=draws, seed=3).residual
+        for target_fn, d, n in GENERATION_CASES
     ], initial=0.0))
-    return _record("generation_oracle", config, 1e-8, worst, len(cases)), None
+    return _record("generation_oracle", config, 1e-8, worst, len(GENERATION_CASES)), None
 
 
 def gradient_check_once(seed: int, step: float = 1e-5) -> float:
@@ -239,10 +267,46 @@ ALL_CHECKS = [
 ]
 
 
+# A construction wider than this counts as this wide plus one in verify_bytes.
+_WIDTH_CAP = 2**40
+
+
+def _lifted_width(n: int, d: int) -> int:
+    """A construction's model dim m = 1 + d + 2 (C(n + d, d) - 1), capped at
+    _WIDTH_CAP + 1.  C(n + d, low) >= 2**low for low = min(n, d), so a low
+    above 64 is past the cap without computing the binomial."""
+    low = min(n, d)
+    if low > 64:
+        return _WIDTH_CAP + 1
+    return min(1 + d + 2 * (math.comb(n + d, low) - 1), _WIDTH_CAP + 1)
+
+
+def verify_bytes(config: VerifyConfig) -> int:
+    """Estimated peak bytes of a verify run.
+
+    The larger of: the widest sum-extraction construction (its four m x m
+    weights and a stack's lifted arrays; the averaging check builds d = 1
+    at AVERAGING_N too) and the generation-oracle fit (the design matrix over
+    samples * 25 draws, lstsq's copy of it and the draws).
+    """
+    shapes = {(n, d) for n in config.n_list for d in config.d_list}
+    shapes |= {(n, 1) for n in AVERAGING_N | set(config.n_list)}
+    widest = 0
+    for n, d in shapes:
+        m = _lifted_width(n, d)
+        widest = max(widest, 8 * (4 * m * m + 10 * max(n * m, STACK_FLOATS)))
+    draws = config.samples * GENERATION_DRAWS_PER_SAMPLE
+    oracle = max(8 * draws * (2 * len(product_terms(d, n, 2 * n)) + 3 * n * d + 1)
+                 for _, d, n in GENERATION_CASES)
+    return max(widest, oracle)
+
+
 def run_verification(config: VerifyConfig, out_dir: str | None = None) -> list[CheckRecord]:
     records = []
     for check in ALL_CHECKS:
+        start = time.perf_counter()
         record, witness = check(config)
+        record.seconds = time.perf_counter() - start
         if record.status == "fail" and witness is not None and out_dir is not None:
             path = os.path.join(out_dir, f"witness_{record.name}.txt")
             np.savetxt(path, np.atleast_2d(witness))
@@ -260,3 +324,10 @@ def write_report(path: str, records: list[CheckRecord]):
         )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_timing(path: str, records: list[CheckRecord]):
+    """Each check's wall seconds; kept apart from the report, which is
+    byte-identical across reruns."""
+    with open(path, "w") as fh:
+        fh.writelines(f"name={r.name} seconds={r.seconds:.6f}\n" for r in records)

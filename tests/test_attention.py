@@ -14,16 +14,14 @@ from sumformer.attention import (
     audited_mac_count,
     build_sum_extraction,
     head_forward,
-    linformer_head,
     mac_count,
-    performer_features,
-    performer_head,
-    standard_head,
 )
 from sumformer.errors import ContractError, DomainError, ShapeError, UnsupportedInspectionError
 from sumformer.mlp import MlpSpec, init_mlp_params
 from sumformer.multisym import enumerate_multidegrees, power_sum_vector
 from sumformer.serialize import dump_construction, load_construction
+
+from oracles import performer_features
 
 
 def _random_spec(m, rng):
@@ -40,14 +38,14 @@ def test_standard_head_zero_values():
         rng.uniform(size=(3, 3)), rng.uniform(size=(3, 3)), np.zeros((3, 3))
     )
     x = rng.uniform(size=(4, 3))
-    assert np.array_equal(standard_head(x, spec), np.zeros((4, 3)))
+    assert np.array_equal(head_forward(x, spec), np.zeros((4, 3)))
 
 
 def test_standard_head_single_row():
     rng = np.random.default_rng(1)
     spec = _random_spec(3, rng)
     x = rng.uniform(size=(1, 3))
-    assert np.allclose(standard_head(x, spec), x @ spec.w_v, atol=1e-14)
+    assert np.allclose(head_forward(x, spec), x @ spec.w_v, atol=1e-14)
 
 
 def test_constant_query_construction_gives_uniform_attention():
@@ -104,7 +102,7 @@ def test_linformer_head_zero_values():
         rng.uniform(size=(3, 3)), rng.uniform(size=(3, 3)), np.zeros((3, 3)),
         e=rng.uniform(size=(2, 5)), f=rng.uniform(size=(2, 5)),
     )
-    assert np.array_equal(linformer_head(rng.uniform(size=(5, 3)), spec), np.zeros((5, 3)))
+    assert np.array_equal(head_forward(rng.uniform(size=(5, 3)), spec), np.zeros((5, 3)))
 
 
 def test_linformer_head_uniform_projections_give_token_mean():
@@ -116,7 +114,7 @@ def test_linformer_head_uniform_projections_give_token_mean():
         np.zeros((m, m)), np.zeros((m, m)), np.eye(m),
         e=np.full((1, n), 1.0 / n), f=np.full((1, n), 1.0 / n),
     )
-    out = linformer_head(x, spec)
+    out = head_forward(x, spec)
     assert np.max(np.abs(out - x.mean(axis=0))) <= 1e-14
 
 
@@ -125,7 +123,7 @@ def test_linformer_construction_attention_output_is_sum_block():
     basis = enumerate_multidegrees(d, 2)
     con = build_sum_extraction("linformer", n, d, basis, k=2)
     x = np.random.default_rng(8).uniform(size=(n, d))
-    head_out = linformer_head(con.lift(x), con.head)
+    head_out = head_forward(con.lift(x), con.head)
     expected = np.zeros((n, con.model_dim))
     expected[:, -basis.size:] = power_sum_vector(x, basis)
     assert np.max(np.abs(head_out - expected)) <= 1e-12
@@ -138,7 +136,7 @@ def test_linformer_rejects_k_not_less_than_n():
         e=rng.uniform(size=(3, 3)), f=rng.uniform(size=(3, 3)),
     )
     with pytest.raises(ContractError):
-        linformer_head(rng.uniform(size=(3, 2)), spec)
+        head_forward(rng.uniform(size=(3, 2)), spec)
 
 
 def test_performer_features_values():
@@ -156,7 +154,7 @@ def test_performer_head_zero_values():
         rng.uniform(size=(3, 3)), rng.uniform(size=(3, 3)), np.zeros((3, 3)),
         omegas=rng.standard_normal((2, 3)),
     )
-    assert np.array_equal(performer_head(rng.uniform(size=(5, 3)), spec), np.zeros((5, 3)))
+    assert np.array_equal(head_forward(rng.uniform(size=(5, 3)), spec), np.zeros((5, 3)))
 
 
 def test_performer_head_single_row_scalar_structure():
@@ -170,7 +168,7 @@ def test_performer_head_single_row_scalar_structure():
     q_feat = performer_features((x @ spec.w_q)[0], spec.omegas)
     k_feat = performer_features((x @ spec.w_k)[0], spec.omegas)
     lam = float(q_feat @ k_feat)
-    assert np.allclose(performer_head(x, spec), lam * (x @ spec.w_v), atol=1e-12)
+    assert np.allclose(head_forward(x, spec), lam * (x @ spec.w_v), atol=1e-12)
 
 
 def test_performer_construction_gram_is_constant():
@@ -392,7 +390,85 @@ def test_random_features_refuse_underflow_and_overflow():
     big = x * (1e3 / np.linalg.norm(x, axis=1, keepdims=True))
     spec = PerformerHeadSpec(eye, eye, eye, omegas=np.random.default_rng(31).standard_normal((2, m)))
     with pytest.raises(DomainError, match="underflow"):
-        performer_head(big, spec)
+        head_forward(big, spec)
     wide = PerformerHeadSpec(eye, eye, eye, omegas=np.array([[60.0, 0.0, 0.0]]))
     with pytest.raises(DomainError, match="non-finite"):
-        performer_head(np.array([[60.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), wide)
+        head_forward(np.array([[60.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), wide)
+
+
+def _random_head(variant, n, m=4, k=2, seed=0):
+    """A head of random weights at sequence length n (k = min(k, n - 1) where k < n)."""
+    rng = np.random.default_rng(seed)
+    if HEADS[variant].k_below_n:
+        k = min(k, n - 1)
+    w = [rng.uniform(-1, 1, size=(m, m)) for _ in range(3)]
+    shapes = HEADS[variant].extra_shapes(n, m, k)
+    extras = {name: rng.standard_normal(shape) if name == "omegas" else rng.uniform(size=shape)
+              for name, shape in shapes.items()}
+    return HEADS[variant](*w, **extras)
+
+
+@pytest.mark.parametrize("variant", list(HEADS))
+def test_stacked_forwards_are_bitwise_each_sequence_alone(variant):
+    """A stack of S sequences gives, slice by slice, the bits of S separate
+    forwards: for the construction, its lift and head, and for random heads."""
+    needs_k = HEADS[variant].needs_k
+    rng = np.random.default_rng(40)
+    for n in range(1, 7):
+        if needs_k and n < 2:
+            continue
+        for d in (1, 2, 3):
+            con = build_sum_extraction(variant, n, d, enumerate_multidegrees(d, n),
+                                       k=n - 1 if needs_k else None, seed=n + d)
+            xs = rng.uniform(size=(5, n, d))
+            lifted = con.lift(xs)
+            out, head_out = con.forward(xs), con.head.forward(lifted)
+            for i, x in enumerate(xs):
+                assert np.array_equal(con.lift(x), lifted[i])
+                assert np.array_equal(con.forward(x), out[i])
+                assert np.array_equal(head_forward(lifted[i], con.head), head_out[i])
+        if HEADS[variant].k_below_n and n < 2:
+            continue
+        spec = _random_head(variant, n, seed=n)
+        xs = rng.uniform(-1, 1, size=(4, n, 4))
+        stacked = head_forward(xs, spec)
+        for i, x in enumerate(xs):
+            assert np.array_equal(head_forward(x, spec), stacked[i])
+
+
+def test_stacked_mlp_phi_construction_is_bitwise_each_sequence_alone():
+    n, d = 4, 2
+    basis = enumerate_multidegrees(d, n)
+    spec = MlpSpec((d, 8, basis.size))
+    con = build_sum_extraction("standard", n, d, basis,
+                               phi_net=(spec, init_mlp_params(spec, np.random.default_rng(41))))
+    xs = np.random.default_rng(42).uniform(size=(6, n, d))
+    out = con.forward(xs)
+    for i, x in enumerate(xs):
+        assert np.array_equal(con.forward(x), out[i])
+
+
+@pytest.mark.parametrize("variant", list(HEADS))
+def test_stack_mac_count_is_the_sequence_count_times_one_forward(variant):
+    k = 3 if HEADS[variant].needs_k else None
+    n, d, stack = 4, 2, 7
+    con = build_sum_extraction(variant, n, d, enumerate_multidegrees(d, n), k=k, seed=0)
+    xs = np.random.default_rng(43).uniform(size=(stack, n, d))
+    one, many = MacCounter(), MacCounter()
+    con.forward(xs[0], one)
+    con.forward(xs, many)
+    assert many.total == stack * one.total > 0
+    spec = _random_head(variant, 2 * ROW_BLOCK + 3, k=3)
+    x = np.random.default_rng(44).uniform(-1, 1, size=(3, 2 * ROW_BLOCK + 3, 4))
+    one, many = MacCounter(), MacCounter()
+    head_forward(x[0], spec, one)
+    head_forward(x, spec, many)
+    assert one.total == mac_count(variant, x.shape[1], 4, k)
+    assert many.total == 3 * one.total
+
+
+def test_heads_reject_inputs_that_are_not_matrices_or_stacks():
+    spec = _random_head("standard", 3)
+    for bad in (np.zeros(4), np.zeros((2, 2, 3, 4))):
+        with pytest.raises(ShapeError):
+            head_forward(bad, spec)

@@ -87,6 +87,13 @@ BAD_VALUES = {
     "train_d_beyond_memory_in_config": (["train", "--epochs", "0"], "d = 1000000000\n"),
     "sweep_largest_cell_beyond_memory": (["sweep", "--epochs", "0", "--d", "1",
                                           "--d-latent", "2,1000000000"], None),
+    # By verify.verify_bytes: four m x m weights at m = 24,684, or the
+    # generation oracle's design matrix over samples * 25 draws.
+    "verify_construction_beyond_memory": (["verify", "--n", "40", "--d", "3"], None),
+    "verify_samples_beyond_memory": (["verify", "--samples", "1000000000000"], None),
+    "verify_huge_n_and_d_in_config": (["verify"], "n = 2,10000000000000000000000\n"
+                                                  "d = 10000000000000000000000\n"),
+    "verify_samples_beyond_any_float": (["verify", "--samples", "1" + "0" * 400], None),
 }
 
 
@@ -241,6 +248,10 @@ def test_verify_passes_with_small_config(tmp_path):
     report = _read(os.path.join(out, "verify_report.txt"))
     assert "status=fail" not in report
     assert report.count("name=") == 8
+    timing = [line.split() for line in _read(os.path.join(out, "verify_timing.txt")).splitlines()]
+    names = [line.split()[0] for line in report.splitlines()]
+    assert [fields[0] for fields in timing] == names
+    assert all(float(fields[1].removeprefix("seconds=")) >= 0.0 for fields in timing)
 
 
 def test_verify_reports_skip_for_checks_without_cases(tmp_path):
@@ -271,7 +282,8 @@ SIGMA_CHECKS = {f"sigma_recovery_{v}" for v in ("standard", "linformer", "perfor
 
 
 @pytest.mark.parametrize("name,nan_result,failing", [
-    ("power_sum_vector", lambda x, basis: np.full(basis.size, np.nan), SIGMA_CHECKS),
+    ("power_sum_vector", lambda x, basis: np.full((*x.shape[:-2], basis.size), np.nan),
+     SIGMA_CHECKS),
     ("gradient_check_once", lambda seed: float("nan"), {"gradient_check"}),
 ], ids=["power_sum_vector", "gradient_check_once"])
 def test_verify_nan_residual_fails(tmp_path, monkeypatch, name, nan_result, failing):

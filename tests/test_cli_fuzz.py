@@ -33,10 +33,18 @@ PINNED = {
 }
 
 
-def _values(spec):
-    """Values of the key's kind; integers are at most 2, so that runs stay short."""
+# Keys whose huge values are refused by a bound or a memory estimate, or cost
+# nothing; a huge count of epochs, trials or seeds would only take long.
+HUGE = {"n", "d", "d_latent", "points", "samples", "delta", "batch_size", "seed", "d_model", "k"}
+
+
+def _values(key, spec):
+    """Values of the key's kind; integers are at most 2, so that runs stay short,
+    or for the keys in HUGE sometimes far beyond any memory."""
     if spec.kind is int:
         good = st.integers(spec.low, max(spec.low, 2)).map(str)
+        if key in HUGE:
+            good = good | st.integers(10**9, 10**30).map(str)
     elif spec.kind is float:
         good = st.sampled_from(["0.5", "0.001", "0", "-1"])  # a tol of 0 or -1 fails verify
     else:
@@ -57,7 +65,7 @@ def invocations(draw):
         # One in five keys from anywhere, one in four values bad.
         key = draw(st.sampled_from(sorted(table)) if draw(st.integers(0, 4)) else ANY_KEY)
         good = key in table and draw(st.integers(0, 3))
-        value = draw(_values(table[key]) if good else BAD)
+        value = draw(_values(key, table[key]) if good else BAD)
         entries.append((key, value, draw(st.booleans())))
     return command, entries
 
