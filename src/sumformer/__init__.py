@@ -18,7 +18,6 @@ from .equivariance import (
     check_semi_invariance,
     compose,
     lift,
-    per_sequence,
     permute,
 )
 from .linalg import softmax_rows

@@ -208,6 +208,10 @@ def _check_memory(config: dict, batch_size: int | None):
     """Refuse a train or sweep config whose largest cell would not fit the budget."""
     from .train import SWEEP_SPLIT, training_bytes
 
+    # The dataset alone, in integers: training_bytes takes a float fraction
+    # of points, which overflows for a points value past the float range.
+    dataset = max(4 * config["points"] * config["n"] * d * 8 for d in _listed(config["d"]))
+    _refuse_over_budget(dataset, "n, d and points")
     need = max(
         training_bytes(config["n"], d, d_latent, config["points"],
                        config.get("split_fraction", SWEEP_SPLIT), batch_size)

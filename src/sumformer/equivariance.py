@@ -35,16 +35,6 @@ def compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.asarray(p)[np.asarray(q)]
 
 
-def per_sequence(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """The stack map that applies the sequence map ``fn`` to each sequence of
-    an (S, n, d) stack in turn."""
-
-    def stacked(xs: np.ndarray) -> np.ndarray:
-        return np.stack([fn(x) for x in xs])
-
-    return stacked
-
-
 def lift(g: SemiInvariantFn) -> Callable[[np.ndarray], np.ndarray]:
     """Equivariant sequence map whose row i is g(x_i, all other rows)."""
 
@@ -102,10 +92,11 @@ def check_equivariance(
 
     Each trial draws one X uniform in [0,1]^{n x d}; for n <= 6 all n!
     permutations are checked per draw, otherwise one random permutation.
-    ``f`` maps an (S, n, d) stack to one output per sequence; it is called
-    once per draw, on the stack [X, p_1 X, ..., p_P X].  A map of single
-    sequences is checked as ``per_sequence(fn)``.  The witness is the first
-    worst (X, pi), a NaN violation counting as worst.
+    ``f`` is a stacked map: it takes an (S, n, d) stack to one output per
+    sequence, such as ``lambda xs: sumformer_forward(model, xs)`` or a
+    construction's ``forward``.
+    It is called once per draw, on the stack [X, p_1 X, ..., p_P X].  The
+    witness is the first worst (X, pi), a NaN violation counting as worst.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -46,8 +46,8 @@ class PolynomialFeatureMap:
         return self.basis.size
 
     def rows(self, x: np.ndarray, acts: list | None = None, outs: list | None = None) -> np.ndarray:
-        """Features of each row; ``acts`` and ``outs`` are unused, as nothing
-        here is trained."""
+        """Features of each token of rows or of a stack; ``acts`` and ``outs``
+        are unused, as nothing here is trained."""
         return monomial_feature_matrix(x, self.basis)
 
 
@@ -70,7 +70,8 @@ class LatentPolynomial:
 
     ``terms`` pairs a coefficient vector (length = model output dim) with
     an exponent tuple over the latent coordinates; the value at s is
-    sum_t coeff_t * prod_j s_j^(e_t_j).
+    sum_t coeff_t * prod_j s_j^(e_t_j).  ``s`` is one d'-vector or any
+    array of them along its last axis; each gets the value it gets alone.
     """
 
     terms: tuple[tuple[np.ndarray, tuple[int, ...]], ...]
@@ -78,9 +79,10 @@ class LatentPolynomial:
     def __call__(self, s: np.ndarray) -> np.ndarray:
         if not self.terms:
             raise ShapeError("empty latent polynomial")
-        out = np.zeros_like(self.terms[0][0])
+        first = self.terms[0][0]
+        out = np.zeros_like(first, shape=(*np.shape(s)[:-1], *np.shape(first)))
         for coeff, exps in self.terms:
-            out = out + coeff * np.prod(s ** np.asarray(exps), axis=-1)
+            out = out + coeff * np.prod(s ** np.asarray(exps), axis=-1)[..., np.newaxis]
         return out
 
 
@@ -105,18 +107,18 @@ class PolynomialCombiner:
         acts: list | None = None,
         outs: ForwardOuts | None = None,
     ) -> np.ndarray:
-        """``sigma`` holds one Sigma per sequence, (S, d'), for rows that
-        are S sequences of consecutive tokens (a single d'-vector is one
-        sequence of all rows); ``acts`` and ``outs`` are unused, as nothing
-        here is trained."""
-        n = x_rows.shape[0]
-        out = np.zeros((n, self.out_width))
-        per_seq = np.reshape(sigma, (-1, phi_rows.shape[1]))
-        others = np.repeat(per_seq, n // per_seq.shape[0], axis=0) - phi_rows
+        """``sigma`` holds one Sigma per sequence, (S, d'), for tokens that
+        are the rows of S sequences in turn or an (S, n, ·) stack (a single
+        d'-vector is one sequence of all tokens); ``acts`` and ``outs`` are
+        unused, as nothing here is trained.  Each token's output is the one
+        it gets alone."""
+        per_seq = np.reshape(sigma, (-1, 1, phi_rows.shape[-1]))
+        others = per_seq - phi_rows.reshape(per_seq.shape[0], -1, phi_rows.shape[-1])
+        others = others.reshape(phi_rows.shape)
+        out = np.zeros((*x_rows.shape[:-1], self.out_width))
         for alpha, latent_poly in self.terms:
-            mono = np.prod(x_rows ** np.asarray(alpha), axis=1)
-            for i in range(n):
-                out[i] += mono[i] * latent_poly(others[i])
+            mono = np.prod(x_rows ** np.asarray(alpha), axis=-1)
+            out += mono[..., np.newaxis] * latent_poly(others)
         return out
 
 
@@ -137,14 +139,16 @@ class MlpCombiner:
         acts: list | None = None,
         outs: ForwardOuts | None = None,
     ) -> np.ndarray:
-        """psi on each token beside its sequence's Sigma; ``sigma`` is as
-        for ``PolynomialCombiner.apply``.  The stacked input goes into
-        ``outs.psi_in`` and the layer outputs into ``outs.psi`` when given."""
-        rows, d = x_rows.shape
-        stacked = np.empty((rows, self.spec.in_width)) if outs is None else outs.psi_in
-        stacked[:, :d] = x_rows
-        per_seq = np.reshape(sigma, (-1, 1, phi_rows.shape[1]))
-        stacked.reshape(per_seq.shape[0], -1, self.spec.in_width)[:, :, d:] = per_seq
+        """psi on each token beside its sequence's Sigma; the tokens and
+        ``sigma`` are as for ``PolynomialCombiner.apply``.  The stacked input
+        goes into ``outs.psi_in`` and the layer outputs into ``outs.psi``
+        when given."""
+        d = x_rows.shape[-1]
+        stacked = (np.empty((*x_rows.shape[:-1], self.spec.in_width)) if outs is None
+                   else outs.psi_in)
+        stacked[..., :d] = x_rows
+        per_seq = np.reshape(sigma, (-1, 1, phi_rows.shape[-1]))
+        stacked.reshape(per_seq.shape[0], -1, self.spec.in_width)[..., d:] = per_seq
         return mlp_forward(self.spec, self.params, stacked, acts, None if outs is None else outs.psi)
 
 
@@ -190,6 +194,27 @@ class ForwardOuts:
     psi: list[np.ndarray]  # psi's layer outputs
 
 
+def _forward(
+    model: SumformerModel,
+    tokens: np.ndarray,
+    s_count: int,
+    acts: tuple[list, list] | None = None,
+    outs: ForwardOuts | None = None,
+) -> np.ndarray:
+    """phi on every token, Sigma summed per sequence, psi on every token
+    beside its sequence's Sigma; the output has the tokens' layout.
+
+    ``tokens`` are S = ``s_count`` sequences of n tokens, either as their
+    (S*n, d) rows, which each MLP layer multiplies in one gemm, or as the
+    (S, n, d) stack, which it multiplies in one gemm per sequence.
+    """
+    phi_acts, psi_acts = acts if acts is not None else (None, None)
+    phi_out = model.phi.rows(tokens, phi_acts, None if outs is None else outs.phi)
+    sigma = np.sum(phi_out.reshape(s_count, -1, model.d_latent), axis=1,
+                   out=None if outs is None else outs.sigma)
+    return model.psi.apply(tokens, phi_out, sigma, psi_acts, outs)
+
+
 def batch_forward(
     model: SumformerModel,
     seqs: np.ndarray,
@@ -198,35 +223,34 @@ def batch_forward(
 ) -> np.ndarray:
     """Forward over a stack of sequences (S, n, d) -> (S, n, out_width).
 
-    phi runs on all S*n token rows at once, Sigma is summed per sequence,
-    and psi runs on all rows at once, each beside its sequence's Sigma.
+    phi and psi run on all S*n token rows at once, one gemm per layer.
     With ``acts = (phi_acts, psi_acts)`` the MLP layer inputs are recorded
     for the training step's backward, so the recorded losses and the
     evaluation metrics come from this one forward.  With ``outs`` every
     array the forward makes is written there instead of being allocated.
     """
-    phi_acts, psi_acts = acts if acts is not None else (None, None)
     s_count, n, d = seqs.shape
-    rows = seqs.reshape(s_count * n, d)
-    phi_rows = model.phi.rows(rows, phi_acts, None if outs is None else outs.phi)
-    sigma = np.sum(phi_rows.reshape(s_count, n, model.d_latent), axis=1,
-                   out=None if outs is None else outs.sigma)
-    out = model.psi.apply(rows, phi_rows, sigma, psi_acts, outs)
+    out = _forward(model, seqs.reshape(s_count * n, d), s_count, acts, outs)
     return out.reshape(s_count, n, -1)
 
 
 def sumformer_forward(model: SumformerModel, x: np.ndarray) -> np.ndarray:
-    """Compute Sigma once, then apply psi token-wise.
+    """Compute Sigma once per sequence, then apply psi token-wise, for one
+    (n, d) sequence or an (S, n, d) stack.
 
-    The tokens are evaluated in canonical (lexicographic) order and the
-    output rows scattered back, so permuting the input rows permutes the
-    output bitwise.
+    The tokens of each sequence are evaluated in canonical (lexicographic)
+    order and the output rows scattered back, so permuting the input rows
+    permutes the output bitwise.  A stack runs each MLP layer as one gemm
+    per sequence, so each of its sequences gets bitwise the output it gets
+    alone.
     """
-    if x.ndim != 2 or x.shape[1] != model.d:
-        raise ShapeError(f"input shape {x.shape}, model expects n x {model.d}")
-    order = _canonical_row_order(x)
-    out = np.empty((x.shape[0], model.psi.out_width))
-    out[order] = batch_forward(model, x[order][np.newaxis])[0]
+    if x.ndim not in (2, 3) or x.shape[-1] != model.d:
+        raise ShapeError(f"input shape {x.shape}, model expects n x {model.d} or S x n x {model.d}")
+    order = _canonical_row_order(x)[..., np.newaxis]
+    s_count = 1 if x.ndim == 2 else x.shape[0]
+    canonical = _forward(model, np.take_along_axis(x, order, axis=-2), s_count)
+    out = np.empty_like(canonical)
+    np.put_along_axis(out, order, canonical, axis=-2)
     return out
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .attention import HEADS, attention_matrix, build_sum_extraction
 from .autodiff import Tape, central_difference, gradient
-from .equivariance import check_equivariance, first_worse, per_sequence, worse
+from .equivariance import check_equivariance, first_worse, worse
 from .mlp import MlpSpec, init_mlp_params, mlp_forward, mlp_param_nodes, mlp_taped
 from .model import (
     build_discrete_sumformer,
@@ -135,11 +135,8 @@ def check_equivariance_models(config: VerifyConfig) -> tuple[CheckRecord, np.nda
     basis = enumerate_multidegrees(d, n)
     mlp_model = build_mlp_sumformer(d, 6, seed=0)
     poly_model = build_polynomial_sumformer(n, d, seed=0)
-    # The sumformers stay per sequence: a stacked batch_forward's gemms run
-    # over S*n rows, which moves last bits and would make the rows of a stack
-    # only approximately equivariant.
-    models = [per_sequence(lambda x: sumformer_forward(mlp_model, x)),
-              per_sequence(lambda x: sumformer_forward(poly_model, x))]
+    models = [lambda xs: sumformer_forward(mlp_model, xs),
+              lambda xs: sumformer_forward(poly_model, xs)]
     for variant, head in HEADS.items():
         k = n - 1 if head.needs_k else None
         models.append(build_sum_extraction(variant, n, d, basis, k=k, seed=0).forward)

@@ -1,5 +1,7 @@
 """Plain per-vector references and small helpers that only the tests use."""
 
+from typing import Callable
+
 import numpy as np
 
 from sumformer.errors import ShapeError
@@ -12,6 +14,32 @@ def invert(p: np.ndarray) -> np.ndarray:
     inv = np.empty_like(p)
     inv[p] = np.arange(len(p))
     return inv
+
+
+def per_sequence(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """The stack map that applies the sequence map ``fn`` to each sequence of
+    an (S, n, d) stack in turn."""
+
+    def stacked(xs: np.ndarray) -> np.ndarray:
+        return np.stack([fn(x) for x in xs])
+
+    return stacked
+
+
+def polynomial_psi(combiner, x_rows: np.ndarray, phi_rows: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``PolynomialCombiner.apply`` on the rows of one sequence, one token at
+    a time: each term adds x_i^alpha * sigma_alpha(Sigma - phi(x_i)) to row i."""
+    n = x_rows.shape[0]
+    out = np.zeros((n, combiner.out_width))
+    others = np.reshape(sigma, (1, -1)) - phi_rows
+    for alpha, latent_poly in combiner.terms:
+        mono = np.prod(x_rows ** np.asarray(alpha), axis=1)
+        for i in range(n):
+            value = np.zeros_like(latent_poly.terms[0][0])
+            for coeff, exps in latent_poly.terms:
+                value = value + coeff * np.prod(others[i] ** np.asarray(exps))
+            out[i] += mono[i] * value
+    return out
 
 
 def zero_mlp_params(spec: MlpSpec) -> MlpParams:

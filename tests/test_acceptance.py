@@ -15,7 +15,7 @@ from sumformer.attention import (
     build_sum_extraction,
     mac_count,
 )
-from sumformer.equivariance import check_equivariance, per_sequence
+from sumformer.equivariance import check_equivariance
 from sumformer.model import (
     build_discrete_sumformer,
     build_mlp_sumformer,
@@ -110,8 +110,8 @@ def test_criterion_05_equivariance():
     mlp_model = build_mlp_sumformer(d, 8, seed=0)
     poly_model = build_polynomial_sumformer(n, d, seed=1)
     functions = {
-        "mlp-model": per_sequence(lambda x: sumformer_forward(mlp_model, x)),
-        "poly-model": per_sequence(lambda x: sumformer_forward(poly_model, x)),
+        "mlp-model": lambda xs: sumformer_forward(mlp_model, xs),
+        "poly-model": lambda xs: sumformer_forward(poly_model, xs),
         "standard-net": build_sum_extraction("standard", n, d, basis).forward,
         "linformer-net": build_sum_extraction("linformer", n, d, basis, k=2).forward,
         "performer-net": build_sum_extraction("performer", n, d, basis, k=2, seed=2).forward,

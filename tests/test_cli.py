@@ -77,6 +77,9 @@ BAD_VALUES = {
     "train_lr_nan_in_config": (["train", "--epochs", "0"], "lr = nan\n"),
     "train_lr_beyond_float_in_config": (["train", "--epochs", "0"], "lr = 1" + "0" * 400 + "\n"),
     "train_split_fraction_1": (["train", "--epochs", "0", "--split-fraction", "1"], None),
+    # A points value past the float range; the split would overflow converting it.
+    "train_points_400_digits": (["train", "--epochs", "0", "--points", "1" + "0" * 399], None),
+    "sweep_points_400_digits": (["sweep", "--epochs", "0", "--points", "1" + "0" * 399], None),
     # Beyond the memory budget (cli.MEMORY_BUDGET_BYTES), by train.training_bytes.
     # Each is also far beyond any machine's memory, so a run that got past the
     # check would fail at its first large allocation instead of filling memory.

@@ -8,11 +8,10 @@ from sumformer.equivariance import (
     check_semi_invariance,
     compose,
     lift,
-    per_sequence,
     permute,
 )
 
-from oracles import invert
+from oracles import invert, per_sequence
 
 
 def test_permute_identity():
@@ -87,7 +86,7 @@ def test_check_equivariance_of_sumformer_model():
     from sumformer.model import build_mlp_sumformer, sumformer_forward
 
     model = build_mlp_sumformer(d=2, d_latent=5, seed=0)
-    report = check_equivariance(per_sequence(lambda x: sumformer_forward(model, x)),
+    report = check_equivariance(lambda xs: sumformer_forward(model, xs),
                                 n=4, d=2, trials=25, seed=2)
     assert report.max_violation <= 1e-10
 
@@ -178,3 +177,20 @@ def test_first_nan_violation_is_the_witness():
     rng.uniform(size=(3, 1))
     assert np.array_equal(report.witness_input, rng.uniform(size=(3, 1)))
     assert np.array_equal(report.witness_permutation, list(itertools.permutations(range(3)))[2])
+
+
+def test_verify_calls_each_sumformer_once_per_draw(monkeypatch):
+    from sumformer import verify
+
+    shapes = []
+    forward = verify.sumformer_forward
+
+    def counting(model, xs):
+        shapes.append(xs.shape)
+        return forward(model, xs)
+
+    monkeypatch.setattr(verify, "sumformer_forward", counting)
+    record, _ = verify.check_equivariance_models(verify.VerifyConfig(trials=3))
+    assert record.status == "pass"
+    # Two sumformers, each called on one stack [X, p_1 X, ..., p_24 X] per draw.
+    assert shapes == [(1 + 24, 4, 2)] * (2 * 3)

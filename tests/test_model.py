@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from sumformer.attention import build_sum_extraction
-from sumformer.equivariance import check_equivariance, lift, per_sequence
+from sumformer.equivariance import check_equivariance, lift
 from sumformer.errors import BudgetError, DomainError, ShapeError
 from sumformer.mlp import MlpSpec
 from sumformer.model import (
@@ -20,7 +22,7 @@ from sumformer.model import (
 )
 from sumformer.multisym import enumerate_multidegrees
 
-from oracles import zero_mlp_params
+from oracles import polynomial_psi, zero_mlp_params
 
 
 def _coeff(*values):
@@ -125,7 +127,7 @@ def test_all_model_kinds_are_equivariant():
     ]
     for model in models:
         report = check_equivariance(
-            per_sequence(lambda x: sumformer_forward(model, x)), n, d, trials=25, seed=5
+            lambda xs: sumformer_forward(model, xs), n, d, trials=25, seed=5
         )
         assert report.max_violation <= 1e-10
 
@@ -140,6 +142,67 @@ def test_sumformer_forward_is_bitwise_equivariant():
             perm = rng.permutation(n)
             for model in (build_mlp_sumformer(d, 6, seed), build_polynomial_sumformer(n, d, seed)):
                 assert np.array_equal(sumformer_forward(model, x[perm]), sumformer_forward(model, x)[perm])
+
+
+def _random_continuous_sumformer(n, d, rng):
+    basis = enumerate_multidegrees(d, n)
+    terms = []
+    for alpha in (*basis.degrees[:3], (0,) * d):
+        latent = LatentPolynomial(tuple(
+            (rng.normal(size=d), tuple(int(e) for e in rng.integers(0, 3, size=basis.size)))
+            for _ in range(3)
+        ))
+        terms.append((alpha, latent))
+    return build_continuous_sumformer(n, d, terms)
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (3, 1), (4, 2), (2, 3)])
+def test_stacked_forward_equals_each_sequence_alone(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    models = (build_mlp_sumformer(d, 6, seed=n), build_polynomial_sumformer(n, d, seed=d),
+              _random_continuous_sumformer(n, d, rng))
+    for s_count in (1, 2, 25):
+        xs = rng.uniform(size=(s_count, n, d))
+        for model in models:
+            out = sumformer_forward(model, xs)
+            assert out.shape == (s_count, n, model.psi.out_width)
+            for x, row in zip(xs, out):
+                assert np.array_equal(row, sumformer_forward(model, x))
+
+
+def test_stack_of_permuted_copies_is_bitwise_permuted():
+    n, d = 4, 2
+    rng = np.random.default_rng(12)
+    x = rng.uniform(size=(n, d))
+    models = (build_mlp_sumformer(d, 6, seed=0), build_polynomial_sumformer(n, d, seed=1),
+              _random_continuous_sumformer(n, d, rng))
+    for p in itertools.permutations(range(n)):
+        p = np.array(p)
+        for model in models:
+            out = sumformer_forward(model, np.stack([x, x[p]]))
+            assert np.array_equal(out[1], out[0][p])
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3), (2, 2, 4, 2), (2,)])
+def test_sumformer_forward_rejects_bad_shapes(shape):
+    model = build_mlp_sumformer(2, 6, seed=0)
+    with pytest.raises(ShapeError):
+        sumformer_forward(model, np.zeros(shape))
+
+
+@pytest.mark.parametrize("n, d", [(3, 1), (3, 2), (4, 2), (2, 3)])
+def test_polynomial_psi_equals_the_per_token_loop(n, d):
+    rng = np.random.default_rng(20 * n + d)
+    model = _random_continuous_sumformer(n, d, rng)
+    for s_count in (1, 7):
+        xs = rng.uniform(size=(s_count, n, d))
+        phi = model.phi.rows(xs)
+        sigma = phi.sum(axis=1)
+        loop = np.stack([polynomial_psi(model.psi, x, f, s) for x, f, s in zip(xs, phi, sigma)])
+        # The stack and its rows, as the model's forwards pass them.
+        assert np.array_equal(model.psi.apply(xs, phi, sigma), loop)
+        rows = model.psi.apply(xs.reshape(-1, d), phi.reshape(s_count * n, -1), sigma)
+        assert np.array_equal(rows.reshape(loop.shape), loop)
 
 
 def test_mlp_phi_sigma_matches_manual_sum():
