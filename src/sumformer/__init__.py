@@ -15,7 +15,6 @@ from .attention import (
 from .autodiff import Tape, central_difference, gradient
 from .equivariance import (
     check_equivariance,
-    check_semi_invariance,
     compose,
     lift,
     permute,
@@ -36,7 +35,6 @@ from .model import (
     build_polynomial_sumformer,
     discrete_forward,
     sumformer_forward,
-    sup_error,
 )
 from .multisym import (
     DegreeBasis,

@@ -41,9 +41,11 @@ class MacCounter:
         self.total += count * length
 
 
-def _mm(a: np.ndarray, b: np.ndarray, counter: MacCounter | None) -> np.ndarray:
-    """a @ b for matrices or (S, p, q) stacks; the counter counts every slice."""
-    out = a @ b
+def _mm(a: np.ndarray, b: np.ndarray, counter: MacCounter | None,
+        out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b for matrices or (S, p, q) stacks, written into ``out`` when given;
+    the counter counts every slice."""
+    out = np.matmul(a, b, out=out)
     if counter is not None:
         counter.dots(out.size, a.shape[-1])
     return out
@@ -51,15 +53,28 @@ def _mm(a: np.ndarray, b: np.ndarray, counter: MacCounter | None) -> np.ndarray:
 
 # Query rows per block of the softmax heads' forward.  The softmax is row-local,
 # so blocking rows bounds the score memory at ROW_BLOCK x (key count) floats
-# per sequence.
+# per sequence.  Smaller blocks would change the gemms' bits at some n.
 ROW_BLOCK = 128
+# Score floats per in-place scale and softmax pass: 2^17 floats (1 MiB) stay in
+# a 2 MiB L2 cache across the passes.  That is 32 query rows of the standard
+# head at n = 4096 and a whole block when there are few keys.  The softmax is
+# row-local, so slicing changes no bit.
+SOFTMAX_FLOATS = 1 << 17
 
 
-def _attention_rows(q: np.ndarray, k_t: np.ndarray, counter: MacCounter | None) -> np.ndarray:
-    """softmax(q K^T / sqrt(m)) for the query rows q."""
-    scores = _mm(q, k_t, counter)
-    scores /= math.sqrt(q.shape[-1])
-    return softmax_rows(scores)
+def _attention_rows(q: np.ndarray, k_t: np.ndarray, counter: MacCounter | None,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """softmax(q K^T / sqrt(m)) for the query rows q, computed in ``out`` when
+    given: the scale and the softmax run in place on the scores."""
+    scores = _mm(q, k_t, counter, out)
+    scale = math.sqrt(q.shape[-1])
+    # A query row of scores holds (stack size) x (key count) floats.
+    step = max(1, SOFTMAX_FLOATS // max(1, math.prod(scores.shape[:-2]) * scores.shape[-1]))
+    for start in range(0, scores.shape[-2], step):
+        part = scores[..., start:start + step, :]
+        part /= scale
+        softmax_rows(part, out=part)
+    return scores
 
 
 class HeadSpec:
@@ -111,14 +126,18 @@ class HeadSpec:
         return _attention_rows(q, k_t, counter), value_rows
 
     def forward(self, x: np.ndarray, counter: MacCounter | None = None) -> np.ndarray:
-        """A V taken ROW_BLOCK query rows at a time: only a block of A exists at
-        once, and each output row comes from the same dot products as A @ V."""
+        """A V taken ROW_BLOCK query rows at a time: each block of A is computed
+        in one score buffer allocated per call, and each output row comes from
+        the same dot products as A @ V."""
         q, k_t, value_rows = self._queries_and_keys(x, counter)
         v = _mm(value_rows, self.w_v, counter)
+        n = q.shape[-2]
         out = np.empty((*q.shape[:-1], v.shape[-1]))
-        for start in range(0, q.shape[-2], ROW_BLOCK):
+        scores = np.empty((*q.shape[:-2], min(ROW_BLOCK, n), k_t.shape[-1]))
+        for start in range(0, n, ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
-            out[..., rows, :] = _mm(_attention_rows(q[..., rows, :], k_t, counter), v, counter)
+            block = scores[..., :min(ROW_BLOCK, n - start), :]
+            _mm(_attention_rows(q[..., rows, :], k_t, counter, block), v, counter, out[..., rows, :])
         return out
 
 

@@ -1,4 +1,4 @@
-"""Permutation utilities and equivariance / semi-invariance check drivers.
+"""Permutation utilities and the equivariance check driver.
 
 A sequence-to-sequence map f is equivariant when f(permuted X) equals
 the same permutation of f(X).  A sequence-to-point map g(x1, rest) is
@@ -109,26 +109,4 @@ def check_equivariance(
         first = first_worse(violations, worst)
         if first is not None:
             worst, witness_x, witness_p = float(violations[first]), x, perms[first]
-    return CheckReport(worst, witness_x, witness_p)
-
-
-def check_semi_invariance(
-    g: SemiInvariantFn,
-    n: int,
-    d: int,
-    trials: int = 100,
-    seed: int = 0,
-) -> CheckReport:
-    """Like check_equivariance but permutes only the ``rest`` argument of g."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    witness_x = witness_p = None
-    for _ in range(trials):
-        x = rng.uniform(size=(n, d))
-        first, rest = x[0], x[1:]
-        reference = np.asarray(g(first, rest), dtype=np.float64)
-        for p in _permutations_for(n - 1, rng):
-            violation = float(np.max(np.abs(np.asarray(g(first, rest[p])) - reference)))
-            if worse(violation, worst):
-                worst, witness_x, witness_p = violation, x, p
     return CheckReport(worst, witness_x, witness_p)

@@ -27,18 +27,23 @@ def require_finite(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def softmax_rows(m: np.ndarray) -> np.ndarray:
+def softmax_rows(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax with max-subtraction for stability, of a matrix or
     of each matrix of a stack.
 
     Each output row is nonnegative and sums to 1 (within float rounding);
     adding a constant to an input row leaves its output row unchanged.
-    The input is not modified; the exp and the normalisation run in place
-    on the one shifted copy.
+    The shift, the exp and the normalisation write into ``out`` (which may
+    be ``m`` itself) when given, else into one new array, and ``m`` is left
+    unchanged.  Both give the same bits.  The input and ``out`` are checked
+    before anything is written.
     """
     require_rows(m, "m")
+    if out is not None and (not isinstance(out, np.ndarray) or out.shape != m.shape
+                            or out.dtype != np.float64):
+        raise ShapeError(f"out must be a float64 array of shape {m.shape}")
     require_finite(m, "softmax input")
-    e = m - m.max(axis=-1, keepdims=True)
+    e = np.subtract(m, m.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e

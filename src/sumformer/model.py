@@ -17,7 +17,6 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .equivariance import lift
 from .errors import BudgetError, DomainError, ShapeError
 from .mlp import MlpParams, MlpSpec, init_mlp_params, mlp_forward
 from .multisym import (
@@ -422,27 +421,3 @@ def discrete_forward(ds: DiscreteSumformer, x: np.ndarray) -> np.ndarray:
         key = (cell, tuple(total_hist - oh))
         rows.append(ds.table[key])
     return np.vstack(rows)
-
-
-def sup_error(
-    model_fn: Callable[[np.ndarray], np.ndarray],
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    n: int,
-    d: int,
-    sample_count: int = 1000,
-    seed: int = 0,
-) -> float:
-    """Monte-Carlo estimate of sup ||f(X) - model(X)||_inf over [0,1)^{n x d}.
-
-    f is the equivariant lift of g.  Sampling gives a lower bound of the
-    true supremum; it is reported as such.
-    """
-    if sample_count < 1:
-        raise ShapeError("sample_count must be >= 1")
-    rng = np.random.default_rng(seed)
-    f = lift(g)
-    worst = 0.0
-    for _ in range(sample_count):
-        x = rng.uniform(size=(n, d))
-        worst = max(worst, float(np.max(np.abs(f(x) - model_fn(x)))))
-    return worst

@@ -1,9 +1,12 @@
 """Plain per-vector references and small helpers that only the tests use."""
 
+import math
 from typing import Callable
 
 import numpy as np
 
+from sumformer.attention import ROW_BLOCK
+from sumformer.equivariance import CheckReport, SemiInvariantFn, _permutations_for, lift, worse
 from sumformer.errors import ShapeError
 from sumformer.mlp import MlpParams, MlpSpec
 from sumformer.multisym import DegreeBasis, FitReport, MultiDegree
@@ -73,3 +76,68 @@ def monomial_features(x: np.ndarray, basis: DegreeBasis) -> np.ndarray:
         raise ShapeError(f"token has dimension {x.shape[0]}, basis expects {basis.d}")
     # 0**0 == 1 under numpy float power, as required for absent variables.
     return np.prod(x[np.newaxis, :] ** basis.exponents, axis=1)
+
+
+def allocating_head_forward(x: np.ndarray, spec) -> np.ndarray:
+    """A softmax head's forward taken ROW_BLOCK query rows at a time, each block
+    in fresh arrays: the scores, their shifted copy and the block's output."""
+    key_rows, value_rows = spec.sources(x, None)
+    q = x @ spec.w_q
+    k_t = (key_rows @ spec.w_k).swapaxes(-1, -2)
+    v = value_rows @ spec.w_v
+    out = np.empty((*q.shape[:-1], v.shape[-1]))
+    for start in range(0, q.shape[-2], ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        scores = q[..., rows, :] @ k_t
+        scores /= math.sqrt(q.shape[-1])
+        e = scores - scores.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        e /= e.sum(axis=-1, keepdims=True)
+        out[..., rows, :] = e @ v
+    return out
+
+
+def sup_error(
+    model_fn: Callable[[np.ndarray], np.ndarray],
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    n: int,
+    d: int,
+    sample_count: int = 1000,
+    seed: int = 0,
+) -> float:
+    """Monte-Carlo estimate of sup ||f(X) - model(X)||_inf over [0,1)^{n x d}.
+
+    f is the equivariant lift of g.  Sampling gives a lower bound of the
+    true supremum; it is reported as such.
+    """
+    if sample_count < 1:
+        raise ShapeError("sample_count must be >= 1")
+    rng = np.random.default_rng(seed)
+    f = lift(g)
+    worst = 0.0
+    for _ in range(sample_count):
+        x = rng.uniform(size=(n, d))
+        worst = max(worst, float(np.max(np.abs(f(x) - model_fn(x)))))
+    return worst
+
+
+def check_semi_invariance(
+    g: SemiInvariantFn,
+    n: int,
+    d: int,
+    trials: int = 100,
+    seed: int = 0,
+) -> CheckReport:
+    """Like check_equivariance but permutes only the ``rest`` argument of g."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    witness_x = witness_p = None
+    for _ in range(trials):
+        x = rng.uniform(size=(n, d))
+        first, rest = x[0], x[1:]
+        reference = np.asarray(g(first, rest), dtype=np.float64)
+        for p in _permutations_for(n - 1, rng):
+            violation = float(np.max(np.abs(np.asarray(g(first, rest[p])) - reference)))
+            if worse(violation, worst):
+                worst, witness_x, witness_p = violation, x, p
+    return CheckReport(worst, witness_x, witness_p)

@@ -22,12 +22,13 @@ from sumformer.model import (
     build_polynomial_sumformer,
     discrete_forward,
     sumformer_forward,
-    sup_error,
 )
 from sumformer.multisym import enumerate_multidegrees, generation_oracle, power_sum_vector
 from sumformer.targets import get_target
 from sumformer.train import OptimizerConfig, generate_dataset, latent_sweep, train
 from sumformer.verify import gradient_check_once
+
+from oracles import sup_error
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):

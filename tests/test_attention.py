@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sumformer import attention
 from sumformer.attention import (
     HEADS,
     ROW_BLOCK,
@@ -21,7 +22,7 @@ from sumformer.mlp import MlpSpec, init_mlp_params
 from sumformer.multisym import enumerate_multidegrees, power_sum_vector
 from sumformer.serialize import dump_construction, load_construction
 
-from oracles import performer_features
+from oracles import allocating_head_forward, performer_features
 
 
 def _random_spec(m, rng):
@@ -372,6 +373,54 @@ def test_blocked_forward_never_holds_the_score_matrix():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 4, peak
+
+
+def test_warm_forward_peak_is_one_score_block_and_the_operands():
+    """One reused score buffer: the peak stays below two ROW_BLOCK x n blocks
+    plus the four n x m operands (Q, K, V and the output)."""
+    n, m = 2048, 16
+    x, spec, _ = _softmax_head("standard", n, m=m)
+    head_forward(x, spec)
+    tracemalloc.start()
+    try:
+        head_forward(x, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * ROW_BLOCK * n * 8 + 4 * n * m * 8, peak
+
+
+@pytest.mark.parametrize("variant, n", [
+    (variant, n) for variant in SOFTMAX_VARIANTS
+    for n in (1, 2, 5, 127, 128, 129, 255, 383, 385, 1029)
+    if n >= 2 or not HEADS[variant].k_below_n  # the low-rank head needs k < n
+])
+def test_forward_is_bitwise_the_allocating_block_oracle(variant, n):
+    x, spec, k = _softmax_head(variant, n, seed=n)
+    counter = MacCounter()
+    assert np.array_equal(head_forward(x, spec, counter), allocating_head_forward(x, spec))
+    assert counter.total == mac_count(variant, n, x.shape[1], k)
+
+
+@pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
+def test_stacked_forward_is_bitwise_the_allocating_block_oracle(variant):
+    n, m = 2 * ROW_BLOCK + 3, 16
+    x, spec, k = _softmax_head(variant, n, m=m, seed=3)
+    xs = np.random.default_rng(4).uniform(-1, 1, size=(3, n, m))
+    counter = MacCounter()
+    assert np.array_equal(head_forward(xs, spec, counter), allocating_head_forward(xs, spec))
+    assert counter.total == 3 * mac_count(variant, n, m, k)
+
+
+@pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
+def test_score_overflow_in_the_last_softmax_slice_raises(variant, monkeypatch):
+    n = ROW_BLOCK + 5
+    # Standard-head slices of 4 rows: the last block is a full slice and a ragged one.
+    monkeypatch.setattr(attention, "SOFTMAX_FLOATS", 4 * n)
+    x, spec, _ = _softmax_head(variant, n)
+    x[-1] = 1e200
+    with pytest.raises(DomainError):
+        head_forward(x, spec)
 
 
 @pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sumformer.errors import DomainError
+from sumformer.errors import DomainError, ShapeError
 from sumformer.linalg import require_finite, softmax_rows
 
 
@@ -42,3 +42,36 @@ def test_softmax_leaves_its_input_unchanged():
     before = m.copy()
     softmax_rows(m)
     assert np.array_equal(m, before)
+
+
+def test_softmax_in_place_is_bitwise_the_allocating_call():
+    rng = np.random.default_rng(3)
+    for shape in ((1, 1), (5, 7), (33, 130), (3, 4, 9)):
+        m = rng.normal(scale=5.0, size=shape)
+        expected = softmax_rows(m)
+        assert softmax_rows(m, out=m) is m
+        assert np.array_equal(m, expected)
+    m = rng.normal(size=(4, 6))
+    out = np.empty_like(m)
+    assert softmax_rows(m, out) is out
+    assert np.array_equal(out, softmax_rows(m))
+
+
+def test_softmax_out_of_the_wrong_shape_or_dtype_is_refused_before_writing():
+    m = np.random.default_rng(4).normal(size=(3, 5))
+    for bad in (np.zeros((3, 4)), np.zeros((1, 3, 5)), np.zeros((3, 5), dtype=np.float32),
+                np.zeros((3, 5), dtype=np.int64), [[0.0] * 5] * 3):
+        before = np.array(bad, copy=True)
+        with pytest.raises(ShapeError):
+            softmax_rows(m, out=bad)
+        assert np.array_equal(np.asarray(bad), before)
+
+
+def test_softmax_in_place_refuses_non_finite_scores_before_writing():
+    for bad_value in (np.nan, np.inf, -np.inf):
+        m = np.random.default_rng(5).normal(size=(4, 6))
+        m[-1, -1] = bad_value
+        before = m.copy()
+        with pytest.raises(DomainError):
+            softmax_rows(m, out=m)
+        assert np.array_equal(m, before, equal_nan=True)

@@ -18,11 +18,10 @@ from sumformer.model import (
     build_polynomial_sumformer,
     discrete_forward,
     sumformer_forward,
-    sup_error,
 )
 from sumformer.multisym import enumerate_multidegrees
 
-from oracles import polynomial_psi, zero_mlp_params
+from oracles import polynomial_psi, sup_error, zero_mlp_params
 
 
 def _coeff(*values):
