@@ -12,7 +12,6 @@ from .attention import (
     head_forward,
     mac_count,
 )
-from .autodiff import Tape, central_difference, gradient
 from .equivariance import (
     check_equivariance,
     compose,

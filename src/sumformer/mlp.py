@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Node, Tape
 from .errors import ShapeError
 
 MlpParams = list[tuple[np.ndarray, np.ndarray]]
@@ -50,12 +49,14 @@ def init_mlp_params(spec: MlpSpec, rng: np.random.Generator) -> MlpParams:
 
 
 def _check_params(spec: MlpSpec, params: MlpParams):
+    """Each layer's weight ends in (fan_in, fan_out) and its bias in
+    (1, fan_out); leading axes stack parameter sets."""
     if len(params) != spec.n_layers:
         raise ShapeError(f"expected {spec.n_layers} layers of params, got {len(params)}")
     for i, ((w, b), fi, fo) in enumerate(
         zip(params, spec.layer_widths, spec.layer_widths[1:])
     ):
-        if w.shape != (fi, fo) or b.shape != (1, fo):
+        if w.shape[-2:] != (fi, fo) or b.shape[-2:] != (1, fo):
             raise ShapeError(f"layer {i}: weight {w.shape} / bias {b.shape} vs widths {fi}->{fo}")
 
 
@@ -68,7 +69,9 @@ def mlp_forward(
 ) -> np.ndarray:
     """Apply the network row-wise (each row of x is one token).  An (S, n, w)
     stack runs each sequence's n rows through the same matmuls as that
-    sequence alone.
+    sequence alone.  Parameters with a leading (K,) axis are K parameter
+    sets: the rows of x run through each set, one gemm per set and layer,
+    into (K, rows, ·), and slice k is bitwise set k's output alone.
 
     With ``acts`` given, each layer's input is appended to it: what
     ``mlp_backward`` reads.  With ``outs`` given, layer i writes its output
@@ -121,9 +124,9 @@ def mlp_backward(
     ``g`` is d(loss)/d(output).  Each layer's weight and bias gradients
     are written into the matching ``grads`` pair; the result is
     d(loss)/d(x), or None when ``input_grad`` is false.  The expressions
-    are those of the tape's matmul, row-add and ReLU rules, so the
-    gradients equal the tape's bitwise.  A ReLU was active exactly where
-    the next layer's input is positive.
+    are those of the matmul, row-add and ReLU rules of the reverse-mode
+    tape in ``tests/tape_oracle.py``, so the gradients equal its bitwise.
+    A ReLU was active exactly where the next layer's input is positive.
 
     ``scratch = (a, b, mask)`` holds two 1-D float64 arrays and a 1-D bool
     array, each at least as long as the largest layer input.  The layers'
@@ -147,8 +150,9 @@ def mlp_backward(
 
 
 def param_views(buffer: np.ndarray, shaped_like: list[MlpParams]) -> list[MlpParams]:
-    """(W, b) views into consecutive slices of a flat ``buffer``, shaped and
-    ordered like the parameter lists in ``shaped_like``."""
+    """(W, b) views into consecutive slices of the last axis of ``buffer``,
+    shaped and ordered like the parameter lists in ``shaped_like``.  The
+    leading axes of a stack of flat vectors lead each view."""
     out: list[MlpParams] = []
     offset = 0
     for params in shaped_like:
@@ -156,26 +160,8 @@ def param_views(buffer: np.ndarray, shaped_like: list[MlpParams]) -> list[MlpPar
         for pair in params:
             view = []
             for a in pair:
-                view.append(buffer[offset:offset + a.size].reshape(a.shape))
+                view.append(buffer[..., offset:offset + a.size].reshape(*buffer.shape[:-1], *a.shape))
                 offset += a.size
             views.append(tuple(view))
         out.append(views)
     return out
-
-
-def mlp_taped(tape: Tape, spec: MlpSpec, param_nodes: list[tuple[Node, Node]], x: Node) -> Node:
-    """Same forward as mlp_forward, recorded on a tape."""
-    h = x
-    last = spec.n_layers - 1
-    for i, (w, b) in enumerate(param_nodes):
-        h = tape.add_row(tape.matmul(h, w), b)
-        if i != last:
-            h = tape.relu(h)
-    return h
-
-
-def mlp_param_nodes(tape: Tape, params: MlpParams, prefix: str = "") -> list[tuple[Node, Node]]:
-    return [
-        (tape.parameter(w, f"{prefix}W{i}"), tape.parameter(b, f"{prefix}b{i}"))
-        for i, (w, b) in enumerate(params)
-    ]

@@ -139,15 +139,16 @@ class MlpCombiner:
         outs: ForwardOuts | None = None,
     ) -> np.ndarray:
         """psi on each token beside its sequence's Sigma; the tokens and
-        ``sigma`` are as for ``PolynomialCombiner.apply``.  The stacked input
-        goes into ``outs.psi_in`` and the layer outputs into ``outs.psi``
-        when given."""
+        ``sigma`` are as for ``PolynomialCombiner.apply``.  With K stacked
+        parameter sets, ``phi_rows`` and ``sigma`` lead with (K,) and so does
+        the output.  The stacked input goes into ``outs.psi_in`` and the layer
+        outputs into ``outs.psi`` when given."""
         d = x_rows.shape[-1]
-        stacked = (np.empty((*x_rows.shape[:-1], self.spec.in_width)) if outs is None
+        stacked = (np.empty((*phi_rows.shape[:-1], self.spec.in_width)) if outs is None
                    else outs.psi_in)
         stacked[..., :d] = x_rows
-        per_seq = np.reshape(sigma, (-1, 1, phi_rows.shape[-1]))
-        stacked.reshape(per_seq.shape[0], -1, self.spec.in_width)[..., d:] = per_seq
+        stacked.reshape(*np.shape(sigma)[:-1], -1, self.spec.in_width)[..., d:] = \
+            np.expand_dims(sigma, -2)
         return mlp_forward(self.spec, self.params, stacked, acts, None if outs is None else outs.psi)
 
 
@@ -205,11 +206,14 @@ def _forward(
 
     ``tokens`` are S = ``s_count`` sequences of n tokens, either as their
     (S*n, d) rows, which each MLP layer multiplies in one gemm, or as the
-    (S, n, d) stack, which it multiplies in one gemm per sequence.
+    (S, n, d) stack, which it multiplies in one gemm per sequence.  MLP
+    parameters with a leading (K,) axis evaluate K models on the rows at
+    once, one gemm per model, and lead the output with (K,).
     """
     phi_acts, psi_acts = acts if acts is not None else (None, None)
     phi_out = model.phi.rows(tokens, phi_acts, None if outs is None else outs.phi)
-    sigma = np.sum(phi_out.reshape(s_count, -1, model.d_latent), axis=1,
+    stack = phi_out.shape[:phi_out.ndim - tokens.ndim]  # (K,) for K parameter sets
+    sigma = np.sum(phi_out.reshape(*stack, s_count, -1, model.d_latent), axis=-2,
                    out=None if outs is None else outs.sigma)
     return model.psi.apply(tokens, phi_out, sigma, psi_acts, outs)
 
@@ -223,6 +227,8 @@ def batch_forward(
     """Forward over a stack of sequences (S, n, d) -> (S, n, out_width).
 
     phi and psi run on all S*n token rows at once, one gemm per layer.
+    MLP parameters with a leading (K,) axis give (K, S, n, out_width), slice
+    k bitwise the output of parameter set k alone.
     With ``acts = (phi_acts, psi_acts)`` the MLP layer inputs are recorded
     for the training step's backward, so the recorded losses and the
     evaluation metrics come from this one forward.  With ``outs`` every
@@ -230,7 +236,7 @@ def batch_forward(
     """
     s_count, n, d = seqs.shape
     out = _forward(model, seqs.reshape(s_count * n, d), s_count, acts, outs)
-    return out.reshape(s_count, n, -1)
+    return out.reshape(*out.shape[:-2], s_count, n, -1)
 
 
 def sumformer_forward(model: SumformerModel, x: np.ndarray) -> np.ndarray:

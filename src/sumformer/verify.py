@@ -1,11 +1,11 @@
 """Property suites behind the ``verify`` command.
 
-Each check returns a record {name, status, max_residual, witness_path};
-the driver writes the report and any witness inputs to the output
-directory.  A check that ran no case (the low-rank checks when every n
-is 1) reports ``skip`` rather than ``pass``.  Tolerances are per check
-but can be overridden globally (setting them to 0 demonstrates that
-they are load-bearing).
+Each check returns a record {name, status, max_residual, cases,
+witness_path}; ``run_verification`` writes any witness inputs, and
+``write_report`` the report, to the output directory.  A check that ran no case (the low-rank checks when
+every n is 1) reports ``skip`` and ``cases=0`` rather than ``pass``.
+Tolerances are per check but can be overridden globally (setting them to
+0 demonstrates that they are load-bearing).
 """
 
 from __future__ import annotations
@@ -14,14 +14,18 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .attention import HEADS, attention_matrix, build_sum_extraction
-from .autodiff import Tape, central_difference, gradient
 from .equivariance import check_equivariance, first_worse, worse
-from .mlp import MlpSpec, init_mlp_params, mlp_forward, mlp_param_nodes, mlp_taped
+from .mlp import param_views
 from .model import (
+    MlpCombiner,
+    MlpFeatureMap,
+    SumformerModel,
+    batch_forward,
     build_discrete_sumformer,
     build_mlp_sumformer,
     build_polynomial_sumformer,
@@ -30,6 +34,7 @@ from .model import (
 )
 from .multisym import enumerate_multidegrees, generation_oracle, power_sum_vector, product_terms
 from .targets import get_target
+from .train import WorkBuffer, flatten_params, loss_and_gradient
 
 # The Sigma checks evaluate their samples as stacks of at most this many
 # lifted floats (sequences x n x m), so their memory does not grow with the
@@ -42,6 +47,7 @@ class CheckRecord:
     name: str
     status: str
     max_residual: float
+    cases: int = 0  # cases the check ran; 0 for a skip
     witness_path: str = ""
     seconds: float = 0.0  # wall time of the check; not part of the report
 
@@ -63,7 +69,7 @@ def _record(name: str, config: VerifyConfig, default_tol: float, worst: float, c
     """``skip`` when no case ran, else ``pass`` or ``fail`` against the tolerance."""
     tol = default_tol if config.tol is None else config.tol
     status = "skip" if cases == 0 else "pass" if worst <= tol else "fail"
-    return CheckRecord(name, status, worst)
+    return CheckRecord(name, status, worst, cases)
 
 
 def _stacks(rng: np.random.Generator, count: int, n: int, d: int, m: int):
@@ -204,46 +210,77 @@ def check_generation_oracle(config: VerifyConfig) -> tuple[CheckRecord, np.ndarr
     return _record("generation_oracle", config, 1e-8, worst, len(GENERATION_CASES)), None
 
 
+GRADIENT_SEQS = 2  # sequences per gradient-check batch
+
+
+def central_difference(
+    losses: Callable[[np.ndarray], np.ndarray],
+    flat: np.ndarray,
+    step: float = 1e-5,
+) -> np.ndarray:
+    """Central finite-difference gradient of a scalar loss of the flat
+    parameter vector ``flat``.
+
+    ``losses`` maps a (K, P) stack of parameter vectors to their K losses.
+    It is called once, on the 2P vectors ``flat + step e_j`` and then
+    ``flat - step e_j``; entry j of the result is (up - down) / 2 step.
+    """
+    size = flat.size
+    stack = np.tile(flat, (2, size, 1))
+    diagonal = np.arange(size)
+    stack[0, diagonal, diagonal] = flat + step
+    stack[1, diagonal, diagonal] = flat - step
+    values = losses(stack.reshape(2 * size, size))
+    return (values[:size] - values[size:]) / (2.0 * step)
+
+
+def _min_margin(model: SumformerModel, x_seqs: np.ndarray) -> float:
+    """The smallest |pre-activation| of any hidden unit of phi or psi."""
+    acts: tuple[list, list] = ([], [])
+    batch_forward(model, x_seqs, acts)
+    return min(float(np.min(np.abs(h @ w + b)))
+               for net, layer_inputs in zip((model.phi, model.psi), acts)
+               for h, (w, b) in zip(layer_inputs, net.params[:-1]))
+
+
+def _stacked_mse(model: SumformerModel, x_seqs: np.ndarray, y_seqs: np.ndarray):
+    """The batch MSE of an MLP sumformer shaped like ``model`` at each row of
+    a (K, P) stack of flat parameter vectors, from one ``batch_forward``."""
+
+    def losses(stack: np.ndarray) -> np.ndarray:
+        phi, psi = param_views(stack, model.trainable_params())
+        trial = SumformerModel(model.d, model.d_latent, MlpFeatureMap(model.phi.spec, phi),
+                               MlpCombiner(model.psi.spec, psi))
+        diff = batch_forward(trial, x_seqs) - y_seqs
+        return np.mean((diff * diff).reshape(len(stack), -1), axis=1)
+
+    return losses
+
+
 def gradient_check_once(seed: int, step: float = 1e-5) -> float:
-    """Max relative error between tape gradients and central differences
-    for one random small MLP regression loss, resampled away from kinks."""
+    """Max relative error between the training step's gradient
+    (``loss_and_gradient``) and central differences of the ``batch_forward``
+    MSE, for one random small MLP sumformer over a batch of sequences,
+    with inputs resampled away from the ReLU kinks of phi and psi."""
     rng = np.random.default_rng(seed)
-    widths = (int(rng.integers(2, 6)), int(rng.integers(2, 17)), int(rng.integers(1, 5)))
-    spec = MlpSpec(widths)
-    params = init_mlp_params(spec, rng)
-    y = rng.uniform(-1, 1, size=(3, widths[-1]))
+    d, d_latent, hidden, n = (int(rng.integers(lo, hi))
+                              for lo, hi in ((1, 4), (1, 6), (2, 9), (2, 4)))
+    model = build_mlp_sumformer(d, d_latent, seed, hidden=(hidden,))
+    y = rng.uniform(-1, 1, size=(GRADIENT_SEQS, n, d))
     for _ in range(200):
-        x = rng.uniform(-1, 1, size=(3, widths[0]))
-        h = x
-        margins = []
-        for i, (w, b) in enumerate(params[:-1]):
-            h = h @ w + b
-            margins.append(float(np.min(np.abs(h))))
-            h = np.where(h > 0, h, 0.0)
-        if min(margins) >= 1e-3:
+        x = rng.uniform(-1, 1, size=(GRADIENT_SEQS, n, d))
+        if _min_margin(model, x) >= 1e-3:
             break
     else:
         raise RuntimeError("could not sample inputs away from ReLU kinks")
 
-    tape = Tape()
-    nodes = mlp_param_nodes(tape, params)
-    pred = mlp_taped(tape, spec, nodes, tape.constant(x))
-    loss = tape.mean(tape.square(tape.sub(pred, tape.constant(y))))
-    grads = gradient(tape, loss)
-    flat_ad = [grads[p] for p in tape.parameters]
+    flat = flatten_params(model)
+    grad = np.full_like(flat, np.nan)  # stays NaN, so fails, if the loss is not finite
+    loss_and_gradient(model, x, y, param_views(grad, model.trainable_params()),
+                      WorkBuffer(model, n, GRADIENT_SEQS))
 
-    flat_values = [a for pair in params for a in pair]
-
-    def loss_fn(values):
-        rebuilt = [(values[2 * i], values[2 * i + 1]) for i in range(spec.n_layers)]
-        out = mlp_forward(spec, rebuilt, x)
-        return float(np.mean((out - y) ** 2))
-
-    flat_fd = central_difference(loss_fn, flat_values, step)
-    return float(np.max([
-        np.max(np.abs(ad - fd) / np.maximum(np.maximum(np.abs(ad), np.abs(fd)), 1e-6))
-        for ad, fd in zip(flat_ad, flat_fd)
-    ]))
+    fd = central_difference(_stacked_mse(model, x, y), flat, step)
+    return float(np.max(np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-6)))
 
 
 def check_gradients(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
@@ -317,7 +354,7 @@ def write_report(path: str, records: list[CheckRecord]):
     for r in records:
         lines.append(
             f"name={r.name} status={r.status} max_residual={r.max_residual!r} "
-            f"witness_path={r.witness_path or '-'}"
+            f"cases={r.cases} witness_path={r.witness_path or '-'}"
         )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -141,3 +141,32 @@ def check_semi_invariance(
             if worse(violation, worst):
                 worst, witness_x, witness_p = violation, x, p
     return CheckReport(worst, witness_x, witness_p)
+
+
+def central_difference_loop(
+    f: Callable[[list[np.ndarray]], float],
+    values: list[np.ndarray],
+    step: float = 1e-5,
+) -> list[np.ndarray]:
+    """Central finite-difference gradient of a scalar function, one entry at
+    a time.
+
+    ``f`` maps a list of arrays to a float; the result has one gradient
+    array per input, filled entry by entry with (f(x+h) - f(x-h)) / 2h.
+    """
+    grads = []
+    work = [v.copy() for v in values]
+    for v in work:
+        g = np.zeros_like(v)
+        flat_v = v.reshape(-1)
+        flat_g = g.reshape(-1)
+        for j in range(flat_v.size):
+            orig = flat_v[j]
+            flat_v[j] = orig + step
+            up = f(work)
+            flat_v[j] = orig - step
+            down = f(work)
+            flat_v[j] = orig
+            flat_g[j] = (up - down) / (2.0 * step)
+        grads.append(g)
+    return grads

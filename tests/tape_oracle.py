@@ -1,11 +1,12 @@
-"""Minimal reverse-mode differentiation over 2-D float64 arrays.
+"""Minimal reverse-mode differentiation over 2-D float64 arrays: the oracle
+that the training step's hand-written backward is checked against.
 
 Design notes:
 - A ``Tape`` records nodes in creation order.  ``gradient`` walks that
   list backwards once, accumulating vector-Jacobian products into each
   parent.  Node order is fixed at record time, so accumulation order
   (and therefore the float result) is deterministic for a given program.
-- Primitives cover exactly what the models in this package need:
+- Primitives cover exactly what the sumformer models need:
   matmul, elementwise add/sub, row-broadcast bias add, ReLU, column
   concatenation, fixed-size row-group sum/repeat, scalar scale, square
   and full mean.  No general broadcasting.
@@ -15,11 +16,10 @@ Design notes:
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from sumformer.errors import ContractError, ShapeError
+from sumformer.mlp import MlpParams, MlpSpec
 
 
 class Node:
@@ -180,29 +180,19 @@ def gradient(tape: Tape, loss: Node) -> dict[Node, np.ndarray]:
     }
 
 
-def central_difference(
-    f: Callable[[list[np.ndarray]], float],
-    values: list[np.ndarray],
-    step: float = 1e-5,
-) -> list[np.ndarray]:
-    """Central finite-difference gradient of a scalar function.
+def mlp_taped(tape: Tape, spec: MlpSpec, param_nodes: list[tuple[Node, Node]], x: Node) -> Node:
+    """Same forward as mlp_forward, recorded on a tape."""
+    h = x
+    last = spec.n_layers - 1
+    for i, (w, b) in enumerate(param_nodes):
+        h = tape.add_row(tape.matmul(h, w), b)
+        if i != last:
+            h = tape.relu(h)
+    return h
 
-    ``f`` maps a list of arrays to a float; the result has one gradient
-    array per input, filled entry by entry with (f(x+h) - f(x-h)) / 2h.
-    """
-    grads = []
-    work = [v.copy() for v in values]
-    for idx, v in enumerate(work):
-        g = np.zeros_like(v)
-        flat_v = v.reshape(-1)
-        flat_g = g.reshape(-1)
-        for j in range(flat_v.size):
-            orig = flat_v[j]
-            flat_v[j] = orig + step
-            up = f(work)
-            flat_v[j] = orig - step
-            down = f(work)
-            flat_v[j] = orig
-            flat_g[j] = (up - down) / (2.0 * step)
-        grads.append(g)
-    return grads
+
+def mlp_param_nodes(tape: Tape, params: MlpParams, prefix: str = "") -> list[tuple[Node, Node]]:
+    return [
+        (tape.parameter(w, f"{prefix}W{i}"), tape.parameter(b, f"{prefix}b{i}"))
+        for i, (w, b) in enumerate(params)
+    ]

@@ -10,11 +10,13 @@ from sumformer.cli import (
     main,
     read_config_file,
 )
+from sumformer.train import loss_and_gradient
 from sumformer.verify import (
     VerifyConfig,
     check_discrete_exactness,
     check_equivariance_models,
     check_gradients,
+    gradient_check_once,
 )
 
 FAST_VERIFY = [
@@ -257,6 +259,31 @@ def test_verify_passes_with_small_config(tmp_path):
     assert all(float(fields[1].removeprefix("seconds=")) >= 0.0 for fields in timing)
 
 
+# Cases each check runs at the verify defaults: n in {2, 3, 4}, d in {1, 2},
+# 20 samples, 20 trials, 3 omega seeds and 20 gradient seeds.
+DEFAULT_CASES = {
+    "sigma_recovery_standard": 120,
+    "sigma_recovery_linformer": 120,
+    "sigma_recovery_performer": 360,
+    "averaging_attention": 5,       # n in {2, 3, 4, 5, 64}
+    "equivariance_models": 100,     # 20 trials of 5 models
+    "discrete_exactness": 20,
+    "generation_oracle": 3,
+    "gradient_check": 20,
+}
+
+
+def test_verify_report_counts_the_cases_of_each_check(tmp_path):
+    reports = []
+    for run in ("a", "b"):
+        out = str(tmp_path / run)
+        assert main(["verify", "--out", out]) == EXIT_OK
+        reports.append(_read(os.path.join(out, "verify_report.txt")))
+    assert reports[0] == reports[1]
+    records = [dict(part.split("=", 1) for part in ln.split()) for ln in reports[0].splitlines()]
+    assert {r["name"]: int(r["cases"]) for r in records} == DEFAULT_CASES
+
+
 def test_verify_reports_skip_for_checks_without_cases(tmp_path):
     # The low-rank checks need n >= 2, so with n = 1 they run no case.
     out = str(tmp_path / "verify_n1")
@@ -266,6 +293,7 @@ def test_verify_reports_skip_for_checks_without_cases(tmp_path):
     status = {r["name"]: r["status"] for r in records}
     assert status.pop("sigma_recovery_linformer") == status.pop("sigma_recovery_performer") == "skip"
     assert set(status.values()) == {"pass"}
+    assert all((r["cases"] == "0") == (r["status"] == "skip") for r in records)
     assert main(["verify", "--out", out, "--n", "1", "--d", "1", "--tol", "0"]) == EXIT_VERIFY_FAILED
 
 
@@ -297,6 +325,27 @@ def test_verify_nan_residual_fails(tmp_path, monkeypatch, name, nan_result, fail
                for ln in _read(os.path.join(out, "verify_report.txt")).splitlines()]
     assert {r["name"] for r in records if r["status"] == "fail"} == failing
     assert all(r["max_residual"] == "nan" for r in records if r["name"] in failing)
+
+
+def _mean_over_tokens(model, x_seqs, y_seqs, grads, work):
+    """``loss_and_gradient`` whose backward takes the mean of psi's Sigma
+    gradient over a sequence's tokens instead of their sum.  phi's backward
+    is linear in that gradient, so this is phi's true gradient over n."""
+    loss = loss_and_gradient(model, x_seqs, y_seqs, grads, work)
+    for gw, gb in grads[0]:
+        gw /= x_seqs.shape[1]
+        gb /= x_seqs.shape[1]
+    return loss
+
+
+def test_verify_fails_when_the_training_gradient_averages_over_tokens(tmp_path, monkeypatch):
+    monkeypatch.setattr("sumformer.verify.loss_and_gradient", _mean_over_tokens)
+    assert gradient_check_once(0) > 1e-5
+    out = str(tmp_path / "verify_mean")
+    assert main(["verify", "--out", out] + FAST_VERIFY) == EXIT_VERIFY_FAILED
+    records = [dict(part.split("=", 1) for part in ln.split())
+               for ln in _read(os.path.join(out, "verify_report.txt")).splitlines()]
+    assert {r["name"] for r in records if r["status"] == "fail"} == {"gradient_check"}
 
 
 def test_verify_zero_tolerance_fails(tmp_path):

@@ -6,12 +6,14 @@ import pytest
 from sumformer.attention import build_sum_extraction
 from sumformer.equivariance import check_equivariance, lift
 from sumformer.errors import BudgetError, DomainError, ShapeError
-from sumformer.mlp import MlpSpec
+from sumformer.mlp import MlpSpec, param_views
 from sumformer.model import (
     LatentPolynomial,
     MlpCombiner,
+    MlpFeatureMap,
     PolynomialFeatureMap,
     SumformerModel,
+    batch_forward,
     build_continuous_sumformer,
     build_discrete_sumformer,
     build_mlp_sumformer,
@@ -20,6 +22,7 @@ from sumformer.model import (
     sumformer_forward,
 )
 from sumformer.multisym import enumerate_multidegrees
+from sumformer.train import trainable_arrays
 
 from oracles import polynomial_psi, sup_error, zero_mlp_params
 
@@ -180,6 +183,40 @@ def test_stack_of_permuted_copies_is_bitwise_permuted():
         for model in models:
             out = sumformer_forward(model, np.stack([x, x[p]]))
             assert np.array_equal(out[1], out[0][p])
+
+
+def _stacked_model(models):
+    """One model whose MLP parameters stack those of ``models`` on a leading axis."""
+    flats = np.stack([np.concatenate([a.ravel() for a in trainable_arrays(m)]) for m in models])
+    phi, psi = param_views(flats, models[0].trainable_params())
+    first = models[0]
+    return SumformerModel(first.d, first.d_latent, MlpFeatureMap(first.phi.spec, phi),
+                          MlpCombiner(first.psi.spec, psi))
+
+
+@pytest.mark.parametrize("count", [1, 4])
+@pytest.mark.parametrize("d, d_latent, hidden", [(2, 4, (6, 5)), (1, 1, (2,)), (3, 5, (8,))])
+def test_batch_forward_of_stacked_parameter_sets_is_each_set_alone(count, d, d_latent, hidden):
+    n = 3
+    models = [build_mlp_sumformer(d, d_latent, seed=s, hidden=hidden) for s in range(count)]
+    xs = np.random.default_rng(count).uniform(-1, 1, size=(5, n, d))
+    out = batch_forward(_stacked_model(models), xs)
+    assert out.shape == (count, 5, n, d)
+    for model, alone in zip(models, out):
+        assert np.array_equal(alone, batch_forward(model, xs))
+
+
+@pytest.mark.parametrize("layer, which, shape", [
+    (0, 0, (3, 2, 7)), (0, 1, (3, 2, 6)), (1, 0, (3, 5, 4)), (1, 1, (3, 4)),
+])
+def test_stacked_parameters_of_the_wrong_trailing_shape_are_refused(layer, which, shape):
+    models = [build_mlp_sumformer(2, 4, seed=s, hidden=(6,)) for s in range(3)]
+    stacked = _stacked_model(models)
+    pair = list(stacked.psi.params[layer])
+    pair[which] = np.zeros(shape)
+    stacked.psi.params[layer] = tuple(pair)
+    with pytest.raises(ShapeError):
+        batch_forward(stacked, np.zeros((2, 3, 2)))
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3), (2, 2, 4, 2), (2,)])

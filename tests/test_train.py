@@ -3,9 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sumformer.autodiff import Tape, gradient
 from sumformer.errors import ContractError, DivisionGuardError, TrainingDivergedError
-from sumformer.mlp import mlp_param_nodes, mlp_taped, param_views
+from sumformer.mlp import param_views
 from sumformer.model import (
     MlpFeatureMap,
     batch_forward,
@@ -25,6 +24,8 @@ from sumformer.train import (
     trainable_arrays,
     training_bytes,
 )
+
+from tape_oracle import Tape, gradient, mlp_param_nodes, mlp_taped
 
 FAST = OptimizerConfig(batch_size=50)
 
