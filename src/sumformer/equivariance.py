@@ -18,7 +18,9 @@ import numpy as np
 from .errors import ShapeError
 
 # g(token, other_tokens) -> output vector; other_tokens is an (n-1) x d matrix
-# whose row order must not matter.
+# whose row order must not matter.  A g that ``lift`` may hand stacks takes
+# (..., d) tokens with (..., n-1, d) rests: it reduces the rest over axis -2
+# and takes no ``float()`` of a per-sequence value.
 SemiInvariantFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -36,15 +38,25 @@ def compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def lift(g: SemiInvariantFn) -> Callable[[np.ndarray], np.ndarray]:
-    """Equivariant sequence map whose row i is g(x_i, all other rows)."""
+    """Equivariant sequence map whose row i is g(x_i, all other rows).
+
+    It takes an (n, d) sequence or an (S, n, d) stack and calls
+    ``g(x[..., i, :], np.delete(x, i, axis=-2))`` once per token position,
+    so on a stack g must reduce the rest over axis -2 and take no
+    ``float()`` of a per-sequence value.
+    """
 
     def lifted(x: np.ndarray) -> np.ndarray:
-        n = x.shape[0]
-        rows = []
+        n = x.shape[-2]
+        if n < 1:
+            raise ShapeError("lift needs at least one token per sequence")
+        out = None
         for i in range(n):
-            rest = np.delete(x, i, axis=0)
-            rows.append(np.asarray(g(x[i], rest), dtype=np.float64).reshape(-1))
-        return np.vstack(rows)
+            row = np.reshape(g(x[..., i, :], np.delete(x, i, axis=-2)), x.shape[:-2] + (-1,))
+            if out is None:
+                out = np.empty(x.shape[:-2] + (n, row.shape[-1]))
+            out[..., i, :] = row
+        return out
 
     return lifted
 

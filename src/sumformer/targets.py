@@ -6,6 +6,11 @@ sequence-to-sequence function row by row.  ``cubic_coupling`` is the
 primary benchmark; the other three are synthetic stand-ins added for
 coverage of the polynomial / non-polynomial split and are labeled as
 such in reports.
+
+Each g takes stacks, (..., d) tokens with (..., n-1, d) rests: it reduces
+the rest over axis -2 and takes no ``float()`` of a per-sequence value.
+So the lift of an (S, n, d) stack is n calls of g, and each slice has the
+bits of its sequence lifted alone.
 """
 
 from __future__ import annotations
@@ -34,20 +39,20 @@ class TargetFunction:
 
 def _cubic_coupling(x: np.ndarray, rest: np.ndarray) -> np.ndarray:
     """x + 7 x^2 + 3 x (sum rest)^3, componentwise."""
-    s = rest.sum(axis=0)
+    s = rest.sum(axis=-2)
     return x + 7.0 * x**2 + 3.0 * x * s**3
 
 
 def _quadratic_sum(x: np.ndarray, rest: np.ndarray) -> np.ndarray:
     """x + (sum rest)^2, componentwise."""
-    s = rest.sum(axis=0)
+    s = rest.sum(axis=-2)
     return x + s**2
 
 
 def _sine_gauss(x: np.ndarray, rest: np.ndarray) -> np.ndarray:
     """sin(pi x) * exp(-|sum rest|^2), componentwise in x."""
-    s = rest.sum(axis=0)
-    return np.sin(np.pi * x) * np.exp(-float(s @ s))
+    s = rest.sum(axis=-2)
+    return np.sin(np.pi * x) * np.exp(-np.matmul(s[..., None, :], s[..., :, None])[..., 0])
 
 
 def _softplus(z):
@@ -56,8 +61,8 @@ def _softplus(z):
 
 def _softplus_mix(x: np.ndarray, rest: np.ndarray) -> np.ndarray:
     """Mixture of softplus ramps steered by the largest component of sum rest."""
-    s = rest.sum(axis=0)
-    peak = float(np.max(s))
+    s = rest.sum(axis=-2)
+    peak = np.max(s, axis=-1, keepdims=True)
     return 0.5 * _softplus(2.0 * x - peak) + 0.5 * _softplus(peak - x)
 
 

@@ -73,12 +73,13 @@ def generate_dataset(
     """Uniform inputs, exact targets, deterministic split (first rows train)."""
     if count < 2:
         raise ContractError("count must be >= 2")
+    if n < 1 or d < 1:
+        raise ContractError("n and d must be >= 1")
     if not (0.0 < split_fraction < 1.0):
         raise ContractError("split_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
     inputs = rng.uniform(size=(count, n, d))
-    f = target.lifted()
-    targets = np.stack([f(x) for x in inputs])
+    targets = target.lifted()(inputs)
     n_train = split_sizes(count, split_fraction)[0]
     return Dataset(
         inputs=inputs,

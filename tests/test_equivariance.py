@@ -9,6 +9,7 @@ from sumformer.equivariance import (
     lift,
     permute,
 )
+from sumformer.errors import ShapeError
 
 from oracles import check_semi_invariance, invert, per_sequence
 
@@ -47,6 +48,13 @@ def test_lift_of_total_sum():
     f = lift(lambda x, rest: x + rest.sum(axis=0))
     out = f(np.array([[1.0], [2.0], [3.0]]))
     assert np.array_equal(out, np.full((3, 1), 6.0))
+
+
+def test_lift_refuses_sequences_without_tokens():
+    f = lift(lambda x, rest: x)
+    for shape in ((0, 2), (4, 0, 2)):
+        with pytest.raises(ShapeError):
+            f(np.zeros(shape))
 
 
 def test_lift_of_cubic_coupling_hand_values():
@@ -117,7 +125,7 @@ def test_lifted_targets_are_equivariant():
     for target in TARGETS.values():
         semi = check_semi_invariance(target.g, n=4, d=2, trials=20, seed=6)
         assert semi.max_violation <= 1e-12, target.name
-        equi = check_equivariance(per_sequence(target.lifted()), n=4, d=2, trials=20, seed=7)
+        equi = check_equivariance(target.lifted(), n=4, d=2, trials=20, seed=7)
         assert equi.max_violation <= 1e-10, target.name
 
 

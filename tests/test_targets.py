@@ -46,3 +46,14 @@ def test_softplus_mix_is_smooth_positive():
 def test_unknown_target_raises_config_error():
     with pytest.raises(ConfigError):
         get_target("nope")
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+def test_stacked_lift_is_bitwise_the_per_sequence_lift(name):
+    # n=1 gives an empty rest, whose sum is zeros.
+    f = TARGETS[name].lifted()
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3, 9, 17):
+        for d in (1, 2, 3, 8, 33):
+            xs = rng.uniform(size=(60, n, d))
+            assert np.array_equal(f(xs), np.stack([f(x) for x in xs])), (n, d)

@@ -12,7 +12,7 @@ from sumformer.model import (
     build_polynomial_sumformer,
 )
 from sumformer.serialize import dump_model, load_model
-from sumformer.targets import get_target
+from sumformer.targets import TargetFunction, get_target
 from sumformer.train import (
     OptimizerConfig,
     WorkBuffer,
@@ -50,6 +50,38 @@ def test_dataset_targets_recompute_exactly():
     f = target.lifted()
     for x, y in zip(data.inputs, data.targets):
         assert np.array_equal(f(x), y)
+
+
+@pytest.mark.parametrize("n, d", [(0, 2), (-1, 2), (3, 0), (3, -1)])
+def test_dataset_refuses_empty_sequences_and_tokens(n, d):
+    with pytest.raises(ContractError):
+        generate_dataset(get_target("quadratic_sum"), n, d, 10, 0.8, seed=0)
+
+
+def test_dataset_calls_the_target_once_per_token_position():
+    calls = []
+
+    def g(x, rest):
+        calls.append(x.shape)
+        return x + rest.sum(axis=-2)
+
+    counted = TargetFunction("counted", "polynomial", synthetic=True, g=g)
+    generate_dataset(counted, 3, 2, 50, 0.8, seed=0)
+    assert calls == [(50, 2)] * 3
+
+
+def test_dataset_generation_peak_memory():
+    # Six dataset-sized arrays: the inputs and targets and a few rests and
+    # temporaries of the lift at once.  A per-sequence lift peaks above it.
+    count, n, d = 2000, 3, 2
+    generate_dataset(get_target("cubic_coupling"), n, d, 10, 0.8, seed=0)
+    tracemalloc.start()
+    try:
+        generate_dataset(get_target("cubic_coupling"), n, d, count, 0.8, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * count * n * d * 8
 
 
 def test_dataset_inputs_in_unit_cube():
