@@ -5,7 +5,7 @@ each token through psi(x_i, Sigma).  phi is either the exact monomial
 feature map over a degree basis or a trainable MLP; psi is either a
 trainable MLP or fixed polynomial arithmetic (used by the exact
 continuous construction).  A separate piecewise-constant realization
-quantizes tokens to a grid and looks up outputs from a table keyed by
+finds each token's grid cell and looks up its output in a table keyed by
 (own cell, histogram of the other cells).
 """
 
@@ -333,11 +333,14 @@ def build_continuous_sumformer(
 
 @dataclass(frozen=True)
 class DiscreteSumformer:
-    """Table lookup over grid cells: quantize the own token, histogram the rest.
+    """Table lookup over grid cells, keyed by (own cell, histogram of the rest).
 
-    The grid splits [0,1) into delta_cells half-open intervals per axis.
-    Cell histograms are integer vectors (sums of one-hot cell encodings),
-    so equality of keys is exact and the model is exactly equivariant.
+    The grid splits [0,1) into delta_cells half-open cells per axis; cell c
+    is [c/delta, (c+1)/delta) with the float edges c/delta, so each anchor
+    c/delta lies in its own cell at every delta.  Histograms are integer
+    counts over the flat cell index, so equality of keys is exact and the
+    model is exactly equivariant.  The table is built and read through
+    ``keys`` alone, so a stored key and a looked-up key cannot disagree.
     """
 
     delta_cells: int
@@ -345,36 +348,19 @@ class DiscreteSumformer:
     d: int
     table: dict
 
-    @property
-    def cell_width(self) -> float:
-        return 1.0 / self.delta_cells
-
-    @property
-    def num_cells(self) -> int:
-        return self.delta_cells**self.d
-
-    def quantize(self, token: np.ndarray) -> tuple[int, ...]:
-        """Cell coordinate of one token; entries must lie in [0, 1)."""
-        token = np.asarray(token, dtype=np.float64).reshape(-1)
-        if np.any(token < 0.0) or np.any(token >= 1.0):
-            raise DomainError(f"token {token} outside [0,1)")
-        return tuple(np.floor(token * self.delta_cells).astype(int))
-
-    def cell_index(self, cell: tuple[int, ...]) -> int:
-        idx = 0
-        for c in cell:
-            idx = idx * self.delta_cells + c
-        return idx
-
-    def cell_one_hot(self, cell: tuple[int, ...]) -> np.ndarray:
-        """Unit-vector encoding of one cell; summing these gives a histogram."""
-        v = np.zeros(self.num_cells, dtype=np.int64)
-        v[self.cell_index(cell)] = 1
-        return v
-
-    def anchor(self, cell: tuple[int, ...]) -> np.ndarray:
-        """Lower-left corner of the cell's cube."""
-        return np.asarray(cell, dtype=np.float64) * self.cell_width
+    def keys(self, x: np.ndarray) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(own cell, histogram of the other rows' cells) of each row of an
+        (n, d) sequence, or of each sequence of an (S, n, d) stack in turn."""
+        inside = (0.0 <= x) & (x < 1.0)  # False for NaN
+        if not inside.all():
+            raise DomainError(f"token entry {float(x[~inside][0])} outside [0,1)")
+        delta = self.delta_cells
+        cells = np.searchsorted(np.arange(delta + 1) / delta, x, side="right") - 1
+        flat = cells @ delta ** np.arange(self.d - 1, -1, -1)
+        one_hot = flat[..., np.newaxis] == np.arange(delta**self.d)
+        hists = one_hot.sum(axis=-2, keepdims=True) - one_hot
+        return list(zip(map(tuple, cells.reshape(-1, self.d).tolist()),
+                        map(tuple, hists.reshape(-1, delta**self.d).tolist())))
 
 
 def build_discrete_sumformer(
@@ -383,7 +369,8 @@ def build_discrete_sumformer(
     n: int,
     d: int,
 ) -> DiscreteSumformer:
-    """Tabulate g at all grid anchors, keyed by (own cell, histogram of rest)."""
+    """Tabulate g at the anchor rows c/delta of each own cell beside each
+    multiset of the other cells, under the key ``keys`` gives the own row."""
     if delta_cells < 1 or n < 1 or d < 1:
         raise ShapeError("delta_cells, n, d must all be >= 1")
     # Up to delta^(n d) keys, each holding a delta^d-long histogram.
@@ -393,37 +380,21 @@ def build_discrete_sumformer(
             "exceeds the 1e6 budget"
         )
     ds = DiscreteSumformer(delta_cells=delta_cells, n=n, d=d, table={})
-    cells = list(product(range(delta_cells), repeat=d))
-    for own in cells:
-        own_anchor = ds.anchor(own)
-        for rest in combinations_with_replacement(cells, n - 1):
-            hist = np.zeros(ds.num_cells, dtype=np.int64)
-            for cell in rest:
-                hist += ds.cell_one_hot(cell)
-            rest_anchors = (
-                np.vstack([ds.anchor(c) for c in rest]) if rest else np.zeros((0, d))
-            )
-            value = np.asarray(g(own_anchor, rest_anchors), dtype=np.float64).reshape(-1)
+    anchors = np.array(list(product(range(delta_cells), repeat=d))) / delta_cells
+    rests = list(combinations_with_replacement(range(len(anchors)), n - 1))
+    for own in range(len(anchors)):
+        rows = anchors[np.array([(own, *rest) for rest in rests])]  # (rests, n, d)
+        for seq, key in zip(rows, ds.keys(rows)[::n]):
+            value = np.asarray(g(seq[0], seq[1:]), dtype=np.float64).reshape(-1)
             if value.shape[0] != d:
                 raise ShapeError(f"g returned {value.shape[0]} components, want {d}")
-            ds.table[(own, tuple(hist))] = value
+            ds.table[key] = value
     return ds
 
 
 def discrete_forward(ds: DiscreteSumformer, x: np.ndarray) -> np.ndarray:
-    """Quantize, histogram, look up.  Exact on cells: any two inputs with the
-    same quantized rows produce identical output."""
+    """Look up each row's key.  Exact on cells: any two inputs with the same
+    cells row by row produce identical output."""
     if x.ndim != 2 or x.shape != (ds.n, ds.d):
         raise ShapeError(f"input shape {x.shape}, table built for {ds.n} x {ds.d}")
-    cells = [ds.quantize(row) for row in x]
-    total_hist = np.zeros(ds.num_cells, dtype=np.int64)
-    one_hots = []
-    for cell in cells:
-        oh = ds.cell_one_hot(cell)
-        one_hots.append(oh)
-        total_hist += oh
-    rows = []
-    for cell, oh in zip(cells, one_hots):
-        key = (cell, tuple(total_hist - oh))
-        rows.append(ds.table[key])
-    return np.vstack(rows)
+    return np.vstack([ds.table[key] for key in ds.keys(x)])

@@ -151,20 +151,17 @@ def generation_oracle(
     target: Callable[[np.ndarray], float],
     d: int,
     n: int,
-    max_product_degree: int | None = None,
     sample_count: int = 500,
     seed: int = 0,
 ) -> FitReport:
     """Check numerically that a multisymmetric target is generated by power sums.
 
     Fits the target by least squares over all products of power sums up
-    to the given total product degree, on uniform samples in [0,1]^{n x d},
+    to total product degree 2n, on uniform samples in [0,1]^{n x d},
     and reports the max absolute residual.  The target must be invariant
     under row permutations; this is verified on 10 random permutations
     before fitting.
     """
-    if max_product_degree is None:
-        max_product_degree = 2 * n
     rng = np.random.default_rng(seed)
 
     probe = rng.uniform(size=(n, d))
@@ -179,7 +176,7 @@ def generation_oracle(
                 permutation=perm,
             )
 
-    terms = product_terms(d, n, max_product_degree)
+    terms = product_terms(d, n, 2 * n)
     generators = enumerate_multidegrees(d, n).degrees
     samples = rng.uniform(size=(sample_count, n, d))
     sums = {alpha: power_sum(samples, alpha) for alpha in generators}

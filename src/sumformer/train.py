@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ContractError, DivisionGuardError, TrainingDivergedError
 from .mlp import MlpParams, leading, mlp_backward, param_views
 from .model import (
-    DEFAULT_HIDDEN,
     ForwardOuts,
     MlpCombiner,
     MlpFeatureMap,
@@ -30,6 +29,7 @@ from .model import (
     mlp_sumformer_specs,
 )
 from .model import batch_forward as step_forward
+from .multisym import basis_size
 from .targets import TargetFunction
 
 
@@ -432,7 +432,6 @@ def latent_sweep(
     points: int,
     seeds: list[int],
     config: OptimizerConfig | None = None,
-    hidden: tuple[int, ...] | None = None,
 ) -> list[SweepRow]:
     """Best validation error per (d, d', seed); same data across d' cells.
 
@@ -441,8 +440,6 @@ def latent_sweep(
     """
     if not d_list or not dprime_list or not seeds:
         raise ContractError("d_list, dprime_list, seeds must be nonempty")
-    if hidden is None:
-        hidden = DEFAULT_HIDDEN
     rows = []
     datasets: dict[tuple[int, int], Dataset] = {}
     for d in d_list:
@@ -451,12 +448,12 @@ def latent_sweep(
                 key = (d, seed)
                 if key not in datasets:
                     datasets[key] = generate_dataset(target, n, d, points, SWEEP_SPLIT, seed)
-                model = build_mlp_sumformer(d, d_prime, seed, hidden)
+                model = build_mlp_sumformer(d, d_prime, seed)
                 report = train(model, datasets[key], epochs, config, seed)
                 rows.append(SweepRow(
                     d=d, d_prime=d_prime, seed=seed,
                     best_val_err=report.best_validation_error,
-                    dprime_formula=math.comb(n + d, d) - 1,
+                    dprime_formula=basis_size(d, n),
                 ))
     return rows
 

@@ -257,7 +257,7 @@ def _stacked_mse(model: SumformerModel, x_seqs: np.ndarray, y_seqs: np.ndarray):
     return losses
 
 
-def gradient_check_once(seed: int, step: float = 1e-5) -> float:
+def gradient_check_once(seed: int) -> float:
     """Max relative error between the training step's gradient
     (``loss_and_gradient``) and central differences of the ``batch_forward``
     MSE, for one random small MLP sumformer over a batch of sequences,
@@ -279,7 +279,7 @@ def gradient_check_once(seed: int, step: float = 1e-5) -> float:
     loss_and_gradient(model, x, y, param_views(grad, model.trainable_params()),
                       WorkBuffer(model, n, GRADIENT_SEQS))
 
-    fd = central_difference(_stacked_mse(model, x, y), flat, step)
+    fd = central_difference(_stacked_mse(model, x, y), flat)
     return float(np.max(np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-6)))
 
 

@@ -8,6 +8,7 @@ from sumformer.equivariance import check_equivariance, lift
 from sumformer.errors import BudgetError, DomainError, ShapeError
 from sumformer.mlp import MlpSpec, param_views
 from sumformer.model import (
+    DiscreteSumformer,
     LatentPolynomial,
     MlpCombiner,
     MlpFeatureMap,
@@ -272,11 +273,16 @@ def test_discrete_constant_target_any_resolution():
         assert np.array_equal(discrete_forward(ds, x), np.full((3, 1), 0.25))
 
 
-def test_discrete_exact_at_anchors():
+# Beyond 4, c * (1/delta) differs from the anchor c/delta for some c, and at
+# 22, 49 and 100 floor(c/delta * delta) is c - 1 for some c.
+GRID_DELTAS = [4, 5, 10, 22, 49, 100]
+
+
+@pytest.mark.parametrize("delta", GRID_DELTAS)
+def test_discrete_exact_at_anchors(delta):
     def g(x, rest):
         return x + rest.sum(axis=0) ** 2
 
-    delta = 4
     ds = build_discrete_sumformer(g, delta_cells=delta, n=2, d=1)
     f = lift(g)
     rng = np.random.default_rng(7)
@@ -285,11 +291,11 @@ def test_discrete_exact_at_anchors():
         assert np.array_equal(discrete_forward(ds, anchors), f(anchors))
 
 
-def test_discrete_piecewise_constant_within_cells():
+@pytest.mark.parametrize("delta", GRID_DELTAS)
+def test_discrete_piecewise_constant_within_cells(delta):
     def g(x, rest):
         return x * 2.0 + rest.sum(axis=0)
 
-    delta = 4
     ds = build_discrete_sumformer(g, delta_cells=delta, n=2, d=1)
     rng = np.random.default_rng(8)
     for _ in range(20):
@@ -329,8 +335,23 @@ def test_discrete_lipschitz_bound():
 
 def test_discrete_domain_error():
     ds = build_discrete_sumformer(lambda x, rest: x, delta_cells=2, n=2, d=1)
-    with pytest.raises(DomainError):
-        discrete_forward(ds, np.array([[1.0], [0.5]]))
+    for bad in (1.0, -0.25, np.nan):
+        with pytest.raises(DomainError):
+            discrete_forward(ds, np.array([[bad], [0.5]]))
+
+
+def test_discrete_keys_put_each_anchor_in_its_own_cell():
+    """Every anchor row c/delta keys to cell c, beside a histogram of the
+    other rows, at every delta verify admits (d=1) and up to 31 at d=2."""
+    for d, deltas in ((1, range(1, 101)), (2, range(1, 32))):
+        for delta in deltas:
+            cells = list(itertools.product(range(delta), repeat=d))
+            ds = DiscreteSumformer(delta_cells=delta, n=len(cells), d=d, table={})
+            keys = ds.keys(np.array(cells) / delta)
+            assert [own for own, _ in keys] == cells
+            # Cells in product order are flat indices 0, 1, ...: each row's
+            # histogram counts every cell but its own once.
+            assert np.array_equal([hist for _, hist in keys], 1 - np.eye(len(cells)))
 
 
 def test_discrete_budget_guard():
