@@ -25,7 +25,7 @@ from .errors import (
     ShapeError,
     UnsupportedInspectionError,
 )
-from .linalg import require_finite, require_rows, softmax_rows
+from .linalg import exp_shifted_rows, require_finite, require_rows, softmax_rows
 from .mlp import MlpParams, MlpSpec
 from .model import MlpFeatureMap, PolynomialFeatureMap
 from .multisym import DegreeBasis
@@ -51,30 +51,11 @@ def _mm(a: np.ndarray, b: np.ndarray, counter: MacCounter | None,
     return out
 
 
-# Query rows per block of the softmax heads' forward.  The softmax is row-local,
-# so blocking rows bounds the score memory at ROW_BLOCK x (key count) floats
-# per sequence.  Smaller blocks would change the gemms' bits at some n.
-ROW_BLOCK = 128
-# Score floats per in-place scale and softmax pass: 2^17 floats (1 MiB) stay in
-# a 2 MiB L2 cache across the passes.  That is 32 query rows of the standard
-# head at n = 4096 and a whole block when there are few keys.  The softmax is
-# row-local, so slicing changes no bit.
-SOFTMAX_FLOATS = 1 << 17
-
-
-def _attention_rows(q: np.ndarray, k_t: np.ndarray, counter: MacCounter | None,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """softmax(q K^T / sqrt(m)) for the query rows q, computed in ``out`` when
-    given: the scale and the softmax run in place on the scores."""
-    scores = _mm(q, k_t, counter, out)
-    scale = math.sqrt(q.shape[-1])
-    # A query row of scores holds (stack size) x (key count) floats.
-    step = max(1, SOFTMAX_FLOATS // max(1, math.prod(scores.shape[:-2]) * scores.shape[-1]))
-    for start in range(0, scores.shape[-2], step):
-        part = scores[..., start:start + step, :]
-        part /= scale
-        softmax_rows(part, out=part)
-    return scores
+# Score floats per block of the softmax heads' forward: 2^17 floats (1 MiB)
+# stay in a 2 MiB L2 cache from the score gemm to the value gemm.  A block is
+# SCORE_FLOATS // (key count) query rows, 32 for the standard head at n = 4096,
+# whatever the stack size, so each slice of a stack keeps its bits.
+SCORE_FLOATS = 1 << 17
 
 
 class HeadSpec:
@@ -90,6 +71,7 @@ class HeadSpec:
     k = None            # projection rank / feature count, for variants that have one
     needs_k = False     # the variant takes k
     k_below_n = False   # the variant refuses k >= n
+    construction_any_n = False  # the construction is exact at every token count
 
     @staticmethod
     def extra_shapes(n: int, m: int, k: int | None) -> dict[str, tuple[int, int]]:
@@ -114,30 +96,36 @@ class HeadSpec:
         return x, x
 
     def _queries_and_keys(self, x: np.ndarray, counter: MacCounter | None):
-        """Q = X W_Q, K^T = (key rows W_K)^T and the rows the values read."""
+        """Q = X W_Q / sqrt(m), K^T = (key rows W_K)^T and the rows the values read."""
         _check_head_input(x, self)
         key_rows, value_rows = self.sources(x, counter)
         q = _mm(x, self.w_q, counter)
+        q /= math.sqrt(q.shape[-1])
         return q, _mm(key_rows, self.w_k, counter).swapaxes(-1, -2), value_rows
 
     def attention(self, x: np.ndarray, counter: MacCounter | None = None):
         """The row-stochastic matrix A and the rows its values are computed from."""
         q, k_t, value_rows = self._queries_and_keys(x, counter)
-        return _attention_rows(q, k_t, counter), value_rows
+        scores = _mm(q, k_t, counter)
+        return softmax_rows(scores, out=scores), value_rows
 
     def forward(self, x: np.ndarray, counter: MacCounter | None = None) -> np.ndarray:
-        """A V taken ROW_BLOCK query rows at a time: each block of A is computed
-        in one score buffer allocated per call, and each output row comes from
-        the same dot products as A @ V."""
+        """A V taken SCORE_FLOATS // (key count) query rows at a time, in one
+        score buffer allocated per call.  Each block's exp(scores - row max)
+        multiplies V first; the block's n_blk x m output rows are then divided
+        by the row sums, so the n x n scores are never normalised."""
         q, k_t, value_rows = self._queries_and_keys(x, counter)
         v = _mm(value_rows, self.w_v, counter)
-        n = q.shape[-2]
+        n, key_count = q.shape[-2], k_t.shape[-1]
+        step = max(1, min(n, SCORE_FLOATS // max(1, key_count)))
         out = np.empty((*q.shape[:-1], v.shape[-1]))
-        scores = np.empty((*q.shape[:-2], min(ROW_BLOCK, n), k_t.shape[-1]))
-        for start in range(0, n, ROW_BLOCK):
-            rows = slice(start, start + ROW_BLOCK)
-            block = scores[..., :min(ROW_BLOCK, n - start), :]
-            _mm(_attention_rows(q[..., rows, :], k_t, counter, block), v, counter, out[..., rows, :])
+        scores = np.empty((*q.shape[:-2], step, key_count))
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            block = _mm(q[..., rows, :], k_t, counter, scores[..., :min(step, n - start), :])
+            sums = exp_shifted_rows(block, out=block)[1]
+            _mm(block, v, counter, out[..., rows, :])
+            out[..., rows, :] /= sums
         return out
 
 
@@ -213,6 +201,7 @@ class PerformerHeadSpec(HeadSpec):
 
     variant = "performer"
     needs_k = True
+    construction_any_n = True  # the head sums over the tokens instead of averaging
 
     @property
     def k(self) -> int:
@@ -350,9 +339,12 @@ class SumExtractionConstruction:
 
     def lift(self, x: np.ndarray) -> np.ndarray:
         """Token-wise lift of raw n x d input, or an (S, n, d) stack, to the
-        1 + d + 2d' layout."""
+        1 + d + 2d' layout.  A head that averages takes only the built n."""
         if x.ndim not in (2, 3) or x.shape[-1] != self.d:
             raise ShapeError(f"input shape {x.shape}, expected n x {self.d} or S x n x {self.d}")
+        if x.shape[-2] != self.n and not self.head.construction_any_n:
+            raise ShapeError(f"the {self.variant} construction is built for n={self.n}, "
+                             f"got {x.shape[-2]} tokens")
         rows = x.shape[:-1]
         return np.concatenate(
             [np.ones((*rows, 1)), x, self.phi.rows(x), np.zeros((*rows, self.d_latent))], axis=-1)

@@ -27,23 +27,27 @@ def require_finite(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def softmax_rows(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for stability, of a matrix or
-    of each matrix of a stack.
+def exp_shifted_rows(m: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """exp(m - row max of m) of a matrix or stack, and its row sums (keepdims).
 
-    Each output row is nonnegative and sums to 1 (within float rounding);
-    adding a constant to an input row leaves its output row unchanged.
-    The shift, the exp and the normalisation write into ``out`` (which may
-    be ``m`` itself) when given, else into one new array, and ``m`` is left
-    unchanged.  Both give the same bits.  The input and ``out`` are checked
-    before anything is written.
+    The result goes into ``out`` (which may be ``m`` itself) when given, else
+    into one new array; both give the same bits.  ``m`` and ``out`` must be
+    float64 of one shape and ``m`` finite, checked before anything is written.
     """
     require_rows(m, "m")
-    if out is not None and (not isinstance(out, np.ndarray) or out.shape != m.shape
-                            or out.dtype != np.float64):
-        raise ShapeError(f"out must be a float64 array of shape {m.shape}")
+    for name, a in (("m", m), ("out", m if out is None else out)):
+        if not isinstance(a, np.ndarray) or a.shape != m.shape or a.dtype != np.float64:
+            raise ShapeError(f"{name} must be a float64 array of shape {m.shape}")
     require_finite(m, "softmax input")
     e = np.subtract(m, m.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    return e, e.sum(axis=-1, keepdims=True)
+
+
+def softmax_rows(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax of a matrix or stack: ``exp_shifted_rows`` divided by
+    its row sums, in the same array and with the same checks.  Each row sums to
+    1 within rounding; adding a constant to an input row changes nothing."""
+    e, sums = exp_shifted_rows(m, out)
+    e /= sums
     return e

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CountOverflowError, InvarianceViolationError, ShapeError
+from .errors import ContractError, CountOverflowError, InvarianceViolationError, ShapeError
 
 MultiDegree = tuple[int, ...]
 
@@ -43,6 +43,8 @@ class DegreeBasis:
 
 def basis_size(d: int, n_max: int) -> int:
     """C(n_max + d, d) - 1, the number of multidegrees with 1 <= |alpha| <= n_max."""
+    if d < 0 or n_max < 0:
+        raise ContractError(f"d and n_max must be >= 0, got d={d}, n_max={n_max}")
     return math.comb(n_max + d, d) - 1
 
 

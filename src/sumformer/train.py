@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DivisionGuardError, TrainingDivergedError
+from .errors import ConfigError, ContractError, DivisionGuardError, TrainingDivergedError
 from .mlp import MlpParams, leading, mlp_backward, param_views
 from .model import (
     ForwardOuts,
@@ -350,6 +350,8 @@ def train(
     """
     if config is None:
         config = OptimizerConfig()
+    if config.batch_size is not None and config.batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1 or None, got {config.batch_size}")
     if not model.trainable_params():
         raise ContractError("model has no trainable parameters")
     if not isinstance(model.psi, MlpCombiner):

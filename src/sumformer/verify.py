@@ -211,27 +211,24 @@ def check_generation_oracle(config: VerifyConfig) -> tuple[CheckRecord, np.ndarr
 
 
 GRADIENT_SEQS = 2  # sequences per gradient-check batch
+FD_STEP = 1e-5  # central-difference step
 
 
-def central_difference(
-    losses: Callable[[np.ndarray], np.ndarray],
-    flat: np.ndarray,
-    step: float = 1e-5,
-) -> np.ndarray:
+def central_difference(losses: Callable[[np.ndarray], np.ndarray], flat: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient of a scalar loss of the flat
     parameter vector ``flat``.
 
     ``losses`` maps a (K, P) stack of parameter vectors to their K losses.
-    It is called once, on the 2P vectors ``flat + step e_j`` and then
-    ``flat - step e_j``; entry j of the result is (up - down) / 2 step.
+    It is called once, on the 2P vectors ``flat + FD_STEP e_j`` and then
+    ``flat - FD_STEP e_j``; entry j of the result is (up - down) / 2 FD_STEP.
     """
     size = flat.size
     stack = np.tile(flat, (2, size, 1))
     diagonal = np.arange(size)
-    stack[0, diagonal, diagonal] = flat + step
-    stack[1, diagonal, diagonal] = flat - step
+    stack[0, diagonal, diagonal] = flat + FD_STEP
+    stack[1, diagonal, diagonal] = flat - FD_STEP
     values = losses(stack.reshape(2 * size, size))
-    return (values[:size] - values[size:]) / (2.0 * step)
+    return (values[:size] - values[size:]) / (2.0 * FD_STEP)
 
 
 def _min_margin(model: SumformerModel, x_seqs: np.ndarray) -> float:

@@ -5,7 +5,7 @@ from typing import Callable
 
 import numpy as np
 
-from sumformer.attention import ROW_BLOCK
+from sumformer.attention import SCORE_FLOATS
 from sumformer.equivariance import CheckReport, SemiInvariantFn, _permutations_for, lift, worse
 from sumformer.errors import ShapeError
 from sumformer.mlp import MlpParams, MlpSpec
@@ -79,21 +79,20 @@ def monomial_features(x: np.ndarray, basis: DegreeBasis) -> np.ndarray:
 
 
 def allocating_head_forward(x: np.ndarray, spec) -> np.ndarray:
-    """A softmax head's forward taken ROW_BLOCK query rows at a time, each block
-    in fresh arrays: the scores, their shifted copy and the block's output."""
+    """A softmax head's forward taken SCORE_FLOATS // (key count) query rows at
+    a time, each block in fresh arrays: Q / sqrt(m), the scores, their shifted
+    exp, then (E @ V) / (row sums of E)."""
     key_rows, value_rows = spec.sources(x, None)
-    q = x @ spec.w_q
+    q = x @ spec.w_q / math.sqrt(x.shape[-1])
     k_t = (key_rows @ spec.w_k).swapaxes(-1, -2)
     v = value_rows @ spec.w_v
+    step = max(1, min(q.shape[-2], SCORE_FLOATS // k_t.shape[-1]))
     out = np.empty((*q.shape[:-1], v.shape[-1]))
-    for start in range(0, q.shape[-2], ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
+    for start in range(0, q.shape[-2], step):
+        rows = slice(start, start + step)
         scores = q[..., rows, :] @ k_t
-        scores /= math.sqrt(q.shape[-1])
-        e = scores - scores.max(axis=-1, keepdims=True)
-        np.exp(e, out=e)
-        e /= e.sum(axis=-1, keepdims=True)
-        out[..., rows, :] = e @ v
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        out[..., rows, :] = (e @ v) / e.sum(axis=-1, keepdims=True)
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 from sumformer import attention
 from sumformer.attention import (
     HEADS,
-    ROW_BLOCK,
+    SCORE_FLOATS,
     LinformerHeadSpec,
     MacCounter,
     PerformerHeadSpec,
@@ -18,6 +18,7 @@ from sumformer.attention import (
     mac_count,
 )
 from sumformer.errors import ContractError, DomainError, ShapeError, UnsupportedInspectionError
+from sumformer.linalg import exp_shifted_rows
 from sumformer.mlp import MlpSpec, init_mlp_params
 from sumformer.multisym import enumerate_multidegrees, power_sum_vector
 from sumformer.serialize import dump_construction, load_construction
@@ -56,6 +57,23 @@ def test_constant_query_construction_gives_uniform_attention():
         x = np.random.default_rng(n).uniform(size=(n, 1))
         a = attention_matrix(con.lift(x), con.head)
         assert np.max(np.abs(a - 1.0 / n)) <= 1e-12
+
+
+@pytest.mark.parametrize("variant", list(HEADS))
+def test_construction_at_another_token_count(variant):
+    """The averaging constructions refuse a token count other than their n;
+    the random-feature one sums over the tokens and stays exact at any n."""
+    n, d = 3, 2
+    basis = enumerate_multidegrees(d, n)
+    con = build_sum_extraction(variant, n, d, basis, k=2 if HEADS[variant].needs_k else None, seed=0)
+    xs = np.random.default_rng(5).uniform(size=(4, 5, d))
+    if not HEADS[variant].construction_any_n:
+        for x in (xs, xs[0]):
+            with pytest.raises(ShapeError, match="n=3"):
+                con.forward(x)
+        return
+    sigma = con.forward(xs)[..., -con.d_latent:]
+    assert np.max(np.abs(sigma - power_sum_vector(xs, basis)[:, np.newaxis])) <= 1e-8
 
 
 def test_attention_matrix_single_row():
@@ -345,15 +363,23 @@ def _unblocked(x, spec):
 
 
 @pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
-@pytest.mark.parametrize("n", [1, ROW_BLOCK, 4 * ROW_BLOCK])
+@pytest.mark.parametrize("n", [1, 128, 512])
 def test_blocked_forward_is_bitwise_the_unblocked_product(variant, n):
+    """Bitwise the deferred product (E @ V) / (row sums of E) of the whole
+    shifted exp E, and within rounding of the normalised A @ V."""
     # The low-rank head needs k < n, so it starts at n = 2.
     x, spec, _ = _softmax_head(variant, max(n, 2) if variant == "linformer" else n)
-    assert np.array_equal(head_forward(x, spec), _unblocked(x, spec))
+    out = head_forward(x, spec)
+    key_rows, value_rows = spec.sources(x, None)
+    q = x @ spec.w_q / np.sqrt(x.shape[1])
+    e, sums = exp_shifted_rows(q @ (key_rows @ spec.w_k).T)
+    assert np.array_equal(out, (e @ (value_rows @ spec.w_v)) / sums)
+    reference = _unblocked(x, spec)
+    assert np.max(np.abs(out - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 @pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
-@pytest.mark.parametrize("n", [ROW_BLOCK + 1, 3 * ROW_BLOCK - 1])
+@pytest.mark.parametrize("n", [129, 383])  # standard head at 383: blocks of 342 and 41 rows
 def test_blocked_forward_with_a_ragged_last_block(variant, n):
     x, spec, k = _softmax_head(variant, n, seed=n)
     out, reference = head_forward(x, spec), _unblocked(x, spec)
@@ -376,7 +402,7 @@ def test_blocked_forward_never_holds_the_score_matrix():
 
 
 def test_warm_forward_peak_is_one_score_block_and_the_operands():
-    """One reused score buffer: the peak stays below two ROW_BLOCK x n blocks
+    """One reused score buffer: the peak stays below two SCORE_FLOATS blocks
     plus the four n x m operands (Q, K, V and the output)."""
     n, m = 2048, 16
     x, spec, _ = _softmax_head("standard", n, m=m)
@@ -387,7 +413,7 @@ def test_warm_forward_peak_is_one_score_block_and_the_operands():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * ROW_BLOCK * n * 8 + 4 * n * m * 8, peak
+    assert peak < 2 * SCORE_FLOATS * 8 + 4 * n * m * 8, peak
 
 
 @pytest.mark.parametrize("variant, n", [
@@ -404,7 +430,7 @@ def test_forward_is_bitwise_the_allocating_block_oracle(variant, n):
 
 @pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
 def test_stacked_forward_is_bitwise_the_allocating_block_oracle(variant):
-    n, m = 2 * ROW_BLOCK + 3, 16
+    n, m = 259, 16
     x, spec, k = _softmax_head(variant, n, m=m, seed=3)
     xs = np.random.default_rng(4).uniform(-1, 1, size=(3, n, m))
     counter = MacCounter()
@@ -412,11 +438,21 @@ def test_stacked_forward_is_bitwise_the_allocating_block_oracle(variant):
     assert counter.total == 3 * mac_count(variant, n, m, k)
 
 
+def test_stacked_forward_over_several_blocks_is_each_sequence_alone():
+    n = 517  # blocks of 253, 253 and 11 query rows
+    _, spec, _ = _softmax_head("standard", n, seed=6)
+    xs = np.random.default_rng(7).uniform(-1, 1, size=(3, n, 16))
+    stacked = head_forward(xs, spec)
+    assert np.array_equal(stacked, allocating_head_forward(xs, spec))
+    for i, x in enumerate(xs):
+        assert np.array_equal(head_forward(x, spec), stacked[i])
+
+
 @pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
 def test_score_overflow_in_the_last_softmax_slice_raises(variant, monkeypatch):
-    n = ROW_BLOCK + 5
-    # Standard-head slices of 4 rows: the last block is a full slice and a ragged one.
-    monkeypatch.setattr(attention, "SOFTMAX_FLOATS", 4 * n)
+    n = 133
+    # Standard-head blocks of 4 rows, low-rank blocks of 66: the last block is ragged.
+    monkeypatch.setattr(attention, "SCORE_FLOATS", 4 * n)
     x, spec, _ = _softmax_head(variant, n)
     x[-1] = 1e200
     with pytest.raises(DomainError):
@@ -425,7 +461,7 @@ def test_score_overflow_in_the_last_softmax_slice_raises(variant, monkeypatch):
 
 @pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
 def test_score_overflow_in_the_last_block_raises(variant):
-    n = 2 * ROW_BLOCK + 5
+    n = 517  # standard-head blocks of 253, 253 and 11 rows
     x, spec, _ = _softmax_head(variant, n)
     x[-1] = 1e200  # only the last query row's scores leave the float range
     with pytest.raises(DomainError):
@@ -507,8 +543,8 @@ def test_stack_mac_count_is_the_sequence_count_times_one_forward(variant):
     con.forward(xs[0], one)
     con.forward(xs, many)
     assert many.total == stack * one.total > 0
-    spec = _random_head(variant, 2 * ROW_BLOCK + 3, k=3)
-    x = np.random.default_rng(44).uniform(-1, 1, size=(3, 2 * ROW_BLOCK + 3, 4))
+    spec = _random_head(variant, 259, k=3)
+    x = np.random.default_rng(44).uniform(-1, 1, size=(3, 259, 4))
     one, many = MacCounter(), MacCounter()
     head_forward(x[0], spec, one)
     head_forward(x, spec, many)

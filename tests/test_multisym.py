@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sumformer.errors import InvarianceViolationError, ShapeError
+from sumformer.errors import ContractError, InvarianceViolationError, ShapeError
 from sumformer.multisym import (
     basis_size,
     enumerate_multidegrees,
@@ -33,6 +33,12 @@ def test_enumerate_d2_order2_graded_lex():
 def test_count_formula_spot_value():
     assert enumerate_multidegrees(4, 5).size == 125
     assert basis_size(4, 5) == math.comb(9, 4) - 1 == 125
+
+
+def test_count_formula_refuses_negative_arguments():
+    for d, n_max in ((-1, 3), (2, -1)):
+        with pytest.raises(ContractError):
+            basis_size(d, n_max)
 
 
 @pytest.mark.parametrize("d", range(1, 7))

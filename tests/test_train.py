@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sumformer.errors import ContractError, DivisionGuardError, TrainingDivergedError
+from sumformer.errors import ConfigError, ContractError, DivisionGuardError, TrainingDivergedError
 from sumformer.mlp import param_views
 from sumformer.model import (
     MlpFeatureMap,
@@ -28,6 +28,14 @@ from sumformer.train import (
 from tape_oracle import Tape, gradient, mlp_param_nodes, mlp_taped
 
 FAST = OptimizerConfig(batch_size=50)
+
+
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_train_refuses_a_batch_size_below_one(batch_size):
+    data = generate_dataset(get_target("quadratic_sum"), 3, 1, 10, 0.8, seed=0)
+    model = build_mlp_sumformer(1, 4, seed=0)
+    with pytest.raises(ConfigError, match="batch_size"):
+        train(model, data, epochs=1, config=OptimizerConfig(batch_size=batch_size))
 
 
 def test_dataset_split_sizes():
