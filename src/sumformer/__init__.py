@@ -12,16 +12,10 @@ from .attention import (
     head_forward,
     mac_count,
 )
-from .equivariance import (
-    check_equivariance,
-    compose,
-    lift,
-    permute,
-)
+from .equivariance import check_equivariance, lift
 from .linalg import softmax_rows
 from .mlp import MlpSpec, init_mlp_params, mlp_forward
 from .model import (
-    DiscreteSumformer,
     LatentPolynomial,
     MlpCombiner,
     MlpFeatureMap,
@@ -32,7 +26,6 @@ from .model import (
     build_discrete_sumformer,
     build_mlp_sumformer,
     build_polynomial_sumformer,
-    discrete_forward,
     sumformer_forward,
 )
 from .multisym import (

@@ -26,8 +26,7 @@ from .errors import (
     UnsupportedInspectionError,
 )
 from .linalg import exp_shifted_rows, require_finite, require_rows, softmax_rows
-from .mlp import MlpParams, MlpSpec
-from .model import MlpFeatureMap, PolynomialFeatureMap
+from .model import Phi, PolynomialFeatureMap
 from .multisym import DegreeBasis
 
 
@@ -319,7 +318,7 @@ class SumExtractionConstruction:
     basis: DegreeBasis
     head: HeadSpec
     w_fc: np.ndarray  # m x m token-wise weight
-    phi: PolynomialFeatureMap | MlpFeatureMap
+    phi: Phi
     k: int | None = None
     seed: int | None = None
     lambda_value: float | None = None
@@ -335,12 +334,12 @@ class SumExtractionConstruction:
 
     @property
     def d_latent(self) -> int:
-        return self.basis.size
+        return self.phi.out_width
 
     def lift(self, x: np.ndarray) -> np.ndarray:
         """Token-wise lift of raw n x d input, or an (S, n, d) stack, to the
         1 + d + 2d' layout.  A head that averages takes only the built n."""
-        if x.ndim not in (2, 3) or x.shape[-1] != self.d:
+        if require_rows(x, "X").shape[-1] != self.d:
             raise ShapeError(f"input shape {x.shape}, expected n x {self.d} or S x n x {self.d}")
         if x.shape[-2] != self.n and not self.head.construction_any_n:
             raise ShapeError(f"the {self.variant} construction is built for n={self.n}, "
@@ -373,7 +372,7 @@ def build_sum_extraction(
     n: int,
     d: int,
     basis: DegreeBasis,
-    phi_net: tuple[MlpSpec, MlpParams] | None = None,
+    phi: Phi | None = None,
     k: int | None = None,
     seed: int | None = None,
     wv_scale: str = "k",
@@ -385,7 +384,7 @@ def build_sum_extraction(
     the lifted layout, so every attention weight is uniform.  The value
     matrix and the token-wise layer carry scales that exactly cancel the
     averaging; each variant's ``construction`` says which.  phi is the
-    monomial map over ``basis`` or, when given, the MLP ``phi_net``.
+    monomial map over ``basis`` unless given; d' is its output width.
 
     The token-wise layer selects the trailing d' columns of
     (X + head(X)); with the outer residual this leaves rows
@@ -395,16 +394,12 @@ def build_sum_extraction(
         raise ContractError("n must be >= 1")
     if basis.d != d:
         raise ShapeError(f"basis built for d={basis.d}, construction wants d={d}")
-    d_latent = basis.size
-    m = 1 + d + 2 * d_latent
-    if phi_net is None:
+    if phi is None:
         phi = PolynomialFeatureMap(basis)
-    else:
-        phi = MlpFeatureMap(*phi_net)
-        if phi.spec.in_width != d or phi.out_width != d_latent:
-            raise ShapeError(
-                f"phi net maps {phi.spec.in_width}->{phi.out_width}, need {d}->{d_latent}"
-            )
+    else:  # one probe token: a phi built for another token width is a ShapeError here
+        phi.rows(np.full((1, d), 0.5))
+    d_latent = phi.out_width
+    m = 1 + d + 2 * d_latent
     head, fc_scale, lambda_value = head_class(variant).construction(
         n, d, d_latent, k=k, seed=seed, wv_scale=wv_scale, omegas=omegas,
     )

@@ -1,4 +1,4 @@
-"""Permutation utilities and the equivariance check driver.
+"""The semi-invariant-to-equivariant lift and the equivariance check driver.
 
 A sequence-to-sequence map f is equivariant when f(permuted X) equals
 the same permutation of f(X).  A sequence-to-point map g(x1, rest) is
@@ -22,19 +22,6 @@ from .errors import ShapeError
 # (..., d) tokens with (..., n-1, d) rests: it reduces the rest over axis -2
 # and takes no ``float()`` of a per-sequence value.
 SemiInvariantFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def permute(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Row i of the output is row p[i] of the input."""
-    p = np.asarray(p)
-    if x.shape[0] != p.shape[0]:
-        raise ShapeError(f"permutation length {p.shape[0]} vs {x.shape[0]} rows")
-    return x[p]
-
-
-def compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Composition such that permute(permute(x, p), q) == permute(x, compose(p, q))."""
-    return np.asarray(p)[np.asarray(q)]
 
 
 def lift(g: SemiInvariantFn) -> Callable[[np.ndarray], np.ndarray]:

@@ -1,12 +1,12 @@
 """The sum-aggregation sequence model and its exact constructions.
 
 A model computes Sigma = sum_k phi(x_k) once per sequence and then maps
-each token through psi(x_i, Sigma).  phi is either the exact monomial
-feature map over a degree basis or a trainable MLP; psi is either a
-trainable MLP or fixed polynomial arithmetic (used by the exact
-continuous construction).  A separate piecewise-constant realization
-finds each token's grid cell and looks up its output in a table keyed by
-(own cell, histogram of the other cells).
+each token through psi(x_i, Sigma).  phi is the exact monomial feature
+map over a degree basis, a trainable MLP or the one-hot of each token's
+grid cell; psi is a trainable MLP, fixed polynomial arithmetic (the exact
+continuous construction) or a table keyed by (own cell, histogram of the
+other tokens' cells) over the cell one-hot (the piecewise-constant
+realization).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import BudgetError, DomainError, ShapeError
+from .linalg import require_finite, require_rows
 from .mlp import MlpParams, MlpSpec, init_mlp_params, mlp_forward
 from .multisym import (
     DegreeBasis,
@@ -64,6 +65,38 @@ class MlpFeatureMap:
 
 
 @dataclass(frozen=True)
+class CellFeatureMap:
+    """The one-hot, of width delta^d, of each token's grid cell.  Cell c of
+    an axis is [c/delta, (c+1)/delta) with the float edges c/delta, so each
+    anchor c/delta lies in its own cell at every delta; the flat cell index
+    reads the per-axis cells as base-delta digits, the first axis leading."""
+
+    delta_cells: int
+    d: int
+
+    @property
+    def out_width(self) -> int:
+        return self.delta_cells**self.d
+
+    @property
+    def edges(self) -> np.ndarray:
+        return np.arange(self.delta_cells + 1) / self.delta_cells
+
+    def cells(self, x: np.ndarray) -> np.ndarray:
+        """The cell of each token along each axis, of x's shape."""
+        if x.shape[-1] != self.d:
+            raise ShapeError(f"tokens of width {x.shape[-1]}, grid built for d={self.d}")
+        inside = (0.0 <= x) & (x < 1.0)  # False for NaN
+        if not inside.all():
+            raise DomainError(f"token entry {float(x[~inside][0])} outside [0,1)")
+        return np.searchsorted(self.edges, x, side="right") - 1
+
+    def rows(self, x: np.ndarray, acts: list | None = None, outs: list | None = None) -> np.ndarray:
+        flat = self.cells(x) @ self.delta_cells ** np.arange(self.d - 1, -1, -1)
+        return (flat[..., np.newaxis] == np.arange(self.out_width)).astype(np.float64)
+
+
+@dataclass(frozen=True)
 class LatentPolynomial:
     """Vector-valued polynomial in the d' latent coordinates.
 
@@ -85,6 +118,12 @@ class LatentPolynomial:
         return out
 
 
+def _others(phi_rows: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Sigma - phi(x), the other tokens' features, of each token of rows or a stack."""
+    per_seq = np.reshape(sigma, (-1, 1, phi_rows.shape[-1]))
+    return (per_seq - phi_rows.reshape(per_seq.shape[0], -1, phi_rows.shape[-1])).reshape(phi_rows.shape)
+
+
 @dataclass(frozen=True)
 class PolynomialCombiner:
     """psi(x, Sigma) = sum_alpha x^alpha * sigma_alpha(Sigma - phi(x)).
@@ -98,22 +137,14 @@ class PolynomialCombiner:
     terms: tuple[tuple[MultiDegree, LatentPolynomial], ...]
     out_width: int
 
-    def apply(
-        self,
-        x_rows: np.ndarray,
-        phi_rows: np.ndarray,
-        sigma: np.ndarray,
-        acts: list | None = None,
-        outs: ForwardOuts | None = None,
-    ) -> np.ndarray:
+    def apply(self, x_rows: np.ndarray, phi_rows: np.ndarray, sigma: np.ndarray,
+              acts: list | None = None, outs: ForwardOuts | None = None) -> np.ndarray:
         """``sigma`` holds one Sigma per sequence, (S, d'), for tokens that
         are the rows of S sequences in turn or an (S, n, ·) stack (a single
         d'-vector is one sequence of all tokens); ``acts`` and ``outs`` are
         unused, as nothing here is trained.  Each token's output is the one
         it gets alone."""
-        per_seq = np.reshape(sigma, (-1, 1, phi_rows.shape[-1]))
-        others = per_seq - phi_rows.reshape(per_seq.shape[0], -1, phi_rows.shape[-1])
-        others = others.reshape(phi_rows.shape)
+        others = _others(phi_rows, sigma)
         out = np.zeros((*x_rows.shape[:-1], self.out_width))
         for alpha, latent_poly in self.terms:
             mono = np.prod(x_rows ** np.asarray(alpha), axis=-1)
@@ -130,14 +161,8 @@ class MlpCombiner:
     def out_width(self) -> int:
         return self.spec.out_width
 
-    def apply(
-        self,
-        x_rows: np.ndarray,
-        phi_rows: np.ndarray,
-        sigma: np.ndarray,
-        acts: list | None = None,
-        outs: ForwardOuts | None = None,
-    ) -> np.ndarray:
+    def apply(self, x_rows: np.ndarray, phi_rows: np.ndarray, sigma: np.ndarray,
+              acts: list | None = None, outs: ForwardOuts | None = None) -> np.ndarray:
         """psi on each token beside its sequence's Sigma; the tokens and
         ``sigma`` are as for ``PolynomialCombiner.apply``.  With K stacked
         parameter sets, ``phi_rows`` and ``sigma`` lead with (K,) and so does
@@ -152,8 +177,37 @@ class MlpCombiner:
         return mlp_forward(self.spec, self.params, stacked, acts, None if outs is None else outs.psi)
 
 
-Phi = Union[PolynomialFeatureMap, MlpFeatureMap]
-Psi = Union[PolynomialCombiner, MlpCombiner]
+@dataclass(frozen=True)
+class TableCombiner:
+    """psi over a ``CellFeatureMap`` phi: a table keyed by (own flat cell, integer
+    histogram Sigma - phi(x) of the other tokens' cells), built and read through
+    ``keys`` alone, so a stored key and a looked-up key cannot disagree."""
+
+    table: dict
+    out_width: int
+
+    def keys(self, phi_rows: np.ndarray, sigma: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
+        """(own cell, histogram of the other tokens) of each token.  A histogram
+        entry more than 1e-8 from an integer is never rounded to a key."""
+        others = _others(phi_rows, sigma).reshape(-1, phi_rows.shape[-1])
+        hists = np.rint(others)
+        if not np.max(np.abs(others - hists), initial=0.0) <= 1e-8:  # NaN fails too
+            raise DomainError("a cell histogram Sigma - phi(x) is more than 1e-8 from an integer")
+        own = np.argmax(phi_rows.reshape(others.shape), axis=-1)
+        return list(zip(own.tolist(), map(tuple, hists.astype(np.int64).tolist())))
+
+    def apply(self, x_rows: np.ndarray, phi_rows: np.ndarray, sigma: np.ndarray,
+              acts: list | None = None, outs: ForwardOuts | None = None) -> np.ndarray:
+        """The value under each token's key; ``acts`` and ``outs`` are unused."""
+        try:
+            values = [self.table[key] for key in self.keys(phi_rows, sigma)]
+        except KeyError as exc:
+            raise ShapeError(f"no table entry for {exc.args[0]}: built for another token count") from None
+        return np.array(values).reshape(*x_rows.shape[:-1], self.out_width)
+
+
+Phi = Union[PolynomialFeatureMap, MlpFeatureMap, CellFeatureMap]
+Psi = Union[PolynomialCombiner, MlpCombiner, TableCombiner]
 
 
 @dataclass
@@ -249,8 +303,9 @@ def sumformer_forward(model: SumformerModel, x: np.ndarray) -> np.ndarray:
     per sequence, so each of its sequences gets bitwise the output it gets
     alone.
     """
-    if x.ndim not in (2, 3) or x.shape[-1] != model.d:
+    if require_rows(x, "X").shape[-1] != model.d:
         raise ShapeError(f"input shape {x.shape}, model expects n x {model.d} or S x n x {model.d}")
+    require_finite(x, "X")
     order = _canonical_row_order(x)[..., np.newaxis]
     s_count = 1 if x.ndim == 2 else x.shape[0]
     canonical = _forward(model, np.take_along_axis(x, order, axis=-2), s_count)
@@ -327,40 +382,6 @@ def build_continuous_sumformer(
     )
 
 
-# ---------------------------------------------------------------------------
-# Piecewise-constant realization on a grid
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiscreteSumformer:
-    """Table lookup over grid cells, keyed by (own cell, histogram of the rest).
-
-    The grid splits [0,1) into delta_cells half-open cells per axis; cell c
-    is [c/delta, (c+1)/delta) with the float edges c/delta, so each anchor
-    c/delta lies in its own cell at every delta.  Histograms are integer
-    counts over the flat cell index, so equality of keys is exact and the
-    model is exactly equivariant.  The table is built and read through
-    ``keys`` alone, so a stored key and a looked-up key cannot disagree.
-    """
-
-    delta_cells: int
-    n: int
-    d: int
-    table: dict
-
-    def keys(self, x: np.ndarray) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """(own cell, histogram of the other rows' cells) of each row of an
-        (n, d) sequence, or of each sequence of an (S, n, d) stack in turn."""
-        inside = (0.0 <= x) & (x < 1.0)  # False for NaN
-        if not inside.all():
-            raise DomainError(f"token entry {float(x[~inside][0])} outside [0,1)")
-        delta = self.delta_cells
-        cells = np.searchsorted(np.arange(delta + 1) / delta, x, side="right") - 1
-        flat = cells @ delta ** np.arange(self.d - 1, -1, -1)
-        one_hot = flat[..., np.newaxis] == np.arange(delta**self.d)
-        hists = one_hot.sum(axis=-2, keepdims=True) - one_hot
-        return list(zip(map(tuple, cells.reshape(-1, self.d).tolist()),
-                        map(tuple, hists.reshape(-1, delta**self.d).tolist())))
 
 
 def build_discrete_sumformer(
@@ -368,9 +389,9 @@ def build_discrete_sumformer(
     delta_cells: int,
     n: int,
     d: int,
-) -> DiscreteSumformer:
-    """Tabulate g at the anchor rows c/delta of each own cell beside each
-    multiset of the other cells, under the key ``keys`` gives the own row."""
+) -> SumformerModel:
+    """Cell one-hot phi; psi tabulates g at the anchor rows c/delta of each own
+    cell beside each multiset of the others, keyed by ``TableCombiner.keys``."""
     if delta_cells < 1 or n < 1 or d < 1:
         raise ShapeError("delta_cells, n, d must all be >= 1")
     # Up to delta^(n d) keys, each holding a delta^d-long histogram.
@@ -379,22 +400,15 @@ def build_discrete_sumformer(
             f"table of {delta_cells}^{n * d} keys with {delta_cells}^{d}-long histograms "
             "exceeds the 1e6 budget"
         )
-    ds = DiscreteSumformer(delta_cells=delta_cells, n=n, d=d, table={})
+    phi, psi = CellFeatureMap(delta_cells, d), TableCombiner({}, d)
     anchors = np.array(list(product(range(delta_cells), repeat=d))) / delta_cells
     rests = list(combinations_with_replacement(range(len(anchors)), n - 1))
     for own in range(len(anchors)):
         rows = anchors[np.array([(own, *rest) for rest in rests])]  # (rests, n, d)
-        for seq, key in zip(rows, ds.keys(rows)[::n]):
+        one_hot = phi.rows(rows)
+        for seq, key in zip(rows, psi.keys(one_hot[:, 0], one_hot.sum(axis=-2))):
             value = np.asarray(g(seq[0], seq[1:]), dtype=np.float64).reshape(-1)
             if value.shape[0] != d:
                 raise ShapeError(f"g returned {value.shape[0]} components, want {d}")
-            ds.table[key] = value
-    return ds
-
-
-def discrete_forward(ds: DiscreteSumformer, x: np.ndarray) -> np.ndarray:
-    """Look up each row's key.  Exact on cells: any two inputs with the same
-    cells row by row produce identical output."""
-    if x.ndim != 2 or x.shape != (ds.n, ds.d):
-        raise ShapeError(f"input shape {x.shape}, table built for {ds.n} x {ds.d}")
-    return np.vstack([ds.table[key] for key in ds.keys(x)])
+            psi.table[key] = value
+    return SumformerModel(d=d, d_latent=phi.out_width, phi=phi, psi=psi)

@@ -22,12 +22,14 @@ from .attention import build_sum_extraction
 from .errors import ConfigError, ContractError, ShapeError
 from .mlp import MlpParams, MlpSpec
 from .model import (
+    CellFeatureMap,
     LatentPolynomial,
     MlpCombiner,
     MlpFeatureMap,
     PolynomialCombiner,
     PolynomialFeatureMap,
     SumformerModel,
+    TableCombiner,
 )
 from .multisym import enumerate_multidegrees
 
@@ -184,6 +186,8 @@ def _mlp_from_entries(prefix: str, fields: dict, matrices: dict) -> tuple[MlpSpe
 def dump_construction(con) -> str:
     """Write the build parameters, plus phi's weights when phi is an MLP and
     the random features when no seed can redraw them."""
+    if not isinstance(con.phi, (MlpFeatureMap, PolynomialFeatureMap)):
+        raise ContractError(f"cannot write a construction whose phi is a {type(con.phi).__name__}")
     fields = {
         "variant": con.variant,
         "n": con.n,
@@ -219,11 +223,11 @@ def load_construction(text: str):
     phi_kind = _field(fields, "phi_kind", str, choices=("mlp", "monomial"))
     d = _field(fields, "d", int, 1)
     try:
-        phi_net = _mlp_from_entries("phi.", fields, mats) if phi_kind == "mlp" else None
+        phi = MlpFeatureMap(*_mlp_from_entries("phi.", fields, mats)) if phi_kind == "mlp" else None
         con = build_sum_extraction(
             _field(fields, "variant", str), _field(fields, "n", int, 1), d,
             enumerate_multidegrees(d, _field(fields, "n_max", int, 1)),
-            phi_net=phi_net, k=_field(fields, "k", int, 1, nullable=True),
+            phi=phi, k=_field(fields, "k", int, 1, nullable=True),
             seed=_field(fields, "seed", int, 0, nullable=True),
             wv_scale=_field(fields, "wv_scale", str), omegas=mats.get("omegas"),
         )
@@ -241,6 +245,9 @@ def load_construction(text: str):
 # ---------------------------------------------------------------------------
 
 def dump_model(model: SumformerModel) -> str:
+    """A grid cell phi or a table psi has no file form."""
+    if isinstance(model.phi, CellFeatureMap) or isinstance(model.psi, TableCombiner):
+        raise ContractError("cannot write a grid-table model; rebuild it with build_discrete_sumformer")
     fields: dict = {"d": model.d, "d_latent": model.d_latent}
     mats: list[tuple[str, np.ndarray]] = []
     if isinstance(model.phi, PolynomialFeatureMap):

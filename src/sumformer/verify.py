@@ -29,7 +29,6 @@ from .model import (
     build_discrete_sumformer,
     build_mlp_sumformer,
     build_polynomial_sumformer,
-    discrete_forward,
     sumformer_forward,
 )
 from .multisym import enumerate_multidegrees, generation_oracle, power_sum_vector, product_terms
@@ -157,11 +156,12 @@ def check_equivariance_models(config: VerifyConfig) -> tuple[CheckRecord, np.nda
 
 
 def check_discrete_exactness(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
-    """Anchors reproduce g exactly; within-cell outputs are constant;
-    permuted inputs give exactly permuted outputs."""
+    """Anchors reproduce g exactly; points drawn in the model's own cells give
+    the same outputs; permuted inputs give exactly permuted outputs.  Each
+    sample's four inputs run as one stacked forward."""
     target = get_target("quadratic_sum")
     n, d, delta = 2, 1, config.delta
-    ds = build_discrete_sumformer(target.g, delta, n, d)
+    model = build_discrete_sumformer(target.g, delta, n, d)
     worst = 0.0
     witness = None
     rng = np.random.default_rng(5)
@@ -170,13 +170,16 @@ def check_discrete_exactness(config: VerifyConfig) -> tuple[CheckRecord, np.ndar
     for _ in range(samples):
         anchors = rng.integers(0, delta, size=(n, d)) / delta
         x = rng.uniform(size=(n, d))
-        cells = np.floor(x * delta)
-        same_cell = (cells + rng.uniform(0, 1, size=x.shape)) / delta
+        cells = model.phi.cells(x)
+        low, high = model.phi.edges[cells], model.phi.edges[cells + 1]
+        same_cell = np.minimum(low + (high - low) * rng.uniform(0, 1, size=x.shape),
+                               np.nextafter(high, low))  # keeps a point that rounds up in the cell
         perm = rng.permutation(n)
+        out = sumformer_forward(model, np.stack([anchors, x, same_cell, x[perm]]))
         residual = float(np.max([  # np.max, unlike max, keeps a NaN
-            np.max(np.abs(discrete_forward(ds, anchors) - f(anchors))),
-            np.max(np.abs(discrete_forward(ds, x) - discrete_forward(ds, same_cell))),
-            np.max(np.abs(discrete_forward(ds, x[perm]) - discrete_forward(ds, x)[perm])),
+            np.max(np.abs(out[0] - f(anchors))),
+            np.max(np.abs(out[1] - out[2])),
+            np.max(np.abs(out[3] - out[1][perm])),
         ]))
         if worse(residual, worst):
             worst, witness = residual, x

@@ -12,13 +12,6 @@ from sumformer.mlp import MlpParams, MlpSpec
 from sumformer.multisym import DegreeBasis, FitReport, MultiDegree
 
 
-def invert(p: np.ndarray) -> np.ndarray:
-    """The permutation q with permute(permute(x, p), q) == x."""
-    inv = np.empty_like(p)
-    inv[p] = np.arange(len(p))
-    return inv
-
-
 def per_sequence(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     """The stack map that applies the sequence map ``fn`` to each sequence of
     an (S, n, d) stack in turn."""

@@ -20,7 +20,6 @@ from sumformer.model import (
     build_discrete_sumformer,
     build_mlp_sumformer,
     build_polynomial_sumformer,
-    discrete_forward,
     sumformer_forward,
 )
 from sumformer.multisym import enumerate_multidegrees, generation_oracle, power_sum_vector
@@ -123,13 +122,13 @@ def test_criterion_05_equivariance():
         worst = max(worst, report.max_violation)
 
     target = get_target("quadratic_sum")
-    ds = build_discrete_sumformer(target.g, delta_cells=4, n=3, d=1)
+    grid = build_discrete_sumformer(target.g, delta_cells=4, n=3, d=1)
     rng = np.random.default_rng(51)
     discrete_worst = 0.0
     for _ in range(100):
         x = rng.uniform(size=(3, 1))
         perm = rng.permutation(3)
-        diff = discrete_forward(ds, x[perm]) - discrete_forward(ds, x)[perm]
+        diff = sumformer_forward(grid, x[perm]) - sumformer_forward(grid, x)[perm]
         discrete_worst = max(discrete_worst, float(np.max(np.abs(diff))))
     _report(5, "equivariance", worst <= 1e-10 and discrete_worst == 0.0,
             f"(models {worst:.3e}, discrete {discrete_worst:.1e})")
@@ -173,8 +172,8 @@ def test_criterion_08_discrete_construction():
     errors = {}
     ok = True
     for delta in (4, 8, 16):
-        ds = build_discrete_sumformer(g, delta_cells=delta, n=n, d=d)
-        err = sup_error(lambda x: discrete_forward(ds, x), g, n, d, sample_count=1000, seed=delta)
+        grid = build_discrete_sumformer(g, delta_cells=delta, n=n, d=d)
+        err = sup_error(lambda x: sumformer_forward(grid, x), g, n, d, sample_count=1000, seed=delta)
         errors[delta] = err
         ok = ok and err <= lipschitz * (1.0 / delta) * math.sqrt(n * d)
     ok = ok and errors[8] <= 0.8 * errors[4]

@@ -19,7 +19,8 @@ from sumformer.attention import (
 )
 from sumformer.errors import ContractError, DomainError, ShapeError, UnsupportedInspectionError
 from sumformer.linalg import exp_shifted_rows
-from sumformer.mlp import MlpSpec, init_mlp_params
+from sumformer.mlp import MlpSpec, init_mlp_params, mlp_forward
+from sumformer.model import CellFeatureMap, MlpFeatureMap
 from sumformer.multisym import enumerate_multidegrees, power_sum_vector
 from sumformer.serialize import dump_construction, load_construction
 
@@ -283,11 +284,9 @@ def test_construction_with_mlp_phi():
     rng = np.random.default_rng(20)
     spec = MlpSpec((d, 8, basis.size))
     params = init_mlp_params(spec, rng)
-    con = build_sum_extraction("standard", n, d, basis, phi_net=(spec, params))
+    con = build_sum_extraction("standard", n, d, basis, phi=MlpFeatureMap(spec, params))
     x = rng.uniform(size=(n, d))
     out = con.forward(x)
-    from sumformer.mlp import mlp_forward
-
     expected = mlp_forward(spec, params, x).sum(axis=0)
     assert np.max(np.abs(out[:, -basis.size:] - expected)) <= 1e-10
 
@@ -308,6 +307,36 @@ def test_heads_are_permutation_equivariant():
         direct = head_forward(lifted[perm], head)
         permuted = head_forward(lifted, head)[perm]
         assert np.max(np.abs(direct - permuted)) <= 1e-10, variant
+
+
+@pytest.mark.parametrize("variant", list(HEADS))
+def test_construction_refuses_an_array_like_with_shape_error(variant):
+    con = build_sum_extraction(variant, 3, 2, enumerate_multidegrees(2, 3),
+                               k=2 if HEADS[variant].needs_k else None, seed=0)
+    rows = np.random.default_rng(3).uniform(size=(3, 2)).tolist()
+    with pytest.raises(ShapeError):
+        con.forward(rows)
+    with pytest.raises(ShapeError):
+        con.lift(rows)
+
+
+def test_construction_takes_its_width_from_phi():
+    """A phi of any width builds: the default train model's d' = 32 at d = 2."""
+    n, d = 3, 2
+    spec = MlpSpec((d, 16, 32))
+    params = init_mlp_params(spec, np.random.default_rng(5))
+    xs = np.random.default_rng(6).uniform(size=(4, n, d))
+    expected = mlp_forward(spec, params, xs).sum(axis=-2)
+    for variant, (kwargs, tol) in VARIANT_CASES.items():
+        con = build_sum_extraction(variant, n, d, enumerate_multidegrees(d, n),
+                                   phi=MlpFeatureMap(spec, params), **kwargs)
+        assert con.d_latent == 32 and con.model_dim == 1 + d + 64
+        sigma = con.forward(xs)[..., -32:]
+        assert np.max(np.abs(sigma - expected[:, np.newaxis])) <= tol
+    # The phi's token width must still be d.
+    for phi in (MlpFeatureMap(spec, params), CellFeatureMap(4, d)):
+        with pytest.raises(ShapeError):
+            build_sum_extraction("standard", n, 3, enumerate_multidegrees(3, n), phi=phi)
 
 
 def test_construction_requires_matching_basis():
@@ -526,7 +555,7 @@ def test_stacked_mlp_phi_construction_is_bitwise_each_sequence_alone():
     basis = enumerate_multidegrees(d, n)
     spec = MlpSpec((d, 8, basis.size))
     con = build_sum_extraction("standard", n, d, basis,
-                               phi_net=(spec, init_mlp_params(spec, np.random.default_rng(41))))
+                               phi=MlpFeatureMap(spec, init_mlp_params(spec, np.random.default_rng(41))))
     xs = np.random.default_rng(42).uniform(size=(6, n, d))
     out = con.forward(xs)
     for i, x in enumerate(xs):

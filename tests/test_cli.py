@@ -298,7 +298,7 @@ def test_verify_reports_skip_for_checks_without_cases(tmp_path):
 
 
 def test_verify_discrete_exactness_passes_at_delta_22(tmp_path):
-    # At delta = 22, floor(x * delta) puts some anchors c/22 in cell c - 1.
+    # At delta = 22, flooring x * delta would put some anchors c/22 in cell c - 1.
     out = str(tmp_path / "verify_delta")
     assert main(["verify", "--out", out, "--delta", "22"] + FAST_VERIFY) == EXIT_OK
     assert "name=discrete_exactness status=pass" in _read(os.path.join(out, "verify_report.txt"))

@@ -12,8 +12,6 @@ import sumformer
 UNREFERENCED_API = {
     ("attention", "head_forward"),
     ("attention", "audited_mac_count"),
-    ("equivariance", "permute"),
-    ("equivariance", "compose"),
     ("model", "build_continuous_sumformer"),
     ("serialize", "dump_construction"),
     ("serialize", "load_construction"),

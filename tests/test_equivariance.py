@@ -3,39 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from sumformer.equivariance import (
-    check_equivariance,
-    compose,
-    lift,
-    permute,
-)
+from sumformer.equivariance import check_equivariance, lift
 from sumformer.errors import ShapeError
 
-from oracles import check_semi_invariance, invert, per_sequence
-
-
-def test_permute_identity():
-    x = np.random.default_rng(0).uniform(size=(4, 2))
-    assert np.array_equal(permute(x, np.arange(4)), x)
-
-
-def test_permute_swap():
-    x = np.array([[1.0], [2.0]])
-    assert np.array_equal(permute(x, np.array([1, 0])), np.array([[2.0], [1.0]]))
-
-
-def test_permute_then_inverse_is_identity():
-    rng = np.random.default_rng(1)
-    x = rng.uniform(size=(6, 3))
-    p = rng.permutation(6)
-    assert np.array_equal(permute(permute(x, p), invert(p)), x)
-
-
-def test_permute_is_group_action():
-    rng = np.random.default_rng(2)
-    x = rng.uniform(size=(5, 2))
-    p, q = rng.permutation(5), rng.permutation(5)
-    assert np.array_equal(permute(permute(x, p), q), permute(x, compose(p, q)))
+from oracles import check_semi_invariance, per_sequence
 
 
 def test_lift_of_projection_is_identity():

@@ -3,23 +3,23 @@ import itertools
 import numpy as np
 import pytest
 
-from sumformer.attention import build_sum_extraction
+from sumformer.attention import HEADS, build_sum_extraction
 from sumformer.equivariance import check_equivariance, lift
 from sumformer.errors import BudgetError, DomainError, ShapeError
 from sumformer.mlp import MlpSpec, param_views
 from sumformer.model import (
-    DiscreteSumformer,
+    CellFeatureMap,
     LatentPolynomial,
     MlpCombiner,
     MlpFeatureMap,
     PolynomialFeatureMap,
     SumformerModel,
+    TableCombiner,
     batch_forward,
     build_continuous_sumformer,
     build_discrete_sumformer,
     build_mlp_sumformer,
     build_polynomial_sumformer,
-    discrete_forward,
     sumformer_forward,
 )
 from sumformer.multisym import enumerate_multidegrees
@@ -259,18 +259,18 @@ def test_mlp_phi_sigma_matches_manual_sum():
 # ---------------------------------------------------------------------------
 
 def test_discrete_two_cells_first_token():
-    ds = build_discrete_sumformer(lambda x, rest: x, delta_cells=2, n=2, d=1)
-    out = discrete_forward(ds, np.array([[0.6], [0.1]]))
+    model = build_discrete_sumformer(lambda x, rest: x, delta_cells=2, n=2, d=1)
+    out = sumformer_forward(model, np.array([[0.6], [0.1]]))
     assert np.array_equal(out, [[0.5], [0.0]])
 
 
 def test_discrete_constant_target_any_resolution():
     for delta in (1, 2, 5):
-        ds = build_discrete_sumformer(
+        model = build_discrete_sumformer(
             lambda x, rest: np.full_like(x, 0.25), delta_cells=delta, n=3, d=1
         )
         x = np.random.default_rng(delta).uniform(size=(3, 1))
-        assert np.array_equal(discrete_forward(ds, x), np.full((3, 1), 0.25))
+        assert np.array_equal(sumformer_forward(model, x), np.full((3, 1), 0.25))
 
 
 # Beyond 4, c * (1/delta) differs from the anchor c/delta for some c, and at
@@ -283,12 +283,19 @@ def test_discrete_exact_at_anchors(delta):
     def g(x, rest):
         return x + rest.sum(axis=0) ** 2
 
-    ds = build_discrete_sumformer(g, delta_cells=delta, n=2, d=1)
+    model = build_discrete_sumformer(g, delta_cells=delta, n=2, d=1)
     f = lift(g)
     rng = np.random.default_rng(7)
     for _ in range(20):
         anchors = rng.integers(0, delta, size=(2, 1)) / delta
-        assert np.array_equal(discrete_forward(ds, anchors), f(anchors))
+        assert np.array_equal(sumformer_forward(model, anchors), f(anchors))
+
+
+def _same_cell_points(phi: CellFeatureMap, x: np.ndarray, rng) -> np.ndarray:
+    """A uniform point in the cell of each entry of x, by the map's own edges."""
+    cells = phi.cells(x)
+    low, high = phi.edges[cells], phi.edges[cells + 1]
+    return np.minimum(low + (high - low) * rng.uniform(size=x.shape), np.nextafter(high, low))
 
 
 @pytest.mark.parametrize("delta", GRID_DELTAS)
@@ -296,25 +303,25 @@ def test_discrete_piecewise_constant_within_cells(delta):
     def g(x, rest):
         return x * 2.0 + rest.sum(axis=0)
 
-    ds = build_discrete_sumformer(g, delta_cells=delta, n=2, d=1)
+    model = build_discrete_sumformer(g, delta_cells=delta, n=2, d=1)
     rng = np.random.default_rng(8)
     for _ in range(20):
         x = rng.uniform(size=(2, 1))
-        cells = np.floor(x * delta)
-        same_cell = (cells + rng.uniform(0, 1, size=x.shape)) / delta
-        assert np.array_equal(discrete_forward(ds, x), discrete_forward(ds, same_cell))
+        same_cell = _same_cell_points(model.phi, x, rng)
+        assert np.array_equal(model.phi.cells(same_cell), model.phi.cells(x))
+        assert np.array_equal(sumformer_forward(model, x), sumformer_forward(model, same_cell))
 
 
 def test_discrete_permutation_exact():
     def g(x, rest):
         return x + rest.sum(axis=0) ** 2
 
-    ds = build_discrete_sumformer(g, delta_cells=3, n=3, d=1)
+    model = build_discrete_sumformer(g, delta_cells=3, n=3, d=1)
     rng = np.random.default_rng(9)
     for _ in range(20):
         x = rng.uniform(size=(3, 1))
         perm = rng.permutation(3)
-        assert np.array_equal(discrete_forward(ds, x[perm]), discrete_forward(ds, x)[perm])
+        assert np.array_equal(sumformer_forward(model, x[perm]), sumformer_forward(model, x)[perm])
 
 
 def test_discrete_lipschitz_bound():
@@ -326,32 +333,49 @@ def test_discrete_lipschitz_bound():
     n, d = 2, 1
     errors = {}
     for delta in (4, 8):
-        ds = build_discrete_sumformer(g, delta_cells=delta, n=n, d=d)
-        err = sup_error(lambda x: discrete_forward(ds, x), g, n, d, sample_count=1000, seed=10)
+        model = build_discrete_sumformer(g, delta_cells=delta, n=n, d=d)
+        err = sup_error(lambda x: sumformer_forward(model, x), g, n, d, sample_count=1000, seed=10)
         assert err <= lipschitz * (1.0 / delta) * np.sqrt(n * d)
         errors[delta] = err
     assert 0.3 <= errors[8] / errors[4] <= 0.8
 
 
 def test_discrete_domain_error():
-    ds = build_discrete_sumformer(lambda x, rest: x, delta_cells=2, n=2, d=1)
+    model = build_discrete_sumformer(lambda x, rest: x, delta_cells=2, n=2, d=1)
     for bad in (1.0, -0.25, np.nan):
+        x = np.array([[bad], [0.5]])
         with pytest.raises(DomainError):
-            discrete_forward(ds, np.array([[bad], [0.5]]))
+            sumformer_forward(model, x)
+        with pytest.raises(DomainError):  # the cell map's own check, as batch_forward meets it
+            model.phi.rows(x)
 
 
 def test_discrete_keys_put_each_anchor_in_its_own_cell():
-    """Every anchor row c/delta keys to cell c, beside a histogram of the
-    other rows, at every delta verify admits (d=1) and up to 31 at d=2."""
+    """Every anchor row c/delta falls in cell c, and its key holds that cell
+    beside a histogram of the other rows, at every delta verify admits (d=1)
+    and up to 31 at d=2."""
     for d, deltas in ((1, range(1, 101)), (2, range(1, 32))):
         for delta in deltas:
             cells = list(itertools.product(range(delta), repeat=d))
-            ds = DiscreteSumformer(delta_cells=delta, n=len(cells), d=d, table={})
-            keys = ds.keys(np.array(cells) / delta)
-            assert [own for own, _ in keys] == cells
+            phi = CellFeatureMap(delta, d)
+            anchors = np.array(cells) / delta
+            assert np.array_equal(phi.cells(anchors), cells)
+            one_hot = phi.rows(anchors)
+            keys = TableCombiner({}, d).keys(one_hot, one_hot.sum(axis=0))
             # Cells in product order are flat indices 0, 1, ...: each row's
             # histogram counts every cell but its own once.
+            assert [own for own, _ in keys] == list(range(len(cells)))
             assert np.array_equal([hist for _, hist in keys], 1 - np.eye(len(cells)))
+
+
+def test_table_keys_refuse_a_histogram_off_the_integers():
+    phi = CellFeatureMap(4, 1)
+    one_hot = phi.rows(np.array([[0.1], [0.6]]))
+    combiner = TableCombiner({}, 1)
+    assert combiner.keys(one_hot, one_hot.sum(axis=0) + 1e-9)[0] == (0, (0, 0, 1, 0))
+    for sigma in (one_hot.sum(axis=0) + 1e-6, np.full(4, np.nan)):
+        with pytest.raises(DomainError):
+            combiner.keys(one_hot, sigma)
 
 
 def test_discrete_budget_guard():
@@ -366,8 +390,8 @@ def test_discrete_budget_counts_stored_histograms():
 
     bound = SCHEMA["verify"]["delta"].high
     assert bound**3 <= 10**6 < (bound + 1) ** 3
-    ds = build_discrete_sumformer(lambda x, rest: x, delta_cells=bound, n=2, d=1)
-    assert len(ds.table) == bound**2
+    model = build_discrete_sumformer(lambda x, rest: x, delta_cells=bound, n=2, d=1)
+    assert len(model.psi.table) == bound**2
     with pytest.raises(BudgetError):
         build_discrete_sumformer(lambda x, rest: x, delta_cells=bound + 1, n=2, d=1)
 
@@ -376,10 +400,60 @@ def test_discrete_multidimensional_tokens():
     def g(x, rest):
         return x + rest.sum(axis=0)
 
-    ds = build_discrete_sumformer(g, delta_cells=2, n=2, d=2)
+    model = build_discrete_sumformer(g, delta_cells=2, n=2, d=2)
     f = lift(g)
     anchors = np.array([[0.5, 0.0], [0.0, 0.5]])
-    assert np.array_equal(discrete_forward(ds, anchors), f(anchors))
+    assert np.array_equal(sumformer_forward(model, anchors), f(anchors))
+
+
+def test_discrete_model_refuses_another_token_count():
+    model = build_discrete_sumformer(lambda x, rest: x + rest.sum(axis=0), delta_cells=4, n=2, d=1)
+    with pytest.raises(ShapeError, match="token count"):
+        sumformer_forward(model, np.array([[0.1], [0.2], [0.3]]))
+
+
+def test_discrete_stack_is_bitwise_each_sequence_and_each_permutation():
+    def g(x, rest):
+        return x + rest.sum(axis=0) ** 2
+
+    model = build_discrete_sumformer(g, delta_cells=5, n=3, d=2)
+    xs = np.random.default_rng(13).uniform(size=(8, 3, 2))
+    out = sumformer_forward(model, xs)
+    for x, row in zip(xs, out):
+        assert np.array_equal(sumformer_forward(model, x), row)
+    for perm in itertools.permutations(range(3)):
+        assert np.array_equal(sumformer_forward(model, xs[:, perm]), out[:, perm])
+
+
+def test_discrete_model_is_not_trainable():
+    from sumformer.errors import ContractError
+    from sumformer.targets import get_target
+    from sumformer.train import generate_dataset, train
+
+    target = get_target("quadratic_sum")
+    model = build_discrete_sumformer(target.g, delta_cells=4, n=2, d=1)
+    with pytest.raises(ContractError):
+        train(model, generate_dataset(target, 2, 1, 10), epochs=1)
+
+
+@pytest.mark.parametrize("variant", list(HEADS))
+@pytest.mark.parametrize("delta,n,d", [(4, 2, 1), (4, 3, 1), (4, 2, 2), (22, 2, 1)])
+def test_discrete_model_through_each_head_is_bitwise_its_forward(variant, delta, n, d):
+    """psi on the construction's (x, phi, Sigma) columns is the table's own
+    forward: each histogram Sigma - phi(x) lies within 1e-8 of its integer."""
+    def g(x, rest):
+        return x + rest.sum(axis=0) ** 2
+
+    model = build_discrete_sumformer(g, delta_cells=delta, n=n, d=d)
+    con = build_sum_extraction(variant, n, d, enumerate_multidegrees(d, n), phi=model.phi,
+                               k=n - 1 if HEADS[variant].needs_k else None, seed=0)
+    assert con.d_latent == delta**d
+    xs = np.random.default_rng(delta + n + d).uniform(size=(50, n, d))
+    out = con.forward(xs)
+    width = model.d_latent
+    through_head = model.psi.apply(out[..., 1:1 + d], out[..., 1 + d:1 + d + width],
+                                   out[:, 0, -width:])
+    assert np.array_equal(through_head, sumformer_forward(model, xs))
 
 
 def test_sup_error_examples():
@@ -390,6 +464,20 @@ def test_sup_error_examples():
     assert sup_error(f, g, 3, 1, sample_count=50, seed=11) == 0.0
     shifted = lambda x: f(x) + 0.75
     assert sup_error(shifted, g, 3, 1, sample_count=50, seed=12) == pytest.approx(0.75)
+
+
+def test_forward_refuses_an_array_like_with_shape_error():
+    model = build_mlp_sumformer(2, 4, seed=0, hidden=(3,))
+    with pytest.raises(ShapeError):
+        sumformer_forward(model, [[0.1, 0.2], [0.3, 0.4]])
+
+
+def test_forward_refuses_a_non_finite_token():
+    # fmax in the ReLU zeroes a NaN, so nothing downstream would notice it.
+    model = build_mlp_sumformer(2, 4, seed=0, hidden=(3,))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            sumformer_forward(model, np.array([[bad, 0.2], [0.3, 0.4]]))
 
 
 def test_model_width_validation():

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from sumformer.attention import HEADS, build_sum_extraction
-from sumformer.errors import ConfigError
+from sumformer.errors import ConfigError, ContractError
 from sumformer.model import (
     LatentPolynomial,
+    MlpFeatureMap,
     build_continuous_sumformer,
+    build_discrete_sumformer,
     build_mlp_sumformer,
     build_polynomial_sumformer,
     sumformer_forward,
@@ -75,10 +77,33 @@ def test_construction_with_mlp_phi_round_trip():
     basis = enumerate_multidegrees(1, 2)
     rng = np.random.default_rng(4)
     spec = MlpSpec((1, 5, basis.size))
-    con = build_sum_extraction("standard", 3, 1, basis, phi_net=(spec, init_mlp_params(spec, rng)))
+    con = build_sum_extraction("standard", 3, 1, basis, phi=MlpFeatureMap(spec, init_mlp_params(spec, rng)))
     loaded = load_construction(dump_construction(con))
     x = rng.uniform(size=(3, 1))
     assert np.array_equal(loaded.forward(x), con.forward(x))
+
+
+def test_construction_with_a_wide_mlp_phi_round_trips_bitwise():
+    """d' = 32 at n = 3, d = 2, as the default train model; not basis.size (9)."""
+    from sumformer.mlp import MlpSpec, init_mlp_params
+
+    spec = MlpSpec((2, 16, 32))
+    phi = MlpFeatureMap(spec, init_mlp_params(spec, np.random.default_rng(8)))
+    xs = np.random.default_rng(9).uniform(size=(5, 3, 2))
+    for variant, (kwargs, _) in VARIANT_CASES.items():
+        con = build_sum_extraction(variant, 3, 2, enumerate_multidegrees(2, 3), phi=phi, **kwargs)
+        loaded = load_construction(dump_construction(con))
+        assert loaded.d_latent == 32
+        assert np.array_equal(loaded.forward(xs), con.forward(xs))
+
+
+def test_grid_table_has_no_file_form():
+    model = build_discrete_sumformer(lambda x, rest: x + rest.sum(axis=0), delta_cells=3, n=2, d=1)
+    with pytest.raises(ContractError):
+        dump_model(model)
+    con = build_sum_extraction("standard", 2, 1, enumerate_multidegrees(1, 2), phi=model.phi)
+    with pytest.raises(ContractError):
+        dump_construction(con)
 
 
 def test_mlp_model_round_trip_same_forward():
@@ -152,6 +177,9 @@ DAMAGED_FILES = {
     "exps_short_of_coeffs": (lambda text: text.replace("imatrix psi.term0.exps 2 3\n2 0 0\n",
                                                        "imatrix psi.term0.exps 1 3\n"),
                              "psi.term0.exps has 1 rows, psi.term0.coeffs 2", POLYNOMIAL_PSI),
+    # The MLP phi reads tokens of width 1; the construction would feed it width 2.
+    "phi_of_another_token_width": (lambda text: text.replace("field d int 1", "field d int 2"),
+                                   "cannot rebuild construction", ("construction",)),
 }
 
 
@@ -162,7 +190,8 @@ def test_damaged_files_raise_config_error_naming_the_fault(case):
     damage, named, applies_to = DAMAGED_FILES[case]
     basis = enumerate_multidegrees(1, 2)
     spec = MlpSpec((1, 5, basis.size))
-    con = build_sum_extraction("standard", 3, 1, basis, phi_net=(spec, init_mlp_params(spec, np.random.default_rng(0))))
+    con = build_sum_extraction("standard", 3, 1, basis,
+                               phi=MlpFeatureMap(spec, init_mlp_params(spec, np.random.default_rng(0))))
     files = {
         "mlp_model": (load_model, dump_model(build_mlp_sumformer(1, 2, seed=0))),
         "construction": (load_construction, dump_construction(con)),

@@ -72,3 +72,11 @@ def test_gradient_check_survives_a_counting_wrapper_on_its_loss(monkeypatch):
     record, _ = check_gradients(config)
     assert record.status == "pass"
     assert len(calls) == config.gradient_seeds == record.cases
+
+
+def test_discrete_exactness_passes_at_every_admitted_delta():
+    """The within-cell points come from the model's own cells, so no delta that
+    ``verify --delta`` admits puts a point in a neighbouring cell."""
+    for delta in range(1, 101):
+        record, _ = verify.check_discrete_exactness(VerifyConfig(delta=delta, samples=3))
+        assert (record.status, record.max_residual, record.cases) == ("pass", 0.0, 3), delta
