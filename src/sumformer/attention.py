@@ -14,6 +14,7 @@ layer plus two residual connections then produce rows
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     ShapeError,
     UnsupportedInspectionError,
 )
-from .linalg import exp_shifted_rows, require_finite, require_rows, softmax_rows
+from .linalg import require_finite, require_rows, softmax_rows
 from .model import Phi, PolynomialFeatureMap
 from .multisym import DegreeBasis
 
@@ -55,6 +56,12 @@ def _mm(a: np.ndarray, b: np.ndarray, counter: MacCounter | None,
 # SCORE_FLOATS // (key count) query rows, 32 for the standard head at n = 4096,
 # whatever the stack size, so each slice of a stack keeps its bits.
 SCORE_FLOATS = 1 << 17
+
+# Largest score bound c_i of a query row that the softmax heads' forward
+# subtracts in place of the row max.  The row's largest exp is then at least
+# e^(-2 SCORE_BOUND) ~ 1e-261, and 2^-53 of it is still a normal double, so
+# the row sum keeps its full precision.
+SCORE_BOUND = 300.0
 
 
 class HeadSpec:
@@ -94,37 +101,55 @@ class HeadSpec:
         """Rows the keys and the values are computed from."""
         return x, x
 
-    def _queries_and_keys(self, x: np.ndarray, counter: MacCounter | None):
-        """Q = X W_Q / sqrt(m), K^T = (key rows W_K)^T and the rows the values read."""
+    def _queries_and_keys(self, x: np.ndarray, counter: MacCounter | None, extra: int = 0):
+        """Q = X W_Q / sqrt(m), K = (key rows) W_K and the rows the values read;
+        Q and K have ``extra`` free columns after their m."""
         _check_head_input(x, self)
         key_rows, value_rows = self.sources(x, counter)
-        q = _mm(x, self.w_q, counter)
-        q /= math.sqrt(q.shape[-1])
-        return q, _mm(key_rows, self.w_k, counter).swapaxes(-1, -2), value_rows
+        m = self.w_q.shape[0]
+        q = _project(x, self.w_q, counter, extra)
+        q[..., :m] /= math.sqrt(m)
+        return q, _project(key_rows, self.w_k, counter, extra), value_rows
 
     def attention(self, x: np.ndarray, counter: MacCounter | None = None):
         """The row-stochastic matrix A and the rows its values are computed from."""
-        q, k_t, value_rows = self._queries_and_keys(x, counter)
-        scores = _mm(q, k_t, counter)
+        q, k, value_rows = self._queries_and_keys(x, counter)
+        scores = _mm(q, k.swapaxes(-1, -2), counter)
         return softmax_rows(scores, out=scores), value_rows
 
     def forward(self, x: np.ndarray, counter: MacCounter | None = None) -> np.ndarray:
         """A V taken SCORE_FLOATS // (key count) query rows at a time, in one
-        score buffer allocated per call.  Each block's exp(scores - row max)
-        multiplies V first; the block's n_blk x m output rows are then divided
-        by the row sums, so the n x n scores are never normalised."""
-        q, k_t, value_rows = self._queries_and_keys(x, counter)
-        v = _mm(value_rows, self.w_v, counter)
-        n, key_count = q.shape[-2], k_t.shape[-1]
+        score buffer allocated per call.  Q, K and V carry one more column:
+        -c_i, 1 and 1, where c_i = |q_i| max_j |k_j| bounds row i's scores.
+        So the score gemm writes s_ij - c_i <= 0, its exp is taken in place,
+        and the value gemm gives [E V, E 1]: the block's n_blk x m output rows
+        are E V divided by the row sums E 1.  A row whose c_i is above
+        SCORE_BOUND, or not finite, is shifted by its exact row max instead,
+        after a finiteness check of its block."""
+        q, k, value_rows = self._queries_and_keys(x, counter, extra=1)
+        v = _project(value_rows, self.w_v, counter, extra=1)
+        m = v.shape[-1] - 1
+        k[..., m] = v[..., m] = 1.0
+        bound = _score_bounds(q[..., :m], k[..., :m], counter)
+        loose = ~(bound <= SCORE_BOUND)  # NaN bounds are loose too
+        any_loose = loose.any()
+        q[..., m] = np.where(loose, 0.0, -bound)
+        k_t = k.swapaxes(-1, -2)
+        n, key_count = q.shape[-2], k.shape[-2]
         step = max(1, min(n, SCORE_FLOATS // max(1, key_count)))
-        out = np.empty((*q.shape[:-1], v.shape[-1]))
+        out = np.empty((*q.shape[:-1], m))
         scores = np.empty((*q.shape[:-2], step, key_count))
+        products = np.empty((*q.shape[:-2], step, m + 1))
         for start in range(0, n, step):
-            rows = slice(start, start + step)
-            block = _mm(q[..., rows, :], k_t, counter, scores[..., :min(step, n - start), :])
-            sums = exp_shifted_rows(block, out=block)[1]
-            _mm(block, v, counter, out[..., rows, :])
-            out[..., rows, :] /= sums
+            rows, count = slice(start, start + step), min(step, n - start)
+            block = _mm(q[..., rows, :], k_t, counter, scores[..., :count, :])
+            if any_loose and loose[..., rows].any():
+                require_finite(block, "softmax input")
+                np.subtract(block, block.max(axis=-1, keepdims=True), out=block,
+                            where=loose[..., rows, np.newaxis])
+            np.exp(block, out=block)
+            product = _mm(block, v, counter, products[..., :count, :])
+            np.divide(product[..., :m], product[..., m:], out=out[..., rows, :])
         return out
 
 
@@ -140,7 +165,8 @@ class StandardHeadSpec(HeadSpec):
 
     @staticmethod
     def mac_count(n: int, m: int, k: int | None) -> int:
-        return 3 * n * m * m + 2 * n * n * m
+        # Q, K and V; the score and value gemms, one column wider; the row norms.
+        return 3 * n * m * m + 2 * n * n * (m + 1) + 2 * n * m
 
 
 @dataclass(frozen=True)
@@ -167,7 +193,8 @@ class LinformerHeadSpec(HeadSpec):
 
     @staticmethod
     def mac_count(n: int, m: int, k: int | None) -> int:
-        return n * m * m + 2 * k * m * m + 4 * n * k * m
+        # Q; E X, F X, K and V; the two gemms, one column wider; the row norms.
+        return n * m * m + 2 * n * k * m + 2 * k * m * m + 2 * n * k * (m + 1) + (n + k) * m
 
     @classmethod
     def construction(cls, n, d, d_latent, k=None, seed=None, wv_scale="k", omegas=None):
@@ -276,6 +303,24 @@ def _check_head_input(x: np.ndarray, spec: HeadSpec):
         if getattr(spec, name).shape != shape:
             raise ShapeError(f"{name} must be {shape}, got {getattr(spec, name).shape}")
     spec.require_k(n, spec.k)
+
+
+def _project(rows: np.ndarray, w: np.ndarray, counter: MacCounter | None, extra: int) -> np.ndarray:
+    """rows @ w in the first columns of a new array ``extra`` columns wider."""
+    out = np.empty((*rows.shape[:-1], w.shape[-1] + extra))
+    _mm(rows, w, counter, out[..., :w.shape[-1]])
+    return out
+
+
+def _score_bounds(q: np.ndarray, k: np.ndarray, counter: MacCounter | None) -> np.ndarray:
+    """c_i = |q_i| max_j |k_j| of each query row, per sequence: the
+    Cauchy-Schwarz bound on |q_i . k_j|.  A non-finite entry, or a square
+    beyond the float range, gives an infinite or NaN bound without a warning."""
+    if counter is not None:
+        counter.dots(q.size // q.shape[-1] + k.size // k.shape[-1], q.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_square = np.einsum("...ij,...ij->...i", k, k).max(axis=-1, keepdims=True)
+        return np.sqrt(np.einsum("...ij,...ij->...i", q, q) * k_square)
 
 
 def _performer_features_rows(rows: np.ndarray, omegas: np.ndarray, counter: MacCounter | None) -> np.ndarray:
@@ -411,14 +456,29 @@ def build_sum_extraction(
     )
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; a bool or anything ``operator.index`` refuses
+    is a ContractError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ContractError(f"{name} must be an integer, got {value!r}")
+
+
 def mac_count(variant: str, n: int, d_model: int, k: int | None = None) -> int:
     """Exact multiply-accumulate count of one head forward pass.
 
-    Mirrors the algorithms above: matmul p x q @ q x r costs p*q*r, the
-    random-feature map costs one squared norm plus k projections per row.
+    Mirrors the algorithms above: matmul p x q @ q x r costs p*q*r, a row
+    norm one dot per row, and the random-feature map one squared norm plus k
+    projections per row.
     A head the library refuses to run (k >= n for the low-rank variant)
-    has no count.
+    has no count, and neither has a size that is not an integer (a bool
+    included; numpy integers are integers).
     """
+    n, d_model = _integer("n", n), _integer("d_model", d_model)
+    k = None if k is None else _integer("k", k)
     if n < 1 or d_model < 1:
         raise ContractError("n and d_model must be positive")
     head = head_class(variant)

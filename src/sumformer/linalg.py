@@ -27,12 +27,14 @@ def require_finite(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def exp_shifted_rows(m: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """exp(m - row max of m) of a matrix or stack, and its row sums (keepdims).
+def softmax_rows(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax exp(m - row max) / row sums of a matrix or stack.
 
     The result goes into ``out`` (which may be ``m`` itself) when given, else
     into one new array; both give the same bits.  ``m`` and ``out`` must be
     float64 of one shape and ``m`` finite, checked before anything is written.
+    Each row sums to 1 within rounding; adding a constant to an input row
+    changes nothing.
     """
     require_rows(m, "m")
     for name, a in (("m", m), ("out", m if out is None else out)):
@@ -41,13 +43,5 @@ def exp_shifted_rows(m: np.ndarray, out: np.ndarray | None = None) -> tuple[np.n
     require_finite(m, "softmax input")
     e = np.subtract(m, m.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
-    return e, e.sum(axis=-1, keepdims=True)
-
-
-def softmax_rows(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax of a matrix or stack: ``exp_shifted_rows`` divided by
-    its row sums, in the same array and with the same checks.  Each row sums to
-    1 within rounding; adding a constant to an input row changes nothing."""
-    e, sums = exp_shifted_rows(m, out)
-    e /= sums
+    e /= e.sum(axis=-1, keepdims=True)
     return e

@@ -12,6 +12,7 @@ realization).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement, product
 from typing import Callable, Union
 
@@ -78,7 +79,7 @@ class CellFeatureMap:
     def out_width(self) -> int:
         return self.delta_cells**self.d
 
-    @property
+    @cached_property
     def edges(self) -> np.ndarray:
         return np.arange(self.delta_cells + 1) / self.delta_cells
 
@@ -402,12 +403,16 @@ def build_discrete_sumformer(
         )
     phi, psi = CellFeatureMap(delta_cells, d), TableCombiner({}, d)
     anchors = np.array(list(product(range(delta_cells), repeat=d))) / delta_cells
-    rests = list(combinations_with_replacement(range(len(anchors)), n - 1))
-    for own in range(len(anchors)):
-        rows = anchors[np.array([(own, *rest) for rest in rests])]  # (rests, n, d)
-        one_hot = phi.rows(rows)
-        for seq, key in zip(rows, psi.keys(one_hot[:, 0], one_hot.sum(axis=-2))):
-            value = np.asarray(g(seq[0], seq[1:]), dtype=np.float64).reshape(-1)
+    anchor_rows = phi.rows(anchors)
+    rests = np.array(list(combinations_with_replacement(range(len(anchors)), n - 1)), dtype=np.intp)
+    # Each rest's integer histogram over the cells phi puts its anchors in.
+    flat = np.arange(len(rests))[:, np.newaxis] * phi.out_width + anchor_rows.argmax(axis=-1)[rests]
+    hists = np.bincount(flat.ravel(), minlength=len(rests) * phi.out_width).reshape(len(rests), -1)
+    rest_rows = anchors[rests]  # (rests, n - 1, d)
+    for own, own_row in enumerate(anchor_rows):
+        keys = psi.keys(np.broadcast_to(own_row, hists.shape), hists + own_row)
+        for rest, key in zip(rest_rows, keys):
+            value = np.asarray(g(anchors[own], rest), dtype=np.float64).reshape(-1)
             if value.shape[0] != d:
                 raise ShapeError(f"g returned {value.shape[0]} components, want {d}")
             psi.table[key] = value

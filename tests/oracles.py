@@ -5,9 +5,9 @@ from typing import Callable
 
 import numpy as np
 
-from sumformer.attention import SCORE_FLOATS
+from sumformer.attention import SCORE_BOUND, SCORE_FLOATS
 from sumformer.equivariance import CheckReport, SemiInvariantFn, _permutations_for, lift, worse
-from sumformer.errors import ShapeError
+from sumformer.errors import DomainError, ShapeError
 from sumformer.mlp import MlpParams, MlpSpec
 from sumformer.multisym import DegreeBasis, FitReport, MultiDegree
 
@@ -71,21 +71,43 @@ def monomial_features(x: np.ndarray, basis: DegreeBasis) -> np.ndarray:
     return np.prod(x[np.newaxis, :] ** basis.exponents, axis=1)
 
 
-def allocating_head_forward(x: np.ndarray, spec) -> np.ndarray:
-    """A softmax head's forward taken SCORE_FLOATS // (key count) query rows at
-    a time, each block in fresh arrays: Q / sqrt(m), the scores, their shifted
-    exp, then (E @ V) / (row sums of E)."""
+def widened_operands(x: np.ndarray, spec):
+    """A softmax head's Q / sqrt(m), K^T and V, each widened by one column:
+    -c_i, 1 and 1, with c_i = |q_i| max_j |k_j| (0 for a row whose c_i is above
+    SCORE_BOUND or not finite), and which query rows are loose that way."""
     key_rows, value_rows = spec.sources(x, None)
     q = x @ spec.w_q / math.sqrt(x.shape[-1])
-    k_t = (key_rows @ spec.w_k).swapaxes(-1, -2)
+    k = key_rows @ spec.w_k
     v = value_rows @ spec.w_v
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.sqrt(np.einsum("...ij,...ij->...i", q, q)
+                        * np.einsum("...ij,...ij->...i", k, k).max(axis=-1, keepdims=True))
+    loose = ~(bound <= SCORE_BOUND)
+    q = np.concatenate([q, np.where(loose, 0.0, -bound)[..., np.newaxis]], axis=-1)
+    k, v = (np.concatenate([a, np.ones((*a.shape[:-1], 1))], axis=-1) for a in (k, v))
+    return q, k.swapaxes(-1, -2), v, loose
+
+
+def deferred_product(scores: np.ndarray, v: np.ndarray, loose: np.ndarray) -> np.ndarray:
+    """exp of the scores (minus the row max on the loose rows) times the widened
+    V, its last column dividing the others."""
+    if not np.isfinite(scores).all():
+        raise DomainError("softmax input contains non-finite entries")
+    scores = np.where(loose[..., np.newaxis], scores - scores.max(axis=-1, keepdims=True), scores)
+    total = np.exp(scores) @ v
+    return total[..., :-1] / total[..., -1:]
+
+
+def allocating_head_forward(x: np.ndarray, spec) -> np.ndarray:
+    """A softmax head's forward taken SCORE_FLOATS // (key count) query rows at
+    a time, each block in fresh arrays: the widened operands' scores, then
+    their ``deferred_product``."""
+    q, k_t, v, loose = widened_operands(x, spec)
     step = max(1, min(q.shape[-2], SCORE_FLOATS // k_t.shape[-1]))
-    out = np.empty((*q.shape[:-1], v.shape[-1]))
+    out = np.empty((*q.shape[:-1], v.shape[-1] - 1))
     for start in range(0, q.shape[-2], step):
         rows = slice(start, start + step)
-        scores = q[..., rows, :] @ k_t
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        out[..., rows, :] = (e @ v) / e.sum(axis=-1, keepdims=True)
+        out[..., rows, :] = deferred_product(q[..., rows, :] @ k_t, v, loose[..., rows])
     return out
 
 

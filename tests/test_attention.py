@@ -18,13 +18,12 @@ from sumformer.attention import (
     mac_count,
 )
 from sumformer.errors import ContractError, DomainError, ShapeError, UnsupportedInspectionError
-from sumformer.linalg import exp_shifted_rows
 from sumformer.mlp import MlpSpec, init_mlp_params, mlp_forward
 from sumformer.model import CellFeatureMap, MlpFeatureMap
 from sumformer.multisym import enumerate_multidegrees, power_sum_vector
 from sumformer.serialize import dump_construction, load_construction
 
-from oracles import allocating_head_forward, performer_features
+from oracles import allocating_head_forward, deferred_product, performer_features, widened_operands
 
 
 def _random_spec(m, rng):
@@ -359,6 +358,26 @@ def test_construction_k_bounds():
         build_sum_extraction("softmax", 3, 1, basis)
 
 
+@pytest.mark.parametrize("args", [
+    ("standard", 2.5, 4),
+    ("standard", "3", 4),
+    ("standard", 3, 4.0),
+    ("linformer", 8, 4, 2.0),
+    ("standard", True, 4),
+    ("standard", 8, np.True_),
+    ("linformer", 8, 4, True),
+])
+def test_mac_count_refuses_a_size_that_is_not_an_integer(args):
+    with pytest.raises(ContractError, match="must be an integer"):
+        mac_count(*args)
+
+
+def test_mac_count_takes_numpy_integers():
+    for variant, k in (("standard", None), ("linformer", 3), ("performer", 3)):
+        count = mac_count(variant, np.int64(8), np.int32(4), None if k is None else np.int16(k))
+        assert type(count) is int and count == mac_count(variant, 8, 4, k)
+
+
 def test_mac_count_scaling_ratios():
     ns = [32, 64, 128, 256]
     m, k = 4, 4
@@ -394,15 +413,15 @@ def _unblocked(x, spec):
 @pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
 @pytest.mark.parametrize("n", [1, 128, 512])
 def test_blocked_forward_is_bitwise_the_unblocked_product(variant, n):
-    """Bitwise the deferred product (E @ V) / (row sums of E) of the whole
-    shifted exp E, and within rounding of the normalised A @ V."""
+    """Bitwise the deferred product of the whole bound-shifted exp E of the
+    widened operands, [E V, E 1] with its last column dividing the others,
+    and within rounding of the normalised A @ V."""
     # The low-rank head needs k < n, so it starts at n = 2.
     x, spec, _ = _softmax_head(variant, max(n, 2) if variant == "linformer" else n)
     out = head_forward(x, spec)
-    key_rows, value_rows = spec.sources(x, None)
-    q = x @ spec.w_q / np.sqrt(x.shape[1])
-    e, sums = exp_shifted_rows(q @ (key_rows @ spec.w_k).T)
-    assert np.array_equal(out, (e @ (value_rows @ spec.w_v)) / sums)
+    q, k_t, v, loose = widened_operands(x, spec)
+    assert not loose.any()
+    assert np.array_equal(out, deferred_product(q @ k_t, v, loose))
     reference = _unblocked(x, spec)
     assert np.max(np.abs(out - reference)) <= 1e-13 * np.max(np.abs(reference))
 
@@ -495,6 +514,77 @@ def test_score_overflow_in_the_last_block_raises(variant):
     x[-1] = 1e200  # only the last query row's scores leave the float range
     with pytest.raises(DomainError):
         head_forward(x, spec)
+
+
+def test_a_block_of_bounded_and_loose_rows_is_within_rounding_of_a_v():
+    """Rows scaled up to 10x have score bounds above SCORE_BOUND and take the
+    exact row-max shift; the others keep the bound shift, in the same blocks."""
+    n = 383  # blocks of 342 and 41 rows
+    x, spec, _ = _softmax_head("standard", n, seed=n)
+    x *= np.linspace(0.1, 10.0, n)[:, np.newaxis]
+    loose = widened_operands(x, spec)[3]
+    assert 0 < loose[:342].sum() < 342 and loose[342:].all()
+    out, reference = head_forward(x, spec), _unblocked(x, spec)
+    assert np.max(np.abs(out - reference)) <= 1e-13 * np.max(np.abs(reference))
+    assert np.array_equal(out, allocating_head_forward(x, spec))
+
+
+@pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
+def test_a_stack_with_one_loose_slice_is_bitwise_each_slice_alone(variant):
+    n = 259
+    _, spec, _ = _softmax_head(variant, n, seed=8)
+    xs = np.random.default_rng(9).uniform(-1, 1, size=(3, n, 16))
+    xs[1] *= 30.0
+    loose = widened_operands(xs, spec)[3]
+    assert loose[1].all() and not loose[[0, 2]].any()
+    stacked = head_forward(xs, spec)
+    assert np.array_equal(stacked, allocating_head_forward(xs, spec))
+    for i, x in enumerate(xs):
+        assert np.array_equal(head_forward(x, spec), stacked[i])
+
+
+@pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
+def test_bounded_rows_never_take_the_exact_shift(variant, monkeypatch):
+    """With every score bound at most SCORE_BOUND, nothing but the input check
+    calls ``require_finite``: no block is scanned or shifted by its row max."""
+    def only_the_input(m, name):
+        if name != "X":
+            raise AssertionError(f"require_finite({name!r}) on a bounded input")
+        return m
+
+    _, spec, _ = _softmax_head(variant, 517, seed=10)
+    xs = np.random.default_rng(11).uniform(-1, 1, size=(2, 517, 16))
+    assert not widened_operands(xs, spec)[3].any()
+    expected = head_forward(xs, spec)
+    monkeypatch.setattr(attention, "require_finite", only_the_input)
+    assert np.array_equal(head_forward(xs, spec), expected)
+
+
+@pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
+@pytest.mark.parametrize("weight", ["w_q", "w_k"])
+def test_a_nan_weight_is_a_domain_error(variant, weight):
+    x, spec, _ = _softmax_head(variant, 40, seed=12)
+    getattr(spec, weight)[3, 5] = np.nan
+    with pytest.raises(DomainError):
+        head_forward(x, spec)
+
+
+@pytest.mark.parametrize("token, key_scale", [(1e200, 1e-210), (1e100, 1e-40)])
+def test_the_score_bound_of_a_huge_token_warns_nothing(token, key_scale):
+    """Row 0's bound leaves the float range (|q_0|^2 at 1e200, |q_0|^2 |k_0|^2
+    at 1e100), so the row takes the exact shift; with small key weights
+    every score stays finite, so no step of the forward may overflow."""
+    rng = np.random.default_rng(13)
+    m = 16
+    x = rng.uniform(-1, 1, size=(8, m))
+    x[0] = token
+    w_q, w_k, w_v = (rng.uniform(-1, 1, size=(m, m)) for _ in range(3))
+    spec = StandardHeadSpec(w_q, w_k * key_scale, w_v)
+    assert widened_operands(x, spec)[3][0]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        out = head_forward(x, spec)
+    reference = _unblocked(x, spec)
+    assert np.max(np.abs(out - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def test_random_features_refuse_underflow_and_overflow():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sumformer.errors import DomainError, ShapeError
-from sumformer.linalg import exp_shifted_rows, require_finite, softmax_rows
+from sumformer.linalg import require_finite, softmax_rows
 
 
 def test_require_finite_rejects_nan():
@@ -70,20 +70,17 @@ def test_softmax_out_of_the_wrong_shape_or_dtype_is_refused_before_writing():
 def test_softmax_of_a_non_float64_input_is_refused():
     for bad in (np.arange(6).reshape(2, 3), np.ones((2, 3), dtype=np.float32),
                 np.ones((2, 3), dtype=bool)):
-        for fn in (softmax_rows, exp_shifted_rows):
-            with pytest.raises(ShapeError):
-                fn(bad)
+        with pytest.raises(ShapeError):
+            softmax_rows(bad)
 
 
 def test_softmax_is_the_shifted_exp_over_its_row_sums():
     m = np.random.default_rng(6).normal(size=(2, 4, 5))
-    e, sums = exp_shifted_rows(m)
-    assert sums.shape == (2, 4, 1)
-    assert np.array_equal(sums, e.sum(axis=-1, keepdims=True))
-    assert np.array_equal(e / sums, softmax_rows(m))
+    e = np.exp(m - m.max(axis=-1, keepdims=True))
+    assert np.array_equal(softmax_rows(m), e / e.sum(axis=-1, keepdims=True))
     inplace = m.copy()
-    assert exp_shifted_rows(inplace, out=inplace)[0] is inplace
-    assert np.array_equal(inplace, e)
+    assert softmax_rows(inplace, out=inplace) is inplace
+    assert np.array_equal(inplace, softmax_rows(m))
 
 
 def test_softmax_in_place_refuses_non_finite_scores_before_writing():
