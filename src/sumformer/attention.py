@@ -14,8 +14,7 @@ layer plus two residual connections then produce rows
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .errors import (
     ShapeError,
     UnsupportedInspectionError,
 )
-from .linalg import require_finite, require_rows, softmax_rows
+from .linalg import require_finite, require_rows, require_size, softmax_rows
 from .model import Phi, PolynomialFeatureMap
 from .multisym import DegreeBasis
 
@@ -84,11 +83,23 @@ class HeadSpec:
         """Name and shape of each matrix the variant holds besides W_Q, W_K, W_V."""
         return {}
 
+    def __post_init__(self):
+        """Every weight is a finite matrix, W_Q, W_K and W_V of one m x m shape:
+        checked once, here; each forward checks the shapes that depend on n."""
+        for field in fields(self):  # w_q first, so the others may read its shape
+            w = require_rows(getattr(self, field.name), field.name)
+            want = self.w_q.shape[:1] * 2 if field.name.startswith("w_") else w.shape[-2:]
+            if w.shape != want:
+                raise ShapeError(f"{field.name} must be a matrix of shape {want}, got {w.shape}")
+            require_finite(w, field.name)
+
     @classmethod
-    def require_k(cls, n: int, k: int | None):
-        if cls.needs_k and (k is None or k < 1 or (cls.k_below_n and k >= n)):
-            bound = f"1 <= k < n={n}" if cls.k_below_n else "k >= 1"
-            raise ContractError(f"{cls.variant} needs {bound}, got k={k}")
+    def require_k(cls, n: int, k) -> int | None:
+        """k as an int for a variant that takes one; the others ignore it."""
+        k = require_size("k", k) if cls.needs_k else None
+        if cls.k_below_n and k >= n:
+            raise ContractError(f"{cls.variant} needs 1 <= k < n={n}, got k={k}")
+        return k
 
     @classmethod
     def construction(cls, n, d, d_latent, k=None, seed=None, wv_scale="k", omegas=None):
@@ -140,16 +151,17 @@ class HeadSpec:
         out = np.empty((*q.shape[:-1], m))
         scores = np.empty((*q.shape[:-2], step, key_count))
         products = np.empty((*q.shape[:-2], step, m + 1))
-        for start in range(0, n, step):
-            rows, count = slice(start, start + step), min(step, n - start)
-            block = _mm(q[..., rows, :], k_t, counter, scores[..., :count, :])
-            if any_loose and loose[..., rows].any():
-                require_finite(block, "softmax input")
-                np.subtract(block, block.max(axis=-1, keepdims=True), out=block,
-                            where=loose[..., rows, np.newaxis])
-            np.exp(block, out=block)
-            product = _mm(block, v, counter, products[..., :count, :])
-            np.divide(product[..., :m], product[..., m:], out=out[..., rows, :])
+        with np.errstate(over="ignore", invalid="ignore"):  # a loose block is checked
+            for start in range(0, n, step):
+                rows, count = slice(start, start + step), min(step, n - start)
+                block = _mm(q[..., rows, :], k_t, counter, scores[..., :count, :])
+                if any_loose and loose[..., rows].any():
+                    require_finite(block, "softmax input")
+                    np.subtract(block, block.max(axis=-1, keepdims=True), out=block,
+                                where=loose[..., rows, np.newaxis])
+                np.exp(block, out=block)
+                product = _mm(block, v, counter, products[..., :count, :])
+                np.divide(product[..., :m], product[..., m:], out=out[..., rows, :])
         return out
 
 
@@ -202,7 +214,7 @@ class LinformerHeadSpec(HeadSpec):
         attention sees are already summed over all n tokens, so the
         cancelling scale is k.  ``wv_scale="n"`` selects the literal
         alternative, which overshoots by n/k and exists for comparison."""
-        cls.require_k(n, k)
+        k = cls.require_k(n, k)
         if wv_scale not in ("k", "n"):
             raise ContractError(f"wv_scale must be 'k' or 'n', got {wv_scale!r}")
         scale = float(k if wv_scale == "k" else n)
@@ -248,7 +260,7 @@ class PerformerHeadSpec(HeadSpec):
         n in the value matrix and 1/(lambda n) in the token-wise layer undo
         it.  The k x m feature vectors are ``omegas`` when given, else drawn
         from ``seed``."""
-        if k is None or not (1 <= k < n):
+        if require_size("k", k) >= n:
             raise ContractError(f"performer needs 1 <= k < n, got k={k}, n={n}")
         if omegas is None:
             omegas = np.random.default_rng(seed).standard_normal((k, 1 + d + 2 * d_latent))
@@ -270,8 +282,9 @@ class PerformerHeadSpec(HeadSpec):
 
     def forward(self, x, counter=None):
         _check_head_input(x, self)
-        q = _performer_features_rows(_mm(x, self.w_q, counter), self.omegas, counter)
-        k = _performer_features_rows(_mm(x, self.w_k, counter), self.omegas, counter)
+        with np.errstate(over="ignore", invalid="ignore"):  # the features are checked
+            q = _performer_features_rows(_mm(x, self.w_q, counter), self.omegas, counter)
+            k = _performer_features_rows(_mm(x, self.w_k, counter), self.omegas, counter)
         v = _mm(x, self.w_v, counter)
         # Right-associated product: the k x m intermediate comes first.
         return _mm(q, _mm(k.swapaxes(-1, -2), v, counter), counter)
@@ -289,16 +302,7 @@ def head_class(variant: str) -> type[HeadSpec]:
 
 
 def _check_head_input(x: np.ndarray, spec: HeadSpec):
-    require_rows(x, "X")
-    require_finite(x, "X")
-    m = spec.w_q.shape[0]
-    for name in ("w_q", "w_k", "w_v"):
-        w = getattr(spec, name)
-        if w.shape != (m, m):
-            raise ShapeError(f"{name} must be {m}x{m}, got {w.shape}")
-    n = x.shape[-2]
-    if x.shape[-1] != m:
-        raise ShapeError(f"X has width {x.shape[-1]}, weights expect {m}")
+    n, m = require_finite(require_rows(x, "X", spec.w_q.shape[0]), "X").shape[-2:]
     for name, shape in spec.extra_shapes(n, m, spec.k).items():
         if getattr(spec, name).shape != shape:
             raise ShapeError(f"{name} must be {shape}, got {getattr(spec, name).shape}")
@@ -384,9 +388,7 @@ class SumExtractionConstruction:
     def lift(self, x: np.ndarray) -> np.ndarray:
         """Token-wise lift of raw n x d input, or an (S, n, d) stack, to the
         1 + d + 2d' layout.  A head that averages takes only the built n."""
-        if require_rows(x, "X").shape[-1] != self.d:
-            raise ShapeError(f"input shape {x.shape}, expected n x {self.d} or S x n x {self.d}")
-        if x.shape[-2] != self.n and not self.head.construction_any_n:
+        if require_rows(x, "X", self.d).shape[-2] != self.n and not self.head.construction_any_n:
             raise ShapeError(f"the {self.variant} construction is built for n={self.n}, "
                              f"got {x.shape[-2]} tokens")
         rows = x.shape[:-1]
@@ -435,8 +437,7 @@ def build_sum_extraction(
     (X + head(X)); with the outer residual this leaves rows
     [1, x_i, phi(x_i), Sigma].
     """
-    if n < 1:
-        raise ContractError("n must be >= 1")
+    n, d = require_size("n", n), require_size("d", d)
     if basis.d != d:
         raise ShapeError(f"basis built for d={basis.d}, construction wants d={d}")
     if phi is None:
@@ -456,17 +457,6 @@ def build_sum_extraction(
     )
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int; a bool or anything ``operator.index`` refuses
-    is a ContractError."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ContractError(f"{name} must be an integer, got {value!r}")
-
-
 def mac_count(variant: str, n: int, d_model: int, k: int | None = None) -> int:
     """Exact multiply-accumulate count of one head forward pass.
 
@@ -474,16 +464,12 @@ def mac_count(variant: str, n: int, d_model: int, k: int | None = None) -> int:
     norm one dot per row, and the random-feature map one squared norm plus k
     projections per row.
     A head the library refuses to run (k >= n for the low-rank variant)
-    has no count, and neither has a size that is not an integer (a bool
-    included; numpy integers are integers).
+    has no count, and neither has a size that is not an integer (numpy's
+    are, a bool is not).  A variant that takes no k ignores it.
     """
-    n, d_model = _integer("n", n), _integer("d_model", d_model)
-    k = None if k is None else _integer("k", k)
-    if n < 1 or d_model < 1:
-        raise ContractError("n and d_model must be positive")
+    n, d_model = require_size("n", n), require_size("d_model", d_model)
     head = head_class(variant)
-    head.require_k(n, k)
-    return head.mac_count(n, d_model, k)
+    return head.mac_count(n, d_model, head.require_k(n, k))
 
 
 def audited_mac_count(variant: str, n: int, d_model: int, k: int | None = None, seed: int = 0) -> int:

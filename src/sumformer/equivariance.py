@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ShapeError
+from .linalg import require_rows, require_size
 
 # g(token, other_tokens) -> output vector; other_tokens is an (n-1) x d matrix
 # whose row order must not matter.  A g that ``lift`` may hand stacks takes
@@ -34,7 +35,7 @@ def lift(g: SemiInvariantFn) -> Callable[[np.ndarray], np.ndarray]:
     """
 
     def lifted(x: np.ndarray) -> np.ndarray:
-        n = x.shape[-2]
+        n = require_rows(x, "X").shape[-2]
         if n < 1:
             raise ShapeError("lift needs at least one token per sequence")
         out = None
@@ -97,6 +98,7 @@ def check_equivariance(
     It is called once per draw, on the stack [X, p_1 X, ..., p_P X].  The
     witness is the first worst (X, pi), a NaN violation counting as worst.
     """
+    n, d, trials = require_size("n", n), require_size("d", d), require_size("trials", trials, 0)
     rng = np.random.default_rng(seed)
     worst = 0.0
     witness_x = witness_p = None

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
+from .linalg import require_rows, require_size
 
 MlpParams = list[tuple[np.ndarray, np.ndarray]]
 
@@ -21,8 +22,8 @@ class MlpSpec:
     def __post_init__(self):
         if len(self.layer_widths) < 2:
             raise ShapeError("an MLP needs at least input and output widths")
-        if any(w < 1 for w in self.layer_widths):
-            raise ShapeError(f"widths must be positive, got {self.layer_widths}")
+        for width in self.layer_widths:
+            require_size("layer width", width)
 
     @property
     def in_width(self) -> int:
@@ -79,9 +80,7 @@ def mlp_forward(
     memory with that layer's input; without it each layer allocates one.
     """
     _check_params(spec, params)
-    if x.ndim not in (2, 3) or x.shape[-1] != spec.in_width:
-        raise ShapeError(f"input shape {x.shape} vs expected width {spec.in_width}")
-    h = x
+    h = require_rows(x, "x", spec.in_width)
     last = spec.n_layers - 1
     for i, (w, b) in enumerate(params):
         if acts is not None:

@@ -19,7 +19,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import BudgetError, DomainError, ShapeError
-from .linalg import require_finite, require_rows
+from .linalg import require_finite, require_rows, require_size
 from .mlp import MlpParams, MlpSpec, init_mlp_params, mlp_forward
 from .multisym import (
     DegreeBasis,
@@ -85,8 +85,7 @@ class CellFeatureMap:
 
     def cells(self, x: np.ndarray) -> np.ndarray:
         """The cell of each token along each axis, of x's shape."""
-        if x.shape[-1] != self.d:
-            raise ShapeError(f"tokens of width {x.shape[-1]}, grid built for d={self.d}")
+        require_rows(x, "tokens", self.d)
         inside = (0.0 <= x) & (x < 1.0)  # False for NaN
         if not inside.all():
             raise DomainError(f"token entry {float(x[~inside][0])} outside [0,1)")
@@ -289,6 +288,8 @@ def batch_forward(
     evaluation metrics come from this one forward.  With ``outs`` every
     array the forward makes is written there instead of being allocated.
     """
+    if require_rows(seqs, "seqs", model.d).ndim == 2:
+        raise ShapeError(f"seqs must be an (S, n, {model.d}) stack, got shape {seqs.shape}")
     s_count, n, d = seqs.shape
     out = _forward(model, seqs.reshape(s_count * n, d), s_count, acts, outs)
     return out.reshape(*out.shape[:-2], s_count, n, -1)
@@ -304,9 +305,7 @@ def sumformer_forward(model: SumformerModel, x: np.ndarray) -> np.ndarray:
     per sequence, so each of its sequences gets bitwise the output it gets
     alone.
     """
-    if require_rows(x, "X").shape[-1] != model.d:
-        raise ShapeError(f"input shape {x.shape}, model expects n x {model.d} or S x n x {model.d}")
-    require_finite(x, "X")
+    require_finite(require_rows(x, "X", model.d), "X")
     order = _canonical_row_order(x)[..., np.newaxis]
     s_count = 1 if x.ndim == 2 else x.shape[0]
     canonical = _forward(model, np.take_along_axis(x, order, axis=-2), s_count)
@@ -393,8 +392,7 @@ def build_discrete_sumformer(
 ) -> SumformerModel:
     """Cell one-hot phi; psi tabulates g at the anchor rows c/delta of each own
     cell beside each multiset of the others, keyed by ``TableCombiner.keys``."""
-    if delta_cells < 1 or n < 1 or d < 1:
-        raise ShapeError("delta_cells, n, d must all be >= 1")
+    delta_cells, n, d = require_size("delta_cells", delta_cells), require_size("n", n), require_size("d", d)
     # Up to delta^(n d) keys, each holding a delta^d-long histogram.
     if delta_cells ** ((n + 1) * d) > 10**6:
         raise BudgetError(

@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, CountOverflowError, InvarianceViolationError, ShapeError
+from .errors import CountOverflowError, InvarianceViolationError
+from .linalg import require_rows, require_size
 
 MultiDegree = tuple[int, ...]
 
@@ -43,8 +44,7 @@ class DegreeBasis:
 
 def basis_size(d: int, n_max: int) -> int:
     """C(n_max + d, d) - 1, the number of multidegrees with 1 <= |alpha| <= n_max."""
-    if d < 0 or n_max < 0:
-        raise ContractError(f"d and n_max must be >= 0, got d={d}, n_max={n_max}")
+    d, n_max = require_size("d", d, 0), require_size("n_max", n_max, 0)
     return math.comb(n_max + d, d) - 1
 
 
@@ -60,8 +60,7 @@ def _compositions(total: int, parts: int):
 
 def enumerate_multidegrees(d: int, n_max: int) -> DegreeBasis:
     """Enumerate the degree basis for token dimension d up to order n_max."""
-    if d < 1 or n_max < 1:
-        raise ShapeError(f"d and n_max must be >= 1, got d={d}, n_max={n_max}")
+    d, n_max = require_size("d", d), require_size("n_max", n_max)
     count = basis_size(d, n_max)
     if count > _MAX_COUNT:
         raise CountOverflowError(
@@ -80,9 +79,7 @@ def monomial_feature_matrix(x_rows: np.ndarray, basis: DegreeBasis) -> np.ndarra
 
     0**0 == 1 under numpy float power, as required for absent variables.
     """
-    if x_rows.ndim not in (2, 3) or x_rows.shape[-1] != basis.d:
-        raise ShapeError(f"rows have shape {x_rows.shape}, basis expects d={basis.d}")
-    return np.prod(x_rows[..., np.newaxis, :] ** basis.exponents, axis=-1)
+    return np.prod(require_rows(x_rows, "rows", basis.d)[..., np.newaxis, :] ** basis.exponents, axis=-1)
 
 
 def _canonical_row_order(x: np.ndarray) -> np.ndarray:
@@ -104,10 +101,8 @@ def power_sum(x: np.ndarray, alpha: MultiDegree) -> float | np.ndarray:
     value is bitwise identical for any row permutation of x, and each
     sum of a stack is bitwise that of its sequence alone.
     """
-    if x.ndim not in (2, 3) or x.shape[-1] != len(alpha):
-        raise ShapeError(f"sequence shape {x.shape} vs multidegree length {len(alpha)}")
     exps = np.asarray(alpha, dtype=np.int64)
-    sums = np.sum(np.prod(_canonical_rows(x) ** exps, axis=-1), axis=-1)
+    sums = np.sum(np.prod(_canonical_rows(require_rows(x, "x", len(alpha))) ** exps, axis=-1), axis=-1)
     return float(sums) if x.ndim == 2 else sums
 
 
@@ -121,7 +116,7 @@ def power_sum_vector(x: np.ndarray, basis: DegreeBasis) -> np.ndarray:
     to rounding, not bitwise: numpy's power may round a monomial differently
     in the two functions' array layouts (seen at d = 1).
     """
-    return np.sum(monomial_feature_matrix(_canonical_rows(x), basis), axis=-2)
+    return np.sum(monomial_feature_matrix(_canonical_rows(require_rows(x, "x", basis.d)), basis), axis=-2)
 
 
 @dataclass(frozen=True)
@@ -164,8 +159,8 @@ def generation_oracle(
     under row permutations; this is verified on 10 random permutations
     before fitting.
     """
+    generators = enumerate_multidegrees(d, n).degrees  # first, to refuse a d or n that is not a size
     rng = np.random.default_rng(seed)
-
     probe = rng.uniform(size=(n, d))
     reference = target(probe)
     for _ in range(10):
@@ -179,8 +174,7 @@ def generation_oracle(
             )
 
     terms = product_terms(d, n, 2 * n)
-    generators = enumerate_multidegrees(d, n).degrees
-    samples = rng.uniform(size=(sample_count, n, d))
+    samples = rng.uniform(size=(require_size("sample_count", sample_count), n, d))
     sums = {alpha: power_sum(samples, alpha) for alpha in generators}
     design = np.empty((sample_count, len(terms)))
     for j, term in enumerate(terms):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import build_sum_extraction
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, DomainError, ShapeError
 from .mlp import MlpParams, MlpSpec
 from .model import (
     CellFeatureMap,
@@ -231,7 +231,7 @@ def load_construction(text: str):
             seed=_field(fields, "seed", int, 0, nullable=True),
             wv_scale=_field(fields, "wv_scale", str), omegas=mats.get("omegas"),
         )
-    except (ContractError, ShapeError) as exc:
+    except (ContractError, DomainError, ShapeError) as exc:
         raise ConfigError(f"cannot rebuild construction: {exc}") from exc
     if con.lambda_value != _field(fields, "lambda", float, nullable=True):
         raise ConfigError(

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DivisionGuardError, TrainingDivergedError
+from .errors import ContractError, DivisionGuardError, ShapeError, TrainingDivergedError
+from .linalg import require_finite, require_rows, require_size
 from .mlp import MlpParams, leading, mlp_backward, param_views
 from .model import (
     ForwardOuts,
@@ -71,10 +72,7 @@ def generate_dataset(
     seed: int = 0,
 ) -> Dataset:
     """Uniform inputs, exact targets, deterministic split (first rows train)."""
-    if count < 2:
-        raise ContractError("count must be >= 2")
-    if n < 1 or d < 1:
-        raise ContractError("n and d must be >= 1")
+    n, d, count = require_size("n", n), require_size("d", d), require_size("count", count, 2)
     if not (0.0 < split_fraction < 1.0):
         raise ContractError("split_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -348,14 +346,20 @@ def train(
     Raises TrainingDivergedError (carrying the report so far) if the loss
     leaves the finite range.
     """
+    epochs = require_size("epochs", epochs, 0)
     if config is None:
         config = OptimizerConfig()
-    if config.batch_size is not None and config.batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1 or None, got {config.batch_size}")
+    batch_size = None if config.batch_size is None else require_size("batch_size", config.batch_size)
     if not model.trainable_params():
         raise ContractError("model has no trainable parameters")
     if not isinstance(model.psi, MlpCombiner):
         raise ContractError("training needs an MLP psi")
+    for name in ("inputs", "targets"):  # checked once, here: relu would zero a NaN token
+        a = require_rows(getattr(data, name), f"dataset {name}", model.d)
+        if a.ndim == 2 or a.shape != data.inputs.shape or a.dtype.kind != "f":
+            raise ShapeError(f"dataset {name} must be a float (count, n, {model.d}) stack of the "
+                             f"inputs' shape, got {a.dtype} {a.shape}")
+        require_finite(a, f"dataset {name}")
     flat = flatten_params(model)
     grad_flat = np.zeros_like(flat)
     grads = param_views(grad_flat, model.trainable_params())
@@ -366,8 +370,7 @@ def train(
     x_val = data.inputs[data.val_idx]
     y_val = data.targets[data.val_idx]
     n_train = x_train.shape[0]
-    batch = config.batch_size if config.batch_size is not None else n_train
-    batch = min(batch, n_train)
+    batch = n_train if batch_size is None else min(batch_size, n_train)
     work = WorkBuffer(model, data.n, batch, x_val.shape[0])
 
     report = TrainReport(

@@ -25,6 +25,9 @@ from sumformer.serialize import dump_construction, load_construction
 
 from oracles import allocating_head_forward, deferred_product, performer_features, widened_operands
 
+# A numpy warning on the way to an error, or anywhere else here, fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _random_spec(m, rng):
     return StandardHeadSpec(
@@ -567,6 +570,46 @@ def test_a_nan_weight_is_a_domain_error(variant, weight):
     getattr(spec, weight)[3, 5] = np.nan
     with pytest.raises(DomainError):
         head_forward(x, spec)
+
+
+WEIGHTS = [(variant, name) for variant, head in HEADS.items()
+           for name in ("w_q", "w_k", "w_v", *head.extra_shapes(5, 4, 2))]
+
+
+def _weights(variant):
+    """Every weight of a random head at n = 5, m = 4, k = 2, by field name."""
+    spec = _random_head(variant, 5)
+    return {name: getattr(spec, name) for name in ("w_q", "w_k", "w_v", *spec.extra_shapes(5, 4, 2))}
+
+
+@pytest.mark.parametrize("variant, weight", WEIGHTS)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_weight_is_refused_when_the_spec_is_built(variant, weight, value):
+    """Checked once, at build: a NaN in W_V or E never reaches a score bound."""
+    weights = _weights(variant)
+    weights[weight] = weights[weight].copy()
+    weights[weight][1, 1] = value
+    with pytest.raises(DomainError, match=weight):
+        HEADS[variant](**weights)
+
+
+@pytest.mark.parametrize("variant, weight", WEIGHTS)
+@pytest.mark.parametrize("bad", [np.ndarray.tolist, lambda w: w[0], lambda w: w[np.newaxis]],
+                         ids=["list", "vector", "stack"])
+def test_a_weight_that_is_not_a_matrix_is_refused_when_the_spec_is_built(variant, weight, bad):
+    weights = _weights(variant)
+    weights[weight] = bad(weights[weight])
+    with pytest.raises(ShapeError, match=weight):
+        HEADS[variant](**weights)
+
+
+@pytest.mark.parametrize("variant", list(HEADS))
+@pytest.mark.parametrize("weight", ["w_q", "w_k", "w_v"])
+def test_a_projection_weight_that_is_not_square_is_refused_when_the_spec_is_built(variant, weight):
+    weights = _weights(variant)
+    weights[weight] = weights[weight][:, :-1]
+    with pytest.raises(ShapeError, match=weight):
+        HEADS[variant](**weights)
 
 
 @pytest.mark.parametrize("token, key_scale", [(1e200, 1e-210), (1e100, 1e-40)])

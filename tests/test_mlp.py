@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sumformer.errors import ShapeError
+from sumformer.errors import ContractError, ShapeError
 from sumformer.mlp import MlpSpec, init_mlp_params, mlp_forward, relu
 
 from oracles import zero_mlp_params
@@ -70,7 +70,7 @@ def test_width_mismatch_raises():
 def test_spec_validation():
     with pytest.raises(ShapeError):
         MlpSpec((3,))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError):
         MlpSpec((3, 0, 1))
 
 

@@ -51,7 +51,7 @@ def test_count_formula_exhaustive(d, n_max):
 
 
 def test_invalid_dims_rejected():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError):
         enumerate_multidegrees(0, 3)
 
 

@@ -71,6 +71,16 @@ def test_construction_files_reproduce_random_features():
     assert loaded.lambda_value == seedless.lambda_value
 
 
+def test_a_non_finite_random_feature_in_a_file_is_a_config_error():
+    """An inf feature entry can still leave the Gram constant finite; the head refuses it."""
+    seedless = build_sum_extraction("performer", 4, 2, enumerate_multidegrees(2, 2), k=2)
+    entry = repr(float(seedless.head.omegas[0, -1]))
+    text = dump_construction(seedless)
+    assert entry in text
+    with pytest.raises(ConfigError, match="omegas"):
+        load_construction(text.replace(entry, "-inf"))
+
+
 def test_construction_with_mlp_phi_round_trip():
     from sumformer.mlp import MlpSpec, init_mlp_params
 

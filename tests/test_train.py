@@ -1,9 +1,16 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sumformer.errors import ConfigError, ContractError, DivisionGuardError, TrainingDivergedError
+from sumformer.errors import (
+    ContractError,
+    DivisionGuardError,
+    DomainError,
+    ShapeError,
+    TrainingDivergedError,
+)
 from sumformer.mlp import param_views
 from sumformer.model import (
     MlpFeatureMap,
@@ -30,12 +37,40 @@ from tape_oracle import Tape, gradient, mlp_param_nodes, mlp_taped
 FAST = OptimizerConfig(batch_size=50)
 
 
-@pytest.mark.parametrize("batch_size", [0, -3])
+@pytest.mark.parametrize("batch_size", [0, -3, 2.5, "3", True])
 def test_train_refuses_a_batch_size_below_one(batch_size):
+    """Or one that is not an integer: a batch size is a size like any other."""
     data = generate_dataset(get_target("quadratic_sum"), 3, 1, 10, 0.8, seed=0)
     model = build_mlp_sumformer(1, 4, seed=0)
-    with pytest.raises(ConfigError, match="batch_size"):
+    with pytest.raises(ContractError, match="batch_size"):
         train(model, data, epochs=1, config=OptimizerConfig(batch_size=batch_size))
+
+
+@pytest.mark.parametrize("field", ["inputs", "targets"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_train_refuses_a_non_finite_dataset_entry_before_the_first_step(field, value, monkeypatch):
+    """One NaN input token would otherwise train to a finite loss: relu zeroes it."""
+    data = generate_dataset(get_target("quadratic_sum"), 3, 2, 20, 0.8, seed=0)
+    getattr(data, field)[4, 1, 0] = value
+    model = build_mlp_sumformer(2, 4, seed=0)
+    monkeypatch.setattr(sys.modules[train.__module__], "loss_and_gradient", None)  # no step may run
+    with pytest.raises(DomainError, match=field):
+        train(model, data, epochs=5, config=FAST)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("inputs", lambda a: a[..., :1]),
+    ("targets", lambda a: a[:, :2]),
+    ("targets", lambda a: a[:-1]),
+    ("inputs", lambda a: a[0]),
+    ("targets", lambda a: a.astype(np.int64)),
+    ("inputs", np.ndarray.tolist),
+], ids=["token width", "token count", "sequence count", "no stack", "integers", "list"])
+def test_train_refuses_a_dataset_of_the_wrong_layout(field, bad):
+    data = generate_dataset(get_target("quadratic_sum"), 3, 2, 20, 0.8, seed=0)
+    setattr(data, field, bad(getattr(data, field)))
+    with pytest.raises(ShapeError, match=field):
+        train(build_mlp_sumformer(2, 4, seed=0), data, epochs=1, config=FAST)
 
 
 def test_dataset_split_sizes():
