@@ -14,6 +14,8 @@ layer plus two residual connections then produce rows
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -61,6 +63,25 @@ SCORE_FLOATS = 1 << 17
 # e^(-2 SCORE_BOUND) ~ 1e-261, and 2^-53 of it is still a normal double, so
 # the row sum keeps its full precision.
 SCORE_BOUND = 300.0
+
+
+def worker_count(cpus: int, environ) -> int:
+    """Threads that the softmax heads' forward runs its score blocks on: one per
+    CPU that BLAS leaves idle.  BLAS takes the first positive integer among
+    OpenBLAS's own variables, in its order, and every CPU when none is set;
+    so a process that leaves BLAS at its default gets one worker."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            if (blas_threads := int(environ.get(name, ""))) > 0:
+                return max(1, cpus // blas_threads)
+        except ValueError:
+            pass
+    return 1
+
+
+WORKERS = worker_count(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+    os.environ)
 
 
 class HeadSpec:
@@ -129,40 +150,43 @@ class HeadSpec:
         return softmax_rows(scores, out=scores), value_rows
 
     def forward(self, x: np.ndarray, counter: MacCounter | None = None) -> np.ndarray:
-        """A V taken SCORE_FLOATS // (key count) query rows at a time, in one
-        score buffer allocated per call.  Q, K and V carry one more column:
-        -c_i, 1 and 1, where c_i = |q_i| max_j |k_j| bounds row i's scores.
-        So the score gemm writes s_ij - c_i <= 0, its exp is taken in place,
-        and the value gemm gives [E V, E 1]: the block's n_blk x m output rows
-        are E V divided by the row sums E 1.  A row whose c_i is above
-        SCORE_BOUND, or not finite, is shifted by its exact row max instead,
-        after a finiteness check of its block."""
+        """A V taken SCORE_FLOATS // (key count) query rows at a time.  Q, K and
+        V carry one more column: -c_i, 1 and 1, where c_i = |q_i| max_j |k_j|
+        bounds row i's scores.  So the score gemm writes s_ij - c_i <= 0, its
+        exp is taken in place, and the value gemm gives [E V, E 1]: the
+        block's n_blk x m output rows are E V divided by the row sums E 1.  A
+        row whose c_i is above SCORE_BOUND, or not finite, is shifted by its
+        exact row max instead, after a finiteness check of its block.
+
+        The blocks go to min(WORKERS, block count) workers, each a contiguous
+        run of them in one score buffer of its own; the calling thread is
+        worker 0.  One block is one gemm of the same shape at any worker
+        count, so the output has the same bits."""
         q, k, value_rows = self._queries_and_keys(x, counter, extra=1)
-        v = _project(value_rows, self.w_v, counter, extra=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # V is checked
+            v = _project(value_rows, self.w_v, counter, extra=1)
         m = v.shape[-1] - 1
         k[..., m] = v[..., m] = 1.0
+        require_finite(v, "values")
         bound = _score_bounds(q[..., :m], k[..., :m], counter)
         loose = ~(bound <= SCORE_BOUND)  # NaN bounds are loose too
-        any_loose = loose.any()
         q[..., m] = np.where(loose, 0.0, -bound)
-        k_t = k.swapaxes(-1, -2)
         n, key_count = q.shape[-2], k.shape[-2]
         step = max(1, min(n, SCORE_FLOATS // max(1, key_count)))
+        starts = range(0, n, step)
+        workers = min(WORKERS, len(starts))
         out = np.empty((*q.shape[:-1], m))
-        scores = np.empty((*q.shape[:-2], step, key_count))
-        products = np.empty((*q.shape[:-2], step, m + 1))
-        with np.errstate(over="ignore", invalid="ignore"):  # a loose block is checked
-            for start in range(0, n, step):
-                rows, count = slice(start, start + step), min(step, n - start)
-                block = _mm(q[..., rows, :], k_t, counter, scores[..., :count, :])
-                if any_loose and loose[..., rows].any():
-                    require_finite(block, "softmax input")
-                    np.subtract(block, block.max(axis=-1, keepdims=True), out=block,
-                                where=loose[..., rows, np.newaxis])
-                np.exp(block, out=block)
-                product = _mm(block, v, counter, products[..., :count, :])
-                np.divide(product[..., :m], product[..., m:], out=out[..., rows, :])
-        return out
+        scores = np.empty((workers, *q.shape[:-2], step, key_count))
+        products = np.empty((workers, *q.shape[:-2], step, m + 1))
+        operands = q, k.swapaxes(-1, -2), v, loose if loose.any() else None, out
+        tallies = [None if counter is None else MacCounter() for _ in range(workers)]
+        _run_in_threads(_softmax_blocks, [
+            (starts[w * len(starts) // workers:(w + 1) * len(starts) // workers],
+             *operands, scores[w], products[w], tallies[w])
+            for w in range(workers)])
+        if counter is not None:
+            counter.total += sum(tally.total for tally in tallies)
+        return require_finite(out, "head output")
 
 
 @dataclass(frozen=True)
@@ -282,12 +306,13 @@ class PerformerHeadSpec(HeadSpec):
 
     def forward(self, x, counter=None):
         _check_head_input(x, self)
-        with np.errstate(over="ignore", invalid="ignore"):  # the features are checked
+        with np.errstate(over="ignore", invalid="ignore"):  # features, V and output are checked
             q = _performer_features_rows(_mm(x, self.w_q, counter), self.omegas, counter)
             k = _performer_features_rows(_mm(x, self.w_k, counter), self.omegas, counter)
-        v = _mm(x, self.w_v, counter)
-        # Right-associated product: the k x m intermediate comes first.
-        return _mm(q, _mm(k.swapaxes(-1, -2), v, counter), counter)
+            v = require_finite(_mm(x, self.w_v, counter), "values")
+            # Right-associated product: the k x m intermediate comes first.
+            out = _mm(q, _mm(k.swapaxes(-1, -2), v, counter), counter)
+        return require_finite(out, "head output")
 
 
 HEADS: dict[str, type[HeadSpec]] = {
@@ -327,6 +352,48 @@ def _score_bounds(q: np.ndarray, k: np.ndarray, counter: MacCounter | None) -> n
         return np.sqrt(np.einsum("...ij,...ij->...i", q, q) * k_square)
 
 
+def _softmax_blocks(starts, q, k_t, v, loose, out, scores, products, counter):
+    """The output rows of the blocks that begin at ``starts``, in this thread's
+    score and product buffers.  ``loose`` is None when no row is loose."""
+    n, m, step = q.shape[-2], out.shape[-1], scores.shape[-2]
+    with np.errstate(over="ignore", invalid="ignore"):  # a loose block is checked
+        for start in starts:
+            rows, count = slice(start, start + step), min(step, n - start)
+            block = _mm(q[..., rows, :], k_t, counter, scores[..., :count, :])
+            if loose is not None and loose[..., rows].any():
+                require_finite(block, "softmax input")
+                np.subtract(block, block.max(axis=-1, keepdims=True), out=block,
+                            where=loose[..., rows, np.newaxis])
+            np.exp(block, out=block)
+            product = _mm(block, v, counter, products[..., :count, :])
+            np.divide(product[..., :m], product[..., m:], out=out[..., rows, :])
+
+
+def _run_in_threads(function, arguments):
+    """function(*args) for each args of ``arguments``: the first on this thread,
+    each other on a thread of its own, all joined before this returns; then
+    the error of the first call in list order that failed is re-raised."""
+    errors = [None] * len(arguments)
+
+    def call(i):
+        try:
+            function(*arguments[i])
+        except Exception as exc:  # noqa: BLE001 - re-raised below, after the join
+            errors[i] = exc
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(1, len(arguments))]
+    for thread in threads:
+        thread.start()
+    try:
+        call(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+
+
 def _performer_features_rows(rows: np.ndarray, omegas: np.ndarray, counter: MacCounter | None) -> np.ndarray:
     """(1/sqrt(k)) exp(-|x|^2 / 2) [exp(w_1.x), ..., exp(w_k.x)] for every row x."""
     k = omegas.shape[0]
@@ -335,7 +402,10 @@ def _performer_features_rows(rows: np.ndarray, omegas: np.ndarray, counter: MacC
         counter.dots(row_count, rows.shape[-1])        # squared norms
         counter.dots(row_count * k, rows.shape[-1])    # k projections per row
     norms = (rows * rows).sum(axis=-1, keepdims=True)
-    features = np.exp(rows @ omegas.T - 0.5 * norms) / math.sqrt(k)
+    features = rows @ omegas.T  # every later step is in place, with the same bits
+    features -= 0.5 * norms
+    np.exp(features, out=features)
+    features /= math.sqrt(k)
     # Features are >= 0, so a row sum is 0 only when the whole row underflowed.
     # The sums are a matrix-vector product: a row-wise numpy reduction over
     # k = 16 columns takes ten times as long at n = 4096.
@@ -438,6 +508,7 @@ def build_sum_extraction(
     [1, x_i, phi(x_i), Sigma].
     """
     n, d = require_size("n", n), require_size("d", d)
+    seed = None if seed is None else require_size("seed", seed, 0)
     if basis.d != d:
         raise ShapeError(f"basis built for d={basis.d}, construction wants d={d}")
     if phi is None:

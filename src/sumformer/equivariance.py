@@ -99,7 +99,7 @@ def check_equivariance(
     witness is the first worst (X, pi), a NaN violation counting as worst.
     """
     n, d, trials = require_size("n", n), require_size("d", d), require_size("trials", trials, 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_size("seed", seed, 0))
     worst = 0.0
     witness_x = witness_p = None
     for _ in range(trials):

@@ -328,7 +328,7 @@ def build_mlp_sumformer(
     hidden: tuple[int, ...] = DEFAULT_HIDDEN,
 ) -> SumformerModel:
     """Both phi and psi are MLPs (the fully trainable realization)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_size("seed", seed, 0))
     phi_spec, psi_spec = mlp_sumformer_specs(d, d_latent, hidden)
     return SumformerModel(
         d=d,
@@ -346,7 +346,7 @@ def build_polynomial_sumformer(
 ) -> SumformerModel:
     """Exact monomial phi (frozen) with a trainable MLP psi."""
     basis = enumerate_multidegrees(d, n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_size("seed", seed, 0))
     psi_spec = MlpSpec((d + basis.size, *hidden, d))
     return SumformerModel(
         d=d,

@@ -160,7 +160,7 @@ def generation_oracle(
     before fitting.
     """
     generators = enumerate_multidegrees(d, n).degrees  # first, to refuse a d or n that is not a size
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_size("seed", seed, 0))
     probe = rng.uniform(size=(n, d))
     reference = target(probe)
     for _ in range(10):

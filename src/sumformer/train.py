@@ -73,6 +73,7 @@ def generate_dataset(
 ) -> Dataset:
     """Uniform inputs, exact targets, deterministic split (first rows train)."""
     n, d, count = require_size("n", n), require_size("d", d), require_size("count", count, 2)
+    seed = require_size("seed", seed, 0)
     if not (0.0 < split_fraction < 1.0):
         raise ContractError("split_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -346,7 +347,7 @@ def train(
     Raises TrainingDivergedError (carrying the report so far) if the loss
     leaves the finite range.
     """
-    epochs = require_size("epochs", epochs, 0)
+    epochs, seed = require_size("epochs", epochs, 0), require_size("seed", seed, 0)
     if config is None:
         config = OptimizerConfig()
     batch_size = None if config.batch_size is None else require_size("batch_size", config.batch_size)
@@ -445,6 +446,7 @@ def latent_sweep(
     """
     if not d_list or not dprime_list or not seeds:
         raise ContractError("d_list, dprime_list, seeds must be nonempty")
+    seeds = [require_size("seed", seed, 0) for seed in seeds]
     rows = []
     datasets: dict[tuple[int, int], Dataset] = {}
     for d in d_list:

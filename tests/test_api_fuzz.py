@@ -6,9 +6,10 @@ is a ShapeError; a size that is not an integer at or above its bound (a bool,
 a str, a float, a negative or a zero) is a ContractError.  A NaN or inf entry
 in an array of the right layout is a DomainError where the callable checks
 finiteness, and passes through where it does not (the MLP forward, which
-runs on every training step, the power sums and the lift).  Seeds are not
-sizes and are not drawn, and ``relative_l2_error`` converts its arguments
-by design.
+runs on every training step, the power sums and the lift).  A seed is a
+size at or above 0 (``build_sum_extraction`` also takes None, so its seed
+is in the probe table, not drawn), and ``relative_l2_error`` converts its
+arguments by design.
 """
 
 import numpy as np
@@ -105,6 +106,15 @@ SIZE_CALLS = {
                                             sf.generate_dataset(TARGET, 2, 2, 4), 1,
                                             sf.OptimizerConfig(batch_size=s)), 1),
     "latent_sweep.points": (lambda s: sf.latent_sweep(TARGET, 2, [1], [2], 1, s, [0]), 2),
+    "generate_dataset.seed": (lambda s: sf.generate_dataset(TARGET, 2, 2, 4, seed=s), 0),
+    "train.seed": (lambda s: sf.train(sf.build_mlp_sumformer(2, 3, hidden=(4,)),
+                                      sf.generate_dataset(TARGET, 2, 2, 4), 1, seed=s), 0),
+    "latent_sweep.seeds": (lambda s: sf.latent_sweep(TARGET, 2, [1], [2], 1, 4, [0, s]), 0),
+    "build_mlp_sumformer.seed": (lambda s: sf.build_mlp_sumformer(2, 3, seed=s), 0),
+    "build_polynomial_sumformer.seed": (lambda s: sf.build_polynomial_sumformer(2, 2, seed=s), 0),
+    "generation_oracle.seed": (lambda s: sf.generation_oracle(lambda x: x.sum(), 1, 1, 4, seed=s), 0),
+    "check_equivariance.seed":
+        (lambda s: sf.check_equivariance(lambda xs: xs, 2, 2, trials=1, seed=s), 0),
 }
 
 
@@ -183,6 +193,10 @@ def _discrete(*sizes):
     sf.build_discrete_sumformer(lambda x, rest: x, *sizes)
 
 
+def _performer_seed(seed):
+    return sf.build_sum_extraction("performer", 3, 2, BASIS, k=2, seed=seed)
+
+
 # Regression table: calls that once ended in a raw Python or numpy error, or
 # were accepted; the comment names what each gave.
 PROBE = [
@@ -209,6 +223,10 @@ PROBE = [
     (ContractError, lambda: sf.check_equivariance(lambda xs: xs, 0, 2, trials=1)),  # IndexError
     (ContractError, lambda: sf.build_sum_extraction("standard", 2.5, 2, BASIS)),  # accepted
     (ContractError, lambda: sf.MlpSpec((2, 2.5, 1))),                            # accepted
+    (ContractError, lambda: _performer_seed(-1)),                                # ValueError
+    (ContractError, lambda: _performer_seed(2.5)),                               # TypeError
+    (ContractError, lambda: _performer_seed("3")),                               # TypeError
+    (ContractError, lambda: sf.build_sum_extraction("standard", 3, 2, BASIS, seed=-1)),  # accepted
 ]
 
 
@@ -216,3 +234,8 @@ PROBE = [
 def test_a_probed_call_raises_the_class_that_names_its_fault(error, call):
     with pytest.raises(error):
         call()
+
+
+def test_a_construction_without_a_seed_is_built():
+    assert _performer_seed(None).seed is None
+    assert _performer_seed(np.int64(3)).seed == 3

@@ -1,3 +1,6 @@
+import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +19,7 @@ from sumformer.attention import (
     build_sum_extraction,
     head_forward,
     mac_count,
+    worker_count,
 )
 from sumformer.errors import ContractError, DomainError, ShapeError, UnsupportedInspectionError
 from sumformer.mlp import MlpSpec, init_mlp_params, mlp_forward
@@ -27,6 +31,13 @@ from oracles import allocating_head_forward, deferred_product, performer_feature
 
 # A numpy warning on the way to an error, or anywhere else here, fails the test.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda w: f"workers{w}")
+def workers(request, monkeypatch):
+    """The softmax heads' forward at 1, 2 and 3 workers, whatever the machine."""
+    monkeypatch.setattr(attention, "WORKERS", request.param)
+    return request.param
 
 
 def _random_spec(m, rng):
@@ -431,7 +442,7 @@ def test_blocked_forward_is_bitwise_the_unblocked_product(variant, n):
 
 @pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
 @pytest.mark.parametrize("n", [129, 383])  # standard head at 383: blocks of 342 and 41 rows
-def test_blocked_forward_with_a_ragged_last_block(variant, n):
+def test_blocked_forward_with_a_ragged_last_block(variant, n, workers):
     x, spec, k = _softmax_head(variant, n, seed=n)
     out, reference = head_forward(x, spec), _unblocked(x, spec)
     assert np.max(np.abs(out - reference)) <= 1e-13 * np.max(np.abs(reference))
@@ -452,9 +463,10 @@ def test_blocked_forward_never_holds_the_score_matrix():
     assert peak < n * n * 8 / 4, peak
 
 
-def test_warm_forward_peak_is_one_score_block_and_the_operands():
+def test_warm_forward_peak_is_one_score_block_and_the_operands(monkeypatch):
     """One reused score buffer: the peak stays below two SCORE_FLOATS blocks
-    plus the four n x m operands (Q, K, V and the output)."""
+    plus the four n x m operands (Q, K, V and the output), at one worker."""
+    monkeypatch.setattr(attention, "WORKERS", 1)
     n, m = 2048, 16
     x, spec, _ = _softmax_head("standard", n, m=m)
     head_forward(x, spec)
@@ -467,12 +479,28 @@ def test_warm_forward_peak_is_one_score_block_and_the_operands():
     assert peak < 2 * SCORE_FLOATS * 8 + 4 * n * m * 8, peak
 
 
+def test_warm_forward_peak_at_two_workers_is_a_score_block_per_worker(monkeypatch):
+    """Each worker has its own score buffer, allocated by the calling thread:
+    the peak stays below (workers + 1) SCORE_FLOATS blocks plus the operands."""
+    n, m, workers = 2048, 16, 2
+    monkeypatch.setattr(attention, "WORKERS", workers)
+    x, spec, _ = _softmax_head("standard", n, m=m)
+    head_forward(x, spec)
+    tracemalloc.start()
+    try:
+        head_forward(x, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (workers + 1) * SCORE_FLOATS * 8 + 4 * n * m * 8, peak
+
+
 @pytest.mark.parametrize("variant, n", [
     (variant, n) for variant in SOFTMAX_VARIANTS
     for n in (1, 2, 5, 127, 128, 129, 255, 383, 385, 1029)
     if n >= 2 or not HEADS[variant].k_below_n  # the low-rank head needs k < n
 ])
-def test_forward_is_bitwise_the_allocating_block_oracle(variant, n):
+def test_forward_is_bitwise_the_allocating_block_oracle(variant, n, workers):
     x, spec, k = _softmax_head(variant, n, seed=n)
     counter = MacCounter()
     assert np.array_equal(head_forward(x, spec, counter), allocating_head_forward(x, spec))
@@ -480,7 +508,7 @@ def test_forward_is_bitwise_the_allocating_block_oracle(variant, n):
 
 
 @pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
-def test_stacked_forward_is_bitwise_the_allocating_block_oracle(variant):
+def test_stacked_forward_is_bitwise_the_allocating_block_oracle(variant, workers):
     n, m = 259, 16
     x, spec, k = _softmax_head(variant, n, m=m, seed=3)
     xs = np.random.default_rng(4).uniform(-1, 1, size=(3, n, m))
@@ -489,7 +517,7 @@ def test_stacked_forward_is_bitwise_the_allocating_block_oracle(variant):
     assert counter.total == 3 * mac_count(variant, n, m, k)
 
 
-def test_stacked_forward_over_several_blocks_is_each_sequence_alone():
+def test_stacked_forward_over_several_blocks_is_each_sequence_alone(workers):
     n = 517  # blocks of 253, 253 and 11 query rows
     _, spec, _ = _softmax_head("standard", n, seed=6)
     xs = np.random.default_rng(7).uniform(-1, 1, size=(3, n, 16))
@@ -500,7 +528,7 @@ def test_stacked_forward_over_several_blocks_is_each_sequence_alone():
 
 
 @pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
-def test_score_overflow_in_the_last_softmax_slice_raises(variant, monkeypatch):
+def test_score_overflow_in_the_last_softmax_slice_raises(variant, monkeypatch, workers):
     n = 133
     # Standard-head blocks of 4 rows, low-rank blocks of 66: the last block is ragged.
     monkeypatch.setattr(attention, "SCORE_FLOATS", 4 * n)
@@ -511,7 +539,7 @@ def test_score_overflow_in_the_last_softmax_slice_raises(variant, monkeypatch):
 
 
 @pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
-def test_score_overflow_in_the_last_block_raises(variant):
+def test_score_overflow_in_the_last_block_raises(variant, workers):
     n = 517  # standard-head blocks of 253, 253 and 11 rows
     x, spec, _ = _softmax_head(variant, n)
     x[-1] = 1e200  # only the last query row's scores leave the float range
@@ -519,7 +547,112 @@ def test_score_overflow_in_the_last_block_raises(variant):
         head_forward(x, spec)
 
 
-def test_a_block_of_bounded_and_loose_rows_is_within_rounding_of_a_v():
+def test_of_several_failing_blocks_the_first_one_raises(monkeypatch, workers):
+    """Blocks 1 and 2 of three overflow; whichever worker reaches them, the
+    error is block 1's (253 rows), the one the serial loop raises."""
+    def naming_the_block(m, name):
+        if name == "softmax input" and not np.isfinite(m).all():
+            raise DomainError(f"block of {m.shape[-2]} rows")
+        return m
+
+    n = 517  # standard-head blocks of 253, 253 and 11 rows
+    x, spec, _ = _softmax_head("standard", n)
+    x[[300, -1]] = 1e200
+    monkeypatch.setattr(attention, "require_finite", naming_the_block)
+    with pytest.raises(DomainError, match="block of 253 rows"):
+        head_forward(x, spec)
+
+
+@pytest.mark.parametrize("variant", list(HEADS))
+@pytest.mark.parametrize("token, checked", [(1e308, "values"), (1e307, "head output")])
+def test_values_that_overflow_are_a_domain_error(variant, token, checked):
+    """W_Q = W_K = 0 and W_V = 10 I on five huge tokens: at 1e308 V itself
+    overflows; at 1e307 V is finite and the sum over the keys overflows."""
+    n, m, k = 5, 4, 2
+    zero = np.zeros((m, m))
+    extras = {"linformer": {"e": np.full((k, n), 1.0 / n), "f": np.full((k, n), 1.0 / n)},
+              "performer": {"omegas": np.random.default_rng(14).standard_normal((k, m))}}
+    spec = HEADS[variant](zero, zero, 10.0 * np.eye(m), **extras.get(variant, {}))
+    with pytest.raises(DomainError, match=checked):
+        head_forward(np.full((n, m), token), spec)
+
+
+def test_a_multi_block_forward_leaves_no_thread_running(monkeypatch):
+    """At two workers the blocks run on two threads, and both are joined
+    before the forward returns."""
+    threads = set()
+    blocks = attention._softmax_blocks
+
+    def recording(*args):
+        threads.add(threading.get_ident())
+        blocks(*args)
+
+    x, spec, _ = _softmax_head("standard", 1029)  # nine blocks
+    monkeypatch.setattr(attention, "WORKERS", 2)
+    monkeypatch.setattr(attention, "_softmax_blocks", recording)
+    before = threading.active_count()
+    head_forward(x, spec)
+    assert threading.active_count() == before
+    assert len(threads) == 2 and threading.get_ident() in threads
+
+
+@pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
+def test_a_forward_has_the_same_bits_at_any_worker_count(variant, monkeypatch):
+    x, spec, _ = _softmax_head(variant, 1029, seed=15)
+    xs = np.random.default_rng(16).uniform(-1, 1, size=(3, 1029, 16))
+    outputs = []
+    for count in (1, 2, 3):
+        monkeypatch.setattr(attention, "WORKERS", count)
+        outputs.append((head_forward(x, spec), head_forward(xs, spec)))
+    for single, stacked in outputs[1:]:
+        assert np.array_equal(single, outputs[0][0])
+        assert np.array_equal(stacked, outputs[0][1])
+
+
+def test_more_workers_than_cpus_at_a_short_switch_interval(monkeypatch):
+    """Five workers on nine blocks, switching threads every microsecond: the
+    output rows and the MAC tallies of the workers stay their own."""
+    x, spec, _ = _softmax_head("standard", 1029, seed=18)
+    expected = allocating_head_forward(x, spec)
+    monkeypatch.setattr(attention, "WORKERS", 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            counter = MacCounter()
+            assert np.array_equal(head_forward(x, spec, counter), expected)
+            assert counter.total == mac_count("standard", 1029, 16)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus, environ, expected", [
+    (2, {}, 1),                                     # BLAS takes every CPU
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+    (2, {"OPENBLAS_NUM_THREADS": "2"}, 1),
+    (8, {"OPENBLAS_NUM_THREADS": "3"}, 2),
+    (4, {"OMP_NUM_THREADS": "1"}, 4),
+    (4, {"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    (4, {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
+    (2, {"OPENBLAS_NUM_THREADS": "8"}, 1),
+    (4, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4),
+    *((2, {"OPENBLAS_NUM_THREADS": bad}, 1) for bad in ("0", "-1", "x", "")),
+    *((2, {"OPENBLAS_NUM_THREADS": bad, "OMP_NUM_THREADS": "1"}, 2) for bad in ("0", "-1", "x")),
+])
+def test_worker_count_is_the_cpus_that_blas_leaves_idle(cpus, environ, expected):
+    assert worker_count(cpus, environ) == expected
+
+
+def test_random_features_are_bitwise_the_allocating_expression():
+    rng = np.random.default_rng(17)
+    omegas = rng.standard_normal((16, 8))
+    for rows in (rng.uniform(-1, 1, size=(300, 8)), rng.uniform(-1, 1, size=(3, 50, 8))):
+        norms = (rows * rows).sum(axis=-1, keepdims=True)
+        expected = np.exp(rows @ omegas.T - 0.5 * norms) / math.sqrt(16)
+        assert np.array_equal(attention._performer_features_rows(rows, omegas, None), expected)
+
+
+def test_a_block_of_bounded_and_loose_rows_is_within_rounding_of_a_v(workers):
     """Rows scaled up to 10x have score bounds above SCORE_BOUND and take the
     exact row-max shift; the others keep the bound shift, in the same blocks."""
     n = 383  # blocks of 342 and 41 rows
@@ -533,7 +666,7 @@ def test_a_block_of_bounded_and_loose_rows_is_within_rounding_of_a_v():
 
 
 @pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
-def test_a_stack_with_one_loose_slice_is_bitwise_each_slice_alone(variant):
+def test_a_stack_with_one_loose_slice_is_bitwise_each_slice_alone(variant, workers):
     n = 259
     _, spec, _ = _softmax_head(variant, n, seed=8)
     xs = np.random.default_rng(9).uniform(-1, 1, size=(3, n, 16))
@@ -548,10 +681,11 @@ def test_a_stack_with_one_loose_slice_is_bitwise_each_slice_alone(variant):
 
 @pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
 def test_bounded_rows_never_take_the_exact_shift(variant, monkeypatch):
-    """With every score bound at most SCORE_BOUND, nothing but the input check
-    calls ``require_finite``: no block is scanned or shifted by its row max."""
+    """With every score bound at most SCORE_BOUND, nothing but the checks of
+    X, V and the output calls ``require_finite``: no block is scanned or
+    shifted by its row max."""
     def only_the_input(m, name):
-        if name != "X":
+        if name not in ("X", "values", "head output"):
             raise AssertionError(f"require_finite({name!r}) on a bounded input")
         return m
 
@@ -696,7 +830,7 @@ def test_stacked_mlp_phi_construction_is_bitwise_each_sequence_alone():
 
 
 @pytest.mark.parametrize("variant", list(HEADS))
-def test_stack_mac_count_is_the_sequence_count_times_one_forward(variant):
+def test_stack_mac_count_is_the_sequence_count_times_one_forward(variant, workers):
     k = 3 if HEADS[variant].needs_k else None
     n, d, stack = 4, 2, 7
     con = build_sum_extraction(variant, n, d, enumerate_multidegrees(d, n), k=k, seed=0)
