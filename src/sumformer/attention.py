@@ -14,12 +14,11 @@ layer plus two residual connections then produce rows
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import parallel
 from .errors import (
     ConditioningError,
     ContractError,
@@ -30,6 +29,7 @@ from .errors import (
 from .linalg import require_finite, require_rows, require_size, softmax_rows
 from .model import Phi, PolynomialFeatureMap
 from .multisym import DegreeBasis
+from .parallel import run_in_threads
 
 
 class MacCounter:
@@ -63,25 +63,6 @@ SCORE_FLOATS = 1 << 17
 # e^(-2 SCORE_BOUND) ~ 1e-261, and 2^-53 of it is still a normal double, so
 # the row sum keeps its full precision.
 SCORE_BOUND = 300.0
-
-
-def worker_count(cpus: int, environ) -> int:
-    """Threads that the softmax heads' forward runs its score blocks on: one per
-    CPU that BLAS leaves idle.  BLAS takes the first positive integer among
-    OpenBLAS's own variables, in its order, and every CPU when none is set;
-    so a process that leaves BLAS at its default gets one worker."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            if (blas_threads := int(environ.get(name, ""))) > 0:
-                return max(1, cpus // blas_threads)
-        except ValueError:
-            pass
-    return 1
-
-
-WORKERS = worker_count(
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
-    os.environ)
 
 
 class HeadSpec:
@@ -158,9 +139,9 @@ class HeadSpec:
         row whose c_i is above SCORE_BOUND, or not finite, is shifted by its
         exact row max instead, after a finiteness check of its block.
 
-        The blocks go to min(WORKERS, block count) workers, each a contiguous
-        run of them in one score buffer of its own; the calling thread is
-        worker 0.  One block is one gemm of the same shape at any worker
+        The blocks go to min(parallel.WORKERS, block count) threads, each a
+        contiguous run of them in one score buffer of its own; the calling
+        thread is worker 0.  One block is one gemm of the same shape at any worker
         count, so the output has the same bits."""
         q, k, value_rows = self._queries_and_keys(x, counter, extra=1)
         with np.errstate(over="ignore", invalid="ignore"):  # V is checked
@@ -174,13 +155,13 @@ class HeadSpec:
         n, key_count = q.shape[-2], k.shape[-2]
         step = max(1, min(n, SCORE_FLOATS // max(1, key_count)))
         starts = range(0, n, step)
-        workers = min(WORKERS, len(starts))
+        workers = min(parallel.WORKERS, len(starts))
         out = np.empty((*q.shape[:-1], m))
         scores = np.empty((workers, *q.shape[:-2], step, key_count))
         products = np.empty((workers, *q.shape[:-2], step, m + 1))
         operands = q, k.swapaxes(-1, -2), v, loose if loose.any() else None, out
         tallies = [None if counter is None else MacCounter() for _ in range(workers)]
-        _run_in_threads(_softmax_blocks, [
+        run_in_threads(_softmax_blocks, [
             (starts[w * len(starts) // workers:(w + 1) * len(starts) // workers],
              *operands, scores[w], products[w], tallies[w])
             for w in range(workers)])
@@ -367,31 +348,6 @@ def _softmax_blocks(starts, q, k_t, v, loose, out, scores, products, counter):
             np.exp(block, out=block)
             product = _mm(block, v, counter, products[..., :count, :])
             np.divide(product[..., :m], product[..., m:], out=out[..., rows, :])
-
-
-def _run_in_threads(function, arguments):
-    """function(*args) for each args of ``arguments``: the first on this thread,
-    each other on a thread of its own, all joined before this returns; then
-    the error of the first call in list order that failed is re-raised."""
-    errors = [None] * len(arguments)
-
-    def call(i):
-        try:
-            function(*arguments[i])
-        except Exception as exc:  # noqa: BLE001 - re-raised below, after the join
-            errors[i] = exc
-
-    threads = [threading.Thread(target=call, args=(i,)) for i in range(1, len(arguments))]
-    for thread in threads:
-        thread.start()
-    try:
-        call(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for error in errors:
-        if error is not None:
-            raise error
 
 
 def _performer_features_rows(rows: np.ndarray, omegas: np.ndarray, counter: MacCounter | None) -> np.ndarray:

@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+import time
 from typing import NamedTuple
 
 from .attention import HEADS, head_class, mac_count
@@ -222,18 +223,23 @@ def _check_memory(config: dict, batch_size: int | None):
 
 def cmd_verify(config: dict) -> int:
     """Run the oracle and invariant suites."""
-    from .verify import VerifyConfig, run_verification, verify_bytes, write_report, write_timing
+    from .parallel import process_count
+    from .verify import ALL_CHECKS, VerifyConfig, run_verification, verify_bytes, write_report, write_timing
 
     vconfig = VerifyConfig(
         n_list=_listed(config["n"]),
         d_list=_listed(config["d"]),
         **{key: value for key, value in config.items() if key not in ("n", "d", "out")},
     )
-    _refuse_over_budget(verify_bytes(vconfig), "n, d and samples")
+    workers = process_count(len(ALL_CHECKS))  # each worker runs one check at a time
+    _refuse_over_budget(verify_bytes(vconfig) * workers,
+                        "n, d and samples" if workers == 1 else f"n, d and samples on {workers} workers")
     out = _ensure_out(config)
+    start = time.perf_counter()
     records = run_verification(vconfig, out)
+    wall_seconds = time.perf_counter() - start
     write_report(os.path.join(out, "verify_report.txt"), records)
-    write_timing(os.path.join(out, "verify_timing.txt"), records)
+    write_timing(os.path.join(out, "verify_timing.txt"), records, workers, wall_seconds)
     for r in records:
         print(f"{r.name}: {r.status} (max residual {r.max_residual:.3e})")
     return EXIT_VERIFY_FAILED if any(r.status == "fail" for r in records) else EXIT_OK

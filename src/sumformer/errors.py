@@ -57,3 +57,7 @@ class TrainingDivergedError(RuntimeError):
 
 class ConfigError(ValueError):
     """Invalid or unknown run configuration."""
+
+
+class WorkerError(RuntimeError):
+    """A worker process died, or what it sent back cannot be read."""

@@ -96,12 +96,14 @@ def split_sizes(count: int, split_fraction: float) -> tuple[int, int]:
     return n_train, count - n_train
 
 
-def relative_l2_error(pred, truth) -> float:
-    """||pred - truth||_2 / ||truth||_2 over all entries, flattened."""
-    p = np.asarray(pred, dtype=np.float64).reshape(-1)
-    t = np.asarray(truth, dtype=np.float64).reshape(-1)
-    if p.shape != t.shape:
-        raise ContractError(f"shape mismatch: {p.shape} vs {t.shape}")
+def relative_l2_error(pred: np.ndarray, truth: np.ndarray) -> float:
+    """||pred - truth||_2 / ||truth||_2 over all entries of two matrices or
+    stacks of one shape; any other pair is a ShapeError."""
+    require_rows(pred, "pred")
+    require_rows(truth, "truth")
+    if pred.shape != truth.shape:
+        raise ShapeError(f"pred has shape {pred.shape}, truth {truth.shape}")
+    p, t = pred.reshape(-1), truth.reshape(-1)
     denom = float(np.linalg.norm(t))
     if denom == 0.0:
         raise DivisionGuardError("reference set has zero norm")

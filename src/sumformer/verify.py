@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,6 +31,7 @@ from .model import (
     sumformer_forward,
 )
 from .multisym import enumerate_multidegrees, generation_oracle, power_sum_vector, product_terms
+from .parallel import run_in_processes
 from .targets import get_target
 from .train import WorkBuffer, flatten_params, loss_and_gradient
 
@@ -49,6 +49,7 @@ class CheckRecord:
     cases: int = 0  # cases the check ran; 0 for a skip
     witness_path: str = ""
     seconds: float = 0.0  # wall time of the check; not part of the report
+    worker: int = 0  # the worker process that ran the check; not part of the report
 
 
 @dataclass
@@ -336,11 +337,14 @@ def verify_bytes(config: VerifyConfig) -> int:
 
 
 def run_verification(config: VerifyConfig, out_dir: str | None = None) -> list[CheckRecord]:
+    """The records of ALL_CHECKS, in list order.  The checks run on
+    ``parallel.process_count(len(ALL_CHECKS))`` worker processes; each check
+    runs the same code on the same seeds in any worker, so the records are
+    the same at any worker count."""
     records = []
-    for check in ALL_CHECKS:
-        start = time.perf_counter()
-        record, witness = check(config)
-        record.seconds = time.perf_counter() - start
+    for (record, witness), worker, seconds in run_in_processes(
+            lambda check: check(config), [(check,) for check in ALL_CHECKS]):
+        record.seconds, record.worker = seconds, worker
         if record.status == "fail" and witness is not None and out_dir is not None:
             path = os.path.join(out_dir, f"witness_{record.name}.txt")
             np.savetxt(path, np.atleast_2d(witness))
@@ -360,8 +364,10 @@ def write_report(path: str, records: list[CheckRecord]):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_timing(path: str, records: list[CheckRecord]):
-    """Each check's wall seconds; kept apart from the report, which is
-    byte-identical across reruns."""
+def write_timing(path: str, records: list[CheckRecord], workers: int, wall_seconds: float):
+    """Each check's wall seconds, measured in the worker that ran it, then
+    the worker count and the run's wall seconds; kept apart from the report,
+    which is byte-identical across reruns and worker counts."""
     with open(path, "w") as fh:
-        fh.writelines(f"name={r.name} seconds={r.seconds:.6f}\n" for r in records)
+        fh.writelines(f"name={r.name} seconds={r.seconds:.6f} worker={r.worker}\n" for r in records)
+        fh.write(f"workers={workers} wall_seconds={wall_seconds:.6f}\n")

@@ -6,10 +6,9 @@ is a ShapeError; a size that is not an integer at or above its bound (a bool,
 a str, a float, a negative or a zero) is a ContractError.  A NaN or inf entry
 in an array of the right layout is a DomainError where the callable checks
 finiteness, and passes through where it does not (the MLP forward, which
-runs on every training step, the power sums and the lift).  A seed is a
-size at or above 0 (``build_sum_extraction`` also takes None, so its seed
-is in the probe table, not drawn), and ``relative_l2_error`` converts its
-arguments by design.
+runs on every training step, the power sums, the lift and the relative
+error).  A seed is a size at or above 0 (``build_sum_extraction`` also takes
+None, so its seed is in the probe table, not drawn).
 """
 
 import numpy as np
@@ -58,6 +57,7 @@ ARRAY_CALLS = {
     "PolynomialFeatureMap.rows": (sf.PolynomialFeatureMap(BASIS).rows, 2),
     "lift": (sf.lift(lambda x, rest: x + rest.sum(axis=-2)), None),
     "softmax_rows": (sf.softmax_rows, None),
+    "relative_l2_error": (lambda x: sf.relative_l2_error(x, x), None),
     "train": (_train_on, 2),
     **{f"{variant}.construction": (_construction(variant).forward, 2) for variant in HEADS},
     **{f"{variant}.lift": (_construction(variant).lift, 2) for variant in HEADS},
@@ -213,6 +213,8 @@ PROBE = [
     (ShapeError, lambda: batch_forward(MODEL, np.zeros(2))),                     # ValueError
     (ShapeError, lambda: batch_forward(MODEL, np.zeros((1, 1, 3, 2)))),          # ValueError
     (ShapeError, lambda: batch_forward(MODEL, np.zeros((3, 2)))),                # ValueError
+    (ShapeError, lambda: sf.relative_l2_error([[0.1, 0.2]], np.ones((1, 2)))),   # accepted
+    (ShapeError, lambda: sf.relative_l2_error(np.ones((2, 1)), np.ones((1, 2)))),  # ContractError
     (ContractError, lambda: sf.basis_size("3", 2)),                              # TypeError
     (ContractError, lambda: sf.enumerate_multidegrees(2, 2.5)),                  # TypeError
     (ContractError, lambda: sf.build_sum_extraction("linformer", 3, 2, BASIS, k=True)),  # TypeError

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sumformer import attention
+from sumformer import attention, parallel
 from sumformer.attention import (
     HEADS,
     SCORE_FLOATS,
@@ -19,7 +19,6 @@ from sumformer.attention import (
     build_sum_extraction,
     head_forward,
     mac_count,
-    worker_count,
 )
 from sumformer.errors import ContractError, DomainError, ShapeError, UnsupportedInspectionError
 from sumformer.mlp import MlpSpec, init_mlp_params, mlp_forward
@@ -36,7 +35,7 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.fixture(params=[1, 2, 3], ids=lambda w: f"workers{w}")
 def workers(request, monkeypatch):
     """The softmax heads' forward at 1, 2 and 3 workers, whatever the machine."""
-    monkeypatch.setattr(attention, "WORKERS", request.param)
+    monkeypatch.setattr(parallel, "WORKERS", request.param)
     return request.param
 
 
@@ -466,7 +465,7 @@ def test_blocked_forward_never_holds_the_score_matrix():
 def test_warm_forward_peak_is_one_score_block_and_the_operands(monkeypatch):
     """One reused score buffer: the peak stays below two SCORE_FLOATS blocks
     plus the four n x m operands (Q, K, V and the output), at one worker."""
-    monkeypatch.setattr(attention, "WORKERS", 1)
+    monkeypatch.setattr(parallel, "WORKERS", 1)
     n, m = 2048, 16
     x, spec, _ = _softmax_head("standard", n, m=m)
     head_forward(x, spec)
@@ -483,7 +482,7 @@ def test_warm_forward_peak_at_two_workers_is_a_score_block_per_worker(monkeypatc
     """Each worker has its own score buffer, allocated by the calling thread:
     the peak stays below (workers + 1) SCORE_FLOATS blocks plus the operands."""
     n, m, workers = 2048, 16, 2
-    monkeypatch.setattr(attention, "WORKERS", workers)
+    monkeypatch.setattr(parallel, "WORKERS", workers)
     x, spec, _ = _softmax_head("standard", n, m=m)
     head_forward(x, spec)
     tracemalloc.start()
@@ -588,7 +587,7 @@ def test_a_multi_block_forward_leaves_no_thread_running(monkeypatch):
         blocks(*args)
 
     x, spec, _ = _softmax_head("standard", 1029)  # nine blocks
-    monkeypatch.setattr(attention, "WORKERS", 2)
+    monkeypatch.setattr(parallel, "WORKERS", 2)
     monkeypatch.setattr(attention, "_softmax_blocks", recording)
     before = threading.active_count()
     head_forward(x, spec)
@@ -602,7 +601,7 @@ def test_a_forward_has_the_same_bits_at_any_worker_count(variant, monkeypatch):
     xs = np.random.default_rng(16).uniform(-1, 1, size=(3, 1029, 16))
     outputs = []
     for count in (1, 2, 3):
-        monkeypatch.setattr(attention, "WORKERS", count)
+        monkeypatch.setattr(parallel, "WORKERS", count)
         outputs.append((head_forward(x, spec), head_forward(xs, spec)))
     for single, stacked in outputs[1:]:
         assert np.array_equal(single, outputs[0][0])
@@ -614,7 +613,7 @@ def test_more_workers_than_cpus_at_a_short_switch_interval(monkeypatch):
     output rows and the MAC tallies of the workers stay their own."""
     x, spec, _ = _softmax_head("standard", 1029, seed=18)
     expected = allocating_head_forward(x, spec)
-    monkeypatch.setattr(attention, "WORKERS", 5)
+    monkeypatch.setattr(parallel, "WORKERS", 5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -624,23 +623,6 @@ def test_more_workers_than_cpus_at_a_short_switch_interval(monkeypatch):
             assert counter.total == mac_count("standard", 1029, 16)
     finally:
         sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("cpus, environ, expected", [
-    (2, {}, 1),                                     # BLAS takes every CPU
-    (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
-    (2, {"OPENBLAS_NUM_THREADS": "2"}, 1),
-    (8, {"OPENBLAS_NUM_THREADS": "3"}, 2),
-    (4, {"OMP_NUM_THREADS": "1"}, 4),
-    (4, {"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
-    (4, {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
-    (2, {"OPENBLAS_NUM_THREADS": "8"}, 1),
-    (4, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4),
-    *((2, {"OPENBLAS_NUM_THREADS": bad}, 1) for bad in ("0", "-1", "x", "")),
-    *((2, {"OPENBLAS_NUM_THREADS": bad, "OMP_NUM_THREADS": "1"}, 2) for bad in ("0", "-1", "x")),
-])
-def test_worker_count_is_the_cpus_that_blas_leaves_idle(cpus, environ, expected):
-    assert worker_count(cpus, environ) == expected
 
 
 def test_random_features_are_bitwise_the_allocating_expression():

@@ -3,10 +3,12 @@ import os
 import numpy as np
 import pytest
 
+from sumformer import parallel
 from sumformer.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    MEMORY_BUDGET_BYTES,
     main,
     read_config_file,
 )
@@ -17,6 +19,7 @@ from sumformer.verify import (
     check_equivariance_models,
     check_gradients,
     gradient_check_once,
+    verify_bytes,
 )
 
 FAST_VERIFY = [
@@ -253,10 +256,45 @@ def test_verify_passes_with_small_config(tmp_path):
     report = _read(os.path.join(out, "verify_report.txt"))
     assert "status=fail" not in report
     assert report.count("name=") == 8
-    timing = [line.split() for line in _read(os.path.join(out, "verify_timing.txt")).splitlines()]
+    *timing, total = [line.split() for line in _read(os.path.join(out, "verify_timing.txt")).splitlines()]
     names = [line.split()[0] for line in report.splitlines()]
     assert [fields[0] for fields in timing] == names
     assert all(float(fields[1].removeprefix("seconds=")) >= 0.0 for fields in timing)
+    workers = int(total[0].removeprefix("workers="))
+    assert all(int(fields[2].removeprefix("worker=")) in range(workers) for fields in timing)
+    assert float(total[1].removeprefix("wall_seconds=")) >= 0.0
+
+
+def test_verify_counts_one_check_in_flight_per_worker(tmp_path, capsys, monkeypatch):
+    """100,000 samples need about 1.7 GiB: one check at a time fits the
+    budget, two at once do not."""
+    need = verify_bytes(VerifyConfig(samples=100_000))
+    assert need <= MEMORY_BUDGET_BYTES < 2 * need
+    monkeypatch.setattr(parallel, "WORKERS", 2)
+    out = tmp_path / "never"
+    assert main(["verify", "--samples", "100000", "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+    assert "on 2 workers" in err
+
+
+@pytest.mark.parametrize("args", [[], ["--tol", "0"] + FAST_VERIFY], ids=["defaults", "failing"])
+def test_verify_writes_the_same_bytes_at_any_worker_count(tmp_path, monkeypatch, args):
+    """The report and the witness files, on 1, 2 and 3 worker processes."""
+    out = tmp_path / "verify"
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(parallel, "WORKERS", workers)
+        main(["verify", "--out", str(out)] + args)
+        timing = _read(out / "verify_timing.txt").splitlines()
+        assert timing[-1].startswith(f"workers={workers} wall_seconds="), timing[-1]
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())
+                        if path.name != "verify_timing.txt"})
+        for path in out.iterdir():
+            path.unlink()
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0]) > (1 if args else 0)  # the failing run writes witnesses
 
 
 # Cases each check runs at the verify defaults: n in {2, 3, 4}, d in {1, 2},

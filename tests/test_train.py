@@ -141,7 +141,19 @@ def test_relative_l2_basic_values():
 
 def test_relative_l2_zero_truth_guard():
     with pytest.raises(DivisionGuardError):
-        relative_l2_error(np.ones(3), np.zeros(3))
+        relative_l2_error(np.ones((3, 1)), np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("pred, truth", [
+    (np.ones((3, 1)), np.ones((1, 3))),         # once a ContractError
+    (np.ones((2, 3, 1)), np.ones((3, 2))),
+    ([[1.0]], np.ones((1, 1))),                 # once converted
+    (np.ones((1, 1)), 1.0),
+    (np.ones(3), np.ones(3)),                   # once flattened
+])
+def test_relative_l2_refuses_anything_but_two_arrays_of_one_layout(pred, truth):
+    with pytest.raises(ShapeError):
+        relative_l2_error(pred, truth)
 
 
 def test_zero_epochs_records_only_initial_error():
