@@ -72,13 +72,24 @@ def first_worse(residuals: np.ndarray, worst: float) -> int | None:
     return first if worse(float(residuals[first]), worst) else None
 
 
-def _permutations_for(n: int, rng: np.random.Generator):
-    """All permutations for n <= 6, a single random draw otherwise."""
-    if n <= 6:
-        for p in _all_perms(range(n)):
-            yield np.array(p)
-    else:
-        yield rng.permutation(n)
+# The equivariance check hands its map groups of consecutive draws, each
+# group one stack of at most this many tokens; a draw wider than this goes
+# alone.  On a default verify (n = 4, so 5 draws a group), smaller groups
+# ran slower, and larger ones no faster with more peak memory (BENCH_22.json).
+GROUP_TOKENS = 512
+
+
+def _violations(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """||f(pi X) - pi f(X)||_inf of each (X, pi), from one call of f: X runs
+    over the (G, n, d) stack x and pi over row t of the (G, P, n, 1) indices
+    p for X_t, in that order.  The arrays of a group die when it returns, so
+    they are not alive during the next group's call."""
+    groups, count, n = p.shape[:3]
+    permuted = np.take_along_axis(x[:, np.newaxis], p, axis=2)
+    out = f(np.concatenate([x[:, np.newaxis], permuted], axis=1).reshape(-1, n, x.shape[-1]))
+    out = out.reshape(groups, 1 + count, n, -1)
+    diff = out[:, 1:] - np.take_along_axis(out[:, :1], p, axis=2)
+    return np.max(np.abs(diff, out=diff).reshape(groups * count, -1), axis=1)
 
 
 def check_equivariance(
@@ -91,23 +102,33 @@ def check_equivariance(
     """Max over sampled (X, pi) of ||f(pi X) - pi f(X)||_inf.
 
     Each trial draws one X uniform in [0,1]^{n x d}; for n <= 6 all n!
-    permutations are checked per draw, otherwise one random permutation.
+    permutations are checked per draw, otherwise one random permutation,
+    drawn right after its X.
     ``f`` is a stacked map: it takes an (S, n, d) stack to one output per
     sequence, such as ``lambda xs: sumformer_forward(model, xs)`` or a
-    construction's ``forward``.
-    It is called once per draw, on the stack [X, p_1 X, ..., p_P X].  The
-    witness is the first worst (X, pi), a NaN violation counting as worst.
+    construction's ``forward``, and must give each sequence of a stack the
+    output it gets alone.  It is called once per group of consecutive
+    draws, on the stack [X_t, p_1 X_t, ..., p_P X_t] of each draw t of the
+    group, with at most GROUP_TOKENS tokens per call unless one draw alone
+    is wider.  The witness is the first worst (X, pi) in draw order, a NaN
+    violation counting as worst.
     """
     n, d, trials = require_size("n", n), require_size("d", d), require_size("trials", trials, 0)
     rng = np.random.default_rng(require_size("seed", seed, 0))
+    table = np.array(list(_all_perms(range(n)))) if n <= 6 else None
+    count = 1 if table is None else len(table)
+    group = max(1, GROUP_TOKENS // ((1 + count) * n))
     worst = 0.0
     witness_x = witness_p = None
-    for _ in range(trials):
-        x = rng.uniform(size=(n, d))
-        perms = np.array(list(_permutations_for(n, rng)))
-        out = f(np.concatenate([x[np.newaxis], x[perms]]))
-        violations = np.max(np.abs(out[1:] - out[0][perms]).reshape(len(perms), -1), axis=1)
+    for start in range(0, trials, group):
+        xs, perms = [], []
+        for _ in range(min(group, trials - start)):
+            xs.append(rng.uniform(size=(n, d)))
+            perms.append(table if table is not None else rng.permutation(n)[np.newaxis])
+        p = np.stack(perms)[..., np.newaxis]
+        violations = _violations(f, np.stack(xs), p)
         first = first_worse(violations, worst)
         if first is not None:
-            worst, witness_x, witness_p = float(violations[first]), x, perms[first]
+            t, k = divmod(first, count)
+            worst, witness_x, witness_p = float(violations[first]), xs[t], p[t, k, :, 0]
     return CheckReport(worst, witness_x, witness_p)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .attention import HEADS, attention_matrix, build_sum_extraction
-from .equivariance import check_equivariance, first_worse, worse
+from .equivariance import GROUP_TOKENS, check_equivariance, first_worse, worse
 from .mlp import param_views
 from .model import (
     MlpCombiner,
@@ -136,16 +136,23 @@ def check_averaging_attention(config: VerifyConfig) -> tuple[CheckRecord, np.nda
     return _record("averaging_attention", config, 1e-12, worst, len(n_values)), witness
 
 
-def check_equivariance_models(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
-    n, d = 4, 2
+def equivariance_maps(n: int, d: int) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """The stacked maps the equivariance check samples at n tokens of width
+    d: the MLP and polynomial sumformers, then each ``HEADS`` construction."""
     basis = enumerate_multidegrees(d, n)
     mlp_model = build_mlp_sumformer(d, 6, seed=0)
     poly_model = build_polynomial_sumformer(n, d, seed=0)
-    models = [lambda xs: sumformer_forward(mlp_model, xs),
-              lambda xs: sumformer_forward(poly_model, xs)]
+    maps = [lambda xs: sumformer_forward(mlp_model, xs),
+            lambda xs: sumformer_forward(poly_model, xs)]
     for variant, head in HEADS.items():
         k = n - 1 if head.needs_k else None
-        models.append(build_sum_extraction(variant, n, d, basis, k=k, seed=0).forward)
+        maps.append(build_sum_extraction(variant, n, d, basis, k=k, seed=0).forward)
+    return maps
+
+
+def check_equivariance_models(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
+    n, d = 4, 2
+    models = equivariance_maps(n, d)
     trials = max(config.trials, 0)
     worst = 0.0
     witness = None
@@ -158,8 +165,10 @@ def check_equivariance_models(config: VerifyConfig) -> tuple[CheckRecord, np.nda
 
 def check_discrete_exactness(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
     """Anchors reproduce g exactly; points drawn in the model's own cells give
-    the same outputs; permuted inputs give exactly permuted outputs.  Each
-    sample's four inputs run as one stacked forward."""
+    the same outputs; permuted inputs give exactly permuted outputs.  The
+    samples run in groups of at most GROUP_TOKENS tokens: one stacked forward
+    of each sample's four inputs and one lifted-target call on the anchors
+    per group."""
     target = get_target("quadratic_sum")
     n, d, delta = 2, 1, config.delta
     model = build_discrete_sumformer(target.g, delta, n, d)
@@ -168,22 +177,25 @@ def check_discrete_exactness(config: VerifyConfig) -> tuple[CheckRecord, np.ndar
     rng = np.random.default_rng(5)
     f = target.lifted()
     samples = max(config.samples, 0)
-    for _ in range(samples):
-        anchors = rng.integers(0, delta, size=(n, d)) / delta
-        x = rng.uniform(size=(n, d))
+    group = max(1, GROUP_TOKENS // (4 * n))
+    for start in range(0, samples, group):
+        # anchors, x, same-cell fractions, permutation: each sample's draws in turn
+        draws = [(rng.integers(0, delta, size=(n, d)) / delta, rng.uniform(size=(n, d)),
+                  rng.uniform(0, 1, size=(n, d)), rng.permutation(n)[:, np.newaxis])
+                 for _ in range(min(group, samples - start))]
+        anchors, x, fractions, perm = (np.stack(arrays) for arrays in zip(*draws))
         cells = model.phi.cells(x)
         low, high = model.phi.edges[cells], model.phi.edges[cells + 1]
-        same_cell = np.minimum(low + (high - low) * rng.uniform(0, 1, size=x.shape),
+        same_cell = np.minimum(low + (high - low) * fractions,
                                np.nextafter(high, low))  # keeps a point that rounds up in the cell
-        perm = rng.permutation(n)
-        out = sumformer_forward(model, np.stack([anchors, x, same_cell, x[perm]]))
-        residual = float(np.max([  # np.max, unlike max, keeps a NaN
-            np.max(np.abs(out[0] - f(anchors))),
-            np.max(np.abs(out[1] - out[2])),
-            np.max(np.abs(out[3] - out[1][perm])),
-        ]))
-        if worse(residual, worst):
-            worst, witness = residual, x
+        inputs = np.stack([anchors, x, same_cell, np.take_along_axis(x, perm, axis=1)], axis=1)
+        out = sumformer_forward(model, inputs.reshape(-1, n, d)).reshape(len(draws), 4, n, -1)
+        errors = np.stack([out[:, 0] - f(anchors), out[:, 1] - out[:, 2],
+                           out[:, 3] - np.take_along_axis(out[:, 1], perm, axis=1)], axis=1)
+        residuals = np.max(np.abs(errors).reshape(len(draws), -1), axis=1)  # keeps a NaN
+        first = first_worse(residuals, worst)
+        if first is not None:
+            worst, witness = float(residuals[first]), draws[first][1]
     return _record("discrete_exactness", config, 0.0, worst, samples), witness
 
 

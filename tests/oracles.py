@@ -1,15 +1,18 @@
 """Plain per-vector references and small helpers that only the tests use."""
 
 import math
+from itertools import permutations
 from typing import Callable
 
 import numpy as np
 
 from sumformer.attention import SCORE_BOUND, SCORE_FLOATS
-from sumformer.equivariance import CheckReport, SemiInvariantFn, _permutations_for, lift, worse
+from sumformer.equivariance import CheckReport, SemiInvariantFn, lift, worse
 from sumformer.errors import DomainError, ShapeError
 from sumformer.mlp import MlpParams, MlpSpec
+from sumformer.model import build_discrete_sumformer, sumformer_forward
 from sumformer.multisym import DegreeBasis, FitReport, MultiDegree
+from sumformer.targets import get_target
 
 
 def per_sequence(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
@@ -135,6 +138,15 @@ def sup_error(
     return worst
 
 
+def permutations_for(n: int, rng: np.random.Generator):
+    """All permutations of n for n <= 6, else one drawn from ``rng``."""
+    if n <= 6:
+        for p in permutations(range(n)):
+            yield np.array(p)
+    else:
+        yield rng.permutation(n)
+
+
 def check_semi_invariance(
     g: SemiInvariantFn,
     n: int,
@@ -150,11 +162,55 @@ def check_semi_invariance(
         x = rng.uniform(size=(n, d))
         first, rest = x[0], x[1:]
         reference = np.asarray(g(first, rest), dtype=np.float64)
-        for p in _permutations_for(n - 1, rng):
+        for p in permutations_for(n - 1, rng):
             violation = float(np.max(np.abs(np.asarray(g(first, rest[p])) - reference)))
             if worse(violation, worst):
                 worst, witness_x, witness_p = violation, x, p
     return CheckReport(worst, witness_x, witness_p)
+
+
+def sequential_equivariance(fn: Callable[[np.ndarray], np.ndarray], n: int, d: int,
+                            trials: int, seed: int) -> CheckReport:
+    """``check_equivariance`` with one call of ``fn`` per (n, d) sequence,
+    one draw and one permutation at a time, in draw order."""
+    rng = np.random.default_rng(seed)
+    worst, witness_x, witness_p = 0.0, None, None
+    for _ in range(trials):
+        x = rng.uniform(size=(n, d))
+        fx = fn(x)
+        for p in list(permutations_for(n, rng)):
+            violation = float(np.max(np.abs(fn(x[p]) - fx[p])))
+            if worse(violation, worst):
+                worst, witness_x, witness_p = violation, x, p
+    return CheckReport(worst, witness_x, witness_p)
+
+
+def discrete_exactness_per_sample(samples: int, delta: int) -> tuple[float, np.ndarray | None]:
+    """The worst residual and its x of ``verify.check_discrete_exactness``,
+    one sample and one forward per input at a time."""
+    target = get_target("quadratic_sum")
+    n, d = 2, 1
+    model = build_discrete_sumformer(target.g, delta, n, d)
+    f = target.lifted()
+    rng = np.random.default_rng(5)
+    worst, witness = 0.0, None
+    for _ in range(samples):
+        anchors = rng.integers(0, delta, size=(n, d)) / delta
+        x = rng.uniform(size=(n, d))
+        cells = model.phi.cells(x)
+        low, high = model.phi.edges[cells], model.phi.edges[cells + 1]
+        same_cell = np.minimum(low + (high - low) * rng.uniform(0, 1, size=x.shape),
+                               np.nextafter(high, low))
+        perm = rng.permutation(n)
+        out_x = sumformer_forward(model, x)
+        residual = float(np.max([
+            np.max(np.abs(sumformer_forward(model, anchors) - f(anchors))),
+            np.max(np.abs(out_x - sumformer_forward(model, same_cell))),
+            np.max(np.abs(sumformer_forward(model, x[perm]) - out_x[perm])),
+        ]))
+        if worse(residual, worst):
+            worst, witness = residual, x
+    return worst, witness
 
 
 def central_difference_loop(

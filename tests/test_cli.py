@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from sumformer.verify import (
     gradient_check_once,
     verify_bytes,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 FAST_VERIFY = [
     "--n", "2,3", "--d", "1",
@@ -403,3 +407,19 @@ def test_verify_rejects_bad_wv_scale(tmp_path):
     out = str(tmp_path / "verify_bad")
     code = main(["verify", "--out", out, "--linformer-wv-scale", "q"] + FAST_VERIFY)
     assert code == EXIT_CONFIG
+
+
+def _python_m_sumformer(args, cwd):
+    return subprocess.run([sys.executable, "-m", "sumformer", *args], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+                          timeout=600)
+
+
+def test_python_m_sumformer_runs_the_cli_and_exits_with_its_code(tmp_path):
+    ok = _python_m_sumformer(["verify", "--out", str(tmp_path / "ok")], tmp_path)
+    assert ok.returncode == EXIT_OK, ok.stderr
+    assert _read(tmp_path / "ok" / "verify_report.txt").count("status=pass") == 8
+    bad = _python_m_sumformer(["verify", "--out", str(tmp_path / "bad"), "--samples", "0"], tmp_path)
+    assert bad.returncode == EXIT_CONFIG
+    assert bad.stderr.startswith("config error:") and len(bad.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "bad").exists()

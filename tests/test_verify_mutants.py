@@ -1,0 +1,81 @@
+"""Each row plants one fault in the library, by monkeypatch, and shows that the
+verify check it names catches it: the check reports ``fail``, ``sumformer
+verify`` exits 3 and writes the check's witness file.  A row whose witness is
+known also pins the file's contents.  ``src/`` itself is never changed."""
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+import pytest
+
+from sumformer import verify
+from sumformer.cli import EXIT_VERIFY_FAILED, main
+from sumformer.model import TableCombiner
+
+# check_equivariance_models samples n = 4, d = 2 sequences from seed 11.
+EQUIVARIANCE_N, EQUIVARIANCE_D, EQUIVARIANCE_SEED = 4, 2, 11
+LATE_DRAW = 17  # of the 20 default trials
+
+
+def _late_draw() -> np.ndarray:
+    rng = np.random.default_rng(EQUIVARIANCE_SEED)
+    return [rng.uniform(size=(EQUIVARIANCE_N, EQUIVARIANCE_D)) for _ in range(LATE_DRAW + 1)][-1]
+
+
+def _break_equivariance_on_a_late_draw(monkeypatch) -> np.ndarray:
+    """Every map the equivariance check samples raises row i of its output
+    by 1e-3 i on the row permutations of one late draw, and nowhere else."""
+    bad = _late_draw()
+    key = np.sort(bad, axis=0)
+    sample = verify.check_equivariance
+
+    def broken(fn):
+        def stacked(xs):
+            out = np.array(fn(xs))
+            for x, o in zip(xs, out):
+                if np.array_equal(np.sort(x, axis=0), key):
+                    o += 1e-3 * np.arange(len(o))[:, np.newaxis]
+            return out
+        return stacked
+
+    monkeypatch.setattr(verify, "check_equivariance", lambda f, *a, **k: sample(broken(f), *a, **k))
+    return bad
+
+
+def _shift_the_table(monkeypatch) -> None:
+    apply = TableCombiner.apply
+    monkeypatch.setattr(TableCombiner, "apply", lambda self, *args, **kwargs: apply(self, *args, **kwargs) + 1e-3)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    check: Callable  # the check in verify.ALL_CHECKS that must catch the fault
+    name: str        # its report name
+    plant: Callable  # plants the fault; returns the expected witness, or None if not pinned
+
+
+MUTANTS = [
+    Mutant(verify.check_equivariance_models, "equivariance_models", _break_equivariance_on_a_late_draw),
+    Mutant(verify.check_discrete_exactness, "discrete_exactness", _shift_the_table),
+]
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_the_check_catches_its_mutant(tmp_path, monkeypatch, mutant):
+    expected = mutant.plant(monkeypatch)
+    record, witness = mutant.check(verify.VerifyConfig())
+    assert (record.name, record.status) == (mutant.name, "fail")
+    assert witness is not None
+
+    assert main(["verify", "--out", str(tmp_path)]) == EXIT_VERIFY_FAILED
+    lines = (tmp_path / "verify_report.txt").read_text().splitlines()
+    line = next(ln for ln in lines if ln.startswith(f"name={mutant.name} "))
+    path = tmp_path / f"witness_{mutant.name}.txt"
+    assert "status=fail" in line and f"witness_path={path}" in line
+    if expected is not None:
+        assert np.array_equal(np.loadtxt(path).reshape(expected.shape), expected)
+
+
+def test_every_mutant_names_a_check_of_verify():
+    assert all(m.check in verify.ALL_CHECKS for m in MUTANTS)
