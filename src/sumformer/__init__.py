@@ -13,7 +13,6 @@ from .attention import (
     mac_count,
 )
 from .equivariance import check_equivariance, lift
-from .linalg import softmax_rows
 from .mlp import MlpSpec, init_mlp_params, mlp_forward
 from .model import (
     LatentPolynomial,

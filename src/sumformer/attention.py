@@ -26,7 +26,7 @@ from .errors import (
     ShapeError,
     UnsupportedInspectionError,
 )
-from .linalg import require_finite, require_rows, require_size, softmax_rows
+from .linalg import require_finite, require_rows, require_size
 from .model import Phi, PolynomialFeatureMap
 from .multisym import DegreeBasis
 from .parallel import run_in_threads
@@ -114,60 +114,31 @@ class HeadSpec:
         """Rows the keys and the values are computed from."""
         return x, x
 
-    def _queries_and_keys(self, x: np.ndarray, counter: MacCounter | None, extra: int = 0):
-        """Q = X W_Q / sqrt(m), K = (key rows) W_K and the rows the values read;
-        Q and K have ``extra`` free columns after their m."""
+    def _queries_and_keys(self, x: np.ndarray, counter: MacCounter | None):
+        """Q = X W_Q / sqrt(m), K = (key rows) W_K, each with one free column
+        after its m, and the rows the values read."""
         _check_head_input(x, self)
         key_rows, value_rows = self.sources(x, counter)
         m = self.w_q.shape[0]
-        q = _project(x, self.w_q, counter, extra)
+        q = _project(x, self.w_q, counter)
         q[..., :m] /= math.sqrt(m)
-        return q, _project(key_rows, self.w_k, counter, extra), value_rows
+        return q, _project(key_rows, self.w_k, counter), value_rows
 
-    def attention(self, x: np.ndarray, counter: MacCounter | None = None):
-        """The row-stochastic matrix A and the rows its values are computed from."""
-        q, k, value_rows = self._queries_and_keys(x, counter)
-        scores = _mm(q, k.swapaxes(-1, -2), counter)
-        return softmax_rows(scores, out=scores), value_rows
+    def attention(self, x: np.ndarray) -> np.ndarray:
+        """The row-stochastic matrix A: the forward's score blocks with only the
+        ones column as the values, so each block writes E / (E 1) as A's rows."""
+        q, k, _ = self._queries_and_keys(x, None)
+        return _softmax(q, k, None, None)
 
     def forward(self, x: np.ndarray, counter: MacCounter | None = None) -> np.ndarray:
-        """A V taken SCORE_FLOATS // (key count) query rows at a time.  Q, K and
-        V carry one more column: -c_i, 1 and 1, where c_i = |q_i| max_j |k_j|
-        bounds row i's scores.  So the score gemm writes s_ij - c_i <= 0, its
-        exp is taken in place, and the value gemm gives [E V, E 1]: the
-        block's n_blk x m output rows are E V divided by the row sums E 1.  A
-        row whose c_i is above SCORE_BOUND, or not finite, is shifted by its
-        exact row max instead, after a finiteness check of its block.
-
-        The blocks go to min(parallel.WORKERS, block count) threads, each a
-        contiguous run of them in one score buffer of its own; the calling
-        thread is worker 0.  One block is one gemm of the same shape at any worker
-        count, so the output has the same bits."""
-        q, k, value_rows = self._queries_and_keys(x, counter, extra=1)
+        """softmax(Q K^T / sqrt(m)) V through ``_softmax``, with V one column
+        wider: its last column is 1, so the value gemm also gives the row sums."""
+        q, k, value_rows = self._queries_and_keys(x, counter)
         with np.errstate(over="ignore", invalid="ignore"):  # V is checked
-            v = _project(value_rows, self.w_v, counter, extra=1)
-        m = v.shape[-1] - 1
-        k[..., m] = v[..., m] = 1.0
+            v = _project(value_rows, self.w_v, counter)
+        v[..., -1] = 1.0
         require_finite(v, "values")
-        bound = _score_bounds(q[..., :m], k[..., :m], counter)
-        loose = ~(bound <= SCORE_BOUND)  # NaN bounds are loose too
-        q[..., m] = np.where(loose, 0.0, -bound)
-        n, key_count = q.shape[-2], k.shape[-2]
-        step = max(1, min(n, SCORE_FLOATS // max(1, key_count)))
-        starts = range(0, n, step)
-        workers = min(parallel.WORKERS, len(starts))
-        out = np.empty((*q.shape[:-1], m))
-        scores = np.empty((workers, *q.shape[:-2], step, key_count))
-        products = np.empty((workers, *q.shape[:-2], step, m + 1))
-        operands = q, k.swapaxes(-1, -2), v, loose if loose.any() else None, out
-        tallies = [None if counter is None else MacCounter() for _ in range(workers)]
-        run_in_threads(_softmax_blocks, [
-            (starts[w * len(starts) // workers:(w + 1) * len(starts) // workers],
-             *operands, scores[w], products[w], tallies[w])
-            for w in range(workers)])
-        if counter is not None:
-            counter.total += sum(tally.total for tally in tallies)
-        return require_finite(out, "head output")
+        return require_finite(_softmax(q, k, v, counter), "head output")
 
 
 @dataclass(frozen=True)
@@ -278,7 +249,7 @@ class PerformerHeadSpec(HeadSpec):
         head = cls(*_construction_weights(d, d_latent, float(n)), omegas)
         return head, 1.0 / (lambda_value * n), lambda_value
 
-    def attention(self, x, counter=None):
+    def attention(self, x):
         """The random-feature variant never materializes an attention matrix,
         so asking for one is an error rather than an approximation."""
         raise UnsupportedInspectionError(
@@ -315,9 +286,9 @@ def _check_head_input(x: np.ndarray, spec: HeadSpec):
     spec.require_k(n, spec.k)
 
 
-def _project(rows: np.ndarray, w: np.ndarray, counter: MacCounter | None, extra: int) -> np.ndarray:
-    """rows @ w in the first columns of a new array ``extra`` columns wider."""
-    out = np.empty((*rows.shape[:-1], w.shape[-1] + extra))
+def _project(rows: np.ndarray, w: np.ndarray, counter: MacCounter | None) -> np.ndarray:
+    """rows @ w in the first columns of a new array one column wider."""
+    out = np.empty((*rows.shape[:-1], w.shape[-1] + 1))
     _mm(rows, w, counter, out[..., :w.shape[-1]])
     return out
 
@@ -333,10 +304,51 @@ def _score_bounds(q: np.ndarray, k: np.ndarray, counter: MacCounter | None) -> n
         return np.sqrt(np.einsum("...ij,...ij->...i", q, q) * k_square)
 
 
+def _softmax(q: np.ndarray, k: np.ndarray, v: np.ndarray | None, counter: MacCounter | None) -> np.ndarray:
+    """Row-softmax attention of Q and K over V, SCORE_FLOATS // (key count)
+    query rows at a time.  Q and K carry one free column after their m, set
+    here to -c_i and 1, where c_i = |q_i| max_j |k_j| bounds row i's scores;
+    V's last column is 1.  So the score gemm writes s_ij - c_i <= 0, its exp E
+    is taken in place, and the value gemm gives [E V, E 1]: each output row is
+    E V over the row sum E 1.  With V None the values are the ones column
+    alone, and each row is E itself over E 1: the rows of A.  A row whose c_i
+    is above SCORE_BOUND, or not finite, is shifted by its exact row max
+    instead, after a finiteness check of its block.
+
+    The blocks go to min(parallel.WORKERS, block count) threads, each a
+    contiguous run of them in one score buffer of its own; the calling thread
+    is worker 0.  One block is one gemm of the same shape at any worker count,
+    so the output has the same bits."""
+    m = q.shape[-1] - 1
+    k[..., m] = 1.0
+    bound = _score_bounds(q[..., :m], k[..., :m], counter)
+    loose = ~(bound <= SCORE_BOUND)  # NaN bounds are loose too
+    q[..., m] = np.where(loose, 0.0, -bound)
+    n, key_count = q.shape[-2], k.shape[-2]
+    out = np.empty((*q.shape[:-1], key_count if v is None else v.shape[-1] - 1))
+    if v is None:
+        v = np.ones((key_count, 1))
+    step = max(1, min(n, SCORE_FLOATS // max(1, key_count)))
+    starts = range(0, n, step)
+    workers = min(parallel.WORKERS, len(starts))
+    scores = np.empty((workers, *q.shape[:-2], step, key_count))
+    products = np.empty((workers, *q.shape[:-2], step, v.shape[-1]))
+    operands = q, k.swapaxes(-1, -2), v, loose if loose.any() else None, out
+    tallies = [None if counter is None else MacCounter() for _ in range(workers)]
+    run_in_threads(_softmax_blocks, [
+        (starts[w * len(starts) // workers:(w + 1) * len(starts) // workers],
+         *operands, scores[w], products[w], tallies[w])
+        for w in range(workers)])
+    if counter is not None:
+        counter.total += sum(tally.total for tally in tallies)
+    return out
+
+
 def _softmax_blocks(starts, q, k_t, v, loose, out, scores, products, counter):
     """The output rows of the blocks that begin at ``starts``, in this thread's
-    score and product buffers.  ``loose`` is None when no row is loose."""
-    n, m, step = q.shape[-2], out.shape[-1], scores.shape[-2]
+    score and product buffers.  ``loose`` is None when no row is loose; an
+    output as wide as V holds the rows of A."""
+    n, step = q.shape[-2], scores.shape[-2]
     with np.errstate(over="ignore", invalid="ignore"):  # a loose block is checked
         for start in starts:
             rows, count = slice(start, start + step), min(step, n - start)
@@ -347,7 +359,8 @@ def _softmax_blocks(starts, q, k_t, v, loose, out, scores, products, counter):
                             where=loose[..., rows, np.newaxis])
             np.exp(block, out=block)
             product = _mm(block, v, counter, products[..., :count, :])
-            np.divide(product[..., :m], product[..., m:], out=out[..., rows, :])
+            numerator = product[..., :-1] if out.shape[-1] < v.shape[-1] else block
+            np.divide(numerator, product[..., -1:], out=out[..., rows, :])
 
 
 def _performer_features_rows(rows: np.ndarray, omegas: np.ndarray, counter: MacCounter | None) -> np.ndarray:
@@ -376,7 +389,7 @@ def head_forward(x: np.ndarray, spec: HeadSpec, counter: MacCounter | None = Non
 
 def attention_matrix(x: np.ndarray, spec: HeadSpec) -> np.ndarray:
     """The row-stochastic matrix A (n x n standard, n x k projected)."""
-    return spec.attention(x)[0]
+    return spec.attention(x)
 
 
 # ---------------------------------------------------------------------------

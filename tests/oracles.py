@@ -74,6 +74,20 @@ def monomial_features(x: np.ndarray, basis: DegreeBasis) -> np.ndarray:
     return np.prod(x[np.newaxis, :] ** basis.exponents, axis=1)
 
 
+def softmax_rows(m: np.ndarray) -> np.ndarray:
+    """Row-wise softmax exp(m - row max) / row sums of a matrix or stack."""
+    e = np.exp(m - m.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def attention_reference(x: np.ndarray, spec) -> np.ndarray:
+    """A softmax head's A: ``softmax_rows`` of its whole score matrix
+    (X W_Q / sqrt(m)) (key rows W_K)^T."""
+    q = x @ spec.w_q / math.sqrt(x.shape[-1])
+    k = spec.sources(x, None)[0] @ spec.w_k
+    return softmax_rows(q @ k.swapaxes(-1, -2))
+
+
 def widened_operands(x: np.ndarray, spec):
     """A softmax head's Q / sqrt(m), K^T and V, each widened by one column:
     -c_i, 1 and 1, with c_i = |q_i| max_j |k_j| (0 for a row whose c_i is above

@@ -56,7 +56,6 @@ ARRAY_CALLS = {
     "power_sum_vector": (lambda x: sf.power_sum_vector(x, BASIS), 2),
     "PolynomialFeatureMap.rows": (sf.PolynomialFeatureMap(BASIS).rows, 2),
     "lift": (sf.lift(lambda x, rest: x + rest.sum(axis=-2)), None),
-    "softmax_rows": (sf.softmax_rows, None),
     "relative_l2_error": (lambda x: sf.relative_l2_error(x, x), None),
     "train": (_train_on, 2),
     **{f"{variant}.construction": (_construction(variant).forward, 2) for variant in HEADS},

@@ -26,7 +26,14 @@ from sumformer.model import CellFeatureMap, MlpFeatureMap
 from sumformer.multisym import enumerate_multidegrees, power_sum_vector
 from sumformer.serialize import dump_construction, load_construction
 
-from oracles import allocating_head_forward, deferred_product, performer_features, widened_operands
+from oracles import (
+    allocating_head_forward,
+    attention_reference,
+    deferred_product,
+    performer_features,
+    softmax_rows,
+    widened_operands,
+)
 
 # A numpy warning on the way to an error, or anywhere else here, fails the test.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -420,7 +427,89 @@ def _softmax_head(variant, n, m=16, seed=0):
 
 
 def _unblocked(x, spec):
-    return attention_matrix(x, spec) @ (spec.sources(x, None)[1] @ spec.w_v)
+    return attention_reference(x, spec) @ (spec.sources(x, None)[1] @ spec.w_v)
+
+
+def test_softmax_oracle_symmetry():
+    out = softmax_rows(np.array([[0.0, 0.0]]))
+    assert np.allclose(out, [[0.5, 0.5]], atol=1e-15)
+
+
+def test_softmax_oracle_constant_row_is_uniform():
+    for n in (1, 2, 3, 7):
+        for c in (-5.0, 0.0, 3.25):
+            out = softmax_rows(np.full((1, n), c))
+            assert np.max(np.abs(out - 1.0 / n)) <= 1e-12
+
+
+def test_softmax_oracle_closed_form():
+    out = softmax_rows(np.log(np.array([[1.0, 2.0]])))
+    assert np.allclose(out, [[1.0 / 3.0, 2.0 / 3.0]], atol=1e-15)
+
+
+def test_softmax_oracle_rows_sum_to_one_and_shift_invariant():
+    rng = np.random.default_rng(1)
+    m = rng.normal(scale=10.0, size=(6, 9))
+    out = softmax_rows(m)
+    assert np.all(out >= 0.0)
+    assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-12
+    shifted = softmax_rows(m + rng.normal(size=(6, 1)))
+    assert np.max(np.abs(shifted - out)) <= 1e-12
+
+
+def test_softmax_oracle_leaves_its_input_unchanged():
+    m = np.random.default_rng(2).normal(size=(5, 7))
+    before = m.copy()
+    softmax_rows(m)
+    assert np.array_equal(m, before)
+
+
+A_SIZES = [(variant, n) for variant in SOFTMAX_VARIANTS for n in (1, 17, 600, 2048)
+           if n >= 2 or not HEADS[variant].k_below_n]  # the low-rank head needs k < n
+
+
+@pytest.mark.parametrize("variant, n", A_SIZES)
+def test_attention_matrix_is_within_rounding_of_the_oracle(variant, n):
+    """A from the forward's score blocks, each row shifted by its score bound,
+    is within 1e-13 of its largest entry of the oracle softmax of the whole
+    score matrix, each row shifted by its max.  The gap is largest, 8.9e-15,
+    for the low-rank head at n = 2048: its scores reach 227, and 75 of its
+    rows have bounds above SCORE_BOUND and take the exact shift."""
+    x, spec, _ = _softmax_head(variant, n, seed=n)
+    a, reference = attention_matrix(x, spec), attention_reference(x, spec)
+    assert a.shape == reference.shape
+    assert np.max(np.abs(a - reference)) <= 1e-13 * np.max(reference)
+
+
+@pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
+def test_stacked_attention_matrix_is_bitwise_each_slice_alone(variant):
+    n = 600  # standard-head blocks of 218, 218 and 164 rows
+    _, spec, _ = _softmax_head(variant, n, seed=19)
+    xs = np.random.default_rng(20).uniform(-1, 1, size=(3, n, 16))
+    stacked = attention_matrix(xs, spec)
+    for i, x in enumerate(xs):
+        assert np.array_equal(attention_matrix(x, spec), stacked[i])
+
+
+@pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
+def test_attention_matrix_has_the_same_bits_at_one_and_two_workers(variant, monkeypatch):
+    x, spec, _ = _softmax_head(variant, 2048, seed=21)  # 32 standard-head blocks
+    matrices = []
+    for count in (1, 2):
+        monkeypatch.setattr(parallel, "WORKERS", count)
+        matrices.append(attention_matrix(x, spec))
+    assert np.array_equal(matrices[0], matrices[1])
+
+
+@pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)
+@pytest.mark.parametrize("token", [1e200, 1e155])
+def test_attention_matrix_of_a_huge_token_is_a_domain_error(variant, token):
+    """The huge row's scores leave the float range: a DomainError, with no
+    overflow warning on the way."""
+    x, spec, _ = _softmax_head(variant, 40)
+    x[-1] = token
+    with pytest.raises(DomainError):
+        attention_matrix(x, spec)
 
 
 @pytest.mark.parametrize("variant", SOFTMAX_VARIANTS)

@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from sumformer import verify
+from sumformer import attention, verify
 from sumformer.cli import EXIT_VERIFY_FAILED, main
 from sumformer.model import TableCombiner
 
@@ -48,6 +48,24 @@ def _shift_the_table(monkeypatch) -> None:
     monkeypatch.setattr(TableCombiner, "apply", lambda self, *args, **kwargs: apply(self, *args, **kwargs) + 1e-3)
 
 
+def _scale_the_ones_column(monkeypatch) -> None:
+    """The softmax heads' score blocks divide by 1 + 1e-9 times the row sums:
+    the forward's outputs and A's rows both shrink by that factor."""
+    blocks = attention._softmax_blocks
+
+    def scaled(starts, q, k_t, v, *rest):
+        v = v.copy()
+        v[..., -1] *= 1 + 1e-9
+        blocks(starts, q, k_t, v, *rest)
+
+    monkeypatch.setattr(attention, "_softmax_blocks", scaled)
+
+
+def _scale_the_random_features(monkeypatch) -> None:
+    features = attention._performer_features_rows
+    monkeypatch.setattr(attention, "_performer_features_rows", lambda *args: features(*args) * (1 + 1e-6))
+
+
 @dataclass(frozen=True)
 class Mutant:
     check: Callable  # the check in verify.ALL_CHECKS that must catch the fault
@@ -58,6 +76,10 @@ class Mutant:
 MUTANTS = [
     Mutant(verify.check_equivariance_models, "equivariance_models", _break_equivariance_on_a_late_draw),
     Mutant(verify.check_discrete_exactness, "discrete_exactness", _shift_the_table),
+    Mutant(verify.check_averaging_attention, "averaging_attention", _scale_the_ones_column),
+    Mutant(verify.check_sigma_standard, "sigma_recovery_standard", _scale_the_ones_column),
+    Mutant(verify.check_sigma_linformer, "sigma_recovery_linformer", _scale_the_ones_column),
+    Mutant(verify.check_sigma_performer, "sigma_recovery_performer", _scale_the_random_features),
 ]
 
 
