@@ -104,10 +104,10 @@ class HeadSpec:
         return k
 
     @classmethod
-    def construction(cls, n, d, d_latent, k=None, seed=None, wv_scale="k", omegas=None):
-        """This variant's sum-extraction head, its token-wise scale and its Gram
-        constant lambda.  By default A = (1/n) 1_{n x n}, which scale n in the
-        value matrix cancels."""
+    def construction(cls, n, d, d_latent, k=None, seed=None, omegas=None):
+        """This variant's sum-extraction head (its k, if it has one, is the
+        given k), its token-wise scale and its Gram constant lambda.  By
+        default A = (1/n) 1_{n x n}, which scale n in the value matrix cancels."""
         return cls(*_construction_weights(d, d_latent, float(n))), 1.0, None
 
     def sources(self, x: np.ndarray, counter: MacCounter | None):
@@ -185,16 +185,11 @@ class LinformerHeadSpec(HeadSpec):
         return n * m * m + 2 * n * k * m + 2 * k * m * m + 2 * n * k * (m + 1) + (n + k) * m
 
     @classmethod
-    def construction(cls, n, d, d_latent, k=None, seed=None, wv_scale="k", omegas=None):
+    def construction(cls, n, d, d_latent, k=None, seed=None, omegas=None):
         """E = (1/n) 1_{k x n} and F = (1/k) 1_{k x n}: the value rows the
         attention sees are already summed over all n tokens, so the
-        cancelling scale is k.  ``wv_scale="n"`` selects the literal
-        alternative, which overshoots by n/k and exists for comparison."""
-        k = cls.require_k(n, k)
-        if wv_scale not in ("k", "n"):
-            raise ContractError(f"wv_scale must be 'k' or 'n', got {wv_scale!r}")
-        scale = float(k if wv_scale == "k" else n)
-        head = cls(*_construction_weights(d, d_latent, scale),
+        cancelling scale is k, not n (which would overshoot by n/k)."""
+        head = cls(*_construction_weights(d, d_latent, float(k)),
                    e=np.full((k, n), 1.0 / n), f=np.full((k, n), 1.0 / k))
         return head, 1.0, None
 
@@ -230,16 +225,17 @@ class PerformerHeadSpec(HeadSpec):
         return 3 * n * m * m + 2 * n * m + 4 * n * k * m
 
     @classmethod
-    def construction(cls, n, d, d_latent, k=None, seed=None, wv_scale="k", omegas=None):
+    def construction(cls, n, d, d_latent, k=None, seed=None, omegas=None):
         """With fixed feature vectors the query/key Gram matrix is
         lambda * 1_{n x n}, lambda = (1/k) e^{-1} sum_j exp(2 w_{j,1}); scale
         n in the value matrix and 1/(lambda n) in the token-wise layer undo
         it.  The k x m feature vectors are ``omegas`` when given, else drawn
         from ``seed``."""
-        if require_size("k", k) >= n:
-            raise ContractError(f"performer needs 1 <= k < n, got k={k}, n={n}")
+        m = 1 + d + 2 * d_latent
         if omegas is None:
-            omegas = np.random.default_rng(seed).standard_normal((k, 1 + d + 2 * d_latent))
+            omegas = np.random.default_rng(seed).standard_normal((k, m))
+        elif require_rows(omegas, "omegas").shape != (k, m):
+            raise ShapeError(f"omegas must be a ({k}, {m}) array, got shape {omegas.shape}")
         # All query and key rows equal e_1, so the Gram value is analytic.
         lambda_value = float(np.exp(-1.0) * np.mean(np.exp(2.0 * omegas[:, 0])))
         if not (1e-300 < abs(lambda_value) < 1e300):
@@ -407,14 +403,16 @@ class SumExtractionConstruction:
     head: HeadSpec
     w_fc: np.ndarray  # m x m token-wise weight
     phi: Phi
-    k: int | None = None
     seed: int | None = None
     lambda_value: float | None = None
-    wv_scale: str = "k"
 
     @property
     def variant(self) -> str:
         return self.head.variant
+
+    @property
+    def k(self) -> int | None:
+        return self.head.k
 
     @property
     def model_dim(self) -> int:
@@ -461,7 +459,6 @@ def build_sum_extraction(
     phi: Phi | None = None,
     k: int | None = None,
     seed: int | None = None,
-    wv_scale: str = "k",
     omegas: np.ndarray | None = None,
 ) -> SumExtractionConstruction:
     """Build the fixed-weight sum-extraction network for one head variant.
@@ -486,14 +483,15 @@ def build_sum_extraction(
         phi.rows(np.full((1, d), 0.5))
     d_latent = phi.out_width
     m = 1 + d + 2 * d_latent
-    head, fc_scale, lambda_value = head_class(variant).construction(
-        n, d, d_latent, k=k, seed=seed, wv_scale=wv_scale, omegas=omegas,
-    )
+    head_type = head_class(variant)
+    k = head_type.require_k(n, k)
+    if k is not None and k >= n:  # both constructions are built for the low-rank case
+        raise ContractError(f"the {variant} construction needs 1 <= k < n={n}, got k={k}")
+    head, fc_scale, lambda_value = head_type.construction(n, d, d_latent, k=k, seed=seed, omegas=omegas)
     w_fc = np.zeros((m, m))  # keeps only the trailing d' columns, scaled
     w_fc[-d_latent:, -d_latent:] = fc_scale * np.eye(d_latent)
     return SumExtractionConstruction(
-        n=n, d=d, basis=basis, head=head, w_fc=w_fc, phi=phi,
-        k=k, seed=seed, lambda_value=lambda_value, wv_scale=wv_scale,
+        n=n, d=d, basis=basis, head=head, w_fc=w_fc, phi=phi, seed=seed, lambda_value=lambda_value,
     )
 
 

@@ -100,7 +100,6 @@ SCHEMA = {
         "omega_seeds": Key(3, low=0),
         "gradient_seeds": Key(20, low=0),
         "tol": Key(None, float),
-        "linformer_wv_scale": Key("k", str, choices=("k", "n")),
         # The discrete check tabulates n=2, d=1: delta**2 keys, each holding a
         # delta-long histogram; build_discrete_sumformer refuses more than 1e6.
         "delta": Key(4, low=1, high=100),

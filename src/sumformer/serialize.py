@@ -196,7 +196,6 @@ def dump_construction(con) -> str:
         "k": con.k,
         "seed": con.seed,
         "lambda": con.lambda_value,
-        "wv_scale": con.wv_scale,
         "phi_kind": "mlp" if isinstance(con.phi, MlpFeatureMap) else "monomial",
     }
     mats = []
@@ -220,6 +219,8 @@ def load_construction(text: str):
     kind, fields, mats = _load(text)
     if kind != "sum_extraction":
         raise ConfigError(f"expected sum_extraction, got {kind}")
+    if "wv_scale" in fields:  # files from when the value scale was a choice; it is k
+        _field(fields, "wv_scale", str, choices=("k",))
     phi_kind = _field(fields, "phi_kind", str, choices=("mlp", "monomial"))
     d = _field(fields, "d", int, 1)
     try:
@@ -228,8 +229,7 @@ def load_construction(text: str):
             _field(fields, "variant", str), _field(fields, "n", int, 1), d,
             enumerate_multidegrees(d, _field(fields, "n_max", int, 1)),
             phi=phi, k=_field(fields, "k", int, 1, nullable=True),
-            seed=_field(fields, "seed", int, 0, nullable=True),
-            wv_scale=_field(fields, "wv_scale", str), omegas=mats.get("omegas"),
+            seed=_field(fields, "seed", int, 0, nullable=True), omegas=mats.get("omegas"),
         )
     except (ContractError, DomainError, ShapeError) as exc:
         raise ConfigError(f"cannot rebuild construction: {exc}") from exc

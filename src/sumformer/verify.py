@@ -61,7 +61,6 @@ class VerifyConfig:
     omega_seeds: int = 3
     gradient_seeds: int = 20
     tol: float | None = None
-    linformer_wv_scale: str = "k"
     delta: int = 4
 
 
@@ -80,7 +79,7 @@ def _stacks(rng: np.random.Generator, count: int, n: int, d: int, m: int):
         yield rng.uniform(size=(min(size, count - start), n, d))
 
 
-def _sigma_recovery(variant: str, config: VerifyConfig, tol: float, seeds=(0,), wv_scale="k"):
+def _sigma_recovery(variant: str, config: VerifyConfig, tol: float, seeds=(0,)):
     """Sigma block against the power sums; k = n - 1 where the variant takes k."""
     needs_k = HEADS[variant].needs_k
     worst, witness, cases = 0.0, None, 0
@@ -90,8 +89,7 @@ def _sigma_recovery(variant: str, config: VerifyConfig, tol: float, seeds=(0,), 
         for d in config.d_list:
             basis = enumerate_multidegrees(d, n)
             for seed in seeds:
-                con = build_sum_extraction(variant, n, d, basis, k=n - 1 if needs_k else None,
-                                           seed=seed, wv_scale=wv_scale)
+                con = build_sum_extraction(variant, n, d, basis, k=n - 1 if needs_k else None, seed=seed)
                 rng = np.random.default_rng(1000 + seed)
                 for xs in _stacks(rng, config.samples, n, d, con.model_dim):
                     sigma = con.forward(xs)[..., -con.d_latent:]
@@ -109,7 +107,7 @@ def check_sigma_standard(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray 
 
 
 def check_sigma_linformer(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
-    return _sigma_recovery("linformer", config, 1e-10, wv_scale=config.linformer_wv_scale)
+    return _sigma_recovery("linformer", config, 1e-10)
 
 
 def check_sigma_performer(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:

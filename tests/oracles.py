@@ -1,6 +1,7 @@
 """Plain per-vector references and small helpers that only the tests use."""
 
 import math
+from dataclasses import replace
 from itertools import permutations
 from typing import Callable
 
@@ -39,6 +40,12 @@ def polynomial_psi(combiner, x_rows: np.ndarray, phi_rows: np.ndarray, sigma: np
                 value = value + coeff * np.prod(others[i] ** np.asarray(exps))
             out[i] += mono[i] * value
     return out
+
+
+def scale_n_head(head, n: int):
+    """A low-rank sum-extraction head with value scale n in place of k: the
+    literal reading of the averaging, which overshoots Sigma by n/k."""
+    return replace(head, w_v=np.where(head.w_v != 0.0, float(n), 0.0))
 
 
 def zero_mlp_params(spec: MlpSpec) -> MlpParams:

@@ -6,6 +6,7 @@ lines.  Tolerances are fixed here and are not calibration knobs.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from sumformer.targets import get_target
 from sumformer.train import OptimizerConfig, generate_dataset, latent_sweep, train
 from sumformer.verify import gradient_check_once
 
-from oracles import sup_error
+from oracles import scale_n_head, sup_error
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -71,7 +72,8 @@ def test_criterion_02_sigma_recovery_linformer():
     for n, d in CONFIGS:
         basis = enumerate_multidegrees(d, n)
         for k in range(1, n):
-            con = build_sum_extraction("linformer", n, d, basis, k=k, wv_scale="n")
+            con = build_sum_extraction("linformer", n, d, basis, k=k)
+            con = replace(con, head=scale_n_head(con.head, n))
             rng = np.random.default_rng(300 * n + 10 * d + k)
             residual = max(_sigma_residual(con, rng.uniform(size=(n, d))) for _ in range(10))
             literal_min = min(literal_min, residual)

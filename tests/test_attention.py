@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from oracles import (
     attention_reference,
     deferred_product,
     performer_features,
+    scale_n_head,
     softmax_rows,
     widened_operands,
 )
@@ -268,7 +270,7 @@ def test_sum_recovery_all_variants(variant, kwargs, tol):
         out = con.forward(x)
         assert np.max(np.abs(out[:, -basis.size:] - power_sum_vector(x, basis))) <= tol
         assert np.array_equal(loaded.forward(x), out)
-    assert (loaded.variant, loaded.wv_scale, loaded.lambda_value) == (variant, con.wv_scale, con.lambda_value)
+    assert (loaded.variant, loaded.k, loaded.lambda_value) == (variant, con.k, con.lambda_value)
 
 
 @pytest.mark.parametrize("variant", list(HEADS))
@@ -287,7 +289,8 @@ def test_construction_mac_count_is_head_plus_token_wise_layer(variant):
 def test_literal_n_scaling_overshoots():
     n, d, k = 4, 1, 2
     basis = enumerate_multidegrees(d, n)
-    con = build_sum_extraction("linformer", n, d, basis, k=k, wv_scale="n")
+    con = build_sum_extraction("linformer", n, d, basis, k=k)
+    con = replace(con, head=scale_n_head(con.head, n))
     x = np.random.default_rng(19).uniform(size=(n, d))
     out = con.forward(x)
     ps = power_sum_vector(x, basis)
@@ -373,9 +376,26 @@ def test_construction_k_bounds():
     with pytest.raises(ContractError):
         build_sum_extraction("performer", 3, 1, basis, k=3, seed=0)
     with pytest.raises(ContractError):
-        build_sum_extraction("linformer", 3, 1, basis, k=2, wv_scale="m")
-    with pytest.raises(ContractError):
         build_sum_extraction("softmax", 3, 1, basis)
+
+
+def test_construction_k_is_its_heads_k():
+    """Given feature vectors must be a (k, m) array, so the construction's k,
+    the head's k and the k < n rule all speak of one number."""
+    n, d = 4, 1
+    basis = enumerate_multidegrees(d, n)
+    m = 1 + d + 2 * basis.size
+    rng = np.random.default_rng(22)
+    for variant, kwargs in [("standard", {}), ("linformer", {"k": 2}), ("performer", {"k": 2, "seed": 0}),
+                            ("performer", {"k": 3, "omegas": rng.standard_normal((3, m))})]:
+        con = build_sum_extraction(variant, n, d, basis, **kwargs)
+        assert con.k == con.head.k == kwargs.get("k")
+    # 3 rows for k = 2; 5 rows for k = 3, which would give a head with k = 5 >= n.
+    for k, shape in [(2, (3, m)), (3, (5, m)), (2, (2, m + 1)), (2, (1, 2, m))]:
+        with pytest.raises(ShapeError, match="omegas"):
+            build_sum_extraction("performer", n, d, basis, k=k, omegas=rng.standard_normal(shape))
+    with pytest.raises(ShapeError, match="omegas"):
+        build_sum_extraction("performer", n, d, basis, k=2, omegas=rng.standard_normal((2, m)).tolist())
 
 
 @pytest.mark.parametrize("args", [

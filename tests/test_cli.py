@@ -346,18 +346,6 @@ def test_verify_discrete_exactness_passes_at_delta_22(tmp_path):
     assert "name=discrete_exactness status=pass" in _read(os.path.join(out, "verify_report.txt"))
 
 
-def test_verify_literal_n_scaling_fails(tmp_path):
-    out = str(tmp_path / "verify_n")
-    code = main(["verify", "--out", out, "--linformer-wv-scale", "n"] + FAST_VERIFY)
-    assert code == EXIT_VERIFY_FAILED
-    report = _read(os.path.join(out, "verify_report.txt"))
-    line = next(ln for ln in report.splitlines() if "sigma_recovery_linformer" in ln)
-    assert "status=fail" in line
-    residual = float(line.split("max_residual=")[1].split()[0])
-    assert residual >= 1e-2
-    assert os.path.exists(os.path.join(out, "witness_sigma_recovery_linformer.txt"))
-
-
 SIGMA_CHECKS = {f"sigma_recovery_{v}" for v in ("standard", "linformer", "performer")}
 
 
@@ -403,10 +391,21 @@ def test_verify_zero_tolerance_fails(tmp_path):
     assert code == EXIT_VERIFY_FAILED
 
 
-def test_verify_rejects_bad_wv_scale(tmp_path):
-    out = str(tmp_path / "verify_bad")
-    code = main(["verify", "--out", out, "--linformer-wv-scale", "q"] + FAST_VERIFY)
-    assert code == EXIT_CONFIG
+def test_verify_has_no_value_scale_flag(tmp_path):
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as exc_info:
+        main(["verify", "--out", str(out), "--linformer-wv-scale", "n"])
+    assert exc_info.value.code == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_verify_refuses_a_value_scale_config_key_before_output(tmp_path, capsys):
+    config = tmp_path / "old.cfg"
+    config.write_text("linformer_wv_scale = k\n")
+    out = tmp_path / "never"
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert capsys.readouterr().err == "config error: unknown config file key 'linformer_wv_scale'\n"
 
 
 def _python_m_sumformer(args, cwd):

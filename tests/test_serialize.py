@@ -81,6 +81,47 @@ def test_a_non_finite_random_feature_in_a_file_is_a_config_error():
         load_construction(text.replace(entry, "-inf"))
 
 
+def test_a_file_whose_k_disagrees_with_its_random_features_is_a_config_error():
+    """The feature vectors' row count is the head's k; a file's k field must
+    name the same number, or the head's k would slip past k < n."""
+    basis = enumerate_multidegrees(2, 2)
+    three_rows = dump_construction(build_sum_extraction("performer", 4, 2, basis, k=3))
+    five_rows = dump_construction(build_sum_extraction("performer", 6, 2, basis, k=5))
+    for text in (three_rows.replace("field k int 3", "field k int 2"),
+                 five_rows.replace("field n int 6", "field n int 4").replace("field k int 5", "field k int 3")):
+        with pytest.raises(ConfigError, match="omegas must be a") as info:
+            load_construction(text)
+        assert "\n" not in str(info.value)
+
+
+# A low-rank construction file in the form written while the value scale was
+# a switch: it names the scale.
+SCALE_NAMING_FILE = """format sumformer/1
+object sum_extraction
+field variant str linformer
+field n int 4
+field d int 2
+field n_max int 2
+field k int 2
+field seed none -
+field lambda none -
+field wv_scale str k
+field phi_kind str monomial
+end
+"""
+
+
+def test_a_file_that_names_the_value_scale_loads_only_at_scale_k():
+    loaded = load_construction(SCALE_NAMING_FILE)
+    con = build_sum_extraction("linformer", 4, 2, enumerate_multidegrees(2, 2), k=2)
+    x = np.random.default_rng(5).uniform(size=(4, 2))
+    assert np.array_equal(loaded.forward(x), con.forward(x))
+    assert dump_construction(loaded) == SCALE_NAMING_FILE.replace("field wv_scale str k\n", "")
+    with pytest.raises(ConfigError, match="field wv_scale must be k, got 'n'") as info:
+        load_construction(SCALE_NAMING_FILE.replace("wv_scale str k", "wv_scale str n"))
+    assert "\n" not in str(info.value)
+
+
 def test_construction_with_mlp_phi_round_trip():
     from sumformer.mlp import MlpSpec, init_mlp_params
 

@@ -1,7 +1,8 @@
 """Each row plants one fault in the library, by monkeypatch, and shows that the
 verify check it names catches it: the check reports ``fail``, ``sumformer
-verify`` exits 3 and writes the check's witness file.  A row whose witness is
-known also pins the file's contents.  ``src/`` itself is never changed."""
+verify`` exits 3 and writes the check's witness file, if the check has
+witnesses.  A row whose witness is known also pins the file's contents.
+``src/`` itself is never changed."""
 
 from dataclasses import dataclass
 from typing import Callable
@@ -9,9 +10,11 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from sumformer import attention, verify
+from sumformer import attention, multisym, verify
 from sumformer.cli import EXIT_VERIFY_FAILED, main
-from sumformer.model import TableCombiner
+from sumformer.model import MlpFeatureMap, TableCombiner
+
+from oracles import scale_n_head
 
 # check_equivariance_models samples n = 4, d = 2 sequences from seed 11.
 EQUIVARIANCE_N, EQUIVARIANCE_D, EQUIVARIANCE_SEED = 4, 2, 11
@@ -66,11 +69,37 @@ def _scale_the_random_features(monkeypatch) -> None:
     monkeypatch.setattr(attention, "_performer_features_rows", lambda *args: features(*args) * (1 + 1e-6))
 
 
+def _scale_the_low_rank_values_by_n(monkeypatch) -> None:
+    """The low-rank construction's value scale is n instead of k, so its
+    Sigma overshoots by n/k."""
+    construction = attention.LinformerHeadSpec.construction
+
+    def literal_n(cls, n, *args, **kwargs):
+        head, fc_scale, lambda_value = construction(n, *args, **kwargs)
+        return scale_n_head(head, n), fc_scale, lambda_value
+
+    monkeypatch.setattr(attention.LinformerHeadSpec, "construction", classmethod(literal_n))
+
+
+def _raise_the_first_exponent_of_power_sums(monkeypatch) -> None:
+    power_sum = multisym.power_sum
+    monkeypatch.setattr(multisym, "power_sum", lambda x, alpha: power_sum(x, (alpha[0] + 1, *alpha[1:])))
+
+
+def _scale_the_mlp_phi(monkeypatch) -> None:
+    """phi's forward x 1.001 where the model is evaluated, but not in the
+    training step, whose gradient then disagrees with the model's loss."""
+    rows = MlpFeatureMap.rows
+    monkeypatch.setattr(MlpFeatureMap, "rows", lambda self, *args, **kwargs: rows(self, *args, **kwargs) * 1.001)
+
+
 @dataclass(frozen=True)
 class Mutant:
     check: Callable  # the check in verify.ALL_CHECKS that must catch the fault
     name: str        # its report name
     plant: Callable  # plants the fault; returns the expected witness, or None if not pinned
+    witness: bool = True  # the check reports a witness input
+    label: str = ""       # the test id, when the check has another row already
 
 
 MUTANTS = [
@@ -79,25 +108,35 @@ MUTANTS = [
     Mutant(verify.check_averaging_attention, "averaging_attention", _scale_the_ones_column),
     Mutant(verify.check_sigma_standard, "sigma_recovery_standard", _scale_the_ones_column),
     Mutant(verify.check_sigma_linformer, "sigma_recovery_linformer", _scale_the_ones_column),
+    Mutant(verify.check_sigma_linformer, "sigma_recovery_linformer", _scale_the_low_rank_values_by_n,
+           label="sigma_recovery_linformer_at_scale_n"),
     Mutant(verify.check_sigma_performer, "sigma_recovery_performer", _scale_the_random_features),
+    Mutant(verify.check_generation_oracle, "generation_oracle", _raise_the_first_exponent_of_power_sums,
+           witness=False),
+    Mutant(verify.check_gradients, "gradient_check", _scale_the_mlp_phi, witness=False),
 ]
 
 
-@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.label or m.name for m in MUTANTS])
 def test_the_check_catches_its_mutant(tmp_path, monkeypatch, mutant):
     expected = mutant.plant(monkeypatch)
     record, witness = mutant.check(verify.VerifyConfig())
     assert (record.name, record.status) == (mutant.name, "fail")
-    assert witness is not None
+    assert (witness is not None) == mutant.witness
 
     assert main(["verify", "--out", str(tmp_path)]) == EXIT_VERIFY_FAILED
     lines = (tmp_path / "verify_report.txt").read_text().splitlines()
     line = next(ln for ln in lines if ln.startswith(f"name={mutant.name} "))
     path = tmp_path / f"witness_{mutant.name}.txt"
-    assert "status=fail" in line and f"witness_path={path}" in line
+    assert "status=fail" in line and f"witness_path={path if mutant.witness else '-'}" in line
+    assert path.exists() == mutant.witness
     if expected is not None:
         assert np.array_equal(np.loadtxt(path).reshape(expected.shape), expected)
 
 
 def test_every_mutant_names_a_check_of_verify():
     assert all(m.check in verify.ALL_CHECKS for m in MUTANTS)
+
+
+def test_every_check_of_verify_has_a_mutant():
+    assert {m.check for m in MUTANTS} == set(verify.ALL_CHECKS)
