@@ -274,6 +274,11 @@ def head_class(variant: str) -> type[HeadSpec]:
     return HEADS[variant]
 
 
+def draws_features(variant: str) -> bool:
+    """Whether the variant's construction draws random features: holds omegas, at any sizes."""
+    return "omegas" in head_class(variant).extra_shapes(1, 1, 1)
+
+
 def _check_head_input(x: np.ndarray, spec: HeadSpec):
     n, m = require_finite(require_rows(x, "X", spec.w_q.shape[0]), "X").shape[-2:]
     for name, shape in spec.extra_shapes(n, m, spec.k).items():
@@ -467,7 +472,8 @@ def build_sum_extraction(
     the lifted layout, so every attention weight is uniform.  The value
     matrix and the token-wise layer carry scales that exactly cancel the
     averaging; each variant's ``construction`` says which.  phi is the
-    monomial map over ``basis`` unless given; d' is its output width.
+    monomial map over ``basis`` unless given; d' is its output width.  Only
+    a variant that draws random features takes ``seed`` or ``omegas``.
 
     The token-wise layer selects the trailing d' columns of
     (X + head(X)); with the outer residual this leaves rows
@@ -487,6 +493,8 @@ def build_sum_extraction(
     k = head_type.require_k(n, k)
     if k is not None and k >= n:  # both constructions are built for the low-rank case
         raise ContractError(f"the {variant} construction needs 1 <= k < n={n}, got k={k}")
+    if (seed is not None or omegas is not None) and not draws_features(variant):
+        raise ContractError(f"the {variant} construction takes no seed or omegas")
     head, fc_scale, lambda_value = head_type.construction(n, d, d_latent, k=k, seed=seed, omegas=omegas)
     w_fc = np.zeros((m, m))  # keeps only the trailing d' columns, scaled
     w_fc[-d_latent:, -d_latent:] = fc_scale * np.eye(d_latent)

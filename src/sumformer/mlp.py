@@ -65,7 +65,6 @@ def mlp_forward(
     spec: MlpSpec,
     params: MlpParams,
     x: np.ndarray,
-    acts: list | None = None,
     outs: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Apply the network row-wise (each row of x is one token).  An (S, n, w)
@@ -74,17 +73,16 @@ def mlp_forward(
     sets: the rows of x run through each set, one gemm per set and layer,
     into (K, rows, ·), and slice k is bitwise set k's output alone.
 
-    With ``acts`` given, each layer's input is appended to it: what
-    ``mlp_backward`` reads.  With ``outs`` given, layer i writes its output
-    (x's rows by the layer's width) into ``outs[i]``, which must not share
-    memory with that layer's input; without it each layer allocates one.
+    With ``outs`` given, layer i writes its output (x's rows by the layer's
+    width) into ``outs[i]``, which must not share memory with that layer's
+    input; without it each layer allocates one.  The ReLU runs in place, so
+    layer i's input is then x for i = 0 and ``outs[i-1]`` after that: the
+    arrays ``mlp_backward`` reads.
     """
     _check_params(spec, params)
     h = require_rows(x, "x", spec.in_width)
     last = spec.n_layers - 1
     for i, (w, b) in enumerate(params):
-        if acts is not None:
-            acts.append(h)
         h = np.matmul(h, w, out=None if outs is None else outs[i])
         h += b
         if i != last:
@@ -112,13 +110,13 @@ def leading(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def mlp_backward(
     params: MlpParams,
-    acts: list,
+    inputs: list[np.ndarray],
     g: np.ndarray,
     grads: MlpParams,
     scratch: tuple[np.ndarray, np.ndarray, np.ndarray],
     input_grad: bool = True,
 ) -> np.ndarray | None:
-    """Reverse of ``mlp_forward`` from the layer inputs it recorded.
+    """Reverse of ``mlp_forward`` from its layer inputs ``inputs``.
 
     ``g`` is d(loss)/d(output).  Each layer's weight and bias gradients
     are written into the matching ``grads`` pair; the result is
@@ -135,7 +133,7 @@ def mlp_backward(
     """
     a, b, mask = scratch
     for i in reversed(range(len(params))):
-        h = acts[i]
+        h = inputs[i]
         gw, gb = grads[i]
         np.matmul(h.T, g, out=gw)
         g.sum(axis=0, keepdims=True, out=gb)

@@ -46,9 +46,8 @@ class PolynomialFeatureMap:
     def out_width(self) -> int:
         return self.basis.size
 
-    def rows(self, x: np.ndarray, acts: list | None = None, outs: list | None = None) -> np.ndarray:
-        """Features of each token of rows or of a stack; ``acts`` and ``outs``
-        are unused, as nothing here is trained."""
+    def rows(self, x: np.ndarray, outs: list | None = None) -> np.ndarray:
+        """Features of each token of rows or of a stack; ``outs`` is unused."""
         return monomial_feature_matrix(x, self.basis)
 
 
@@ -61,8 +60,8 @@ class MlpFeatureMap:
     def out_width(self) -> int:
         return self.spec.out_width
 
-    def rows(self, x: np.ndarray, acts: list | None = None, outs: list | None = None) -> np.ndarray:
-        return mlp_forward(self.spec, self.params, x, acts, outs)
+    def rows(self, x: np.ndarray, outs: list | None = None) -> np.ndarray:
+        return mlp_forward(self.spec, self.params, x, outs)
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class CellFeatureMap:
             raise DomainError(f"token entry {float(x[~inside][0])} outside [0,1)")
         return np.searchsorted(self.edges, x, side="right") - 1
 
-    def rows(self, x: np.ndarray, acts: list | None = None, outs: list | None = None) -> np.ndarray:
+    def rows(self, x: np.ndarray, outs: list | None = None) -> np.ndarray:
         flat = self.cells(x) @ self.delta_cells ** np.arange(self.d - 1, -1, -1)
         return (flat[..., np.newaxis] == np.arange(self.out_width)).astype(np.float64)
 
@@ -138,12 +137,11 @@ class PolynomialCombiner:
     out_width: int
 
     def apply(self, x_rows: np.ndarray, phi_rows: np.ndarray, sigma: np.ndarray,
-              acts: list | None = None, outs: ForwardOuts | None = None) -> np.ndarray:
+              outs: ForwardOuts | None = None) -> np.ndarray:
         """``sigma`` holds one Sigma per sequence, (S, d'), for tokens that
         are the rows of S sequences in turn or an (S, n, ·) stack (a single
-        d'-vector is one sequence of all tokens); ``acts`` and ``outs`` are
-        unused, as nothing here is trained.  Each token's output is the one
-        it gets alone."""
+        d'-vector is one sequence of all tokens); ``outs`` is unused, as nothing
+        here is trained.  Each token's output is the one it gets alone."""
         others = _others(phi_rows, sigma)
         out = np.zeros((*x_rows.shape[:-1], self.out_width))
         for alpha, latent_poly in self.terms:
@@ -162,7 +160,7 @@ class MlpCombiner:
         return self.spec.out_width
 
     def apply(self, x_rows: np.ndarray, phi_rows: np.ndarray, sigma: np.ndarray,
-              acts: list | None = None, outs: ForwardOuts | None = None) -> np.ndarray:
+              outs: ForwardOuts | None = None) -> np.ndarray:
         """psi on each token beside its sequence's Sigma; the tokens and
         ``sigma`` are as for ``PolynomialCombiner.apply``.  With K stacked
         parameter sets, ``phi_rows`` and ``sigma`` lead with (K,) and so does
@@ -174,7 +172,7 @@ class MlpCombiner:
         stacked[..., :d] = x_rows
         stacked.reshape(*np.shape(sigma)[:-1], -1, self.spec.in_width)[..., d:] = \
             np.expand_dims(sigma, -2)
-        return mlp_forward(self.spec, self.params, stacked, acts, None if outs is None else outs.psi)
+        return mlp_forward(self.spec, self.params, stacked, None if outs is None else outs.psi)
 
 
 @dataclass(frozen=True)
@@ -197,8 +195,8 @@ class TableCombiner:
         return list(zip(own.tolist(), map(tuple, hists.astype(np.int64).tolist())))
 
     def apply(self, x_rows: np.ndarray, phi_rows: np.ndarray, sigma: np.ndarray,
-              acts: list | None = None, outs: ForwardOuts | None = None) -> np.ndarray:
-        """The value under each token's key; ``acts`` and ``outs`` are unused."""
+              outs: ForwardOuts | None = None) -> np.ndarray:
+        """The value under each token's key; ``outs`` is unused."""
         try:
             values = [self.table[key] for key in self.keys(phi_rows, sigma)]
         except KeyError as exc:
@@ -247,12 +245,16 @@ class ForwardOuts:
     psi_in: np.ndarray     # (S*n, d + d'), each token beside its Sigma
     psi: list[np.ndarray]  # psi's layer outputs
 
+    def layer_inputs(self, seqs: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Each MLP layer's input, of phi and of psi, after a ``batch_forward``
+        of ``seqs`` into these arrays (each ReLU runs in place)."""
+        return [seqs.reshape(-1, seqs.shape[-1]), *self.phi[:-1]], [self.psi_in, *self.psi[:-1]]
+
 
 def _forward(
     model: SumformerModel,
     tokens: np.ndarray,
     s_count: int,
-    acts: tuple[list, list] | None = None,
     outs: ForwardOuts | None = None,
 ) -> np.ndarray:
     """phi on every token, Sigma summed per sequence, psi on every token
@@ -264,18 +266,16 @@ def _forward(
     parameters with a leading (K,) axis evaluate K models on the rows at
     once, one gemm per model, and lead the output with (K,).
     """
-    phi_acts, psi_acts = acts if acts is not None else (None, None)
-    phi_out = model.phi.rows(tokens, phi_acts, None if outs is None else outs.phi)
+    phi_out = model.phi.rows(tokens, None if outs is None else outs.phi)
     stack = phi_out.shape[:phi_out.ndim - tokens.ndim]  # (K,) for K parameter sets
     sigma = np.sum(phi_out.reshape(*stack, s_count, -1, model.d_latent), axis=-2,
                    out=None if outs is None else outs.sigma)
-    return model.psi.apply(tokens, phi_out, sigma, psi_acts, outs)
+    return model.psi.apply(tokens, phi_out, sigma, outs)
 
 
 def batch_forward(
     model: SumformerModel,
     seqs: np.ndarray,
-    acts: tuple[list, list] | None = None,
     outs: ForwardOuts | None = None,
 ) -> np.ndarray:
     """Forward over a stack of sequences (S, n, d) -> (S, n, out_width).
@@ -283,15 +283,15 @@ def batch_forward(
     phi and psi run on all S*n token rows at once, one gemm per layer.
     MLP parameters with a leading (K,) axis give (K, S, n, out_width), slice
     k bitwise the output of parameter set k alone.
-    With ``acts = (phi_acts, psi_acts)`` the MLP layer inputs are recorded
-    for the training step's backward, so the recorded losses and the
-    evaluation metrics come from this one forward.  With ``outs`` every
-    array the forward makes is written there instead of being allocated.
+    With ``outs`` every array the forward makes is written there instead
+    of being allocated.  Those arrays are then the MLP layer inputs that the
+    training step's backward reads, so the recorded losses and the
+    evaluation metrics come from this one forward.
     """
     if require_rows(seqs, "seqs", model.d).ndim == 2:
         raise ShapeError(f"seqs must be an (S, n, {model.d}) stack, got shape {seqs.shape}")
     s_count, n, d = seqs.shape
-    out = _forward(model, seqs.reshape(s_count * n, d), s_count, acts, outs)
+    out = _forward(model, seqs.reshape(s_count * n, d), s_count, outs)
     return out.reshape(*out.shape[:-2], s_count, n, -1)
 
 
@@ -380,8 +380,6 @@ def build_continuous_sumformer(
         phi=PolynomialFeatureMap(basis),
         psi=PolynomialCombiner(tuple(psi_terms), out_width),
     )
-
-
 
 
 def build_discrete_sumformer(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import build_sum_extraction
+from .attention import build_sum_extraction, draws_features
 from .errors import ConfigError, ContractError, DomainError, ShapeError
 from .mlp import MlpParams, MlpSpec
 from .model import (
@@ -214,7 +214,8 @@ def load_construction(text: str):
     Files that also hold the weight matrices load the same way; of those
     only the random-feature vectors are read.  Without them the vectors
     are redrawn from the seed, so a stored Gram constant that the redraw
-    does not reproduce is an error.
+    does not reproduce is an error.  The seed of a variant that draws no
+    features is ignored: earlier files may hold one.
     """
     kind, fields, mats = _load(text)
     if kind != "sum_extraction":
@@ -222,14 +223,15 @@ def load_construction(text: str):
     if "wv_scale" in fields:  # files from when the value scale was a choice; it is k
         _field(fields, "wv_scale", str, choices=("k",))
     phi_kind = _field(fields, "phi_kind", str, choices=("mlp", "monomial"))
-    d = _field(fields, "d", int, 1)
+    variant, d = _field(fields, "variant", str), _field(fields, "d", int, 1)
+    seed = _field(fields, "seed", int, 0, nullable=True)
     try:
         phi = MlpFeatureMap(*_mlp_from_entries("phi.", fields, mats)) if phi_kind == "mlp" else None
         con = build_sum_extraction(
-            _field(fields, "variant", str), _field(fields, "n", int, 1), d,
+            variant, _field(fields, "n", int, 1), d,
             enumerate_multidegrees(d, _field(fields, "n_max", int, 1)),
             phi=phi, k=_field(fields, "k", int, 1, nullable=True),
-            seed=_field(fields, "seed", int, 0, nullable=True), omegas=mats.get("omegas"),
+            seed=seed if draws_features(variant) else None, omegas=mats.get("omegas"),
         )
     except (ContractError, DomainError, ShapeError) as exc:
         raise ConfigError(f"cannot rebuild construction: {exc}") from exc

@@ -3,16 +3,17 @@
 Equivariant targets are sampled on uniform inputs in [0,1]^{n x d}.
 Batches stack all token rows of the batch sequences into one matrix, so
 the per-sequence feature sums reduce to fixed-size row-group sums.  A
-training step is ``model.batch_forward`` recording the MLP layer inputs,
-then one hand-written backward through the fixed graph.  All trainable
-arrays live in one flat buffer, so Adam updates a single vector.  Every
-array a step or a validation forward writes is a view into one work
-buffer, allocated once per ``train`` call.
+training step is ``model.batch_forward`` into a work buffer, then one
+hand-written backward through the fixed graph that reads its MLP layer
+inputs from that buffer.  All trainable arrays live in one flat buffer, so
+Adam updates a single vector.  Every array a step or a validation forward
+writes is a view into one work buffer, allocated once per ``train`` call.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,14 +35,15 @@ from .multisym import basis_size
 from .targets import TargetFunction
 
 
+# Adam's moment decays and the term that keeps its denominator off zero.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Adam settings; batch_size None means full-batch steps."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int | None = 100
 
 
@@ -111,34 +113,34 @@ def relative_l2_error(pred: np.ndarray, truth: np.ndarray) -> float:
 
 
 class Adam:
-    """Per-array first/second moment state with bias correction.
+    """Per-array first/second moment state with bias correction, at
+    learning rate ``lr`` and the moment decays BETA1 and BETA2.
 
     A step writes every intermediate into two work arrays per parameter
     array, allocated here, so it allocates nothing of the parameters' size.
     """
 
-    def __init__(self, arrays: list[np.ndarray], config: OptimizerConfig):
-        self.config = config
+    def __init__(self, arrays: list[np.ndarray], lr: float):
+        self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(a) for a in arrays]
         self.v = [np.zeros_like(a) for a in arrays]
         self.work = [(np.empty_like(a), np.empty_like(a)) for a in arrays]
 
     def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]):
-        cfg = self.config
         self.t += 1
-        b1t = 1.0 - cfg.beta1**self.t
-        b2t = 1.0 - cfg.beta2**self.t
+        b1t = 1.0 - BETA1**self.t
+        b2t = 1.0 - BETA2**self.t
         for a, g, m, v, (num, den) in zip(arrays, grads, self.m, self.v, self.work):
-            m *= cfg.beta1
-            m += np.multiply(1.0 - cfg.beta1, g, out=num)
-            v *= cfg.beta2
-            v += np.multiply(1.0 - cfg.beta2, np.multiply(g, g, out=num), out=num)
-            if cfg.lr != 0.0:
+            m *= BETA1
+            m += np.multiply(1.0 - BETA1, g, out=num)
+            v *= BETA2
+            v += np.multiply(1.0 - BETA2, np.multiply(g, g, out=num), out=num)
+            if self.lr != 0.0:
                 # a -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
-                np.multiply(cfg.lr, np.divide(m, b1t, out=num), out=num)
+                np.multiply(self.lr, np.divide(m, b1t, out=num), out=num)
                 np.sqrt(np.divide(v, b2t, out=den), out=den)
-                den += cfg.eps
+                den += EPS
                 a -= np.divide(num, den, out=num)
 
 
@@ -158,8 +160,6 @@ class TrainReport:
     val_errors: list[tuple[int, float]] = field(default_factory=list)
     train_losses: list[float] = field(default_factory=list)
     best_validation_error: float = math.inf
-    epochs: int = 0
-    seed: int = 0
     config: dict = field(default_factory=dict)
 
 
@@ -229,7 +229,8 @@ class WorkBuffer:
     """
 
     def __init__(self, model: SumformerModel, n: int, batch_seqs: int, val_seqs: int = 0):
-        phi = model.phi.spec.layer_widths if isinstance(model.phi, MlpFeatureMap) else ()
+        self.mlp_phi = isinstance(model.phi, MlpFeatureMap)
+        phi = model.phi.spec.layer_widths if self.mlp_phi else ()
         self.widths, self.n = (phi, model.psi.spec.layer_widths), n
         self.batch_seqs, self.val_seqs = batch_seqs, val_seqs
         floats, bools = work_buffer_sizes(self.widths, n, batch_seqs, val_seqs)
@@ -295,14 +296,14 @@ def loss_and_gradient(
     """MSE over a batch of sequences, and its gradient written into ``grads``.
 
     ``grads`` is shaped like ``model.trainable_params()``.  The forward is
-    ``batch_forward`` recording the MLP layer inputs; the backward runs
-    MSE, psi, the repeat and per-sequence sum of Sigma and phi in
-    reverse, with the expressions of the reverse-mode tape in
+    ``batch_forward`` into ``work``; the backward, which reads the MLP layer
+    inputs there, runs MSE, psi, the repeat and per-sequence sum of Sigma
+    and phi in reverse, with the expressions of the reverse-mode tape in
     ``tests/tape_oracle.py``, so loss and gradients equal its bitwise.  No
     gradient is formed for the inputs or targets.  A loss that is not
     finite is returned with ``grads`` left untouched.  Every intermediate
-    is a view into ``work``, which must hold batches of at least S
-    sequences.
+    is a view into ``work``, which must be built for ``model`` and hold
+    batches of at least S sequences.
 
     The forward is called by the name ``step_forward``, so the name
     ``train.batch_forward`` is the validation forward's alone: perfbench's
@@ -314,9 +315,8 @@ def loss_and_gradient(
     outs, cut = work.views(s_count, step=True)
     grad_a, grad_b = cut["grad"]
     scratch = (grad_a, grad_b, work.mask)
-    phi_acts: list = []
-    psi_acts: list = []
-    pred = step_forward(model, x_seqs, (phi_acts, psi_acts), outs)
+    pred = step_forward(model, x_seqs, outs)
+    phi_inputs, psi_inputs = outs.layer_inputs(x_seqs)
     diff = np.subtract(pred, y_seqs, out=pred).reshape(s_count * n, -1)
     loss = float(np.multiply(diff, diff, out=leading(grad_a, diff.shape)).mean())
     if not math.isfinite(loss):
@@ -324,15 +324,14 @@ def loss_and_gradient(
     # The tape's (1/size) * (2 diff), in b: mlp_backward writes into a first.
     g = np.multiply(2.0, diff, out=leading(grad_b, diff.shape))
     g *= 1.0 / diff.size
-    mlp_phi = isinstance(model.phi, MlpFeatureMap)
-    g = mlp_backward(model.psi.params, psi_acts, g, grads[-1], scratch, input_grad=mlp_phi)
-    if mlp_phi:
+    g = mlp_backward(model.psi.params, psi_inputs, g, grads[-1], scratch, input_grad=work.mlp_phi)
+    if work.mlp_phi:
         g_sigma = np.sum(g[:, d:].reshape(s_count, n, model.d_latent), axis=1,
                          out=cut["g_sigma"][0])
         # g is not read again, so the repeat may overwrite it; b, as above.
         repeated = leading(grad_b, (s_count, n, model.d_latent))
         repeated[...] = g_sigma[:, np.newaxis]
-        mlp_backward(model.phi.params, phi_acts, repeated.reshape(s_count * n, -1), grads[0],
+        mlp_backward(model.phi.params, phi_inputs, repeated.reshape(s_count * n, -1), grads[0],
                      scratch, input_grad=False)
     return loss
 
@@ -347,14 +346,16 @@ def train(
     """Minimize MSE with Adam; record validation relative-L2 every 5 epochs.
 
     Raises TrainingDivergedError (carrying the report so far) if the loss
-    leaves the finite range.
+    leaves the finite range; an lr that is not a finite number is a ContractError.
     """
     epochs, seed = require_size("epochs", epochs, 0), require_size("seed", seed, 0)
     if config is None:
         config = OptimizerConfig()
     batch_size = None if config.batch_size is None else require_size("batch_size", config.batch_size)
-    if not model.trainable_params():
-        raise ContractError("model has no trainable parameters")
+    lr = config.lr  # the largest float bounds abs(lr): that rejects nan, inf and ints past it
+    if (isinstance(lr, bool) or not isinstance(lr, (int, float, np.integer, np.floating))
+            or not abs(lr) <= sys.float_info.max):
+        raise ContractError(f"lr must be a finite number, got {lr!r}")
     if not isinstance(model.psi, MlpCombiner):
         raise ContractError("training needs an MLP psi")
     for name in ("inputs", "targets"):  # checked once, here: relu would zero a NaN token
@@ -366,7 +367,7 @@ def train(
     flat = flatten_params(model)
     grad_flat = np.zeros_like(flat)
     grads = param_views(grad_flat, model.trainable_params())
-    adam = Adam([flat], config)
+    adam = Adam([flat], lr)
     rng = np.random.default_rng(seed)
     x_train = data.inputs[data.train_idx]
     y_train = data.targets[data.train_idx]
@@ -376,16 +377,10 @@ def train(
     batch = n_train if batch_size is None else min(batch_size, n_train)
     work = WorkBuffer(model, data.n, batch, x_val.shape[0])
 
-    report = TrainReport(
-        epochs=epochs,
-        seed=seed,
-        config={
-            "lr": config.lr, "beta1": config.beta1, "beta2": config.beta2,
-            "eps": config.eps, "batch_size": config.batch_size,
-            "epochs": epochs, "seed": seed, "dataset_seed": data.seed,
-            "target": data.target_name,
-        },
-    )
+    report = TrainReport(config={
+        "lr": lr, "beta1": BETA1, "beta2": BETA2, "eps": EPS, "batch_size": config.batch_size,
+        "epochs": epochs, "seed": seed, "dataset_seed": data.seed, "target": data.target_name,
+    })
 
     def record_validation(epoch: int):
         pred = batch_forward(model, x_val, outs=work.views(x_val.shape[0], step=False)[0])
@@ -396,12 +391,8 @@ def train(
     record_validation(0)
 
     for epoch in range(1, epochs + 1):
-        if config.batch_size is None:
-            order = np.arange(n_train)
-        else:
-            order = rng.permutation(n_train)
+        order = np.arange(n_train) if batch_size is None else rng.permutation(n_train)
         sq_sum = 0.0
-        entries = 0
         for start in range(0, n_train, batch):
             idx = order[start:start + batch]
             loss_value = loss_and_gradient(model, x_train[idx], y_train[idx], grads, work)
@@ -410,10 +401,8 @@ def train(
                     f"loss became {loss_value} at epoch {epoch}", report=report
                 )
             adam.step([flat], [grad_flat])
-            size = idx.size * data.n * data.d
-            sq_sum += loss_value * size
-            entries += size
-        report.train_losses.append(sq_sum / entries)
+            sq_sum += loss_value * (idx.size * data.n * data.d)
+        report.train_losses.append(sq_sum / (n_train * data.n * data.d))
         if epoch % VALIDATION_EVERY == 0:
             record_validation(epoch)
     return report

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .attention import HEADS, attention_matrix, build_sum_extraction
+from .attention import HEADS, attention_matrix, build_sum_extraction, draws_features
 from .equivariance import GROUP_TOKENS, check_equivariance, first_worse, worse
 from .mlp import param_views
 from .model import (
@@ -81,7 +81,7 @@ def _stacks(rng: np.random.Generator, count: int, n: int, d: int, m: int):
 
 def _sigma_recovery(variant: str, config: VerifyConfig, tol: float, seeds=(0,)):
     """Sigma block against the power sums; k = n - 1 where the variant takes k."""
-    needs_k = HEADS[variant].needs_k
+    needs_k, seeded = HEADS[variant].needs_k, draws_features(variant)
     worst, witness, cases = 0.0, None, 0
     for n in config.n_list:
         if needs_k and n < 2:
@@ -89,7 +89,8 @@ def _sigma_recovery(variant: str, config: VerifyConfig, tol: float, seeds=(0,)):
         for d in config.d_list:
             basis = enumerate_multidegrees(d, n)
             for seed in seeds:
-                con = build_sum_extraction(variant, n, d, basis, k=n - 1 if needs_k else None, seed=seed)
+                con = build_sum_extraction(variant, n, d, basis, k=n - 1 if needs_k else None,
+                                           seed=seed if seeded else None)
                 rng = np.random.default_rng(1000 + seed)
                 for xs in _stacks(rng, config.samples, n, d, con.model_dim):
                     sigma = con.forward(xs)[..., -con.d_latent:]
@@ -144,7 +145,8 @@ def equivariance_maps(n: int, d: int) -> list[Callable[[np.ndarray], np.ndarray]
             lambda xs: sumformer_forward(poly_model, xs)]
     for variant, head in HEADS.items():
         k = n - 1 if head.needs_k else None
-        maps.append(build_sum_extraction(variant, n, d, basis, k=k, seed=0).forward)
+        seed = 0 if draws_features(variant) else None
+        maps.append(build_sum_extraction(variant, n, d, basis, k=k, seed=seed).forward)
     return maps
 
 
@@ -245,13 +247,13 @@ def central_difference(losses: Callable[[np.ndarray], np.ndarray], flat: np.ndar
     return (values[:size] - values[size:]) / (2.0 * FD_STEP)
 
 
-def _min_margin(model: SumformerModel, x_seqs: np.ndarray) -> float:
+def _min_margin(model: SumformerModel, x_seqs: np.ndarray, work: WorkBuffer) -> float:
     """The smallest |pre-activation| of any hidden unit of phi or psi."""
-    acts: tuple[list, list] = ([], [])
-    batch_forward(model, x_seqs, acts)
+    outs = work.views(len(x_seqs), step=True)[0]
+    batch_forward(model, x_seqs, outs)
     return min(float(np.min(np.abs(h @ w + b)))
-               for net, layer_inputs in zip((model.phi, model.psi), acts)
-               for h, (w, b) in zip(layer_inputs, net.params[:-1]))
+               for net, inputs in zip((model.phi, model.psi), outs.layer_inputs(x_seqs))
+               for h, (w, b) in zip(inputs, net.params[:-1]))
 
 
 def _stacked_mse(model: SumformerModel, x_seqs: np.ndarray, y_seqs: np.ndarray):
@@ -278,17 +280,17 @@ def gradient_check_once(seed: int) -> float:
                               for lo, hi in ((1, 4), (1, 6), (2, 9), (2, 4)))
     model = build_mlp_sumformer(d, d_latent, seed, hidden=(hidden,))
     y = rng.uniform(-1, 1, size=(GRADIENT_SEQS, n, d))
+    work = WorkBuffer(model, n, GRADIENT_SEQS)
     for _ in range(200):
         x = rng.uniform(-1, 1, size=(GRADIENT_SEQS, n, d))
-        if _min_margin(model, x) >= 1e-3:
+        if _min_margin(model, x, work) >= 1e-3:
             break
     else:
         raise RuntimeError("could not sample inputs away from ReLU kinks")
 
     flat = flatten_params(model)
     grad = np.full_like(flat, np.nan)  # stays NaN, so fails, if the loss is not finite
-    loss_and_gradient(model, x, y, param_views(grad, model.trainable_params()),
-                      WorkBuffer(model, n, GRADIENT_SEQS))
+    loss_and_gradient(model, x, y, param_views(grad, model.trainable_params()), work)
 
     fd = central_difference(_stacked_mse(model, x, y), flat)
     return float(np.max(np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-6)))

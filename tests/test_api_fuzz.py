@@ -19,7 +19,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import sumformer as sf  # noqa: E402
-from sumformer.attention import HEADS  # noqa: E402
+from sumformer.attention import HEADS, draws_features  # noqa: E402
 from sumformer.errors import ContractError, ShapeError  # noqa: E402
 from sumformer.model import batch_forward  # noqa: E402
 
@@ -38,7 +38,8 @@ def _head(variant, n=5, m=4, k=2):
 
 
 def _construction(variant):
-    return sf.build_sum_extraction(variant, 3, 2, BASIS, k=2 if HEADS[variant].needs_k else None, seed=0)
+    return sf.build_sum_extraction(variant, 3, 2, BASIS, k=2 if HEADS[variant].needs_k else None,
+                                   seed=0 if draws_features(variant) else None)
 
 
 def _train_on(x):
@@ -196,6 +197,11 @@ def _performer_seed(seed):
     return sf.build_sum_extraction("performer", 3, 2, BASIS, k=2, seed=seed)
 
 
+def _train_at(lr):
+    return sf.train(sf.build_mlp_sumformer(2, 3, hidden=(4,)), sf.generate_dataset(TARGET, 2, 2, 4),
+                    2, sf.OptimizerConfig(lr=lr))
+
+
 # Regression table: calls that once ended in a raw Python or numpy error, or
 # were accepted; the comment names what each gave.
 PROBE = [
@@ -228,6 +234,16 @@ PROBE = [
     (ContractError, lambda: _performer_seed(2.5)),                               # TypeError
     (ContractError, lambda: _performer_seed("3")),                               # TypeError
     (ContractError, lambda: sf.build_sum_extraction("standard", 3, 2, BASIS, seed=-1)),  # accepted
+    (ContractError, lambda: sf.build_sum_extraction("standard", 3, 2, BASIS, seed=5)),   # accepted
+    (ContractError, lambda: sf.build_sum_extraction("linformer", 3, 2, BASIS, k=2, seed=0)),  # accepted
+    (ContractError, lambda: sf.build_sum_extraction("linformer", 3, 2, BASIS, k=2,
+                                                    omegas=np.ones((2, 13)))),   # accepted
+    (ContractError, lambda: _train_at(np.nan)),                                  # TrainingDivergedError
+    (ContractError, lambda: _train_at(np.inf)),                                  # TrainingDivergedError
+    (ContractError, lambda: _train_at("0.1")),                                   # UFuncTypeError
+    (ContractError, lambda: _train_at(None)),                                    # UFuncTypeError
+    (ContractError, lambda: _train_at(True)),                                    # accepted
+    (ContractError, lambda: _train_at(10**400)),                                 # OverflowError
 ]
 
 

@@ -18,6 +18,7 @@ from sumformer.attention import (
     attention_matrix,
     audited_mac_count,
     build_sum_extraction,
+    draws_features,
     head_forward,
     mac_count,
 )
@@ -81,13 +82,20 @@ def test_constant_query_construction_gives_uniform_attention():
         assert np.max(np.abs(a - 1.0 / n)) <= 1e-12
 
 
+
+def _seed(variant, seed):
+    """``seed`` for a construction that draws random features; the others take none."""
+    return seed if draws_features(variant) else None
+
+
 @pytest.mark.parametrize("variant", list(HEADS))
 def test_construction_at_another_token_count(variant):
     """The averaging constructions refuse a token count other than their n;
     the random-feature one sums over the tokens and stays exact at any n."""
     n, d = 3, 2
     basis = enumerate_multidegrees(d, n)
-    con = build_sum_extraction(variant, n, d, basis, k=2 if HEADS[variant].needs_k else None, seed=0)
+    con = build_sum_extraction(variant, n, d, basis, k=2 if HEADS[variant].needs_k else None,
+                               seed=_seed(variant, 0))
     xs = np.random.default_rng(5).uniform(size=(4, 5, d))
     if not HEADS[variant].construction_any_n:
         for x in (xs, xs[0]):
@@ -334,7 +342,7 @@ def test_heads_are_permutation_equivariant():
 @pytest.mark.parametrize("variant", list(HEADS))
 def test_construction_refuses_an_array_like_with_shape_error(variant):
     con = build_sum_extraction(variant, 3, 2, enumerate_multidegrees(2, 3),
-                               k=2 if HEADS[variant].needs_k else None, seed=0)
+                               k=2 if HEADS[variant].needs_k else None, seed=_seed(variant, 0))
     rows = np.random.default_rng(3).uniform(size=(3, 2)).tolist()
     with pytest.raises(ShapeError):
         con.forward(rows)
@@ -891,7 +899,7 @@ def test_stacked_forwards_are_bitwise_each_sequence_alone(variant):
             continue
         for d in (1, 2, 3):
             con = build_sum_extraction(variant, n, d, enumerate_multidegrees(d, n),
-                                       k=n - 1 if needs_k else None, seed=n + d)
+                                       k=n - 1 if needs_k else None, seed=_seed(variant, n + d))
             xs = rng.uniform(size=(5, n, d))
             lifted = con.lift(xs)
             out, head_out = con.forward(xs), con.head.forward(lifted)
@@ -924,7 +932,7 @@ def test_stacked_mlp_phi_construction_is_bitwise_each_sequence_alone():
 def test_stack_mac_count_is_the_sequence_count_times_one_forward(variant, workers):
     k = 3 if HEADS[variant].needs_k else None
     n, d, stack = 4, 2, 7
-    con = build_sum_extraction(variant, n, d, enumerate_multidegrees(d, n), k=k, seed=0)
+    con = build_sum_extraction(variant, n, d, enumerate_multidegrees(d, n), k=k, seed=_seed(variant, 0))
     xs = np.random.default_rng(43).uniform(size=(stack, n, d))
     one, many = MacCounter(), MacCounter()
     con.forward(xs[0], one)

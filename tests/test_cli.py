@@ -164,6 +164,16 @@ def test_train_zero_epochs_single_row(tmp_path):
     assert lines[1].startswith("0,val,rel_l2,")
 
 
+def test_default_train_manifest_echoes_every_setting(tmp_path):
+    """Adam's betas and eps are constants of the library, and still echoed."""
+    out = str(tmp_path / "manifest")
+    assert main(["train", "--out", out, "--epochs", "0"]) == EXIT_OK
+    assert _read(os.path.join(out, "manifest.txt")).splitlines() == [
+        "batch_size = 100", "beta1 = 0.9", "beta2 = 0.999", "dataset_seed = 0", "epochs = 0",
+        "eps = 1e-08", "lr = 0.001", "seed = 0", "target = 'cubic_coupling'",
+    ]
+
+
 def test_train_reruns_are_byte_identical(tmp_path):
     args = ["train", "--epochs", "5", "--points", "30", "--d-latent", "4",
             "--target", "quadratic_sum", "--seed", "3"]

@@ -71,6 +71,19 @@ def test_construction_files_reproduce_random_features():
     assert loaded.lambda_value == seedless.lambda_value
 
 
+@pytest.mark.parametrize("variant,kwargs", [("standard", {}), ("linformer", {"k": 2})])
+def test_the_seed_line_of_a_construction_without_random_features_is_ignored(variant, kwargs):
+    """Earlier files of the averaging constructions could name a seed that
+    nothing drew from; they load, and a rewrite names none."""
+    con = build_sum_extraction(variant, 4, 2, enumerate_multidegrees(2, 2), **kwargs)
+    text = dump_construction(con)
+    assert "field seed none -\n" in text
+    loaded = load_construction(text.replace("field seed none -", "field seed int 5"))
+    assert loaded.seed is None and dump_construction(loaded) == text
+    x = np.random.default_rng(6).uniform(size=(4, 2))
+    assert np.array_equal(loaded.forward(x), con.forward(x))
+
+
 def test_a_non_finite_random_feature_in_a_file_is_a_config_error():
     """An inf feature entry can still leave the Gram constant finite; the head refuses it."""
     seedless = build_sum_extraction("performer", 4, 2, enumerate_multidegrees(2, 2), k=2)

@@ -12,13 +12,6 @@ def test_registry_contents():
     assert kinds == {"polynomial", "non-polynomial"}
 
 
-def test_primary_benchmark_is_not_synthetic():
-    assert not get_target("cubic_coupling").synthetic
-    assert get_target("quadratic_sum").synthetic
-    assert get_target("sine_gauss").synthetic
-    assert get_target("softplus_mix").synthetic
-
-
 def test_cubic_coupling_componentwise_d2():
     g = get_target("cubic_coupling").g
     x = np.array([0.5, 0.2])

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import tracemalloc
 
@@ -44,6 +45,12 @@ def test_train_refuses_a_batch_size_below_one(batch_size):
     model = build_mlp_sumformer(1, 4, seed=0)
     with pytest.raises(ContractError, match="batch_size"):
         train(model, data, epochs=1, config=OptimizerConfig(batch_size=batch_size))
+
+
+def test_optimizer_config_sets_only_the_learning_rate_and_batch_size():
+    assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["lr", "batch_size"]
+    with pytest.raises(TypeError):
+        OptimizerConfig(beta1=0.5)
 
 
 @pytest.mark.parametrize("field", ["inputs", "targets"])
@@ -108,7 +115,7 @@ def test_dataset_calls_the_target_once_per_token_position():
         calls.append(x.shape)
         return x + rest.sum(axis=-2)
 
-    counted = TargetFunction("counted", "polynomial", synthetic=True, g=g)
+    counted = TargetFunction("counted", "polynomial", g)
     generate_dataset(counted, 3, 2, 50, 0.8, seed=0)
     assert calls == [(50, 2)] * 3
 
