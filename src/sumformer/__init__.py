@@ -44,6 +44,7 @@ from .train import (
     latent_sweep,
     relative_l2_error,
     train,
+    train_cell,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

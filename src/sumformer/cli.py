@@ -246,27 +246,27 @@ def cmd_verify(config: dict) -> int:
 
 def cmd_train(config: dict) -> int:
     """Train one model, write the curve CSV."""
-    from .model import build_mlp_sumformer
-    from .train import generate_dataset, train, write_curve_csv, write_manifest
+    from .train import train_cell, write_curve_csv, write_manifest
 
-    d, seed = config["d"], config["seed"]
+    epochs, seed = config["epochs"], config["seed"]
     opt = _optimizer_config(config)
     _check_memory(config, opt.batch_size)
-    data = generate_dataset(
-        get_target(config["target"]), config["n"], d, config["points"],
-        config["split_fraction"], seed,
-    )
-    model = build_mlp_sumformer(d, config["d_latent"], seed)
     out = _ensure_out(config)
     try:
-        report = train(model, data, config["epochs"], opt, seed)
+        report = train_cell(
+            get_target(config["target"]), config["n"], config["d"], config["d_latent"], epochs,
+            config["points"], config["split_fraction"], seed, opt,
+        )
     except TrainingDivergedError as exc:
         if exc.report is not None:
             write_curve_csv(os.path.join(out, "curve.csv"), exc.report)
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     write_curve_csv(os.path.join(out, "curve.csv"), report)
-    write_manifest(os.path.join(out, "manifest.txt"), report.config)
+    write_manifest(os.path.join(out, "manifest.txt"), {
+        "lr": opt.lr, "batch_size": opt.batch_size, "epochs": epochs, "seed": seed,
+        "dataset_seed": seed, "target": config["target"],
+    })
     print(f"best validation rel_l2 = {report.best_validation_error!r}")
     return EXIT_OK
 
@@ -288,7 +288,9 @@ def cmd_sweep(config: dict) -> int:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     write_sweep_csv(os.path.join(out, "sweep.csv"), rows)
-    write_manifest(os.path.join(out, "manifest.txt"), config)
+    settings = {key: value for key, value in config.items() if key != "out"}
+    write_manifest(os.path.join(out, "manifest.txt"),
+                   {**settings, "lr": opt.lr, "batch_size": opt.batch_size})
     print(f"wrote {len(rows)} sweep rows")
     return EXIT_OK
 

@@ -12,6 +12,7 @@ writes is a view into one work buffer, allocated once per ``train`` call.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -53,8 +54,6 @@ class Dataset:
     targets: np.ndarray  # (count, n, d), exactly f(inputs) at generation time
     train_idx: np.ndarray
     val_idx: np.ndarray
-    seed: int
-    target_name: str
 
     @property
     def n(self) -> int:
@@ -87,8 +86,6 @@ def generate_dataset(
         targets=targets,
         train_idx=np.arange(n_train),
         val_idx=np.arange(n_train, count),
-        seed=seed,
-        target_name=target.name,
     )
 
 
@@ -155,12 +152,11 @@ def trainable_arrays(model: SumformerModel) -> list[np.ndarray]:
 
 @dataclass
 class TrainReport:
-    """Validation curve (every 5 epochs), per-epoch train losses, and config echo."""
+    """Validation curve (every 5 epochs) and per-epoch train losses."""
 
     val_errors: list[tuple[int, float]] = field(default_factory=list)
     train_losses: list[float] = field(default_factory=list)
     best_validation_error: float = math.inf
-    config: dict = field(default_factory=dict)
 
 
 VALIDATION_EVERY = 5
@@ -377,10 +373,7 @@ def train(
     batch = n_train if batch_size is None else min(batch_size, n_train)
     work = WorkBuffer(model, data.n, batch, x_val.shape[0])
 
-    report = TrainReport(config={
-        "lr": lr, "beta1": BETA1, "beta2": BETA2, "eps": EPS, "batch_size": config.batch_size,
-        "epochs": epochs, "seed": seed, "dataset_seed": data.seed, "target": data.target_name,
-    })
+    report = TrainReport()
 
     def record_validation(epoch: int):
         pred = batch_forward(model, x_val, outs=work.views(x_val.shape[0], step=False)[0])
@@ -408,6 +401,18 @@ def train(
     return report
 
 
+def train_cell(target: TargetFunction, n: int, d: int, d_latent: int, epochs: int, points: int,
+               split_fraction: float, seed: int, config: OptimizerConfig | None = None) -> TrainReport:
+    """``train`` of ``build_mlp_sumformer(d, d_latent)`` on ``generate_dataset``
+    of ``points`` sequences, all three on ``seed``.
+
+    Only the report outlives the call, so a caller that trains cell after
+    cell holds one dataset at a time.
+    """
+    data = generate_dataset(target, n, d, points, split_fraction, seed)
+    return train(build_mlp_sumformer(d, d_latent, seed), data, epochs, config, seed)
+
+
 SWEEP_SPLIT = 0.8  # the training fraction of every sweep dataset
 
 
@@ -430,7 +435,8 @@ def latent_sweep(
     seeds: list[int],
     config: OptimizerConfig | None = None,
 ) -> list[SweepRow]:
-    """Best validation error per (d, d', seed); same data across d' cells.
+    """Best validation error per (d, d', seed), one ``train_cell`` each, so
+    every d' trains on the same bits of its (d, seed) dataset.
 
     The formula column records C(n+d, d) - 1, the latent width at which
     the exact monomial feature map exists for this n and d.
@@ -439,20 +445,9 @@ def latent_sweep(
         raise ContractError("d_list, dprime_list, seeds must be nonempty")
     seeds = [require_size("seed", seed, 0) for seed in seeds]
     rows = []
-    datasets: dict[tuple[int, int], Dataset] = {}
-    for d in d_list:
-        for d_prime in dprime_list:
-            for seed in seeds:
-                key = (d, seed)
-                if key not in datasets:
-                    datasets[key] = generate_dataset(target, n, d, points, SWEEP_SPLIT, seed)
-                model = build_mlp_sumformer(d, d_prime, seed)
-                report = train(model, datasets[key], epochs, config, seed)
-                rows.append(SweepRow(
-                    d=d, d_prime=d_prime, seed=seed,
-                    best_val_err=report.best_validation_error,
-                    dprime_formula=basis_size(d, n),
-                ))
+    for d, d_prime, seed in itertools.product(d_list, dprime_list, seeds):
+        report = train_cell(target, n, d, d_prime, epochs, points, SWEEP_SPLIT, seed, config)
+        rows.append(SweepRow(d, d_prime, seed, report.best_validation_error, basis_size(d, n)))
     return rows
 
 
@@ -479,8 +474,9 @@ def write_sweep_csv(path, rows: list[SweepRow]):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_manifest(path, config: dict):
-    """Full config echo, one sorted key per line (no timestamps: reruns are identical)."""
-    lines = [f"{key} = {config[key]!r}" for key in sorted(config)]
+def write_manifest(path, settings: dict):
+    """``settings`` and Adam's betas and eps, one sorted key per line (no paths or times)."""
+    settings = {**settings, "beta1": BETA1, "beta2": BETA2, "eps": EPS}
+    lines = [f"{key} = {settings[key]!r}" for key in sorted(settings)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

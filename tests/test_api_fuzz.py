@@ -44,7 +44,7 @@ def _construction(variant):
 
 def _train_on(x):
     """``train`` on a dataset whose inputs and targets are both ``x``."""
-    data = sf.Dataset(x, x, np.arange(1), np.arange(1, 2), 0, "fuzz")
+    data = sf.Dataset(x, x, np.arange(1), np.arange(1, 2))
     return sf.train(sf.build_mlp_sumformer(2, 3, hidden=(4,)), data, 1)
 
 

@@ -174,6 +174,29 @@ def test_default_train_manifest_echoes_every_setting(tmp_path):
     ]
 
 
+def test_sweep_manifest_holds_the_run_settings_and_no_output_path(tmp_path):
+    """Two identical sweeps into different directories write the same manifest."""
+    args = ["sweep", "--epochs", "1", "--points", "20"]
+    out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(args + ["--out", out_a]) == EXIT_OK
+    assert main(args + ["--out", out_b]) == EXIT_OK
+    manifest = _read(os.path.join(out_a, "manifest.txt"))
+    assert manifest == _read(os.path.join(out_b, "manifest.txt"))
+    assert manifest.splitlines() == [
+        "batch_size = 100", "beta1 = 0.9", "beta2 = 0.999", "d = [1, 2]", "d_latent = [2, 8, 32]",
+        "epochs = 1", "eps = 1e-08", "lr = 0.001", "n = 3", "points = 20", "seed = [0, 1, 2]",
+        "target = 'cubic_coupling'",
+    ]
+
+
+def test_full_batch_sweep_manifest_holds_the_settings_as_the_run_used_them(tmp_path):
+    out = str(tmp_path / "full")
+    assert main(["sweep", "--out", out, "--epochs", "0", "--points", "20", "--d", "1",
+                 "--d-latent", "2", "--seed", "0", "--batch-size", "full", "--lr", "1"]) == EXIT_OK
+    lines = _read(os.path.join(out, "manifest.txt")).splitlines()
+    assert "batch_size = None" in lines and "lr = 1.0" in lines
+
+
 def test_train_reruns_are_byte_identical(tmp_path):
     args = ["train", "--epochs", "5", "--points", "30", "--d-latent", "4",
             "--target", "quadratic_sum", "--seed", "3"]

@@ -250,14 +250,31 @@ def test_untrainable_model_rejected():
 
 
 def test_latent_sweep_single_cell_matches_train():
+    """Each row is a standalone cell bitwise: rebuilding a (d, seed) dataset
+    for every d' gives the same data."""
     target = get_target("quadratic_sum")
-    rows = latent_sweep(target, 3, [1], [4], epochs=5, points=30, seeds=[7], config=FAST)
-    assert len(rows) == 1
-    data = generate_dataset(target, 3, 1, 30, 0.8, seed=7)
-    model = build_mlp_sumformer(1, 4, seed=7)
-    report = train(model, data, epochs=5, config=FAST, seed=7)
-    assert rows[0].best_val_err == report.best_validation_error
-    assert rows[0].dprime_formula == 3  # C(3+1,1) - 1
+    rows = latent_sweep(target, 3, [1], [4, 6], epochs=5, points=30, seeds=[7, 8], config=FAST)
+    assert [(r.d_prime, r.seed) for r in rows] == [(4, 7), (4, 8), (6, 7), (6, 8)]
+    for row in rows:
+        data = generate_dataset(target, 3, 1, 30, 0.8, seed=row.seed)
+        model = build_mlp_sumformer(1, row.d_prime, seed=row.seed)
+        report = train(model, data, epochs=5, config=FAST, seed=row.seed)
+        assert row.best_val_err == report.best_validation_error
+        assert row.dprime_formula == 3  # C(3+1,1) - 1
+
+
+def test_a_sweep_holds_one_cell_at_a_time():
+    """A sweep frees each cell's dataset before the next, so under tracemalloc
+    it peaks within the band of ``test_training_bytes_matches_what_train_allocates``
+    around its largest cell's estimate."""
+    tracemalloc.start()
+    try:
+        latent_sweep(get_target("cubic_coupling"), 3, [1, 2], [2], epochs=1, points=20_000,
+                     seeds=[0, 1, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * max(training_bytes(3, d, 2, 20_000, 0.8, 100) for d in (1, 2))
 
 
 def test_latent_sweep_grid_shape_and_formula():
