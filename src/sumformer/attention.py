@@ -403,7 +403,6 @@ class SumExtractionConstruction:
     X + (X + head(X)) @ w_fc on the lifted rows X."""
 
     n: int
-    d: int
     basis: DegreeBasis
     head: HeadSpec
     w_fc: np.ndarray  # m x m token-wise weight
@@ -414,6 +413,10 @@ class SumExtractionConstruction:
     @property
     def variant(self) -> str:
         return self.head.variant
+
+    @property
+    def d(self) -> int:
+        return self.basis.d
 
     @property
     def k(self) -> int | None:
@@ -499,7 +502,7 @@ def build_sum_extraction(
     w_fc = np.zeros((m, m))  # keeps only the trailing d' columns, scaled
     w_fc[-d_latent:, -d_latent:] = fc_scale * np.eye(d_latent)
     return SumExtractionConstruction(
-        n=n, d=d, basis=basis, head=head, w_fc=w_fc, phi=phi, seed=seed, lambda_value=lambda_value,
+        n=n, basis=basis, head=head, w_fc=w_fc, phi=phi, seed=seed, lambda_value=lambda_value,
     )
 
 

@@ -182,17 +182,11 @@ def resolve(command: str, file_values: dict, flag_values: dict) -> dict:
 
 def _ensure_out(config: dict) -> str:
     out = str(config["out"])
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out!r}: {exc.strerror}") from exc
     return out
-
-
-def _optimizer_config(config: dict):
-    from .train import OptimizerConfig
-
-    batch_size = config["batch_size"]
-    return OptimizerConfig(
-        lr=float(config["lr"]), batch_size=None if batch_size == "full" else batch_size,
-    )
 
 
 def _refuse_over_budget(need: int, keys: str):
@@ -244,18 +238,31 @@ def cmd_verify(config: dict) -> int:
     return EXIT_VERIFY_FAILED if any(r.status == "fail" for r in records) else EXIT_OK
 
 
-def cmd_train(config: dict) -> int:
-    """Train one model, write the curve CSV."""
-    from .train import train_cell, write_curve_csv, write_manifest
+def _start_training(config: dict):
+    """The output directory and Adam settings of a train or sweep run within
+    the memory budget, after writing its ``manifest.txt``: every key but
+    ``out``, with ``lr`` and ``batch_size`` as the run uses them."""
+    from .train import OptimizerConfig, write_manifest
 
-    epochs, seed = config["epochs"], config["seed"]
-    opt = _optimizer_config(config)
+    batch_size = config["batch_size"]
+    opt = OptimizerConfig(lr=float(config["lr"]), batch_size=None if batch_size == "full" else batch_size)
     _check_memory(config, opt.batch_size)
     out = _ensure_out(config)
+    settings = {key: value for key, value in config.items() if key != "out"}
+    write_manifest(os.path.join(out, "manifest.txt"),
+                   {**settings, "lr": opt.lr, "batch_size": opt.batch_size})
+    return out, opt
+
+
+def cmd_train(config: dict) -> int:
+    """Train one model, write the curve CSV."""
+    from .train import train_cell, write_curve_csv
+
+    out, opt = _start_training(config)
     try:
         report = train_cell(
-            get_target(config["target"]), config["n"], config["d"], config["d_latent"], epochs,
-            config["points"], config["split_fraction"], seed, opt,
+            get_target(config["target"]), config["n"], config["d"], config["d_latent"],
+            config["epochs"], config["points"], config["split_fraction"], config["seed"], opt,
         )
     except TrainingDivergedError as exc:
         if exc.report is not None:
@@ -263,21 +270,15 @@ def cmd_train(config: dict) -> int:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     write_curve_csv(os.path.join(out, "curve.csv"), report)
-    write_manifest(os.path.join(out, "manifest.txt"), {
-        "lr": opt.lr, "batch_size": opt.batch_size, "epochs": epochs, "seed": seed,
-        "dataset_seed": seed, "target": config["target"],
-    })
     print(f"best validation rel_l2 = {report.best_validation_error!r}")
     return EXIT_OK
 
 
 def cmd_sweep(config: dict) -> int:
     """Latent-dimension sweep, write the sweep CSV."""
-    from .train import latent_sweep, write_manifest, write_sweep_csv
+    from .train import latent_sweep, write_sweep_csv
 
-    opt = _optimizer_config(config)
-    _check_memory(config, opt.batch_size)
-    out = _ensure_out(config)
+    out, opt = _start_training(config)
     try:
         rows = latent_sweep(
             get_target(config["target"]), config["n"], _listed(config["d"]),
@@ -288,9 +289,6 @@ def cmd_sweep(config: dict) -> int:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     write_sweep_csv(os.path.join(out, "sweep.csv"), rows)
-    settings = {key: value for key, value in config.items() if key != "out"}
-    write_manifest(os.path.join(out, "manifest.txt"),
-                   {**settings, "lr": opt.lr, "batch_size": opt.batch_size})
     print(f"wrote {len(rows)} sweep rows")
     return EXIT_OK
 

@@ -211,15 +211,15 @@ Psi = Union[PolynomialCombiner, MlpCombiner, TableCombiner]
 @dataclass
 class SumformerModel:
     d: int
-    d_latent: int
     phi: Phi
     psi: Psi
 
+    @property
+    def d_latent(self) -> int:
+        """The latent width d', that of Sigma: phi's output width."""
+        return self.phi.out_width
+
     def __post_init__(self):
-        if self.phi.out_width != self.d_latent:
-            raise ShapeError(
-                f"phi outputs {self.phi.out_width}, model declares d_latent={self.d_latent}"
-            )
         if isinstance(self.psi, MlpCombiner) and self.psi.spec.in_width != self.d + self.d_latent:
             raise ShapeError(
                 f"psi expects width {self.psi.spec.in_width}, need {self.d + self.d_latent}"
@@ -332,7 +332,6 @@ def build_mlp_sumformer(
     phi_spec, psi_spec = mlp_sumformer_specs(d, d_latent, hidden)
     return SumformerModel(
         d=d,
-        d_latent=d_latent,
         phi=MlpFeatureMap(phi_spec, init_mlp_params(phi_spec, rng)),
         psi=MlpCombiner(psi_spec, init_mlp_params(psi_spec, rng)),
     )
@@ -350,7 +349,6 @@ def build_polynomial_sumformer(
     psi_spec = MlpSpec((d + basis.size, *hidden, d))
     return SumformerModel(
         d=d,
-        d_latent=basis.size,
         phi=PolynomialFeatureMap(basis),
         psi=MlpCombiner(psi_spec, init_mlp_params(psi_spec, rng)),
     )
@@ -376,7 +374,6 @@ def build_continuous_sumformer(
         out_width = d
     return SumformerModel(
         d=d,
-        d_latent=basis.size,
         phi=PolynomialFeatureMap(basis),
         psi=PolynomialCombiner(tuple(psi_terms), out_width),
     )
@@ -412,4 +409,4 @@ def build_discrete_sumformer(
             if value.shape[0] != d:
                 raise ShapeError(f"g returned {value.shape[0]} components, want {d}")
             psi.table[key] = value
-    return SumformerModel(d=d, d_latent=phi.out_width, phi=phi, psi=psi)
+    return SumformerModel(d=d, phi=phi, psi=psi)

@@ -290,11 +290,13 @@ def load_model(text: str) -> SumformerModel:
             phi = PolynomialFeatureMap(enumerate_multidegrees(d, _field(fields, "phi_n_max", int, 1)))
         else:
             phi = MlpFeatureMap(*_mlp_from_entries("phi.", fields, mats))
+        if phi.out_width != d_latent:  # the model reads d' from phi alone
+            raise ConfigError(f"field d_latent is {d_latent}, but phi outputs {phi.out_width}")
         if _field(fields, "psi_kind", str, choices=kinds) == "mlp":
             psi = MlpCombiner(*_mlp_from_entries("psi.", fields, mats))
         else:
             psi = _polynomial_psi(fields, mats)
-        return SumformerModel(d=d, d_latent=d_latent, phi=phi, psi=psi)
+        return SumformerModel(d=d, phi=phi, psi=psi)
     except (ContractError, ShapeError) as exc:
         raise ConfigError(f"cannot rebuild model: {exc}") from exc
 

@@ -4,8 +4,9 @@ Every target is given as a semi-invariant g(token, rest) where ``rest``
 enters only through its row sum, and lifted to an equivariant
 sequence-to-sequence function row by row.  ``cubic_coupling`` is the
 primary benchmark; the other four are synthetic stand-ins, three for
-coverage of the polynomial / non-polynomial split and ``constant`` as a
-training sanity target.
+coverage of the polynomial / non-polynomial split (``quadratic_sum`` is a
+polynomial, ``sine_gauss`` and ``softplus_mix`` are not) and ``constant``
+as a training sanity target.
 
 Each g takes stacks, (..., d) tokens with (..., n-1, d) rests: it reduces
 the rest over axis -2 and takes no ``float()`` of a per-sequence value.
@@ -29,7 +30,6 @@ class TargetFunction:
     """Named semi-invariant target with its equivariant lift."""
 
     name: str
-    kind: str  # "polynomial" or "non-polynomial"
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def lifted(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -73,11 +73,11 @@ def _constant(x: np.ndarray, rest: np.ndarray) -> np.ndarray:
 TARGETS = {
     t.name: t
     for t in (
-        TargetFunction("cubic_coupling", "polynomial", _cubic_coupling),
-        TargetFunction("quadratic_sum", "polynomial", _quadratic_sum),
-        TargetFunction("sine_gauss", "non-polynomial", _sine_gauss),
-        TargetFunction("softplus_mix", "non-polynomial", _softplus_mix),
-        TargetFunction("constant", "polynomial", _constant),
+        TargetFunction("cubic_coupling", _cubic_coupling),
+        TargetFunction("quadratic_sum", _quadratic_sum),
+        TargetFunction("sine_gauss", _sine_gauss),
+        TargetFunction("softplus_mix", _softplus_mix),
+        TargetFunction("constant", _constant),
     )
 }
 

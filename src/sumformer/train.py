@@ -268,8 +268,8 @@ def training_bytes(
     """Bytes that ``train`` of ``build_mlp_sumformer(d, d_latent)`` on
     ``generate_dataset(..., n, d, points, split_fraction)`` holds at once.
 
-    That is the dataset's inputs and targets with their training and
-    validation copies, the work buffer and mask buffer of ``WorkBuffer``,
+    That is the dataset's inputs and targets, the copy of their validation
+    split, the work buffer and mask buffer of ``WorkBuffer``,
     and six arrays the size of the parameters: the parameters, their
     gradient, Adam's two moments and its two work arrays.  The epoch count
     costs time, not memory, so it does not enter.
@@ -279,7 +279,7 @@ def training_bytes(
     batch = n_train if batch_size is None else min(batch_size, n_train)
     floats, bools = work_buffer_sizes((phi, psi), n, batch, n_val)
     params = sum((fan_in + 1) * fan_out for w in (phi, psi) for fan_in, fan_out in zip(w, w[1:]))
-    return 8 * (4 * points * n * d + floats + 6 * params) + bools
+    return 8 * (2 * (points + n_val) * n * d + floats + 6 * params) + bools
 
 
 def loss_and_gradient(
@@ -341,8 +341,9 @@ def train(
 ) -> TrainReport:
     """Minimize MSE with Adam; record validation relative-L2 every 5 epochs.
 
-    Raises TrainingDivergedError (carrying the report so far) if the loss
-    leaves the finite range; an lr that is not a finite number is a ContractError.
+    Raises TrainingDivergedError (carrying the report so far), and no numpy
+    overflow warning, if the loss leaves the finite range; an lr that is not
+    a finite number is a ContractError.
     """
     epochs, seed = require_size("epochs", epochs, 0), require_size("seed", seed, 0)
     if config is None:
@@ -365,11 +366,9 @@ def train(
     grads = param_views(grad_flat, model.trainable_params())
     adam = Adam([flat], lr)
     rng = np.random.default_rng(seed)
-    x_train = data.inputs[data.train_idx]
-    y_train = data.targets[data.train_idx]
     x_val = data.inputs[data.val_idx]
     y_val = data.targets[data.val_idx]
-    n_train = x_train.shape[0]
+    n_train = len(data.train_idx)
     batch = n_train if batch_size is None else min(batch_size, n_train)
     work = WorkBuffer(model, data.n, batch, x_val.shape[0])
 
@@ -381,23 +380,23 @@ def train(
         report.val_errors.append((epoch, err))
         report.best_validation_error = min(report.best_validation_error, err)
 
-    record_validation(0)
-
-    for epoch in range(1, epochs + 1):
-        order = np.arange(n_train) if batch_size is None else rng.permutation(n_train)
-        sq_sum = 0.0
-        for start in range(0, n_train, batch):
-            idx = order[start:start + batch]
-            loss_value = loss_and_gradient(model, x_train[idx], y_train[idx], grads, work)
-            if not math.isfinite(loss_value):
-                raise TrainingDivergedError(
-                    f"loss became {loss_value} at epoch {epoch}", report=report
-                )
-            adam.step([flat], [grad_flat])
-            sq_sum += loss_value * (idx.size * data.n * data.d)
-        report.train_losses.append(sq_sum / (n_train * data.n * data.d))
-        if epoch % VALIDATION_EVERY == 0:
-            record_validation(epoch)
+    with np.errstate(over="ignore", invalid="ignore"):  # a loss that is not finite is raised
+        record_validation(0)
+        for epoch in range(1, epochs + 1):
+            order = np.arange(n_train) if batch_size is None else rng.permutation(n_train)
+            sq_sum = 0.0
+            for start in range(0, n_train, batch):
+                idx = data.train_idx[order[start:start + batch]]
+                loss_value = loss_and_gradient(model, data.inputs[idx], data.targets[idx], grads, work)
+                if not math.isfinite(loss_value):
+                    raise TrainingDivergedError(
+                        f"loss became {loss_value} at epoch {epoch}", report=report
+                    )
+                adam.step([flat], [grad_flat])
+                sq_sum += loss_value * (idx.size * data.n * data.d)
+            report.train_losses.append(sq_sum / (n_train * data.n * data.d))
+            if epoch % VALIDATION_EVERY == 0:
+                record_validation(epoch)
     return report
 
 

@@ -2,7 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -370,8 +370,14 @@ def test_construction_takes_its_width_from_phi():
 
 
 def test_construction_requires_matching_basis():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="basis built for d=1"):
         build_sum_extraction("standard", 3, 2, enumerate_multidegrees(1, 2))
+
+
+def test_construction_reads_its_token_width_from_its_basis():
+    con = build_sum_extraction("standard", 3, 2, enumerate_multidegrees(2, 3))
+    assert "d" not in {f.name for f in fields(con)}
+    assert con.d == con.basis.d == 2
 
 
 def test_construction_k_bounds():

@@ -8,6 +8,7 @@ import pytest
 from sumformer import parallel
 from sumformer.cli import (
     EXIT_CONFIG,
+    EXIT_DIVERGED,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     MEMORY_BUDGET_BYTES,
@@ -169,9 +170,21 @@ def test_default_train_manifest_echoes_every_setting(tmp_path):
     out = str(tmp_path / "manifest")
     assert main(["train", "--out", out, "--epochs", "0"]) == EXIT_OK
     assert _read(os.path.join(out, "manifest.txt")).splitlines() == [
-        "batch_size = 100", "beta1 = 0.9", "beta2 = 0.999", "dataset_seed = 0", "epochs = 0",
-        "eps = 1e-08", "lr = 0.001", "seed = 0", "target = 'cubic_coupling'",
+        "batch_size = 100", "beta1 = 0.9", "beta2 = 0.999", "d = 2", "d_latent = 32", "epochs = 0",
+        "eps = 1e-08", "lr = 0.001", "n = 3", "points = 2000", "seed = 0", "split_fraction = 0.8",
+        "target = 'cubic_coupling'",
     ]
+
+
+def test_train_manifests_of_different_runs_differ(tmp_path):
+    """Every setting that shapes the run is in the manifest, so two runs that
+    differ only in n, d and d' write different manifests."""
+    manifests = []
+    for name, args in (("a", ["--d", "1", "--points", "40"]), ("b", ["--d", "2", "--d-latent", "4", "--n", "2"])):
+        out = str(tmp_path / name)
+        assert main(["train", "--epochs", "0", "--out", out] + args) == EXIT_OK
+        manifests.append(_read(os.path.join(out, "manifest.txt")))
+    assert manifests[0] != manifests[1]
 
 
 def test_sweep_manifest_holds_the_run_settings_and_no_output_path(tmp_path):
@@ -252,6 +265,42 @@ def test_sweep_grid_and_formula_column(tmp_path):
     assert len(lines) == 12  # 2 d x 3 d' x 2 seeds
     formulas = {(int(r[0]), int(r[4])) for r in (ln.split(",") for ln in lines)}
     assert formulas == {(1, 3), (2, 9)}
+
+
+OUT_COMMANDS = {
+    "verify": ["verify", "--samples", "1", "--trials", "0"],
+    "train": ["train", "--epochs", "0", "--points", "20"],
+    "sweep": ["sweep", "--epochs", "0", "--points", "20"],
+    "bench": ["bench"],
+}
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a_file", "below_a_file"])
+@pytest.mark.parametrize("command", list(OUT_COMMANDS))
+def test_an_out_that_cannot_be_a_directory_is_a_config_error(tmp_path, capsys, command, below):
+    """An existing file, or a path below one, is refused with one line and
+    no output written, not with a traceback."""
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out = blocker / "run" if below else blocker
+    assert main(OUT_COMMANDS[command] + ["--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot make output directory") and len(err.splitlines()) == 1
+    assert str(blocker) in err
+    assert os.listdir(tmp_path) == ["taken"] and blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_a_diverging_run_says_so_in_one_line_beside_its_manifest(tmp_path, command):
+    """No numpy overflow warning comes before the one stderr line, and the
+    manifest, written before training, records the settings that diverged."""
+    out = tmp_path / "diverged"
+    run = _python_m_sumformer([command, "--lr", "1e300", "--epochs", "2", "--points", "20",
+                               "--out", str(out)], tmp_path)
+    assert run.returncode == EXIT_DIVERGED, run.stderr
+    assert run.stderr.startswith("training diverged:") and len(run.stderr.splitlines()) == 1, run.stderr
+    assert "lr = 1e+300" in _read(out / "manifest.txt").splitlines()
+    assert (out / "curve.csv").exists() == (command == "train")
 
 
 def test_unknown_config_key_rejected_before_output(tmp_path):

@@ -2,7 +2,13 @@
 of ``src/sumformer`` is used somewhere in the package outside its own
 definition, or is public API named in ``UNREFERENCED_API``; and every field
 of a dataclass of the package is read by name somewhere in it, or is public
-API named in ``UNREAD_FIELDS``."""
+API named in ``UNREAD_FIELDS``.
+
+Both match names only, not the objects they belong to: a field counts as
+read when any attribute of that name is read, on whatever object.  So a
+dead field that shares its name with a live attribute elsewhere goes
+unflagged, as ``TargetFunction.kind`` did beside ``Key.kind`` and numpy's
+``dtype.kind``."""
 
 import ast
 import pathlib

@@ -241,6 +241,9 @@ DAMAGED_FILES = {
     "exps_short_of_coeffs": (lambda text: text.replace("imatrix psi.term0.exps 2 3\n2 0 0\n",
                                                        "imatrix psi.term0.exps 1 3\n"),
                              "psi.term0.exps has 1 rows, psi.term0.coeffs 2", POLYNOMIAL_PSI),
+    # The MLP phi outputs 2 latent columns; the model is rebuilt from phi and refused.
+    "d_latent_disagrees_with_phi": (lambda text: text.replace("field d_latent int 2", "field d_latent int 3"),
+                                    "field d_latent is 3, but phi outputs 2", ("mlp_model",)),
     # The MLP phi reads tokens of width 1; the construction would feed it width 2.
     "phi_of_another_token_width": (lambda text: text.replace("field d int 1", "field d int 2"),
                                    "cannot rebuild construction", ("construction",)),

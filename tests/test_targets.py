@@ -8,8 +8,6 @@ from sumformer.targets import TARGETS, get_target
 def test_registry_contents():
     names = set(TARGETS)
     assert {"cubic_coupling", "quadratic_sum", "sine_gauss", "softplus_mix"} <= names
-    kinds = {t.kind for t in TARGETS.values()}
-    assert kinds == {"polynomial", "non-polynomial"}
 
 
 def test_cubic_coupling_componentwise_d2():

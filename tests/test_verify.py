@@ -35,7 +35,7 @@ from oracles import central_difference_loop, discrete_exactness_per_sample
 def _unstacked_mse(model, vector, x, y):
     """The batch MSE of ``model`` with its parameters set to the flat ``vector``."""
     phi, psi = param_views(vector, model.trainable_params())
-    trial = SumformerModel(model.d, model.d_latent, MlpFeatureMap(model.phi.spec, phi),
+    trial = SumformerModel(model.d, MlpFeatureMap(model.phi.spec, phi),
                            MlpCombiner(model.psi.spec, psi))
     return float(np.mean((batch_forward(trial, x) - y) ** 2))
 
