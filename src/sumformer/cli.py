@@ -8,6 +8,9 @@ which strings it allows.  The table makes the flags (``--d-latent`` sets
 unknown key or a bad value is rejected before any output is written.
 Exit codes: 0 success, 2 config error, 3 verification failure, 4
 training divergence.
+
+This module writes every run artifact, each through ``_write_lines``; the
+library modules only compute the numbers that go into them.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import os
 import sys
 import time
 from typing import NamedTuple
+
+import numpy as np
 
 from .attention import HEADS, head_class, mac_count
 from .errors import ConfigError, ContractError, TrainingDivergedError
@@ -180,6 +185,12 @@ def resolve(command: str, file_values: dict, flag_values: dict) -> dict:
     return config
 
 
+def _write_lines(path: str, lines) -> None:
+    """Write ``path`` as ``lines``, each ended by a newline."""
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def _ensure_out(config: dict) -> str:
     out = str(config["out"])
     try:
@@ -217,7 +228,7 @@ def _check_memory(config: dict, batch_size: int | None):
 def cmd_verify(config: dict) -> int:
     """Run the oracle and invariant suites."""
     from .parallel import process_count
-    from .verify import ALL_CHECKS, VerifyConfig, run_verification, verify_bytes, write_report, write_timing
+    from .verify import ALL_CHECKS, VerifyConfig, run_verification, verify_bytes
 
     vconfig = VerifyConfig(
         n_list=_listed(config["n"]),
@@ -229,10 +240,25 @@ def cmd_verify(config: dict) -> int:
                         "n, d and samples" if workers == 1 else f"n, d and samples on {workers} workers")
     out = _ensure_out(config)
     start = time.perf_counter()
-    records = run_verification(vconfig, out)
+    records = run_verification(vconfig)
     wall_seconds = time.perf_counter() - start
-    write_report(os.path.join(out, "verify_report.txt"), records)
-    write_timing(os.path.join(out, "verify_timing.txt"), records, workers, wall_seconds)
+    report_lines = []
+    for r in records:
+        witness_path = "-"
+        if r.witness is not None:  # one row of np.savetxt's default format per witness row
+            witness_path = os.path.join(out, f"witness_{r.name}.txt")
+            _write_lines(witness_path, (" ".join(f"{v:.18e}" for v in row)
+                                        for row in np.atleast_2d(r.witness)))
+        report_lines.append(f"name={r.name} status={r.status} max_residual={r.max_residual!r} "
+                      f"cases={r.cases} witness_path={witness_path}")
+    _write_lines(os.path.join(out, "verify_report.txt"), report_lines)
+    # Wall seconds, measured in the worker that ran each check, are kept
+    # apart from the report, which is byte-identical across reruns and
+    # worker counts.
+    _write_lines(os.path.join(out, "verify_timing.txt"), [
+        *(f"name={r.name} seconds={r.seconds:.6f} worker={r.worker}" for r in records),
+        f"workers={workers} wall_seconds={wall_seconds:.6f}",
+    ])
     for r in records:
         print(f"{r.name}: {r.status} (max residual {r.max_residual:.3e})")
     return EXIT_VERIFY_FAILED if any(r.status == "fail" for r in records) else EXIT_OK
@@ -241,22 +267,31 @@ def cmd_verify(config: dict) -> int:
 def _start_training(config: dict):
     """The output directory and Adam settings of a train or sweep run within
     the memory budget, after writing its ``manifest.txt``: every key but
-    ``out``, with ``lr`` and ``batch_size`` as the run uses them."""
-    from .train import OptimizerConfig, write_manifest
+    ``out``, with ``lr`` and ``batch_size`` as the run uses them, and Adam's
+    betas and eps, one sorted key per line (no paths or times)."""
+    from .train import BETA1, BETA2, EPS, OptimizerConfig
 
     batch_size = config["batch_size"]
     opt = OptimizerConfig(lr=float(config["lr"]), batch_size=None if batch_size == "full" else batch_size)
     _check_memory(config, opt.batch_size)
     out = _ensure_out(config)
-    settings = {key: value for key, value in config.items() if key != "out"}
-    write_manifest(os.path.join(out, "manifest.txt"),
-                   {**settings, "lr": opt.lr, "batch_size": opt.batch_size})
+    settings = {**{key: value for key, value in config.items() if key != "out"},
+                "lr": opt.lr, "batch_size": opt.batch_size, "beta1": BETA1, "beta2": BETA2, "eps": EPS}
+    _write_lines(os.path.join(out, "manifest.txt"),
+                 [f"{key} = {settings[key]!r}" for key in sorted(settings)])
     return out, opt
+
+
+def _curve_lines(report) -> list[str]:
+    """Columns epoch,split,metric,value: validation rel-L2 per record, then train MSE per epoch."""
+    return ["epoch,split,metric,value",
+            *(f"{epoch},val,rel_l2,{err!r}" for epoch, err in report.val_errors),
+            *(f"{epoch},train,mse,{loss!r}" for epoch, loss in enumerate(report.train_losses, start=1))]
 
 
 def cmd_train(config: dict) -> int:
     """Train one model, write the curve CSV."""
-    from .train import train_cell, write_curve_csv
+    from .train import train_cell
 
     out, opt = _start_training(config)
     try:
@@ -266,17 +301,17 @@ def cmd_train(config: dict) -> int:
         )
     except TrainingDivergedError as exc:
         if exc.report is not None:
-            write_curve_csv(os.path.join(out, "curve.csv"), exc.report)
+            _write_lines(os.path.join(out, "curve.csv"), _curve_lines(exc.report))
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    write_curve_csv(os.path.join(out, "curve.csv"), report)
+    _write_lines(os.path.join(out, "curve.csv"), _curve_lines(report))
     print(f"best validation rel_l2 = {report.best_validation_error!r}")
     return EXIT_OK
 
 
 def cmd_sweep(config: dict) -> int:
     """Latent-dimension sweep, write the sweep CSV."""
-    from .train import latent_sweep, write_sweep_csv
+    from .train import latent_sweep
 
     out, opt = _start_training(config)
     try:
@@ -288,7 +323,10 @@ def cmd_sweep(config: dict) -> int:
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    write_sweep_csv(os.path.join(out, "sweep.csv"), rows)
+    _write_lines(os.path.join(out, "sweep.csv"), [
+        "d,d_prime,seed,best_val_err,dprime_formula",
+        *(f"{r.d},{r.d_prime},{r.seed},{r.best_val_err!r},{r.dprime_formula}" for r in rows),
+    ])
     print(f"wrote {len(rows)} sweep rows")
     return EXIT_OK
 
@@ -306,8 +344,7 @@ def cmd_bench(config: dict) -> int:
     except ContractError as exc:
         raise ConfigError(str(exc)) from exc
     path = os.path.join(_ensure_out(config), "bench.csv")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
     print(f"wrote {path}")
     return EXIT_OK
 

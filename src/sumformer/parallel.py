@@ -11,6 +11,7 @@ loop does.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import pickle
 import threading
@@ -40,8 +41,9 @@ WORKERS = worker_count(
 
 def run_in_threads(function, arguments):
     """function(*args) for each args of ``arguments``: the first on this thread,
-    each other on a thread of its own, all joined before this returns; then
-    the error of the first call in list order that failed is re-raised."""
+    each other on a thread of its own in a copy of this thread's context (so
+    it sees the caller's ``np.errstate``), all joined before this returns;
+    then the error of the first call in list order that failed is re-raised."""
     errors = [None] * len(arguments)
 
     def call(i):
@@ -50,7 +52,8 @@ def run_in_threads(function, arguments):
         except Exception as exc:  # noqa: BLE001 - re-raised below, after the join
             errors[i] = exc
 
-    threads = [threading.Thread(target=call, args=(i,)) for i in range(1, len(arguments))]
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(call, i))
+               for i in range(1, len(arguments))]
     for thread in threads:
         thread.start()
     try:

@@ -449,33 +449,3 @@ def latent_sweep(
         rows.append(SweepRow(d, d_prime, seed, report.best_validation_error, basis_size(d, n)))
     return rows
 
-
-# ---------------------------------------------------------------------------
-# CSV / manifest output
-# ---------------------------------------------------------------------------
-
-def write_curve_csv(path, report: TrainReport):
-    """Columns epoch,split,metric,value; train MSE per epoch, val rel-L2 per record."""
-    lines = ["epoch,split,metric,value"]
-    for epoch, err in report.val_errors:
-        lines.append(f"{epoch},val,rel_l2,{err!r}")
-    for epoch, loss in enumerate(report.train_losses, start=1):
-        lines.append(f"{epoch},train,mse,{loss!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_sweep_csv(path, rows: list[SweepRow]):
-    lines = ["d,d_prime,seed,best_val_err,dprime_formula"]
-    for r in rows:
-        lines.append(f"{r.d},{r.d_prime},{r.seed},{r.best_val_err!r},{r.dprime_formula}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_manifest(path, settings: dict):
-    """``settings`` and Adam's betas and eps, one sorted key per line (no paths or times)."""
-    settings = {**settings, "beta1": BETA1, "beta2": BETA2, "eps": EPS}
-    lines = [f"{key} = {settings[key]!r}" for key in sorted(settings)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

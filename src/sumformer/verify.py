@@ -1,8 +1,10 @@
 """Property suites behind the ``verify`` command.
 
-Each check returns a record {name, status, max_residual, cases,
-witness_path}; ``run_verification`` writes any witness inputs, and
-``write_report`` the report, to the output directory.  A check that ran no case (the low-rank checks when
+Each check returns a record {name, status, max_residual, cases} and the
+input at its worst residual, if it keeps one; ``run_verification`` puts
+that input on the record of a failed check as its ``witness``.  This
+module only computes: the CLI writes the report, the timing file and one
+file per witness.  A check that ran no case (the low-rank checks when
 every n is 1) reports ``skip`` and ``cases=0`` rather than ``pass``.
 Tolerances are per check but can be overridden globally (setting them to
 0 demonstrates that they are load-bearing).
@@ -11,7 +13,6 @@ Tolerances are per check but can be overridden globally (setting them to
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -47,7 +48,7 @@ class CheckRecord:
     status: str
     max_residual: float
     cases: int = 0  # cases the check ran; 0 for a skip
-    witness_path: str = ""
+    witness: np.ndarray | None = None  # the input that failed a failed check; not part of the report
     seconds: float = 0.0  # wall time of the check; not part of the report
     worker: int = 0  # the worker process that ran the check; not part of the report
 
@@ -348,38 +349,16 @@ def verify_bytes(config: VerifyConfig) -> int:
     return max(widest, oracle)
 
 
-def run_verification(config: VerifyConfig, out_dir: str | None = None) -> list[CheckRecord]:
-    """The records of ALL_CHECKS, in list order.  The checks run on
-    ``parallel.process_count(len(ALL_CHECKS))`` worker processes; each check
-    runs the same code on the same seeds in any worker, so the records are
-    the same at any worker count."""
+def run_verification(config: VerifyConfig) -> list[CheckRecord]:
+    """The records of ALL_CHECKS, in list order, each failed one with its
+    witness.  The checks run on ``parallel.process_count(len(ALL_CHECKS))``
+    worker processes; each check runs the same code on the same seeds in
+    any worker, so the records are the same at any worker count."""
     records = []
     for (record, witness), worker, seconds in run_in_processes(
             lambda check: check(config), [(check,) for check in ALL_CHECKS]):
         record.seconds, record.worker = seconds, worker
-        if record.status == "fail" and witness is not None and out_dir is not None:
-            path = os.path.join(out_dir, f"witness_{record.name}.txt")
-            np.savetxt(path, np.atleast_2d(witness))
-            record.witness_path = path
+        if record.status == "fail":
+            record.witness = witness
         records.append(record)
     return records
-
-
-def write_report(path: str, records: list[CheckRecord]):
-    lines = []
-    for r in records:
-        lines.append(
-            f"name={r.name} status={r.status} max_residual={r.max_residual!r} "
-            f"cases={r.cases} witness_path={r.witness_path or '-'}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_timing(path: str, records: list[CheckRecord], workers: int, wall_seconds: float):
-    """Each check's wall seconds, measured in the worker that ran it, then
-    the worker count and the run's wall seconds; kept apart from the report,
-    which is byte-identical across reruns and worker counts."""
-    with open(path, "w") as fh:
-        fh.writelines(f"name={r.name} seconds={r.seconds:.6f} worker={r.worker}\n" for r in records)
-        fh.write(f"workers={workers} wall_seconds={wall_seconds:.6f}\n")

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -12,10 +14,11 @@ from sumformer.cli import (
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     MEMORY_BUDGET_BYTES,
+    SCHEMA,
     main,
     read_config_file,
 )
-from sumformer.train import loss_and_gradient
+from sumformer.train import SWEEP_SPLIT, OptimizerConfig, generate_dataset, loss_and_gradient
 from sumformer.verify import (
     VerifyConfig,
     check_discrete_exactness,
@@ -35,6 +38,18 @@ FAST_VERIFY = [
 def _read(path):
     with open(path) as fh:
         return fh.read()
+
+
+def test_the_cli_defaults_are_the_librarys():
+    """Where a command's table restates a library default, the two agree."""
+    verify_keys = {key: spec.default for key, spec in SCHEMA["verify"].items() if key != "out"}
+    verify_keys["n_list"], verify_keys["d_list"] = verify_keys.pop("n"), verify_keys.pop("d")
+    assert verify_keys == dataclasses.asdict(VerifyConfig())
+    opt = OptimizerConfig()
+    for keys in (SCHEMA["train"], SCHEMA["sweep"]):
+        assert (keys["lr"].default, keys["batch_size"].default) == (opt.lr, opt.batch_size)
+    split = inspect.signature(generate_dataset).parameters["split_fraction"].default
+    assert SCHEMA["train"]["split_fraction"].default == SWEEP_SPLIT == split
 
 
 def test_bench_writes_scaling_csv(tmp_path):

@@ -5,9 +5,11 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from sumformer import parallel, verify
+from sumformer.attention import StandardHeadSpec
 from sumformer.errors import ContractError, TrainingDivergedError, WorkerError
 from sumformer.parallel import MAX_TASKS, run_in_processes, worker_count
 from sumformer.verify import VerifyConfig
@@ -171,6 +173,22 @@ def test_a_second_thread_keeps_the_runner_serial(monkeypatch):
     assert not thread.is_alive()
     assert [(pid, worker) for pid, worker, _ in done] == [(os.getpid(), 0)] * 8
     assert parallel.process_count(8) == 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_head_threads_see_the_callers_error_state(monkeypatch, workers):
+    """Only the exps of the second half's rows underflow, so at two workers
+    only the second thread sees one: it raises because threads run in a
+    copy of the caller's context, where numpy keeps ``np.errstate``."""
+    monkeypatch.setattr(parallel, "WORKERS", workers)
+    rng = np.random.default_rng(0)
+    spec = StandardHeadSpec(*(rng.uniform(-1, 1, (16, 16)) for _ in range(3)))
+    x = rng.uniform(-1, 1, (4096, 16))
+    x[:2048] *= 0.01
+    x[2048:2052] *= 400
+    spec.forward(x)  # the default error state ignores the underflow
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+        spec.forward(x)
 
 
 def test_too_many_tasks_are_refused_before_any_runs():

@@ -460,3 +460,19 @@ def test_training_bytes_matches_what_train_allocates():
     held = peak + data.inputs.nbytes + data.targets.nbytes
     estimate = training_bytes(n, d, d_latent, points, 0.8, 64)
     assert 0.9 * estimate <= held <= 1.1 * estimate
+
+
+def test_train_holds_no_copy_of_its_training_split():
+    """A training split of 1.82 MB against a model a few hundred bytes big:
+    train() gathers each minibatch from the dataset, so it peaks near 0.5 MB,
+    where a copy of the split made up front would take the split's bytes."""
+    data = generate_dataset(get_target("cubic_coupling"), 3, 2, 20_000, 0.95, seed=0)
+    model = build_mlp_sumformer(2, 2, hidden=(2,))
+    split = (data.inputs[0].nbytes + data.targets[0].nbytes) * len(data.train_idx)
+    tracemalloc.start()
+    try:
+        train(model, data, epochs=1, config=OptimizerConfig(batch_size=100), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < split
