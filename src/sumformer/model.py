@@ -358,9 +358,8 @@ def build_continuous_sumformer(
     n: int,
     d: int,
     psi_terms: list[tuple[MultiDegree, LatentPolynomial]],
-    out_width: int | None = None,
 ) -> SumformerModel:
-    """Fully fixed model: monomial phi and polynomial psi given term by term."""
+    """Fully fixed model: monomial phi and a d-wide polynomial psi given term by term."""
     basis = enumerate_multidegrees(d, n)
     for alpha, latent_poly in psi_terms:
         if len(alpha) != d:
@@ -370,12 +369,10 @@ def build_continuous_sumformer(
                 raise ShapeError(
                     f"latent exponent tuple has arity {len(exps)}, want {basis.size}"
                 )
-    if out_width is None:
-        out_width = d
     return SumformerModel(
         d=d,
         phi=PolynomialFeatureMap(basis),
-        psi=PolynomialCombiner(tuple(psi_terms), out_width),
+        psi=PolynomialCombiner(tuple(psi_terms), d),
     )
 
 

@@ -89,28 +89,23 @@ def run_in_processes(function, arguments) -> list[tuple]:
     list order; ``worker`` is the process that ran the call (0 for this one)
     and ``seconds`` the call's wall time, measured in that process.
 
-    On one process (``process_count``) the calls run here, one after another.
-    Otherwise every other worker is a child forked from this process, so it
-    sees everything this process has set up, monkeypatches included, and no
-    argument or function is pickled.  Each worker, this one too, takes the
-    next task index from one queue until it is empty; a child pickles its
-    results back.  A call that raises empties the queue, so no worker starts
-    a later task, and after every child is reaped the error of the first
-    failed call in list order is re-raised here with its class and
-    attributes.  A child that dies before sending its results, or sends
-    what cannot be read here, is a ``WorkerError``.  No child outlives the
-    call: a child only ever ends in ``os._exit``, and this process waits
-    for each, killing it first when it is itself interrupted.
+    The calls run on ``process_count`` workers: this process and, beside
+    it, children forked from it, so they see everything this process has
+    set up, monkeypatches included, and no argument or function is pickled.
+    Each worker, this one too, takes the next task index from one queue
+    until it is empty, so on one worker this process takes every task in
+    list order; a child pickles its results back.  A call that raises
+    empties the queue, so no worker starts a later task, and after every
+    child is reaped the error of the first failed call in list order is
+    re-raised here with its class and attributes.  A child that dies before
+    sending its results, or sends what cannot be read here, is a
+    ``WorkerError``.  No child outlives the call: a child only ever ends in
+    ``os._exit``, and this process waits for each, killing it first when it
+    is itself interrupted.
     """
     if len(arguments) > MAX_TASKS:
         raise ContractError(f"run_in_processes takes at most {MAX_TASKS} tasks, got {len(arguments)}")
     workers = process_count(len(arguments))
-    if workers == 1:
-        done = []
-        for args in arguments:
-            start = time.perf_counter()
-            done.append((function(*args), 0, time.perf_counter() - start))
-        return done
     queue, tickets = os.pipe()
     os.write(tickets, b"".join(i.to_bytes(_TICKET, "little") for i in range(len(arguments))))
     os.close(tickets)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import build_sum_extraction, draws_features
-from .errors import ConfigError, ContractError, DomainError, ShapeError
+from .errors import BudgetError, ConfigError, ContractError, CountOverflowError, DomainError, ShapeError
 from .mlp import MlpParams, MlpSpec
 from .model import (
     CellFeatureMap,
@@ -137,11 +137,12 @@ def _load(text: str) -> tuple[str, dict, dict]:
                 given = next((r for r, row in enumerate(body) if row[0] in _KEYWORDS), len(body))
                 if given < rows:
                     raise ConfigError(f"matrix {name}: {rows} rows declared, {given} given")
+                for r, row in enumerate(body):  # before allocating, so the header cannot size it alone
+                    if len(row) != cols:
+                        raise ConfigError(f"matrix {name}: row {r} has {len(row)} values, want {cols}")
                 dtype = np.int64 if parts[0] == "imatrix" else np.float64
                 data = np.empty((rows, cols), dtype=dtype)
                 for r, row in enumerate(body):
-                    if len(row) != cols:
-                        raise ConfigError(f"matrix {name}: row {r} has {len(row)} values, want {cols}")
                     data[r] = [dtype(v) for v in row]
                 matrices[name] = data
                 i += 1 + rows
@@ -233,7 +234,7 @@ def load_construction(text: str):
             phi=phi, k=_field(fields, "k", int, 1, nullable=True),
             seed=seed if draws_features(variant) else None, omegas=mats.get("omegas"),
         )
-    except (ContractError, DomainError, ShapeError) as exc:
+    except (BudgetError, ContractError, CountOverflowError, DomainError, ShapeError) as exc:
         raise ConfigError(f"cannot rebuild construction: {exc}") from exc
     if con.lambda_value != _field(fields, "lambda", float, nullable=True):
         raise ConfigError(
@@ -297,7 +298,7 @@ def load_model(text: str) -> SumformerModel:
         else:
             psi = _polynomial_psi(fields, mats)
         return SumformerModel(d=d, phi=phi, psi=psi)
-    except (ContractError, ShapeError) as exc:
+    except (BudgetError, ContractError, CountOverflowError, ShapeError) as exc:
         raise ConfigError(f"cannot rebuild model: {exc}") from exc
 
 

@@ -343,7 +343,8 @@ def train(
 
     Raises TrainingDivergedError (carrying the report so far), and no numpy
     overflow warning, if the loss leaves the finite range; an lr that is not
-    a finite number is a ContractError.
+    a finite number is a ContractError, and a psi that does not output d
+    columns a ShapeError.
     """
     epochs, seed = require_size("epochs", epochs, 0), require_size("seed", seed, 0)
     if config is None:
@@ -355,6 +356,8 @@ def train(
         raise ContractError(f"lr must be a finite number, got {lr!r}")
     if not isinstance(model.psi, MlpCombiner):
         raise ContractError("training needs an MLP psi")
+    if model.psi.out_width != model.d:  # the work buffer sizes Sigma as psi's input less its output
+        raise ShapeError(f"training fits {model.d} outputs per token, but psi outputs {model.psi.out_width}")
     for name in ("inputs", "targets"):  # checked once, here: relu would zero a NaN token
         a = require_rows(getattr(data, name), f"dataset {name}", model.d)
         if a.ndim == 2 or a.shape != data.inputs.shape or a.dtype.kind != "f":

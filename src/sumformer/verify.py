@@ -1,25 +1,26 @@
 """Property suites behind the ``verify`` command.
 
-Each check returns a record {name, status, max_residual, cases} and the
-input at its worst residual, if it keeps one; ``run_verification`` puts
-that input on the record of a failed check as its ``witness``.  This
-module only computes: the CLI writes the report, the timing file and one
-file per witness.  A check that ran no case (the low-rank checks when
-every n is 1) reports ``skip`` and ``cases=0`` rather than ``pass``.
-Tolerances are per check but can be overridden globally (setting them to
-0 demonstrates that they are load-bearing).
+Each check returns one record {name, status, max_residual, cases}, built
+by one outcome rule (``_outcome``) from its cases' residuals; a failed
+record also carries its ``witness``, the input at its first worst
+residual, where the check keeps inputs.  This module only computes: the
+CLI writes the report, the timing file and one file per witness.  A check
+that ran no case (the low-rank checks when every n is 1) reports ``skip``
+and ``cases=0`` rather than ``pass``.  Tolerances are per check but can be
+overridden globally (setting them to 0 demonstrates that they are
+load-bearing).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .attention import HEADS, attention_matrix, build_sum_extraction, draws_features
-from .equivariance import GROUP_TOKENS, check_equivariance, first_worse, worse
+from .equivariance import GROUP_TOKENS, check_equivariance, first_worse
 from .mlp import param_views
 from .model import (
     MlpCombiner,
@@ -48,7 +49,7 @@ class CheckRecord:
     status: str
     max_residual: float
     cases: int = 0  # cases the check ran; 0 for a skip
-    witness: np.ndarray | None = None  # the input that failed a failed check; not part of the report
+    witness: np.ndarray | None = None  # a failed check's input at its worst residual; not part of the report
     seconds: float = 0.0  # wall time of the check; not part of the report
     worker: int = 0  # the worker process that ran the check; not part of the report
 
@@ -65,11 +66,19 @@ class VerifyConfig:
     delta: int = 4
 
 
-def _record(name: str, config: VerifyConfig, default_tol: float, worst: float, cases: int) -> CheckRecord:
-    """``skip`` when no case ran, else ``pass`` or ``fail`` against the tolerance."""
+def _outcome(name: str, config: VerifyConfig, default_tol: float, groups) -> CheckRecord:
+    """The record of a check whose cases come as (residuals, inputs) groups,
+    in case order: its first worst residual (a NaN counting as worst), its
+    case count, ``skip`` when no case ran, else ``pass`` or ``fail`` against
+    the tolerance, and on ``fail`` the input at that residual, if kept."""
+    worst, witness, cases = 0.0, None, 0
+    for residuals, inputs in groups:
+        cases += len(residuals)
+        if len(residuals) and (first := first_worse(np.asarray(residuals), worst)) is not None:
+            worst, witness = float(residuals[first]), None if inputs is None else inputs[first]
     tol = default_tol if config.tol is None else config.tol
     status = "skip" if cases == 0 else "pass" if worst <= tol else "fail"
-    return CheckRecord(name, status, worst, cases)
+    return CheckRecord(name, status, worst, cases, witness if status == "fail" else None)
 
 
 def _stacks(rng: np.random.Generator, count: int, n: int, d: int, m: int):
@@ -80,60 +89,60 @@ def _stacks(rng: np.random.Generator, count: int, n: int, d: int, m: int):
         yield rng.uniform(size=(min(size, count - start), n, d))
 
 
-def _sigma_recovery(variant: str, config: VerifyConfig, tol: float, seeds=(0,)):
-    """Sigma block against the power sums; k = n - 1 where the variant takes k."""
-    needs_k, seeded = HEADS[variant].needs_k, draws_features(variant)
-    worst, witness, cases = 0.0, None, 0
+def _construction(variant: str, n: int, d: int, basis, seed: int = 0):
+    """The variant's sum-extraction construction that verify samples: k = n - 1
+    where its head takes a k, ``seed`` only where it draws features, and none
+    where its head takes a k and n < 2 leaves no key to keep."""
+    needs_k = HEADS[variant].needs_k
+    if needs_k and n < 2:
+        return None
+    return build_sum_extraction(variant, n, d, basis, k=n - 1 if needs_k else None,
+                                seed=seed if draws_features(variant) else None)
+
+
+def _sigma_cases(variant: str, config: VerifyConfig, seeds=(0,)):
+    """The Sigma block against the power sums, one case per sampled sequence."""
     for n in config.n_list:
-        if needs_k and n < 2:
-            continue
         for d in config.d_list:
             basis = enumerate_multidegrees(d, n)
             for seed in seeds:
-                con = build_sum_extraction(variant, n, d, basis, k=n - 1 if needs_k else None,
-                                           seed=seed if seeded else None)
+                if (con := _construction(variant, n, d, basis, seed)) is None:
+                    continue
                 rng = np.random.default_rng(1000 + seed)
                 for xs in _stacks(rng, config.samples, n, d, con.model_dim):
                     sigma = con.forward(xs)[..., -con.d_latent:]
                     errors = np.abs(sigma - power_sum_vector(xs, basis)[:, np.newaxis])
-                    residuals = np.max(errors.reshape(len(xs), -1), axis=1)
-                    first = first_worse(residuals, worst)
-                    cases += len(xs)
-                    if first is not None:
-                        worst, witness = float(residuals[first]), xs[first]
-    return _record(f"sigma_recovery_{variant}", config, tol, worst, cases), witness
+                    yield np.max(errors.reshape(len(xs), -1), axis=1), xs
 
 
-def check_sigma_standard(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
-    return _sigma_recovery("standard", config, 1e-10)
+def check_sigma_standard(config: VerifyConfig) -> CheckRecord:
+    return _outcome("sigma_recovery_standard", config, 1e-10, _sigma_cases("standard", config))
 
 
-def check_sigma_linformer(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
-    return _sigma_recovery("linformer", config, 1e-10)
+def check_sigma_linformer(config: VerifyConfig) -> CheckRecord:
+    return _outcome("sigma_recovery_linformer", config, 1e-10, _sigma_cases("linformer", config))
 
 
-def check_sigma_performer(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
-    return _sigma_recovery("performer", config, 1e-8, seeds=range(config.omega_seeds))
+def check_sigma_performer(config: VerifyConfig) -> CheckRecord:
+    return _outcome("sigma_recovery_performer", config, 1e-8,
+                    _sigma_cases("performer", config, seeds=range(config.omega_seeds)))
 
 
 AVERAGING_N = {2, 3, 5, 64}  # sequence lengths the averaging check adds to n_list
 
 
-def check_averaging_attention(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
+def check_averaging_attention(config: VerifyConfig) -> CheckRecord:
     """The constant-query construction must produce exactly uniform weights."""
-    worst = 0.0
-    witness = None
     basis = enumerate_multidegrees(1, 2)
     rng = np.random.default_rng(7)
-    n_values = sorted(set(config.n_list) | AVERAGING_N)
-    for n in n_values:
-        con = build_sum_extraction("standard", n, 1, basis)
-        x = rng.uniform(size=(n, 1))
-        a = attention_matrix(con.lift(x), con.head)
-        residual = float(np.max(np.abs(a - 1.0 / n)))
-        if worse(residual, worst):
-            worst, witness = residual, x
-    return _record("averaging_attention", config, 1e-12, worst, len(n_values)), witness
+
+    def groups():
+        for n in sorted(set(config.n_list) | AVERAGING_N):
+            con = build_sum_extraction("standard", n, 1, basis)
+            x = rng.uniform(size=(n, 1))
+            yield [float(np.max(np.abs(attention_matrix(con.lift(x), con.head) - 1.0 / n)))], [x]
+
+    return _outcome("averaging_attention", config, 1e-12, groups())
 
 
 def equivariance_maps(n: int, d: int) -> list[Callable[[np.ndarray], np.ndarray]]:
@@ -142,29 +151,24 @@ def equivariance_maps(n: int, d: int) -> list[Callable[[np.ndarray], np.ndarray]
     basis = enumerate_multidegrees(d, n)
     mlp_model = build_mlp_sumformer(d, 6, seed=0)
     poly_model = build_polynomial_sumformer(n, d, seed=0)
-    maps = [lambda xs: sumformer_forward(mlp_model, xs),
-            lambda xs: sumformer_forward(poly_model, xs)]
-    for variant, head in HEADS.items():
-        k = n - 1 if head.needs_k else None
-        seed = 0 if draws_features(variant) else None
-        maps.append(build_sum_extraction(variant, n, d, basis, k=k, seed=seed).forward)
-    return maps
+    cons = (_construction(variant, n, d, basis) for variant in HEADS)
+    return [lambda xs: sumformer_forward(mlp_model, xs), lambda xs: sumformer_forward(poly_model, xs),
+            *(con.forward for con in cons if con is not None)]
 
 
-def check_equivariance_models(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
+def check_equivariance_models(config: VerifyConfig) -> CheckRecord:
     n, d = 4, 2
-    models = equivariance_maps(n, d)
     trials = max(config.trials, 0)
-    worst = 0.0
-    witness = None
-    for fn in models:
-        report = check_equivariance(fn, n, d, trials=trials, seed=11)
-        if worse(report.max_violation, worst):
-            worst, witness = report.max_violation, report.witness_input
-    return _record("equivariance_models", config, 1e-10, worst, trials * len(models)), witness
+
+    def groups():  # a map's trials all count; the first stands for its worst, at its witness
+        for fn in equivariance_maps(n, d):
+            report = check_equivariance(fn, n, d, trials=trials, seed=11)
+            yield np.full(trials, report.max_violation), [report.witness_input] * trials
+
+    return _outcome("equivariance_models", config, 1e-10, groups())
 
 
-def check_discrete_exactness(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
+def check_discrete_exactness(config: VerifyConfig) -> CheckRecord:
     """Anchors reproduce g exactly; points drawn in the model's own cells give
     the same outputs; permuted inputs give exactly permuted outputs.  The
     samples run in groups of at most GROUP_TOKENS tokens: one stacked forward
@@ -173,31 +177,29 @@ def check_discrete_exactness(config: VerifyConfig) -> tuple[CheckRecord, np.ndar
     target = get_target("quadratic_sum")
     n, d, delta = 2, 1, config.delta
     model = build_discrete_sumformer(target.g, delta, n, d)
-    worst = 0.0
-    witness = None
     rng = np.random.default_rng(5)
     f = target.lifted()
     samples = max(config.samples, 0)
     group = max(1, GROUP_TOKENS // (4 * n))
-    for start in range(0, samples, group):
-        # anchors, x, same-cell fractions, permutation: each sample's draws in turn
-        draws = [(rng.integers(0, delta, size=(n, d)) / delta, rng.uniform(size=(n, d)),
-                  rng.uniform(0, 1, size=(n, d)), rng.permutation(n)[:, np.newaxis])
-                 for _ in range(min(group, samples - start))]
-        anchors, x, fractions, perm = (np.stack(arrays) for arrays in zip(*draws))
-        cells = model.phi.cells(x)
-        low, high = model.phi.edges[cells], model.phi.edges[cells + 1]
-        same_cell = np.minimum(low + (high - low) * fractions,
-                               np.nextafter(high, low))  # keeps a point that rounds up in the cell
-        inputs = np.stack([anchors, x, same_cell, np.take_along_axis(x, perm, axis=1)], axis=1)
-        out = sumformer_forward(model, inputs.reshape(-1, n, d)).reshape(len(draws), 4, n, -1)
-        errors = np.stack([out[:, 0] - f(anchors), out[:, 1] - out[:, 2],
-                           out[:, 3] - np.take_along_axis(out[:, 1], perm, axis=1)], axis=1)
-        residuals = np.max(np.abs(errors).reshape(len(draws), -1), axis=1)  # keeps a NaN
-        first = first_worse(residuals, worst)
-        if first is not None:
-            worst, witness = float(residuals[first]), draws[first][1]
-    return _record("discrete_exactness", config, 0.0, worst, samples), witness
+
+    def groups():
+        for start in range(0, samples, group):
+            # anchors, x, same-cell fractions, permutation: each sample's draws in turn
+            draws = [(rng.integers(0, delta, size=(n, d)) / delta, rng.uniform(size=(n, d)),
+                      rng.uniform(0, 1, size=(n, d)), rng.permutation(n)[:, np.newaxis])
+                     for _ in range(min(group, samples - start))]
+            anchors, x, fractions, perm = (np.stack(arrays) for arrays in zip(*draws))
+            cells = model.phi.cells(x)
+            low, high = model.phi.edges[cells], model.phi.edges[cells + 1]
+            same_cell = np.minimum(low + (high - low) * fractions,
+                                   np.nextafter(high, low))  # keeps a point that rounds up in the cell
+            inputs = np.stack([anchors, x, same_cell, np.take_along_axis(x, perm, axis=1)], axis=1)
+            out = sumformer_forward(model, inputs.reshape(-1, n, d)).reshape(len(draws), 4, n, -1)
+            errors = np.stack([out[:, 0] - f(anchors), out[:, 1] - out[:, 2],
+                               out[:, 3] - np.take_along_axis(out[:, 1], perm, axis=1)], axis=1)
+            yield np.max(np.abs(errors).reshape(len(draws), -1), axis=1), x  # np.max keeps a NaN
+
+    return _outcome("discrete_exactness", config, 0.0, groups())
 
 
 def _pairwise_product(x):
@@ -218,13 +220,11 @@ GENERATION_CASES = [(_pairwise_product, 1, 2), (_first_power_sum, 1, 3), (_mixed
 GENERATION_DRAWS_PER_SAMPLE = 25
 
 
-def check_generation_oracle(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
+def check_generation_oracle(config: VerifyConfig) -> CheckRecord:
     draws = config.samples * GENERATION_DRAWS_PER_SAMPLE
-    worst = float(np.max([  # np.max, unlike max, keeps a NaN
+    return _outcome("generation_oracle", config, 1e-8, [([
         generation_oracle(target_fn, d, n, sample_count=draws, seed=3).residual
-        for target_fn, d, n in GENERATION_CASES
-    ], initial=0.0))
-    return _record("generation_oracle", config, 1e-8, worst, len(GENERATION_CASES)), None
+        for target_fn, d, n in GENERATION_CASES], None)])
 
 
 GRADIENT_SEQS = 2  # sequences per gradient-check batch
@@ -297,10 +297,9 @@ def gradient_check_once(seed: int) -> float:
     return float(np.max(np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-6)))
 
 
-def check_gradients(config: VerifyConfig) -> tuple[CheckRecord, np.ndarray | None]:
-    seeds = max(config.gradient_seeds, 0)
-    worst = float(np.max([gradient_check_once(seed) for seed in range(seeds)], initial=0.0))
-    return _record("gradient_check", config, 1e-5, worst, seeds), None
+def check_gradients(config: VerifyConfig) -> CheckRecord:
+    return _outcome("gradient_check", config, 1e-5, [(
+        [gradient_check_once(seed) for seed in range(max(config.gradient_seeds, 0))], None)])
 
 
 ALL_CHECKS = [
@@ -350,15 +349,9 @@ def verify_bytes(config: VerifyConfig) -> int:
 
 
 def run_verification(config: VerifyConfig) -> list[CheckRecord]:
-    """The records of ALL_CHECKS, in list order, each failed one with its
-    witness.  The checks run on ``parallel.process_count(len(ALL_CHECKS))``
+    """The records of ALL_CHECKS, in list order, with the wall seconds and
+    the worker of each.  The checks run on ``parallel.process_count(len(ALL_CHECKS))``
     worker processes; each check runs the same code on the same seeds in
     any worker, so the records are the same at any worker count."""
-    records = []
-    for (record, witness), worker, seconds in run_in_processes(
-            lambda check: check(config), [(check,) for check in ALL_CHECKS]):
-        record.seconds, record.worker = seconds, worker
-        if record.status == "fail":
-            record.witness = witness
-        records.append(record)
-    return records
+    return [replace(record, seconds=seconds, worker=worker) for record, worker, seconds
+            in run_in_processes(lambda check: check(config), [(check,) for check in ALL_CHECKS])]

@@ -163,7 +163,7 @@ def test_seed_flag_exists_only_where_it_sets_a_seed(tmp_path, command):
 def test_verify_checks_that_run_no_case_report_skip():
     config = VerifyConfig(samples=-1, trials=-1, gradient_seeds=-1)
     for check in (check_discrete_exactness, check_equivariance_models, check_gradients):
-        record, _ = check(config)
+        record = check(config)
         assert record.status == "skip", record.name
 
 

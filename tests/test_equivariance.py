@@ -173,7 +173,7 @@ def test_verify_calls_each_sumformer_once_per_group(monkeypatch):
 
     group = _group(4)
     monkeypatch.setattr(verify, "sumformer_forward", counting)
-    record, _ = verify.check_equivariance_models(verify.VerifyConfig(trials=group + 2))
+    record = verify.check_equivariance_models(verify.VerifyConfig(trials=group + 2))
     assert record.status == "pass"
     # Two sumformers, each called on one stack of [X, p_1 X, ..., p_24 X] per draw of a group.
     assert shapes == [(group * (1 + 24), 4, 2), (2 * (1 + 24), 4, 2)] * 2

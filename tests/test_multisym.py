@@ -62,6 +62,16 @@ def test_count_overflow_guard():
         enumerate_multidegrees(60, 60)  # C(120,60)-1 far exceeds 64-bit range
 
 
+def test_degree_budget_guard():
+    from sumformer.errors import BudgetError
+    from sumformer.multisym import MAX_DEGREES
+
+    assert basis_size(2, 1412) <= MAX_DEGREES < basis_size(2, 1413)
+    assert enumerate_multidegrees(2, 1412).size == basis_size(2, 1412)
+    with pytest.raises(BudgetError, match="C\\(1415,2\\)-1 = 1000404 exceeds"):
+        enumerate_multidegrees(2, 1413)
+
+
 def test_monomial_features_zero_vector():
     basis = enumerate_multidegrees(3, 2)
     assert np.array_equal(monomial_features(np.zeros(3), basis), np.zeros(basis.size))

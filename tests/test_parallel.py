@@ -103,6 +103,21 @@ def test_the_first_failure_in_list_order_is_re_raised_with_its_attributes(worker
     _no_child_left()
 
 
+def test_one_worker_runs_no_task_after_the_first_that_raises(monkeypatch):
+    """On one worker this process pulls every task from the queue itself."""
+    monkeypatch.setattr(parallel, "WORKERS", 1)
+    ran = []
+
+    def task(i):
+        ran.append(i)
+        if i == 1:
+            raise TrainingDivergedError("task 1 diverged")
+
+    with pytest.raises(TrainingDivergedError, match="task 1 diverged"):
+        run_in_processes(task, [(i,) for i in range(4)])
+    assert ran == [0, 1]
+
+
 def test_a_worker_that_dies_is_a_worker_error(monkeypatch):
     monkeypatch.setattr(parallel, "WORKERS", 2)
     task = _InAChild(lambda i: os._exit(1))

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +248,16 @@ DAMAGED_FILES = {
     # The MLP phi reads tokens of width 1; the construction would feed it width 2.
     "phi_of_another_token_width": (lambda text: text.replace("field d int 1", "field d int 2"),
                                    "cannot rebuild construction", ("construction",)),
+    # A degree basis of C(200, 100) - 1 degrees, past 64 bits.
+    "degree_count_past_64_bits": (lambda text: text.replace("field d int 1\n", "field d int 100\n")
+                                  .replace("field phi_n_max int 3", "field phi_n_max int 100")
+                                  .replace("field n_max int 2", "field n_max int 100"),
+                                  "degree count C(200,100)-1 exceeds 64-bit range",
+                                  ("polynomial_psi_model", "construction")),
+    # A header that alone would size a 800 GB matrix.
+    "row_narrower_than_its_header": (lambda text: text.replace("imatrix psi.term0.alpha 1 1\n",
+                                                               "imatrix psi.term0.alpha 1 99999999999\n"),
+                                     "row 0 has 1 values, want 99999999999", POLYNOMIAL_PSI),
 }
 
 
@@ -270,6 +281,24 @@ def test_damaged_files_raise_config_error_naming_the_fault(case):
             load(damage(text))
         message = str(exc_info.value)
         assert named in message and "\n" not in message, (load.__name__, message)
+
+
+@pytest.mark.parametrize("d, n_max", [(2, 99_999_999), (1_000_000, 1_000_000)])
+def test_a_degree_basis_out_of_reach_is_refused_at_once(d, n_max):
+    """About 5e15 degrees at d = 2 would take hours to list, and the binomial
+    C(2e6, 1e6) alone takes 30 s; both files are refused within a second."""
+    files = [(load_model, dump_model(build_polynomial_sumformer(3, 2, seed=0)), "phi_n_max"),
+             (load_construction, dump_construction(
+                 build_sum_extraction("standard", 3, 2, enumerate_multidegrees(2, 3))), "n_max")]
+    for load, text, order in files:
+        damaged = text.replace("field d int 2\n", f"field d int {d}\n").replace(
+            f"field {order} int 3\n", f"field {order} int {n_max}\n")
+        assert f"field d int {d}\n" in damaged and f"field {order} int {n_max}\n" in damaged
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=f"degree count C\\({n_max + d},{d}\\)-1") as exc_info:
+            load(damaged)
+        assert time.perf_counter() - start < 1.0
+        assert "\n" not in str(exc_info.value)
 
 
 # Fields only a construction file holds: (old line, damaged line, words the error must name).

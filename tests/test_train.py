@@ -264,6 +264,22 @@ def test_untrainable_model_rejected():
             train(model, data, epochs=1, config=FAST, seed=0)
 
 
+@pytest.mark.parametrize("psi_out", [1, 3])
+def test_train_refuses_a_psi_that_does_not_output_d_columns(psi_out):
+    """The work buffer sizes Sigma from psi's widths; a psi not d wide is
+    refused, naming both widths, before any array is built."""
+    from sumformer.mlp import MlpSpec, init_mlp_params
+    from sumformer.model import MlpCombiner, SumformerModel
+
+    rng = np.random.default_rng(0)
+    phi_spec, psi_spec = MlpSpec((2, 4, 3)), MlpSpec((5, 4, psi_out))
+    model = SumformerModel(2, MlpFeatureMap(phi_spec, init_mlp_params(phi_spec, rng)),
+                           MlpCombiner(psi_spec, init_mlp_params(psi_spec, rng)))
+    data = generate_dataset(get_target("cubic_coupling"), 3, 2, 20)
+    with pytest.raises(ShapeError, match=f"2 outputs per token, but psi outputs {psi_out}"):
+        train(model, data, epochs=1)
+
+
 def test_latent_sweep_single_cell_matches_train():
     """Each row is a standalone cell bitwise: rebuilding a (d, seed) dataset
     for every d' gives the same data."""

@@ -1,6 +1,7 @@
-"""The gradient check: stacked central differences against the per-entry
-loop, and a loss callable that survives being wrapped.  The grid-table check
-against its per-sample oracle, and the stack sizes of the grouped checks."""
+"""The outcome rule every check's record comes from.  The gradient check:
+stacked central differences against the per-entry loop, and a loss callable
+that survives being wrapped.  The grid-table check against its per-sample
+oracle, and the stack sizes of the grouped checks."""
 
 import functools
 import tracemalloc
@@ -22,7 +23,9 @@ from sumformer.model import (
 from sumformer.train import flatten_params
 from sumformer.verify import (
     GRADIENT_SEQS,
+    CheckRecord,
     VerifyConfig,
+    _outcome,
     _stacked_mse,
     central_difference,
     check_gradients,
@@ -30,6 +33,31 @@ from sumformer.verify import (
 )
 
 from oracles import central_difference_loop, discrete_exactness_per_sample
+
+
+def test_the_outcome_is_the_first_worst_case_a_nan_counting_as_worst():
+    inputs = [np.full((1, 1), float(i)) for i in range(6)]
+    groups = [([1.0, 3.0], inputs[:2]), ([], []), ([3.0, np.nan, np.nan, 2.0], inputs[2:])]
+    record = _outcome("c", VerifyConfig(), 1.0, groups)
+    assert (record.status, record.cases) == ("fail", 6) and np.isnan(record.max_residual)
+    assert record.witness is inputs[3]
+    record = _outcome("c", VerifyConfig(), 1.0, groups[:1])
+    assert (record.status, record.max_residual, record.witness) == ("fail", 3.0, inputs[1])
+    assert _outcome("c", VerifyConfig(tol=3.0), 1.0, groups[:1]).witness is None  # tol overrides
+
+
+@pytest.mark.parametrize("groups", [[], [([], None)], [([], [])] * 3], ids=["none", "empty", "empties"])
+def test_a_check_that_runs_no_case_is_a_skip_at_zero(groups):
+    record = _outcome("c", VerifyConfig(tol=-1.0), 1.0, groups)
+    assert (record.status, record.max_residual, record.cases, record.witness) == ("skip", 0.0, 0, None)
+
+
+def test_every_check_returns_one_record_and_a_passing_one_no_witness():
+    config = VerifyConfig(n_list=[1, 2], d_list=[1], samples=3, trials=2, omega_seeds=1, gradient_seeds=2)
+    for check in verify.ALL_CHECKS:
+        record = check(config)
+        assert isinstance(record, CheckRecord) and record.status in ("pass", "skip"), record
+        assert record.witness is None, record.name
 
 
 def _unstacked_mse(model, vector, x, y):
@@ -74,7 +102,7 @@ def test_gradient_check_survives_a_counting_wrapper_on_its_loss(monkeypatch):
 
     monkeypatch.setattr(verify, "central_difference", traced)
     config = VerifyConfig()
-    record, _ = check_gradients(config)
+    record = check_gradients(config)
     assert record.status == "pass"
     assert len(calls) == config.gradient_seeds == record.cases
 
@@ -83,7 +111,7 @@ def test_discrete_exactness_passes_at_every_admitted_delta():
     """The within-cell points come from the model's own cells, so no delta that
     ``verify --delta`` admits puts a point in a neighbouring cell."""
     for delta in range(1, 101):
-        record, _ = verify.check_discrete_exactness(VerifyConfig(delta=delta, samples=3))
+        record = verify.check_discrete_exactness(VerifyConfig(delta=delta, samples=3))
         assert (record.status, record.max_residual, record.cases) == ("pass", 0.0, 3), delta
 
 
@@ -106,8 +134,8 @@ def test_grouped_discrete_exactness_is_the_per_sample_oracle(monkeypatch, delta)
     sample of the middle group only."""
     group = GROUP_TOKENS // (4 * 2)
     samples, bad = 3 * group, 2 * group - 1
-    record, witness = verify.check_discrete_exactness(VerifyConfig(samples=samples, delta=delta))
-    assert (record.max_residual, witness) == discrete_exactness_per_sample(samples, delta) == (0.0, None)
+    record = verify.check_discrete_exactness(VerifyConfig(samples=samples, delta=delta))
+    assert (record.max_residual, record.witness) == discrete_exactness_per_sample(samples, delta) == (0.0, None)
 
     key = np.sort(_discrete_x(samples, delta)[bad], axis=0)  # x in the forward's canonical order
     apply = TableCombiner.apply
@@ -119,19 +147,19 @@ def test_grouped_discrete_exactness_is_the_per_sample_oracle(monkeypatch, delta)
         return out
 
     monkeypatch.setattr(TableCombiner, "apply", faulty)
-    record, witness = verify.check_discrete_exactness(VerifyConfig(samples=samples, delta=delta))
+    record = verify.check_discrete_exactness(VerifyConfig(samples=samples, delta=delta))
     worst, expected = discrete_exactness_per_sample(samples, delta)
     assert record.status == "fail" and record.max_residual == worst > 1e-4
-    assert np.array_equal(witness, expected)
-    assert np.array_equal(witness, _discrete_x(samples, delta)[bad])
+    assert np.array_equal(record.witness, expected)
+    assert np.array_equal(record.witness, _discrete_x(samples, delta)[bad])
 
 
 def test_discrete_exactness_nan_is_the_worst_residual(monkeypatch):
     monkeypatch.setattr(TableCombiner, "apply", lambda self, x_rows, *args, **kwargs:
                         np.full(x_rows.shape, np.nan))
-    record, witness = verify.check_discrete_exactness(VerifyConfig(samples=5))
+    record = verify.check_discrete_exactness(VerifyConfig(samples=5))
     assert np.isnan(record.max_residual) and record.status == "fail"
-    assert np.array_equal(witness, _discrete_x(5, 4)[0])
+    assert np.array_equal(record.witness, _discrete_x(5, 4)[0])
 
 
 def _largest_stack(monkeypatch, check, config):
@@ -151,7 +179,7 @@ def _largest_stack(monkeypatch, check, config):
         patch.setattr(verify, "sumformer_forward", lambda model, xs: forward(model, note(xs)))
         tracemalloc.start()
         try:
-            record, _ = check(config)
+            record = check(config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
