@@ -26,7 +26,7 @@ from .errors import (
     ShapeError,
     UnsupportedInspectionError,
 )
-from .linalg import require_finite, require_rows, require_size
+from .linalg import require_finite, require_rows, require_size, require_within_budget
 from .model import Phi, PolynomialFeatureMap
 from .multisym import DegreeBasis
 from .parallel import run_in_threads
@@ -459,6 +459,13 @@ def _construction_weights(d: int, d_latent: int, scale: float) -> tuple[np.ndarr
     return w_q, w_q.copy(), w_v
 
 
+def construction_bytes(variant: str, n: int, m: int, k: int | None) -> int:
+    """Bytes of a construction's weights: W_Q, W_K, W_V and the token-wise
+    layer, each m x m, and the head's extra matrices."""
+    extra = head_class(variant).extra_shapes(n, m, k).values()
+    return 8 * (4 * m * m + sum(rows * cols for rows, cols in extra))
+
+
 def build_sum_extraction(
     variant: str,
     n: int,
@@ -477,6 +484,8 @@ def build_sum_extraction(
     averaging; each variant's ``construction`` says which.  phi is the
     monomial map over ``basis`` unless given; d' is its output width.  Only
     a variant that draws random features takes ``seed`` or ``omegas``.
+    Weights past ``linalg.MEMORY_BUDGET_BYTES`` are a BudgetError, raised
+    before any is allocated.
 
     The token-wise layer selects the trailing d' columns of
     (X + head(X)); with the outer residual this leaves rows
@@ -498,6 +507,7 @@ def build_sum_extraction(
         raise ContractError(f"the {variant} construction needs 1 <= k < n={n}, got k={k}")
     if (seed is not None or omegas is not None) and not draws_features(variant):
         raise ContractError(f"the {variant} construction takes no seed or omegas")
+    require_within_budget(construction_bytes(variant, n, m, k), f"the {variant} construction's weights")
     head, fc_scale, lambda_value = head_type.construction(n, d, d_latent, k=k, seed=seed, omegas=omegas)
     w_fc = np.zeros((m, m))  # keeps only the trailing d' columns, scaled
     w_fc[-d_latent:, -d_latent:] = fc_scale * np.eye(d_latent)

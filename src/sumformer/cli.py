@@ -25,19 +25,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .attention import HEADS, head_class, mac_count
-from .errors import ConfigError, ContractError, TrainingDivergedError
+from .errors import BudgetError, ConfigError, ContractError, TrainingDivergedError
+from .linalg import BUILD_BUDGET, require_within_budget
 from .targets import TARGETS, get_target
+from .train import SPLIT_FRACTION, OptimizerConfig
+from .verify import VerifyConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_DIVERGED = 4
-
-# ``train``, ``sweep`` and ``verify`` refuse a configuration whose estimated
-# memory (``train.training_bytes``, for a sweep its largest cell;
-# ``verify.verify_bytes``) exceeds this.  ``epochs`` costs time, not memory,
-# and has no upper bound.
-MEMORY_BUDGET_BYTES = 2 * 2**30
 
 
 def _parse_value(raw: str):
@@ -88,26 +85,27 @@ class Key(NamedTuple):
 
 
 OUT = Key("out", str)
+_OPT, _VERIFY = OptimizerConfig(), VerifyConfig()
 TRAINING = {
     "target": Key("cubic_coupling", str, choices=tuple(TARGETS)),
     "n": Key(3, low=1),
     "epochs": Key(200, low=0),
     "points": Key(2000, low=2),
-    "lr": Key(1e-3, float),
-    "batch_size": Key(100, low=1, choices=("full",)),
+    "lr": Key(_OPT.lr, float),
+    "batch_size": Key(_OPT.batch_size, low=1, choices=("full",)),
 }
 SCHEMA = {
     "verify": {
-        "n": Key([2, 3, 4], low=1, many=True),
-        "d": Key([1, 2], low=1, many=True),
-        "samples": Key(20, low=1),
-        "trials": Key(20, low=0),
-        "omega_seeds": Key(3, low=0),
-        "gradient_seeds": Key(20, low=0),
-        "tol": Key(None, float),
+        "n": Key(_VERIFY.n_list, low=1, many=True),
+        "d": Key(_VERIFY.d_list, low=1, many=True),
+        "samples": Key(_VERIFY.samples, low=1),
+        "trials": Key(_VERIFY.trials, low=0),
+        "omega_seeds": Key(_VERIFY.omega_seeds, low=0),
+        "gradient_seeds": Key(_VERIFY.gradient_seeds, low=0),
+        "tol": Key(_VERIFY.tol, float),
         # The discrete check tabulates n=2, d=1: delta**2 keys, each holding a
-        # delta-long histogram; build_discrete_sumformer refuses more than 1e6.
-        "delta": Key(4, low=1, high=100),
+        # delta-long histogram, within build_discrete_sumformer's BUILD_BUDGET.
+        "delta": Key(_VERIFY.delta, low=1, high=round(BUILD_BUDGET ** (1 / 3))),
         "out": OUT,
     },
     "train": {
@@ -115,7 +113,7 @@ SCHEMA = {
         "d": Key(2, low=1),
         "d_latent": Key(32, low=1),
         "seed": Key(0, low=0),
-        "split_fraction": Key(0.8, float, low=0.0, high=1.0),
+        "split_fraction": Key(SPLIT_FRACTION, float, low=0.0, high=1.0),
         "out": OUT,
     },
     "sweep": {
@@ -201,17 +199,15 @@ def _ensure_out(config: dict) -> str:
 
 
 def _refuse_over_budget(need: int, keys: str):
-    if need > MEMORY_BUDGET_BYTES:
-        # A float holds the size up to about 2**1024 bytes.
-        size = f"about {need / 2**30:.3g} GiB" if need < 2**1000 else "over 2**1000 bytes"
-        raise ConfigError(
-            f"{keys} need {size}, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB budget"
-        )
+    try:
+        require_within_budget(need, keys)
+    except BudgetError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _check_memory(config: dict, batch_size: int | None):
     """Refuse a train or sweep config whose largest cell would not fit the budget."""
-    from .train import SWEEP_SPLIT, training_bytes
+    from .train import training_bytes
 
     # The dataset alone, in integers: training_bytes takes a float fraction
     # of points, which overflows for a points value past the float range.
@@ -219,7 +215,7 @@ def _check_memory(config: dict, batch_size: int | None):
     _refuse_over_budget(dataset, "n, d and points")
     need = max(
         training_bytes(config["n"], d, d_latent, config["points"],
-                       config.get("split_fraction", SWEEP_SPLIT), batch_size)
+                       config.get("split_fraction", SPLIT_FRACTION), batch_size)
         for d in _listed(config["d"]) for d_latent in _listed(config["d_latent"])
     )
     _refuse_over_budget(need, "n, d, d_latent and points")
@@ -228,7 +224,7 @@ def _check_memory(config: dict, batch_size: int | None):
 def cmd_verify(config: dict) -> int:
     """Run the oracle and invariant suites."""
     from .parallel import process_count
-    from .verify import ALL_CHECKS, VerifyConfig, run_verification, verify_bytes
+    from .verify import ALL_CHECKS, run_verification, verify_bytes
 
     vconfig = VerifyConfig(
         n_list=_listed(config["n"]),
@@ -269,7 +265,7 @@ def _start_training(config: dict):
     the memory budget, after writing its ``manifest.txt``: every key but
     ``out``, with ``lr`` and ``batch_size`` as the run uses them, and Adam's
     betas and eps, one sorted key per line (no paths or times)."""
-    from .train import BETA1, BETA2, EPS, OptimizerConfig
+    from .train import BETA1, BETA2, EPS
 
     batch_size = config["batch_size"]
     opt = OptimizerConfig(lr=float(config["lr"]), batch_size=None if batch_size == "full" else batch_size)

@@ -19,7 +19,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import BudgetError, DomainError, ShapeError
-from .linalg import require_finite, require_rows, require_size
+from .linalg import BUILD_BUDGET, require_finite, require_rows, require_size
 from .mlp import MlpParams, MlpSpec, init_mlp_params, mlp_forward
 from .multisym import (
     DegreeBasis,
@@ -383,13 +383,15 @@ def build_discrete_sumformer(
     d: int,
 ) -> SumformerModel:
     """Cell one-hot phi; psi tabulates g at the anchor rows c/delta of each own
-    cell beside each multiset of the others, keyed by ``TableCombiner.keys``."""
+    cell beside each multiset of the others, keyed by ``TableCombiner.keys``.
+    A table whose keys times histogram length exceed ``linalg.BUILD_BUDGET``
+    is a BudgetError."""
     delta_cells, n, d = require_size("delta_cells", delta_cells), require_size("n", n), require_size("d", d)
     # Up to delta^(n d) keys, each holding a delta^d-long histogram.
-    if delta_cells ** ((n + 1) * d) > 10**6:
+    if delta_cells ** ((n + 1) * d) > BUILD_BUDGET:
         raise BudgetError(
             f"table of {delta_cells}^{n * d} keys with {delta_cells}^{d}-long histograms "
-            "exceeds the 1e6 budget"
+            f"exceeds the budget of {BUILD_BUDGET}"
         )
     phi, psi = CellFeatureMap(delta_cells, d), TableCombiner({}, d)
     anchors = np.array(list(product(range(delta_cells), repeat=d))) / delta_cells

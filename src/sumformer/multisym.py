@@ -16,15 +16,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import BudgetError, CountOverflowError, InvarianceViolationError
-from .linalg import require_rows, require_size
+from .linalg import BUILD_BUDGET, require_rows, require_size
 
 MultiDegree = tuple[int, ...]
 
 _MAX_COUNT = 2**63 - 1
-# The most degrees ``enumerate_multidegrees`` lists, the 1e6 budget of
-# ``build_discrete_sumformer``; a CLI run within its memory budget needs a
-# few thousand.
-MAX_DEGREES = 10**6
 
 
 @dataclass(frozen=True)
@@ -64,14 +60,14 @@ def _compositions(total: int, parts: int):
 
 def enumerate_multidegrees(d: int, n_max: int) -> DegreeBasis:
     """Enumerate the degree basis for token dimension d up to order n_max:
-    more than MAX_DEGREES degrees is a BudgetError, and a count past 64 bits
+    more than ``linalg.BUILD_BUDGET`` degrees is a BudgetError, and a count past 64 bits
     a CountOverflowError.  C(n_max + d, low) >= 2**low for low = min(d, n_max),
     so a low above 64 is past 64 bits without computing the binomial."""
     d, n_max = require_size("d", d), require_size("n_max", n_max)
     if min(d, n_max) > 64 or (count := basis_size(d, n_max)) > _MAX_COUNT:
         raise CountOverflowError(f"degree count C({n_max + d},{d})-1 exceeds 64-bit range")
-    if count > MAX_DEGREES:
-        raise BudgetError(f"degree count C({n_max + d},{d})-1 = {count} exceeds the budget of {MAX_DEGREES}")
+    if count > BUILD_BUDGET:
+        raise BudgetError(f"degree count C({n_max + d},{d})-1 = {count} exceeds the budget of {BUILD_BUDGET}")
     degrees: list[MultiDegree] = []
     for total in range(1, n_max + 1):
         degrees.extend(_compositions(total, d))

@@ -38,6 +38,7 @@ from .targets import TargetFunction
 
 # Adam's moment decays and the term that keeps its denominator off zero.
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+SPLIT_FRACTION = 0.8  # the training share of generate_dataset's default, a train run and a sweep cell
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ def generate_dataset(
     n: int,
     d: int,
     count: int,
-    split_fraction: float = 0.8,
+    split_fraction: float = SPLIT_FRACTION,
     seed: int = 0,
 ) -> Dataset:
     """Uniform inputs, exact targets, deterministic split (first rows train)."""
@@ -415,9 +416,6 @@ def train_cell(target: TargetFunction, n: int, d: int, d_latent: int, epochs: in
     return train(build_mlp_sumformer(d, d_latent, seed), data, epochs, config, seed)
 
 
-SWEEP_SPLIT = 0.8  # the training fraction of every sweep dataset
-
-
 @dataclass(frozen=True)
 class SweepRow:
     d: int
@@ -448,7 +446,7 @@ def latent_sweep(
     seeds = [require_size("seed", seed, 0) for seed in seeds]
     rows = []
     for d, d_prime, seed in itertools.product(d_list, dprime_list, seeds):
-        report = train_cell(target, n, d, d_prime, epochs, points, SWEEP_SPLIT, seed, config)
+        report = train_cell(target, n, d, d_prime, epochs, points, SPLIT_FRACTION, seed, config)
         rows.append(SweepRow(d, d_prime, seed, report.best_validation_error, basis_size(d, n)))
     return rows
 

@@ -1,6 +1,6 @@
 import dataclasses
-import inspect
 import os
+import re
 import subprocess
 import sys
 
@@ -13,12 +13,12 @@ from sumformer.cli import (
     EXIT_DIVERGED,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
-    MEMORY_BUDGET_BYTES,
     SCHEMA,
     main,
     read_config_file,
 )
-from sumformer.train import SWEEP_SPLIT, OptimizerConfig, generate_dataset, loss_and_gradient
+from sumformer.linalg import MEMORY_BUDGET_BYTES
+from sumformer.train import SPLIT_FRACTION, OptimizerConfig, loss_and_gradient
 from sumformer.verify import (
     VerifyConfig,
     check_discrete_exactness,
@@ -38,18 +38,6 @@ FAST_VERIFY = [
 def _read(path):
     with open(path) as fh:
         return fh.read()
-
-
-def test_the_cli_defaults_are_the_librarys():
-    """Where a command's table restates a library default, the two agree."""
-    verify_keys = {key: spec.default for key, spec in SCHEMA["verify"].items() if key != "out"}
-    verify_keys["n_list"], verify_keys["d_list"] = verify_keys.pop("n"), verify_keys.pop("d")
-    assert verify_keys == dataclasses.asdict(VerifyConfig())
-    opt = OptimizerConfig()
-    for keys in (SCHEMA["train"], SCHEMA["sweep"]):
-        assert (keys["lr"].default, keys["batch_size"].default) == (opt.lr, opt.batch_size)
-    split = inspect.signature(generate_dataset).parameters["split_fraction"].default
-    assert SCHEMA["train"]["split_fraction"].default == SWEEP_SPLIT == split
 
 
 def test_bench_writes_scaling_csv(tmp_path):
@@ -94,7 +82,7 @@ BAD_VALUES = {
     "verify_n_0": (["verify", "--n", "0"], None),
     "verify_d_0": (["verify", "--d", "0"], None),
     "verify_delta_0": (["verify", "--delta", "0"], None),
-    # delta**2 keys of delta-long histograms would exceed the discrete table's 1e6 budget.
+    # delta**2 keys of delta-long histograms would exceed the discrete table's BUILD_BUDGET.
     "verify_delta_over_budget": (["verify", "--delta", "1001"], None),
     "verify_delta_just_over_budget": (["verify", "--delta", "101"], None),
     "train_seed_list": (["train", "--epochs", "0", "--seed", "1,2"], None),
@@ -105,7 +93,7 @@ BAD_VALUES = {
     # A points value past the float range; the split would overflow converting it.
     "train_points_400_digits": (["train", "--epochs", "0", "--points", "1" + "0" * 399], None),
     "sweep_points_400_digits": (["sweep", "--epochs", "0", "--points", "1" + "0" * 399], None),
-    # Beyond the memory budget (cli.MEMORY_BUDGET_BYTES), by train.training_bytes.
+    # Beyond the memory budget (linalg.MEMORY_BUDGET_BYTES), by train.training_bytes.
     # Each is also far beyond any machine's memory, so a run that got past the
     # check would fail at its first large allocation instead of filling memory.
     "train_n_beyond_memory": (["train", "--epochs", "0", "--points", "2",
@@ -126,7 +114,6 @@ BAD_VALUES = {
 
 
 def test_memory_budget_admits_the_defaults_and_a_large_batch_size(tmp_path):
-    from sumformer.cli import MEMORY_BUDGET_BYTES
     from sumformer.train import training_bytes
 
     assert training_bytes(3, 2, 32, 2000, 0.8, 100) < MEMORY_BUDGET_BYTES / 100
@@ -158,6 +145,37 @@ def test_seed_flag_exists_only_where_it_sets_a_seed(tmp_path, command):
         main([command, "--seed", "7", "--out", str(out)])
     assert exc_info.value.code == EXIT_CONFIG
     assert not out.exists()
+
+
+def _library_defaults() -> dict:
+    """Per command, the defaults of its keys that the library states."""
+    verify = dataclasses.asdict(VerifyConfig())
+    verify["n"], verify["d"] = verify.pop("n_list"), verify.pop("d_list")
+    training = dataclasses.asdict(OptimizerConfig())
+    return {"verify": verify, "train": {**training, "split_fraction": SPLIT_FRACTION},
+            "sweep": training, "bench": {}}
+
+
+def test_help_lists_every_key_with_its_default(capsys):
+    """``sumformer --help`` names the four commands, and each command's --help
+    exits 0 and lists every key of its table with its default: the
+    library's, where the library states one."""
+    with pytest.raises(SystemExit) as exc_info:
+        main(["--help"])
+    assert exc_info.value.code == 0
+    assert "{verify,train,sweep,bench}" in capsys.readouterr().out
+    library = _library_defaults()
+    for command, keys in SCHEMA.items():
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--help"])
+        assert exc_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps at the terminal width
+        assert set(library[command]) < set(keys)
+        for key, spec in keys.items():
+            default = library[command].get(key, spec.default)
+            shown = ",".join(map(str, default if isinstance(default, list) else [default]))
+            entry = rf"--{key.replace('_', '-')} {key.upper()} (?:(?! --).)*\(default {re.escape(shown)}\)"
+            assert re.search(entry, text), (command, key, shown)
 
 
 def test_verify_checks_that_run_no_case_report_skip():

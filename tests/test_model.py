@@ -388,9 +388,10 @@ def test_discrete_budget_counts_stored_histograms():
     """verify's delta bound is the largest table the budget admits at n=2, d=1:
     delta**2 keys, each holding a delta-long histogram."""
     from sumformer.cli import SCHEMA
+    from sumformer.linalg import BUILD_BUDGET
 
     bound = SCHEMA["verify"]["delta"].high
-    assert bound**3 <= 10**6 < (bound + 1) ** 3
+    assert bound**3 <= BUILD_BUDGET < (bound + 1) ** 3
     model = build_discrete_sumformer(lambda x, rest: x, delta_cells=bound, n=2, d=1)
     assert len(model.psi.table) == bound**2
     with pytest.raises(BudgetError):

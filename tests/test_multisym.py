@@ -64,9 +64,9 @@ def test_count_overflow_guard():
 
 def test_degree_budget_guard():
     from sumformer.errors import BudgetError
-    from sumformer.multisym import MAX_DEGREES
+    from sumformer.linalg import BUILD_BUDGET
 
-    assert basis_size(2, 1412) <= MAX_DEGREES < basis_size(2, 1413)
+    assert basis_size(2, 1412) <= BUILD_BUDGET < basis_size(2, 1413)
     assert enumerate_multidegrees(2, 1412).size == basis_size(2, 1412)
     with pytest.raises(BudgetError, match="C\\(1415,2\\)-1 = 1000404 exceeds"):
         enumerate_multidegrees(2, 1413)

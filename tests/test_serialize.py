@@ -301,6 +301,34 @@ def test_a_degree_basis_out_of_reach_is_refused_at_once(d, n_max):
         assert "\n" not in str(exc_info.value)
 
 
+# Construction files whose weights no machine holds: the variant built at
+# n = 3, d = 1, n_max = 3, its build arguments, and the fields the damage
+# sets.  E alone would take 6.94 EiB, the feature draw 28.4 PiB, and one
+# m x m weight (m = 353,704) 932 GiB.
+WEIGHTS_BEYOND_MEMORY = {
+    "linformer_n_1e9_k_1e9-1": ("linformer", {"k": 2}, {"n": 10**9, "k": 10**9 - 1}),
+    "performer_n_1e16_k_1e15": ("performer", {"k": 2, "seed": 0}, {"n": 10**16, "k": 10**15}),
+    "standard_d_3_n_max_100": ("standard", {}, {"d": 3, "n_max": 100}),
+}
+
+
+@pytest.mark.parametrize("variant, kwargs, damage", WEIGHTS_BEYOND_MEMORY.values(),
+                         ids=list(WEIGHTS_BEYOND_MEMORY))
+def test_weights_beyond_the_memory_budget_are_refused_before_allocation(variant, kwargs, damage):
+    """Building any of these would raise MemoryError at its first weight; the
+    construction's memory guard refuses the file within a second instead."""
+    text = dump_construction(build_sum_extraction(variant, 3, 1, enumerate_multidegrees(1, 3), **kwargs))
+    for name, value in damage.items():
+        old = next(line for line in text.splitlines() if line.startswith(f"field {name} int "))
+        text = text.replace(old + "\n", f"field {name} int {value}\n")
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=f"the {variant} construction's weights need about "
+                                          "[0-9.e+]+ GiB, over the 2 GiB budget") as exc_info:
+        load_construction(text)
+    assert time.perf_counter() - start < 1.0
+    assert "\n" not in str(exc_info.value)
+
+
 # Fields only a construction file holds: (old line, damaged line, words the error must name).
 DAMAGED_CONSTRUCTION_FIELDS = [
     ("field n int 3", "field n str x", "field n must be int"),

@@ -4,12 +4,14 @@ that survives being wrapped.  The grid-table check against its per-sample
 oracle, and the stack sizes of the grouped checks."""
 
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from sumformer import verify
+from sumformer.attention import HEADS, construction_bytes
 from sumformer.equivariance import GROUP_TOKENS
 from sumformer.mlp import param_views
 from sumformer.model import (
@@ -20,6 +22,7 @@ from sumformer.model import (
     batch_forward,
     build_mlp_sumformer,
 )
+from sumformer.multisym import basis_size
 from sumformer.train import flatten_params
 from sumformer.verify import (
     GRADIENT_SEQS,
@@ -199,3 +202,18 @@ def test_trials_and_samples_cost_time_only(monkeypatch):
     samples = [_largest_stack(monkeypatch, verify.check_discrete_exactness, VerifyConfig(samples=s))
                for s in (20, group, 2000)]
     assert samples == [4 * 2 * 20, GROUP_TOKENS, GROUP_TOKENS]
+
+
+def test_the_construction_guard_admits_every_construction_verify_admits():
+    """``verify_bytes`` counts each construction's four m x m weights and
+    10 max(n m, STACK_FLOATS) floats beside them, and a head's extra matrices
+    hold fewer than 2 n m entries, so a run the CLI admits never meets the
+    memory guard of ``build_sum_extraction``.  Estimates only: nothing is built."""
+    for n, d in itertools.product(range(1, 65), (1, 2, 3)):
+        need = verify_bytes(VerifyConfig(n_list=[n], d_list=[d]))
+        m = 1 + d + 2 * basis_size(d, n)
+        for variant, head in HEADS.items():
+            if head.needs_k and n < 2:  # verify builds no such construction
+                continue
+            k = n - 1 if head.needs_k else None
+            assert construction_bytes(variant, n, m, k) <= need, (variant, n, d)
