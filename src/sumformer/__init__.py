@@ -15,7 +15,6 @@ from .attention import (
 from .equivariance import check_equivariance, lift
 from .mlp import MlpSpec, init_mlp_params, mlp_forward
 from .model import (
-    LatentPolynomial,
     MlpCombiner,
     MlpFeatureMap,
     PolynomialCombiner,

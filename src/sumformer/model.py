@@ -12,7 +12,7 @@ realization).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, reduce
 from itertools import combinations_with_replacement, product
 from typing import Callable, Union
 
@@ -21,13 +21,7 @@ import numpy as np
 from .errors import BudgetError, DomainError, ShapeError
 from .linalg import BUILD_BUDGET, require_finite, require_rows, require_size
 from .mlp import MlpParams, MlpSpec, init_mlp_params, mlp_forward
-from .multisym import (
-    DegreeBasis,
-    MultiDegree,
-    _canonical_row_order,
-    enumerate_multidegrees,
-    monomial_feature_matrix,
-)
+from .multisym import DegreeBasis, _canonical_row_order, enumerate_multidegrees, monomial_feature_matrix
 
 DEFAULT_HIDDEN = (50, 50, 50, 50, 50)
 
@@ -95,59 +89,77 @@ class CellFeatureMap:
         return (flat[..., np.newaxis] == np.arange(self.out_width)).astype(np.float64)
 
 
-@dataclass(frozen=True)
-class LatentPolynomial:
-    """Vector-valued polynomial in the d' latent coordinates.
-
-    ``terms`` pairs a coefficient vector (length = model output dim) with
-    an exponent tuple over the latent coordinates; the value at s is
-    sum_t coeff_t * prod_j s_j^(e_t_j).  ``s`` is one d'-vector or any
-    array of them along its last axis; each gets the value it gets alone.
-    """
-
-    terms: tuple[tuple[np.ndarray, tuple[int, ...]], ...]
-
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        if not self.terms:
-            raise ShapeError("empty latent polynomial")
-        first = self.terms[0][0]
-        out = np.zeros_like(first, shape=(*np.shape(s)[:-1], *np.shape(first)))
-        for coeff, exps in self.terms:
-            out = out + coeff * np.prod(s ** np.asarray(exps), axis=-1)[..., np.newaxis]
-        return out
-
-
 def _others(phi_rows: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Sigma - phi(x), the other tokens' features, of each token of rows or a stack."""
     per_seq = np.reshape(sigma, (-1, 1, phi_rows.shape[-1]))
     return (per_seq - phi_rows.reshape(per_seq.shape[0], -1, phi_rows.shape[-1])).reshape(phi_rows.shape)
 
 
-@dataclass(frozen=True)
+def _exponents(name: str, rows: np.ndarray) -> np.ndarray:
+    """``rows`` as int64: a ShapeError unless a 2-D ndarray, a DomainError unless
+    integers >= 0 (an unsigned entry past int64 turns negative in the cast)."""
+    if not isinstance(rows, np.ndarray) or rows.ndim != 2:
+        raise ShapeError(f"{name} must be a 2-D array with one row per term")
+    if rows.dtype.kind not in "iu" or np.any((rows := rows.astype(np.int64)) < 0):
+        raise DomainError(f"{name} must hold integers >= 0")
+    return rows
+
+
+def _monomial(values: np.ndarray, exponents: np.ndarray) -> Callable[..., np.ndarray]:
+    """The map from an exponent row e to prod_j values[..., j] ** e_j, first column
+    first, from a table of the powers that ``exponents`` use.  Each power takes an
+    exponent array, so a token gets its bits in any layout; a factor 1 is left out."""
+    table, ones = {}, np.ones(values.shape[:-1])
+    for j, column in enumerate(exponents.T):
+        ks = np.unique(column[column > 0])
+        table.update(zip([(j, k) for k in ks.tolist()], values[..., j] ** ks.reshape(-1, *[1] * ones.ndim)))
+    return lambda row: reduce(np.multiply, [table[j, k] for j, k in enumerate(row) if k] or [ones])
+
+
+@dataclass(eq=False)
 class PolynomialCombiner:
-    """psi(x, Sigma) = sum_alpha x^alpha * sigma_alpha(Sigma - phi(x)).
+    """psi(x, Sigma) = sum_t c_t * x^(a_t) * (Sigma - phi(x))^(e_t) over the rows t
+    of ``x_exponents`` (T x d), ``latent_exponents`` (T x d') and ``coefficients``
+    (T x out); by the generation property of power sums, the other tokens' power
+    sums Sigma - phi(x) express any multisymmetric dependence on them.  Arrays not
+    2-D with one row per term, exponents not integers >= 0 and coefficients not
+    finite are refused here; the model checks the exponents' widths."""
 
-    Subtracting the token's own features from Sigma hands each
-    sigma_alpha the power sums of the *other* tokens, which by the
-    generation property of power sums suffices to express any
-    multisymmetric dependence on them.
-    """
+    x_exponents: np.ndarray
+    latent_exponents: np.ndarray
+    coefficients: np.ndarray
 
-    terms: tuple[tuple[MultiDegree, LatentPolynomial], ...]
-    out_width: int
+    def __post_init__(self):
+        self.x_exponents = _exponents("x_exponents", self.x_exponents)
+        self.latent_exponents = _exponents("latent_exponents", self.latent_exponents)
+        c = self.coefficients
+        if not isinstance(c, np.ndarray) or c.ndim != 2 or not (
+                len(self.x_exponents) == len(self.latent_exponents) == len(c)):
+            raise ShapeError("x_exponents, latent_exponents and coefficients must be 2-D, one row per term")
+        if c.dtype.kind not in "iuf" or not np.isfinite(c).all():
+            raise DomainError("coefficients must be finite numbers")
+        self.coefficients = c.astype(np.float64)
+
+    @property
+    def out_width(self) -> int:
+        return self.coefficients.shape[1]
 
     def apply(self, x_rows: np.ndarray, phi_rows: np.ndarray, sigma: np.ndarray,
               outs: ForwardOuts | None = None) -> np.ndarray:
         """``sigma`` holds one Sigma per sequence, (S, d'), for tokens that
         are the rows of S sequences in turn or an (S, n, ·) stack (a single
         d'-vector is one sequence of all tokens); ``outs`` is unused, as nothing
-        here is trained.  Each token's output is the one it gets alone."""
-        others = _others(phi_rows, sigma)
-        out = np.zeros((*x_rows.shape[:-1], self.out_width))
-        for alpha, latent_poly in self.terms:
-            mono = np.prod(x_rows ** np.asarray(alpha), axis=-1)
-            out += mono[..., np.newaxis] * latent_poly(others)
-        return out
+        here is trained.  The terms add c_t * (x^(a_t) * (Sigma - phi(x))^(e_t))
+        in row order, each distinct x^(a_t) made once, all by elementwise
+        products; so each token's output is the one it gets alone."""
+        x_monomial = cache(_monomial(x_rows, self.x_exponents))
+        latent_monomial = _monomial(_others(phi_rows, sigma), self.latent_exponents)
+        out = np.zeros((self.out_width, *x_rows.shape[:-1]))  # output column first: adds run over tokens
+        terms = zip(map(tuple, self.x_exponents.tolist()), self.latent_exponents.tolist(),
+                    self.coefficients.reshape(*self.coefficients.shape, *[1] * (x_rows.ndim - 1)))
+        for a, e, c in terms:
+            out += c * (x_monomial(a) * latent_monomial(e))
+        return np.moveaxis(out, 0, -1).copy()
 
 
 @dataclass
@@ -224,6 +236,11 @@ class SumformerModel:
             raise ShapeError(
                 f"psi expects width {self.psi.spec.in_width}, need {self.d + self.d_latent}"
             )
+        if isinstance(self.psi, PolynomialCombiner):
+            widths = (self.psi.x_exponents.shape[1], self.psi.latent_exponents.shape[1])
+            if widths != (self.d, self.d_latent):
+                raise ShapeError(f"psi's x and latent exponents are {widths[0]} and {widths[1]} wide, "
+                                 f"need d = {self.d} and d' = {self.d_latent}")
 
     def trainable_params(self) -> list[MlpParams]:
         """Parameter lists of the MLP parts, in a fixed order (phi first)."""
@@ -357,22 +374,16 @@ def build_polynomial_sumformer(
 def build_continuous_sumformer(
     n: int,
     d: int,
-    psi_terms: list[tuple[MultiDegree, LatentPolynomial]],
+    x_exponents: np.ndarray,
+    latent_exponents: np.ndarray,
+    coefficients: np.ndarray,
 ) -> SumformerModel:
-    """Fully fixed model: monomial phi and a d-wide polynomial psi given term by term."""
-    basis = enumerate_multidegrees(d, n)
-    for alpha, latent_poly in psi_terms:
-        if len(alpha) != d:
-            raise ShapeError(f"term exponent {alpha} has length {len(alpha)}, want {d}")
-        for _, exps in latent_poly.terms:
-            if len(exps) != basis.size:
-                raise ShapeError(
-                    f"latent exponent tuple has arity {len(exps)}, want {basis.size}"
-                )
+    """Fully fixed model: the monomial phi over ``enumerate_multidegrees(d, n)``
+    and the polynomial psi of the given term rows, as wide as the coefficients."""
     return SumformerModel(
         d=d,
-        phi=PolynomialFeatureMap(basis),
-        psi=PolynomialCombiner(tuple(psi_terms), d),
+        phi=PolynomialFeatureMap(enumerate_multidegrees(d, n)),
+        psi=PolynomialCombiner(x_exponents, latent_exponents, coefficients),
     )
 
 

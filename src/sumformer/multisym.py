@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetError, CountOverflowError, InvarianceViolationError
-from .linalg import BUILD_BUDGET, require_rows, require_size
+from .errors import BudgetError, ContractError, CountOverflowError, InvarianceViolationError
+from .linalg import BUILD_BUDGET, require_rows, require_size, require_within_budget
 
 MultiDegree = tuple[int, ...]
 
@@ -130,20 +130,26 @@ class FitReport:
     coefficients: np.ndarray
 
 
-def product_terms(d: int, n: int, max_product_degree: int) -> list[tuple[MultiDegree, ...]]:
-    """Multisets of generator multidegrees with total degree <= max_product_degree.
+def product_terms(d: int, n: int) -> list[tuple[MultiDegree, ...]]:
+    """Multisets of generator multidegrees with total degree <= 2n: the terms
+    ``generation_oracle`` fits over.
 
     Generators are the power sums with 1 <= |alpha| <= n; the empty
     product (constant term) is included.
     """
-    generators = enumerate_multidegrees(d, min(n, max_product_degree)).degrees
+    generators = enumerate_multidegrees(d, n).degrees
     terms: list[tuple[MultiDegree, ...]] = [()]
-    max_factors = max_product_degree  # every generator has degree >= 1
-    for count in range(1, max_factors + 1):
+    for count in range(1, 2 * n + 1):  # every generator has degree >= 1
         for combo in combinations_with_replacement(generators, count):
-            if sum(sum(a) for a in combo) <= max_product_degree:
+            if sum(sum(a) for a in combo) <= 2 * n:
                 terms.append(tuple(sorted(combo)))
     return terms
+
+
+def generation_bytes(d: int, n: int, sample_count: int) -> int:
+    """Estimated peak bytes of ``generation_oracle`` over ``sample_count``
+    draws: its design matrix, lstsq's copy of it and the draws."""
+    return 8 * sample_count * (2 * len(product_terms(d, n)) + 3 * n * d + 1)
 
 
 def generation_oracle(
@@ -159,10 +165,15 @@ def generation_oracle(
     to total product degree 2n, on uniform samples in [0,1]^{n x d},
     and reports the max absolute residual.  The target must be invariant
     under row permutations; this is verified on 10 random permutations
-    before fitting.
+    before fitting.  Before any draw, no more draws than terms (a fit that
+    any target passes) is a ContractError, and a fit whose
+    ``generation_bytes`` exceed ``linalg.MEMORY_BUDGET_BYTES`` a BudgetError.
     """
-    generators = enumerate_multidegrees(d, n).degrees  # first, to refuse a d or n that is not a size
+    terms = product_terms(d, n)  # first, to refuse a d or n that is not a size
     rng = np.random.default_rng(require_size("seed", seed, 0))
+    if require_size("sample_count", sample_count) <= len(terms):
+        raise ContractError(f"{sample_count} draws cannot test a fit over {len(terms)} terms")
+    require_within_budget(generation_bytes(d, n, sample_count), f"{sample_count} oracle draws")
     probe = rng.uniform(size=(n, d))
     reference = target(probe)
     for _ in range(10):
@@ -175,15 +186,12 @@ def generation_oracle(
                 permutation=perm,
             )
 
-    terms = product_terms(d, n, 2 * n)
-    samples = rng.uniform(size=(require_size("sample_count", sample_count), n, d))
-    sums = {alpha: power_sum(samples, alpha) for alpha in generators}
-    design = np.empty((sample_count, len(terms)))
+    samples = rng.uniform(size=(sample_count, n, d))
+    sums = {alpha: power_sum(samples, alpha) for alpha in enumerate_multidegrees(d, n).degrees}
+    design = np.ones((sample_count, len(terms)))
     for j, term in enumerate(terms):
-        column = design[:, j]
-        column[:] = 1.0
         for alpha in term:
-            column *= sums[alpha]
+            design[:, j] *= sums[alpha]
     values = np.array([target(x) for x in samples], dtype=np.float64)
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
     residual = float(np.max(np.abs(design @ coeffs - values)))

@@ -11,7 +11,8 @@ Grammar (line oriented, whitespace separated):
 
 Floats are written with repr(), which round-trips float64 exactly, so
 dump/load is bitwise faithful.  One file holds one object; nested
-structure is flattened into indexed names (e.g. ``psi.W0``).
+structure is flattened into indexed names (e.g. ``psi.W0``, or the
+``psi.term<t>`` groups of a polynomial psi's rows, see ``dump_model``).
 """
 
 from __future__ import annotations
@@ -21,16 +22,8 @@ import numpy as np
 from .attention import build_sum_extraction, draws_features
 from .errors import BudgetError, ConfigError, ContractError, CountOverflowError, DomainError, ShapeError
 from .mlp import MlpParams, MlpSpec
-from .model import (
-    CellFeatureMap,
-    LatentPolynomial,
-    MlpCombiner,
-    MlpFeatureMap,
-    PolynomialCombiner,
-    PolynomialFeatureMap,
-    SumformerModel,
-    TableCombiner,
-)
+from .model import (CellFeatureMap, MlpCombiner, MlpFeatureMap, PolynomialCombiner, PolynomialFeatureMap,
+                    SumformerModel, TableCombiner)
 from .multisym import enumerate_multidegrees
 
 FORMAT_LINE = "format sumformer/1"
@@ -100,6 +93,8 @@ def _field(fields: dict, name: str, kind: type, low=None, choices=None, nullable
 
 
 _KEYWORDS = ("format", "object", "field", "matrix", "imatrix", "end")
+# A field's value from its text, by its type; any other type is a str.
+_FIELD_TYPES = {"none": lambda raw: None, "bool": lambda raw: bool(int(raw)), "int": int, "float": float}
 
 
 def _load(text: str) -> tuple[str, dict, dict]:
@@ -119,17 +114,7 @@ def _load(text: str) -> tuple[str, dict, dict]:
                 break
             if parts[0] == "field":
                 name, ftype = parts[1], parts[2]
-                raw = lines[i].split(None, 3)[3]
-                if ftype == "none":
-                    fields[name] = None
-                elif ftype == "bool":
-                    fields[name] = bool(int(raw))
-                elif ftype == "int":
-                    fields[name] = int(raw)
-                elif ftype == "float":
-                    fields[name] = float(raw)
-                else:
-                    fields[name] = raw
+                fields[name] = _FIELD_TYPES.get(ftype, str)(lines[i].split(None, 3)[3])
                 i += 1
             elif parts[0] in ("matrix", "imatrix"):
                 name, rows, cols = parts[1], int(parts[2]), int(parts[3])
@@ -141,16 +126,13 @@ def _load(text: str) -> tuple[str, dict, dict]:
                     if len(row) != cols:
                         raise ConfigError(f"matrix {name}: row {r} has {len(row)} values, want {cols}")
                 dtype = np.int64 if parts[0] == "imatrix" else np.float64
-                data = np.empty((rows, cols), dtype=dtype)
-                for r, row in enumerate(body):
-                    data[r] = [dtype(v) for v in row]
-                matrices[name] = data
+                matrices[name] = np.array([list(map(dtype, row)) for row in body], dtype).reshape(rows, cols)
                 i += 1 + rows
             else:
                 raise ConfigError(f"unexpected line: {lines[i]!r}")
         except ConfigError:
             raise
-        except (ValueError, IndexError):
+        except (ValueError, IndexError, OverflowError):  # OverflowError: an int past 64 bits
             raise ConfigError(f"malformed line: {lines[i]!r}") from None
     else:
         raise ConfigError("missing end line")
@@ -163,11 +145,7 @@ def _load(text: str) -> tuple[str, dict, dict]:
 
 def _mlp_entries(prefix: str, spec: MlpSpec, params: MlpParams):
     fields = {f"{prefix}widths": ",".join(str(w) for w in spec.layer_widths)}
-    mats = []
-    for i, (w, b) in enumerate(params):
-        mats.append((f"{prefix}W{i}", w))
-        mats.append((f"{prefix}b{i}", b))
-    return fields, mats
+    return fields, [(f"{prefix}{kind}{i}", m) for i, pair in enumerate(params) for kind, m in zip("Wb", pair)]
 
 
 def _mlp_from_entries(prefix: str, fields: dict, matrices: dict) -> tuple[MlpSpec, MlpParams]:
@@ -177,11 +155,7 @@ def _mlp_from_entries(prefix: str, fields: dict, matrices: dict) -> tuple[MlpSpe
     except ValueError:
         raise ConfigError(f"field {prefix}widths must list integers, got {text!r}") from None
     spec = MlpSpec(widths)
-    params = [
-        (matrices[f"{prefix}W{i}"], matrices[f"{prefix}b{i}"])
-        for i in range(spec.n_layers)
-    ]
-    return spec, params
+    return spec, [(matrices[f"{prefix}W{i}"], matrices[f"{prefix}b{i}"]) for i in range(spec.n_layers)]
 
 
 def dump_construction(con) -> str:
@@ -248,14 +222,16 @@ def load_construction(text: str):
 # ---------------------------------------------------------------------------
 
 def dump_model(model: SumformerModel) -> str:
-    """A grid cell phi or a table psi has no file form."""
+    """A grid cell phi or a table psi has no file form.  A polynomial psi is
+    one ``psi.term<t>`` group per run of consecutive rows that share an
+    x-exponent: that exponent once (``alpha``), then the run's coefficients
+    (``coeffs``) and latent exponents (``exps``)."""
     if isinstance(model.phi, CellFeatureMap) or isinstance(model.psi, TableCombiner):
         raise ContractError("cannot write a grid-table model; rebuild it with build_discrete_sumformer")
     fields: dict = {"d": model.d, "d_latent": model.d_latent}
     mats: list[tuple[str, np.ndarray]] = []
     if isinstance(model.phi, PolynomialFeatureMap):
-        fields["phi_kind"] = "polynomial"
-        fields["phi_n_max"] = model.phi.basis.n_max
+        fields.update(phi_kind="polynomial", phi_n_max=model.phi.basis.n_max)
     else:
         fields["phi_kind"] = "mlp"
         f, m = _mlp_entries("phi.", model.phi.spec, model.phi.params)
@@ -267,19 +243,18 @@ def dump_model(model: SumformerModel) -> str:
         fields.update(f)
         mats += m
     else:
-        fields["psi_kind"] = "polynomial"
-        fields["psi_terms"] = len(model.psi.terms)
-        fields["psi_out_width"] = model.psi.out_width
-        for t, (alpha, latent_poly) in enumerate(model.psi.terms):
-            mats.append((f"psi.term{t}.alpha", np.array([alpha], dtype=np.int64)))
-            coeffs = np.vstack([c for c, _ in latent_poly.terms])
-            exps = np.array([e for _, e in latent_poly.terms], dtype=np.int64)
-            mats.append((f"psi.term{t}.coeffs", coeffs))
-            mats.append((f"psi.term{t}.exps", exps))
+        psi = model.psi
+        starts = np.flatnonzero(np.any(np.diff(psi.x_exponents, axis=0, prepend=-1) != 0, axis=1))
+        fields.update(psi_kind="polynomial", psi_terms=len(starts), psi_out_width=psi.out_width)
+        for t, (lo, hi) in enumerate(zip(starts, [*starts[1:], len(psi.x_exponents)])):
+            mats += [(f"psi.term{t}.alpha", psi.x_exponents[lo:lo + 1]), (f"psi.term{t}.coeffs",
+                     psi.coefficients[lo:hi]), (f"psi.term{t}.exps", psi.latent_exponents[lo:hi])]
     return _dump("sumformer_model", fields, mats)
 
 
 def load_model(text: str) -> SumformerModel:
+    """The model of a ``dump_model`` file; a damaged file, psi arrays that
+    the model refuses among them, is a one-line ConfigError."""
     kind, fields, mats = _load(text)
     if kind != "sumformer_model":
         raise ConfigError(f"expected sumformer_model, got {kind}")
@@ -296,26 +271,30 @@ def load_model(text: str) -> SumformerModel:
         if _field(fields, "psi_kind", str, choices=kinds) == "mlp":
             psi = MlpCombiner(*_mlp_from_entries("psi.", fields, mats))
         else:
-            psi = _polynomial_psi(fields, mats)
+            psi = _polynomial_psi(fields, mats, d, d_latent)
         return SumformerModel(d=d, phi=phi, psi=psi)
-    except (BudgetError, ContractError, CountOverflowError, ShapeError) as exc:
+    except (BudgetError, ContractError, CountOverflowError, DomainError, ShapeError) as exc:
         raise ConfigError(f"cannot rebuild model: {exc}") from exc
 
 
-def _polynomial_psi(fields: dict, mats: dict) -> PolynomialCombiner:
-    terms = []
-    for t in range(_field(fields, "psi_terms", int, 0)):
-        name = f"psi.term{t}"
-        alpha, coeffs, exps = (mats[f"{name}.{part}"] for part in ("alpha", "coeffs", "exps"))
-        if alpha.shape[0] != 1:
-            raise ConfigError(f"matrix {name}.alpha must have 1 row, got {alpha.shape[0]}")
-        if exps.shape[0] != coeffs.shape[0]:
-            raise ConfigError(
-                f"matrix {name}.exps has {exps.shape[0]} rows, {name}.coeffs {coeffs.shape[0]}"
-            )
-        alpha = tuple(int(v) for v in alpha[0])
-        latent_poly = LatentPolynomial(tuple(
-            (coeffs[r], tuple(int(v) for v in exps[r])) for r in range(coeffs.shape[0])
-        ))
-        terms.append((alpha, latent_poly))
-    return PolynomialCombiner(tuple(terms), _field(fields, "psi_out_width", int, 1))
+def _polynomial_psi(fields: dict, mats: dict, d: int, d_latent: int) -> PolynomialCombiner:
+    """The psi.term<t> groups' rows stacked in group order, each group's one
+    alpha row repeated for each of its rows; the psi and the model check them."""
+    count, out_width = _field(fields, "psi_terms", int, 0), _field(fields, "psi_out_width", int, 1)
+    if (found := len({name.split(".")[1] for name in mats if name.startswith("psi.term")})) != count:
+        raise ConfigError(f"field psi_terms is {count}, but the file holds {found} psi.term groups")
+    groups = [[mats[f"psi.term{t}.{part}"] for part in ("alpha", "exps", "coeffs")] for t in range(count)]
+    for t, (a, e, c) in enumerate(groups):
+        if len(a) != 1:
+            raise ConfigError(f"matrix psi.term{t}.alpha must have 1 row, got {len(a)}")
+        if len(e) != len(c):
+            raise ConfigError(f"matrix psi.term{t}.exps has {len(e)} rows, psi.term{t}.coeffs {len(c)}")
+        groups[t][0] = np.repeat(a, len(c), axis=0)
+    try:
+        stacked = ([np.concatenate(blocks) for blocks in zip(*groups)]
+                   or [np.zeros((0, width), np.int64) for width in (d, d_latent, out_width)])
+    except ValueError:
+        raise ConfigError("the psi.term<t> groups' matrices differ in width") from None
+    if (psi := PolynomialCombiner(*stacked)).out_width != out_width:
+        raise ConfigError(f"field psi_out_width is {out_width}, but the coeffs are {psi.out_width} wide")
+    return psi

@@ -28,17 +28,13 @@ def per_sequence(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray
 
 def polynomial_psi(combiner, x_rows: np.ndarray, phi_rows: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """``PolynomialCombiner.apply`` on the rows of one sequence, one token at
-    a time: each term adds x_i^alpha * sigma_alpha(Sigma - phi(x_i)) to row i."""
-    n = x_rows.shape[0]
-    out = np.zeros((n, combiner.out_width))
+    a time: each term row t in turn adds c_t * (x_i^(a_t) * (Sigma - phi(x_i))^(e_t))
+    to row i."""
     others = np.reshape(sigma, (1, -1)) - phi_rows
-    for alpha, latent_poly in combiner.terms:
-        mono = np.prod(x_rows ** np.asarray(alpha), axis=1)
-        for i in range(n):
-            value = np.zeros_like(latent_poly.terms[0][0])
-            for coeff, exps in latent_poly.terms:
-                value = value + coeff * np.prod(others[i] ** np.asarray(exps))
-            out[i] += mono[i] * value
+    out = np.zeros((x_rows.shape[0], combiner.out_width))
+    for i in range(x_rows.shape[0]):
+        for a, e, c in zip(combiner.x_exponents, combiner.latent_exponents, combiner.coefficients):
+            out[i] = out[i] + c * (np.prod(x_rows[i] ** a) * np.prod(others[i] ** e))
     return out
 
 

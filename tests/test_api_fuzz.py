@@ -20,7 +20,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import sumformer as sf  # noqa: E402
 from sumformer.attention import HEADS, draws_features  # noqa: E402
-from sumformer.errors import ContractError, ShapeError  # noqa: E402
+from sumformer.errors import BudgetError, ContractError, DomainError, ShapeError  # noqa: E402
 from sumformer.model import batch_forward  # noqa: E402
 
 RNG = np.random.default_rng(0)
@@ -29,6 +29,7 @@ MODEL = sf.build_mlp_sumformer(2, 3, hidden=(4,))
 MLP = sf.MlpSpec((2, 4, 1))
 PARAMS = sf.init_mlp_params(MLP, RNG)
 TARGET = sf.get_target("quadratic_sum")
+NO_TERMS = (np.zeros((0, 2), int), np.zeros((0, 5), int), np.zeros((0, 2)))  # no psi terms at d = 2, n = 2
 
 
 def _head(variant, n=5, m=4, k=2):
@@ -83,7 +84,7 @@ SIZE_CALLS = {
     "build_mlp_sumformer.d": (lambda s: sf.build_mlp_sumformer(s, 3), 1),
     "build_mlp_sumformer.d_latent": (lambda s: sf.build_mlp_sumformer(2, s), 1),
     "build_polynomial_sumformer.n": (lambda s: sf.build_polynomial_sumformer(s, 2), 1),
-    "build_continuous_sumformer.d": (lambda s: sf.build_continuous_sumformer(2, s, []), 1),
+    "build_continuous_sumformer.d": (lambda s: sf.build_continuous_sumformer(2, s, *NO_TERMS), 1),
     "build_discrete_sumformer.delta_cells":
         (lambda s: sf.build_discrete_sumformer(lambda x, rest: x, s, 2, 1), 1),
     "build_discrete_sumformer.n": (lambda s: sf.build_discrete_sumformer(lambda x, rest: x, 2, s, 1), 1),
@@ -202,6 +203,26 @@ def _train_at(lr):
                     2, sf.OptimizerConfig(lr=lr))
 
 
+def _continuous(x_exponents, latent_exponents, coefficients):
+    return sf.build_continuous_sumformer(2, 2, x_exponents, latent_exponents, coefficients)
+
+
+# The psi array arguments of build_continuous_sumformer at n = 2, d = 2
+# (d' = 5): one row each, one of them faulty.  The term tuples they replace
+# took negative and fractional exponents and non-finite coefficients.
+_ROW = (np.zeros((1, 2), int), np.zeros((1, 5), int), np.ones((1, 2)))
+CONTINUOUS_ARRAYS = [
+    *[(ShapeError, _ROW[:i] + (bad,) + _ROW[i + 1:]) for i in range(3)
+      for bad in (_ROW[i].tolist(), _ROW[i][0], _ROW[i][np.newaxis], None, np.repeat(_ROW[i], 2, axis=0))],
+    (ShapeError, (np.zeros((1, 3), int), *_ROW[1:])),
+    (ShapeError, (_ROW[0], np.zeros((1, 4), int), _ROW[2])),
+    *[(DomainError, _ROW[:i] + (bad,) + _ROW[i + 1:]) for i in range(2)
+      for bad in (_ROW[i] - 1, _ROW[i] + 0.5, _ROW[i].astype(bool), _ROW[i].astype(str))],
+    *[(DomainError, (*_ROW[:2], _ROW[2] * bad)) for bad in (np.nan, np.inf, -np.inf)],
+    (DomainError, (*_ROW[:2], _ROW[2].astype(str))),
+]
+
+
 # Regression table: calls that once ended in a raw Python or numpy error, or
 # were accepted; the comment names what each gave.
 PROBE = [
@@ -244,6 +265,9 @@ PROBE = [
     (ContractError, lambda: _train_at(None)),                                    # UFuncTypeError
     (ContractError, lambda: _train_at(True)),                                    # accepted
     (ContractError, lambda: _train_at(10**400)),                                 # OverflowError
+    *[(error, lambda arrays=arrays: _continuous(*arrays)) for error, arrays in CONTINUOUS_ARRAYS],  # accepted
+    (ContractError, lambda: sf.generation_oracle(lambda x: x.sum(), 2, 2, 39)),  # accepted: 39 terms
+    (BudgetError, lambda: sf.generation_oracle(lambda x: x.sum(), 1, 2, 10**9)),  # MemoryError
 ]
 
 

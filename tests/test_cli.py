@@ -23,6 +23,7 @@ from sumformer.verify import (
     VerifyConfig,
     check_discrete_exactness,
     check_equivariance_models,
+    check_generation_oracle,
     check_gradients,
     gradient_check_once,
     verify_bytes,
@@ -439,6 +440,18 @@ def test_verify_report_counts_the_cases_of_each_check(tmp_path):
     assert reports[0] == reports[1]
     records = [dict(part.split("=", 1) for part in ln.split()) for ln in reports[0].splitlines()]
     assert {r["name"]: int(r["cases"]) for r in records} == DEFAULT_CASES
+
+
+def test_verify_leaves_out_a_generation_case_with_no_more_draws_than_terms(tmp_path):
+    """One sample is 25 draws: enough for the 9 and 23 terms of the d = 1
+    cases, not for the 39 of d = 2, n = 2, which any target would pass."""
+    out = str(tmp_path / "verify_s1")
+    assert main(["verify", "--out", out, "--samples", "1"]) == EXIT_OK
+    records = {r["name"]: r for r in (dict(part.split("=", 1) for part in ln.split())
+                                      for ln in _read(os.path.join(out, "verify_report.txt")).splitlines())}
+    assert (records["generation_oracle"]["status"], records["generation_oracle"]["cases"]) == ("pass", "2")
+    none = check_generation_oracle(VerifyConfig(samples=0))
+    assert (none.status, none.cases) == ("skip", 0)
 
 
 def test_verify_reports_skip_for_checks_without_cases(tmp_path):

@@ -31,7 +31,7 @@ UNREFERENCED_API = {
 # it does.  Shrink this when one gets a reader in the package or is deleted.
 UNREAD_FIELDS = {
     ("equivariance", "CheckReport", "witness_permutation"),
-    ("multisym", "FitReport", "coefficients"),
+    ("multisym", "FitReport", "terms"),
 }
 
 

@@ -10,9 +10,9 @@ from sumformer.errors import BudgetError, DomainError, ShapeError
 from sumformer.mlp import MlpSpec, param_views
 from sumformer.model import (
     CellFeatureMap,
-    LatentPolynomial,
     MlpCombiner,
     MlpFeatureMap,
+    PolynomialCombiner,
     PolynomialFeatureMap,
     SumformerModel,
     TableCombiner,
@@ -29,8 +29,11 @@ from sumformer.train import trainable_arrays
 from oracles import polynomial_psi, sup_error, zero_mlp_params
 
 
-def _coeff(*values):
-    return np.array(values, dtype=np.float64)
+def _pairwise_terms():
+    """The term rows of psi(x, s) = s1^2/2 - s2/2 + x over the other tokens'
+    power sums s at n = 3, d = 1."""
+    return (np.array([[0], [0], [1]]), np.array([[2, 0, 0], [0, 1, 0], [0, 0, 0]]),
+            np.array([[0.5], [-0.5], [1.0]]))
 
 
 def test_zero_psi_gives_zero_output():
@@ -59,39 +62,31 @@ def test_projection_psi_gives_identity():
 
 
 def test_hand_built_pairwise_target():
-    # psi(x, sigma) = sigma_0(s) + x * sigma_1(s) with s the other-token
-    # power sums realizes q(x1, {x2, x3}) = x1 + x2 * x3
-    basis = enumerate_multidegrees(1, 3)
-    sigma0 = LatentPolynomial((
-        (_coeff(0.5), (2, 0, 0)),   # s1^2 / 2
-        (_coeff(-0.5), (0, 1, 0)),  # -s2 / 2
-    ))
-    sigma1 = LatentPolynomial(((_coeff(1.0), (0, 0, 0)),))
-    model = build_continuous_sumformer(3, 1, [((0,), sigma0), ((1,), sigma1)])
+    # psi(x, sigma) = (s1^2 - s2)/2 + x with s the other-token power sums
+    # realizes q(x1, {x2, x3}) = x1 + x2 * x3
+    model = build_continuous_sumformer(3, 1, *_pairwise_terms())
     out = sumformer_forward(model, np.array([[1.0], [2.0], [3.0]]))
     assert np.allclose(out, [[7.0], [5.0], [5.0]], atol=1e-12)
 
 
 def test_empty_term_list_is_zero_function():
-    model = build_continuous_sumformer(2, 1, [])
+    model = build_continuous_sumformer(2, 1, np.zeros((0, 1), int), np.zeros((0, 2), int), np.zeros((0, 1)))
     x = np.random.default_rng(2).uniform(size=(2, 1))
     assert np.array_equal(sumformer_forward(model, x), np.zeros((2, 1)))
 
 
 def test_constant_term_reproduces_other_token_sum():
-    # psi = sigma_0(s) = s_1 realizes f_i = p1(X) - x_i
-    sigma0 = LatentPolynomial(((_coeff(1.0), (1, 0)),))
-    model = build_continuous_sumformer(2, 1, [((0,), sigma0)])
+    # psi = s_1 realizes f_i = p1(X) - x_i
+    model = build_continuous_sumformer(2, 1, np.array([[0]]), np.array([[1, 0]]), np.array([[1.0]]))
     out = sumformer_forward(model, np.array([[1.0], [4.0]]))
     assert np.allclose(out, [[4.0], [1.0]], atol=1e-12)
 
 
 def test_continuous_model_matches_pairwise_oracle():
     # e2(X) as a lift: row i = (s1^2 - s2)/2 + x_i * s1 over the other tokens
-    basis = enumerate_multidegrees(1, 3)
-    sigma0 = LatentPolynomial(((_coeff(0.5), (2, 0, 0)), (_coeff(-0.5), (0, 1, 0))))
-    sigma1 = LatentPolynomial(((_coeff(1.0), (1, 0, 0)),))
-    model = build_continuous_sumformer(3, 1, [((0,), sigma0), ((1,), sigma1)])
+    x_exponents, latent_exponents, coefficients = _pairwise_terms()
+    latent_exponents[2] = (1, 0, 0)
+    model = build_continuous_sumformer(3, 1, x_exponents, latent_exponents, coefficients)
 
     def brute_e2(x):
         n = x.shape[0]
@@ -108,9 +103,7 @@ def test_continuous_model_equals_sum_extraction_bridge():
     # the fixed-weight attention network followed by the same psi agrees
     # with the direct forward
     basis = enumerate_multidegrees(1, 3)
-    sigma0 = LatentPolynomial(((_coeff(0.5), (2, 0, 0)), (_coeff(-0.5), (0, 1, 0))))
-    sigma1 = LatentPolynomial(((_coeff(1.0), (0, 0, 0)),))
-    model = build_continuous_sumformer(3, 1, [((0,), sigma0), ((1,), sigma1)])
+    model = build_continuous_sumformer(3, 1, *_pairwise_terms())
     con = build_sum_extraction("standard", 3, 1, basis)
     rng = np.random.default_rng(4)
     for _ in range(100):
@@ -149,15 +142,13 @@ def test_sumformer_forward_is_bitwise_equivariant():
 
 
 def _random_continuous_sumformer(n, d, rng):
+    """Three random latent rows beside each of the first three degrees and
+    the zero x-exponent."""
     basis = enumerate_multidegrees(d, n)
-    terms = []
-    for alpha in (*basis.degrees[:3], (0,) * d):
-        latent = LatentPolynomial(tuple(
-            (rng.normal(size=d), tuple(int(e) for e in rng.integers(0, 3, size=basis.size)))
-            for _ in range(3)
-        ))
-        terms.append((alpha, latent))
-    return build_continuous_sumformer(n, d, terms)
+    alphas = np.array([*basis.degrees[:3], (0,) * d])
+    rows = 3 * len(alphas)
+    return build_continuous_sumformer(n, d, np.repeat(alphas, 3, axis=0),
+                                      rng.integers(0, 3, size=(rows, basis.size)), rng.normal(size=(rows, d)))
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (3, 1), (4, 2), (2, 3)])
@@ -497,14 +488,54 @@ def test_a_model_reads_its_latent_width_from_phi():
     models = [
         build_mlp_sumformer(2, 5, seed=0, hidden=(3,)),
         build_polynomial_sumformer(3, 2, seed=0, hidden=(3,)),
-        build_continuous_sumformer(3, 1, []),
+        build_continuous_sumformer(3, 1, np.zeros((0, 1), int), np.zeros((0, 3), int), np.zeros((0, 1))),
         build_discrete_sumformer(lambda x, rest: x, 3, 2, 1),
     ]
     assert [model.d_latent for model in models] == [5, 9, 3, 3]
     assert all(model.d_latent == model.phi.out_width for model in models)
 
 
-def test_continuous_builder_validates_arity():
-    bad_sigma = LatentPolynomial(((_coeff(1.0), (1,)),))  # arity 1, basis needs 2
-    with pytest.raises(ShapeError):
-        build_continuous_sumformer(2, 1, [((0,), bad_sigma)])
+# Faults in the polynomial psi's arrays at n = 2, d = 1 (d' = 2), each refused
+# when the model is built: (x_exponents, latent_exponents, coefficients), the
+# error class, and whether the psi alone refuses them or only the model, which
+# checks the exponents' widths.
+_GOOD_PSI = (np.array([[0], [1]]), np.array([[1, 0], [0, 0]]), np.array([[1.0], [2.0]]))
+PSI_FAULTS = {
+    "x_exponents_wider_than_d": ((np.array([[0, 0], [1, 0]]), *_GOOD_PSI[1:]), ShapeError, "model"),
+    "latent_exponents_narrower_than_d_latent": ((_GOOD_PSI[0], np.array([[1], [0]]), _GOOD_PSI[2]),
+                                                ShapeError, "model"),
+    "negative_x_exponent": ((np.array([[0], [-1]]), *_GOOD_PSI[1:]), DomainError, "psi"),
+    "negative_latent_exponent": ((_GOOD_PSI[0], np.array([[1, 0], [0, -2]]), _GOOD_PSI[2]),
+                                 DomainError, "psi"),
+    "fractional_exponent": ((_GOOD_PSI[0], np.array([[1.0, 0.0], [0.5, 0.0]]), _GOOD_PSI[2]),
+                            DomainError, "psi"),
+    "unsigned_exponent_past_int64": ((np.array([[0], [2**64 - 1]], dtype=np.uint64), *_GOOD_PSI[1:]),
+                                     DomainError, "psi"),
+    "nan_coefficient": ((*_GOOD_PSI[:2], np.array([[1.0], [np.nan]])), DomainError, "psi"),
+    "fewer_coefficient_rows_than_terms": ((*_GOOD_PSI[:2], np.array([[1.0]])), ShapeError, "psi"),
+    "fewer_x_exponent_rows_than_terms": ((np.array([[0]]), *_GOOD_PSI[1:]), ShapeError, "psi"),
+    "exponents_as_a_list": (([[0], [1]], *_GOOD_PSI[1:]), ShapeError, "psi"),
+    "coefficients_as_one_row": ((*_GOOD_PSI[:2], np.array([1.0, 2.0])), ShapeError, "psi"),
+}
+
+
+@pytest.mark.parametrize("case", list(PSI_FAULTS))
+def test_a_faulty_polynomial_psi_is_refused_when_built(case):
+    arrays, error, refused_by = PSI_FAULTS[case]
+    with pytest.raises(error):
+        build_continuous_sumformer(2, 1, *arrays)
+    if refused_by == "psi":
+        with pytest.raises(error):
+            PolynomialCombiner(*arrays)
+    else:
+        psi = PolynomialCombiner(*arrays)
+        with pytest.raises(error):
+            SumformerModel(1, PolynomialFeatureMap(enumerate_multidegrees(1, 2)), psi)
+
+
+def test_a_polynomial_psi_holds_only_its_three_arrays():
+    assert [f.name for f in dataclasses.fields(PolynomialCombiner)] == [
+        "x_exponents", "latent_exponents", "coefficients"]
+    psi = build_continuous_sumformer(2, 1, *_GOOD_PSI).psi
+    assert psi.x_exponents.dtype == psi.latent_exponents.dtype == np.int64
+    assert psi.coefficients.dtype == np.float64 and psi.out_width == 1

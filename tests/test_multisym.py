@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from sumformer.errors import ContractError, InvarianceViolationError, ShapeError
+from sumformer.errors import BudgetError, ContractError, InvarianceViolationError, ShapeError
+from sumformer.linalg import MEMORY_BUDGET_BYTES
 from sumformer.multisym import (
     basis_size,
     enumerate_multidegrees,
+    generation_bytes,
     generation_oracle,
+    product_terms,
     power_sum,
     power_sum_vector,
 )
@@ -174,6 +177,38 @@ def test_generation_oracle_rejects_non_invariant_target():
     with pytest.raises(InvarianceViolationError) as exc_info:
         generation_oracle(target, d=1, n=3, sample_count=50, seed=3)
     assert exc_info.value.permutation is not None
+
+
+def _not_polynomial(x):
+    return float(np.sum(np.sin(20 * x)))
+
+
+def test_more_draws_than_terms_are_needed_to_test_a_fit():
+    """At d = 2, n = 2 the fit has 39 terms: 25 draws would fit any target
+    to rounding, and 50 draws show that this one is no such polynomial."""
+    assert len(product_terms(2, 2)) == 39
+    assert generation_oracle(_not_polynomial, 2, 2, sample_count=50, seed=0).residual > 1e-3
+
+
+@pytest.mark.parametrize("d, n, draws, error", [
+    (2, 2, 25, ContractError),
+    (2, 2, 39, ContractError),
+    (1, 3, 23, ContractError),   # 23 terms at d = 1, n = 3
+    (1, 2, 10**9, BudgetError),  # about 186 GiB of design matrix and draws
+])
+def test_generation_oracle_refuses_before_any_draw(d, n, draws, error):
+    calls = []
+    with pytest.raises(error, match=f"{draws}"):
+        generation_oracle(lambda x: calls.append(x) or 0.0, d, n, sample_count=draws)
+    assert calls == []
+
+
+def test_generation_oracle_admits_what_its_estimate_admits():
+    assert generation_bytes(1, 2, 10**9) > MEMORY_BUDGET_BYTES
+    draws = MEMORY_BUDGET_BYTES // generation_bytes(1, 2, 1)
+    assert generation_bytes(1, 2, draws) <= MEMORY_BUDGET_BYTES < generation_bytes(1, 2, draws + 1)
+    with pytest.raises(BudgetError):
+        generation_oracle(_not_polynomial, 1, 2, sample_count=draws + 1)
 
 
 def test_power_sum_vector_matches_entries_to_rounding_at_d1():

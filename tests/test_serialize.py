@@ -7,7 +7,6 @@ import pytest
 from sumformer.attention import HEADS, build_sum_extraction
 from sumformer.errors import ConfigError, ContractError
 from sumformer.model import (
-    LatentPolynomial,
     MlpFeatureMap,
     build_continuous_sumformer,
     build_discrete_sumformer,
@@ -186,12 +185,58 @@ def test_polynomial_phi_model_round_trip():
 
 
 def _continuous_model():
-    sigma0 = LatentPolynomial((
-        (np.array([0.5]), (2, 0, 0)),
-        (np.array([-0.5]), (0, 1, 0)),
-    ))
-    sigma1 = LatentPolynomial(((np.array([1.0]), (0, 0, 0)),))
-    return build_continuous_sumformer(3, 1, [((0,), sigma0), ((1,), sigma1)])
+    """psi(x, s) = s1^2/2 - s2/2 + x over the other tokens' power sums s."""
+    latent_exponents = np.array([[2, 0, 0], [0, 1, 0], [0, 0, 0]])
+    return build_continuous_sumformer(3, 1, np.array([[0], [0], [1]]), latent_exponents,
+                                      np.array([[0.5], [-0.5], [1.0]]))
+
+
+# The file of _continuous_model: rows 0 and 1 share the x-exponent 0, so they
+# are one psi.term group.
+CONTINUOUS_MODEL_FILE = """format sumformer/1
+object sumformer_model
+field d int 1
+field d_latent int 3
+field phi_kind str polynomial
+field phi_n_max int 3
+field psi_kind str polynomial
+field psi_terms int 2
+field psi_out_width int 1
+imatrix psi.term0.alpha 1 1
+0
+matrix psi.term0.coeffs 2 1
+0.5
+-0.5
+imatrix psi.term0.exps 2 3
+2 0 0
+0 1 0
+imatrix psi.term1.alpha 1 1
+1
+matrix psi.term1.coeffs 1 1
+1.0
+imatrix psi.term1.exps 1 3
+0 0 0
+end
+"""
+
+
+def test_continuous_model_file_is_pinned():
+    assert dump_model(_continuous_model()) == CONTINUOUS_MODEL_FILE
+    loaded = load_model(CONTINUOUS_MODEL_FILE).psi
+    for name in ("x_exponents", "latent_exponents", "coefficients"):
+        assert np.array_equal(getattr(loaded, name), getattr(_continuous_model().psi, name))
+
+
+def test_rows_that_share_an_x_exponent_apart_are_separate_groups():
+    """Only consecutive rows with one x-exponent form a group, so a reload
+    keeps the row order, and with it each output's bits."""
+    model = build_continuous_sumformer(2, 1, np.array([[1], [0], [1]]), np.array([[1, 0], [0, 2], [0, 1]]),
+                                       np.array([[0.3], [-1.5], [2.0]]))
+    text = dump_model(model)
+    assert "field psi_terms int 3\n" in text
+    loaded = load_model(text)
+    x = np.random.default_rng(9).uniform(size=(4, 2, 1))
+    assert np.array_equal(sumformer_forward(loaded, x), sumformer_forward(model, x))
 
 
 def test_continuous_model_round_trip():
@@ -216,6 +261,17 @@ def _drop_first_row(text, matrix):
     lines = text.splitlines()
     i = next(i for i, line in enumerate(lines) if line.startswith(f"matrix {matrix} "))
     return "\n".join(lines[:i + 1] + lines[i + 2:]) + "\n"
+
+
+def _replacing(*pairs):
+    """The damage that makes each (old, new) replacement in turn."""
+
+    def damage(text):
+        for old, new in pairs:
+            text = text.replace(old, new)
+        return text
+
+    return damage
 
 
 # Each damages a valid file with d = 1: (damage, words the error must name,
@@ -254,6 +310,34 @@ DAMAGED_FILES = {
                                   .replace("field n_max int 2", "field n_max int 100"),
                                   "degree count C(200,100)-1 exceeds 64-bit range",
                                   ("polynomial_psi_model", "construction")),
+    # Faults of the polynomial psi: the groups' rows are stacked into its
+    # arrays, which PolynomialCombiner and the model refuse.
+    "alpha_wider_than_d": (
+        _replacing(("alpha 1 1\n0\n", "alpha 1 2\n0 0\n"), ("alpha 1 1\n1\n", "alpha 1 2\n1 0\n")),
+        "x and latent exponents are 2 and 3 wide, need d = 1 and d' = 3", POLYNOMIAL_PSI),
+    "exps_narrower_than_d_latent": (
+        _replacing(("exps 2 3\n2 0 0\n0 1 0\n", "exps 2 2\n2 0\n0 1\n"),
+                   ("exps 1 3\n0 0 0\n", "exps 1 2\n0 0\n")),
+        "x and latent exponents are 1 and 2 wide", POLYNOMIAL_PSI),
+    "one_group_wider_than_the_other": (
+        _replacing(("alpha 1 1\n0\n", "alpha 1 2\n0 0\n")),
+        "the psi.term<t> groups' matrices differ in width", POLYNOMIAL_PSI),
+    "negative_exponent": (
+        _replacing(("exps 2 3\n2 0 0\n", "exps 2 3\n-2 0 0\n")),
+        "latent_exponents must hold integers >= 0", POLYNOMIAL_PSI),
+    "coeffs_wider_than_psi_out_width": (
+        _replacing(("coeffs 2 1\n0.5\n-0.5\n", "coeffs 2 2\n0.5 0.0\n-0.5 0.0\n"),
+                   ("coeffs 1 1\n1.0\n", "coeffs 1 2\n1.0 0.0\n")),
+        "field psi_out_width is 1, but the coeffs are 2 wide", POLYNOMIAL_PSI),
+    "psi_terms_short_of_the_groups": (
+        _replacing(("field psi_terms int 2", "field psi_terms int 1")),
+        "field psi_terms is 1, but the file holds 2 psi.term groups", POLYNOMIAL_PSI),
+    "psi_terms_zero_over_two_groups": (
+        _replacing(("field psi_terms int 2", "field psi_terms int 0")),
+        "field psi_terms is 0, but the file holds 2 psi.term groups", POLYNOMIAL_PSI),
+    "imatrix_entry_past_64_bits": (
+        _replacing(("alpha 1 1\n1\n", "alpha 1 1\n99999999999999999999\n")),
+        "malformed line: 'imatrix psi.term1.alpha 1 1'", POLYNOMIAL_PSI),
     # A header that alone would size a 800 GB matrix.
     "row_narrower_than_its_header": (lambda text: text.replace("imatrix psi.term0.alpha 1 1\n",
                                                                "imatrix psi.term0.alpha 1 99999999999\n"),

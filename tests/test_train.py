@@ -255,10 +255,11 @@ def test_untrainable_model_rejected():
     from sumformer.model import PolynomialCombiner, SumformerModel, build_continuous_sumformer
 
     data = generate_dataset(get_target("quadratic_sum"), 2, 1, 10, 0.8, seed=12)
-    fixed = build_continuous_sumformer(2, 1, [])
+    no_terms = (np.zeros((0, 1), int), np.zeros((0, 2), int), np.zeros((0, 1)))
+    fixed = build_continuous_sumformer(2, 1, *no_terms)
     # A trainable phi is not enough: the training step needs an MLP psi.
     mlp_phi = build_mlp_sumformer(1, 2, seed=0).phi
-    no_mlp_psi = SumformerModel(1, mlp_phi, PolynomialCombiner((), 1))
+    no_mlp_psi = SumformerModel(1, mlp_phi, PolynomialCombiner(*no_terms))
     for model in (fixed, no_mlp_psi):
         with pytest.raises(ContractError):
             train(model, data, epochs=1, config=FAST, seed=0)
