@@ -482,10 +482,10 @@ def build_sum_extraction(
     the lifted layout, so every attention weight is uniform.  The value
     matrix and the token-wise layer carry scales that exactly cancel the
     averaging; each variant's ``construction`` says which.  phi is the
-    monomial map over ``basis`` unless given; d' is its output width.  Only
-    a variant that draws random features takes ``seed`` or ``omegas``.
-    Weights past ``linalg.MEMORY_BUDGET_BYTES`` are a BudgetError, raised
-    before any is allocated.
+    monomial map over ``basis`` unless given, and reads tokens of width d;
+    d' is its output width.  Only a variant that draws random features
+    takes ``seed`` or ``omegas``.  Weights past ``linalg.MEMORY_BUDGET_BYTES``
+    are a BudgetError, raised before any is allocated.
 
     The token-wise layer selects the trailing d' columns of
     (X + head(X)); with the outer residual this leaves rows
@@ -497,8 +497,8 @@ def build_sum_extraction(
         raise ShapeError(f"basis built for d={basis.d}, construction wants d={d}")
     if phi is None:
         phi = PolynomialFeatureMap(basis)
-    else:  # one probe token: a phi built for another token width is a ShapeError here
-        phi.rows(np.full((1, d), 0.5))
+    elif phi.d != d:
+        raise ShapeError(f"phi reads tokens of width {phi.d}, construction wants d={d}")
     d_latent = phi.out_width
     m = 1 + d + 2 * d_latent
     head_type = head_class(variant)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, ShapeError
 from .linalg import BUILD_BUDGET, require_finite, require_rows, require_size
-from .mlp import MlpParams, MlpSpec, init_mlp_params, mlp_forward
+from .mlp import MlpParams, MlpSpec, _check_params, init_mlp_params, mlp_forward
 from .multisym import DegreeBasis, _canonical_row_order, enumerate_multidegrees, monomial_feature_matrix
 
 DEFAULT_HIDDEN = (50, 50, 50, 50, 50)
@@ -37,6 +37,10 @@ class PolynomialFeatureMap:
     basis: DegreeBasis
 
     @property
+    def d(self) -> int:
+        return self.basis.d
+
+    @property
     def out_width(self) -> int:
         return self.basis.size
 
@@ -46,13 +50,25 @@ class PolynomialFeatureMap:
 
 
 @dataclass
-class MlpFeatureMap:
+class MlpPart:
+    """A trainable MLP phi or psi: its layer widths and its parameters,
+    checked against each other when built (a ShapeError if they disagree)."""
+
     spec: MlpSpec
     params: MlpParams
+
+    def __post_init__(self):
+        _check_params(self.spec, self.params)
 
     @property
     def out_width(self) -> int:
         return self.spec.out_width
+
+
+class MlpFeatureMap(MlpPart):
+    @property
+    def d(self) -> int:
+        return self.spec.in_width
 
     def rows(self, x: np.ndarray, outs: list | None = None) -> np.ndarray:
         return mlp_forward(self.spec, self.params, x, outs)
@@ -67,6 +83,10 @@ class CellFeatureMap:
 
     delta_cells: int
     d: int
+
+    def __post_init__(self):
+        require_size("delta_cells", self.delta_cells)
+        require_size("d", self.d)
 
     @property
     def out_width(self) -> int:
@@ -162,15 +182,7 @@ class PolynomialCombiner:
         return np.moveaxis(out, 0, -1).copy()
 
 
-@dataclass
-class MlpCombiner:
-    spec: MlpSpec
-    params: MlpParams
-
-    @property
-    def out_width(self) -> int:
-        return self.spec.out_width
-
+class MlpCombiner(MlpPart):
     def apply(self, x_rows: np.ndarray, phi_rows: np.ndarray, sigma: np.ndarray,
               outs: ForwardOuts | None = None) -> np.ndarray:
         """psi on each token beside its sequence's Sigma; the tokens and
@@ -222,9 +234,13 @@ Psi = Union[PolynomialCombiner, MlpCombiner, TableCombiner]
 
 @dataclass
 class SumformerModel:
-    d: int
     phi: Phi
     psi: Psi
+
+    @property
+    def d(self) -> int:
+        """The token width d: the width phi reads."""
+        return self.phi.d
 
     @property
     def d_latent(self) -> int:
@@ -244,12 +260,7 @@ class SumformerModel:
 
     def trainable_params(self) -> list[MlpParams]:
         """Parameter lists of the MLP parts, in a fixed order (phi first)."""
-        out = []
-        if isinstance(self.phi, MlpFeatureMap):
-            out.append(self.phi.params)
-        if isinstance(self.psi, MlpCombiner):
-            out.append(self.psi.params)
-        return out
+        return [part.params for part in (self.phi, self.psi) if isinstance(part, MlpPart)]
 
 
 @dataclass
@@ -348,7 +359,6 @@ def build_mlp_sumformer(
     rng = np.random.default_rng(require_size("seed", seed, 0))
     phi_spec, psi_spec = mlp_sumformer_specs(d, d_latent, hidden)
     return SumformerModel(
-        d=d,
         phi=MlpFeatureMap(phi_spec, init_mlp_params(phi_spec, rng)),
         psi=MlpCombiner(psi_spec, init_mlp_params(psi_spec, rng)),
     )
@@ -365,7 +375,6 @@ def build_polynomial_sumformer(
     rng = np.random.default_rng(require_size("seed", seed, 0))
     psi_spec = MlpSpec((d + basis.size, *hidden, d))
     return SumformerModel(
-        d=d,
         phi=PolynomialFeatureMap(basis),
         psi=MlpCombiner(psi_spec, init_mlp_params(psi_spec, rng)),
     )
@@ -381,7 +390,6 @@ def build_continuous_sumformer(
     """Fully fixed model: the monomial phi over ``enumerate_multidegrees(d, n)``
     and the polynomial psi of the given term rows, as wide as the coefficients."""
     return SumformerModel(
-        d=d,
         phi=PolynomialFeatureMap(enumerate_multidegrees(d, n)),
         psi=PolynomialCombiner(x_exponents, latent_exponents, coefficients),
     )
@@ -419,4 +427,4 @@ def build_discrete_sumformer(
             if value.shape[0] != d:
                 raise ShapeError(f"g returned {value.shape[0]} components, want {d}")
             psi.table[key] = value
-    return SumformerModel(d=d, phi=phi, psi=psi)
+    return SumformerModel(phi, psi)

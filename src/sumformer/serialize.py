@@ -163,20 +163,21 @@ def dump_construction(con) -> str:
     the random features when no seed can redraw them."""
     if not isinstance(con.phi, (MlpFeatureMap, PolynomialFeatureMap)):
         raise ContractError(f"cannot write a construction whose phi is a {type(con.phi).__name__}")
+    mlp_phi = isinstance(con.phi, MlpFeatureMap)
     fields = {
         "variant": con.variant,
         "n": con.n,
         "d": con.d,
-        "n_max": con.basis.n_max,
+        "n_max": (con.basis if mlp_phi else con.phi.basis).n_max,  # a monomial phi's own basis
         "k": con.k,
         "seed": con.seed,
         "lambda": con.lambda_value,
-        "phi_kind": "mlp" if isinstance(con.phi, MlpFeatureMap) else "monomial",
+        "phi_kind": "mlp" if mlp_phi else "monomial",
     }
     mats = []
     if con.lambda_value is not None and con.seed is None:
         mats.append(("omegas", con.head.omegas))
-    if isinstance(con.phi, MlpFeatureMap):
+    if mlp_phi:
         phi_fields, phi_mats = _mlp_entries("phi.", con.phi.spec, con.phi.params)
         fields.update(phi_fields)
         mats += phi_mats
@@ -253,8 +254,8 @@ def dump_model(model: SumformerModel) -> str:
 
 
 def load_model(text: str) -> SumformerModel:
-    """The model of a ``dump_model`` file; a damaged file, psi arrays that
-    the model refuses among them, is a one-line ConfigError."""
+    """The model of a ``dump_model`` file; a damaged file, arrays that a
+    part or the model refuses among them, is a one-line ConfigError."""
     kind, fields, mats = _load(text)
     if kind != "sumformer_model":
         raise ConfigError(f"expected sumformer_model, got {kind}")
@@ -266,13 +267,15 @@ def load_model(text: str) -> SumformerModel:
             phi = PolynomialFeatureMap(enumerate_multidegrees(d, _field(fields, "phi_n_max", int, 1)))
         else:
             phi = MlpFeatureMap(*_mlp_from_entries("phi.", fields, mats))
-        if phi.out_width != d_latent:  # the model reads d' from phi alone
+        if phi.d != d:  # the model reads d and d' from phi alone
+            raise ConfigError(f"field d is {d}, but phi reads {phi.d}")
+        if phi.out_width != d_latent:
             raise ConfigError(f"field d_latent is {d_latent}, but phi outputs {phi.out_width}")
         if _field(fields, "psi_kind", str, choices=kinds) == "mlp":
             psi = MlpCombiner(*_mlp_from_entries("psi.", fields, mats))
         else:
             psi = _polynomial_psi(fields, mats, d, d_latent)
-        return SumformerModel(d=d, phi=phi, psi=psi)
+        return SumformerModel(phi, psi)
     except (BudgetError, ContractError, CountOverflowError, DomainError, ShapeError) as exc:
         raise ConfigError(f"cannot rebuild model: {exc}") from exc
 

@@ -266,8 +266,7 @@ def _stacked_mse(model: SumformerModel, x_seqs: np.ndarray, y_seqs: np.ndarray):
 
     def losses(stack: np.ndarray) -> np.ndarray:
         phi, psi = param_views(stack, model.trainable_params())
-        trial = SumformerModel(model.d, MlpFeatureMap(model.phi.spec, phi),
-                               MlpCombiner(model.psi.spec, psi))
+        trial = SumformerModel(MlpFeatureMap(model.phi.spec, phi), MlpCombiner(model.psi.spec, psi))
         diff = batch_forward(trial, x_seqs) - y_seqs
         return np.mean((diff * diff).reshape(len(stack), -1), axis=1)
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 import sumformer as sf  # noqa: E402
 from sumformer.attention import HEADS, draws_features  # noqa: E402
 from sumformer.errors import BudgetError, ContractError, DomainError, ShapeError  # noqa: E402
-from sumformer.model import batch_forward  # noqa: E402
+from sumformer.model import CellFeatureMap, batch_forward  # noqa: E402
 
 RNG = np.random.default_rng(0)
 BASIS = sf.enumerate_multidegrees(2, 2)
@@ -268,6 +268,11 @@ PROBE = [
     *[(error, lambda arrays=arrays: _continuous(*arrays)) for error, arrays in CONTINUOUS_ARRAYS],  # accepted
     (ContractError, lambda: sf.generation_oracle(lambda x: x.sum(), 2, 2, 39)),  # accepted: 39 terms
     (BudgetError, lambda: sf.generation_oracle(lambda x: x.sum(), 1, 2, 10**9)),  # MemoryError
+    (ContractError, lambda: CellFeatureMap(0, 1)),                               # accepted: ValueError at forward
+    (ContractError, lambda: CellFeatureMap(True, 1)),                            # accepted: one cell
+    (ContractError, lambda: CellFeatureMap(2, 0)),                               # accepted
+    (ShapeError, lambda: sf.MlpFeatureMap(MLP, PARAMS[:1])),                      # accepted: ShapeError at forward
+    (ShapeError, lambda: sf.MlpCombiner(MLP, [(w.T, b) for w, b in PARAMS])),     # accepted: ShapeError at forward
 ]
 
 

@@ -369,6 +369,21 @@ def test_construction_takes_its_width_from_phi():
             build_sum_extraction("standard", n, 3, enumerate_multidegrees(3, n), phi=phi)
 
 
+def test_building_a_construction_runs_no_phi_forward():
+    """The build compares phi's token width with d and never calls phi."""
+    spec = MlpSpec((2, 4, 3))
+    phi = MlpFeatureMap(spec, init_mlp_params(spec, np.random.default_rng(7)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("phi ran while the construction was built")
+
+    phi.rows = refuse
+    for variant, (kwargs, _) in VARIANT_CASES.items():
+        assert build_sum_extraction(variant, 3, 2, enumerate_multidegrees(2, 3), phi=phi, **kwargs).phi is phi
+    with pytest.raises(ShapeError, match="phi reads tokens of width 2, construction wants d=3"):
+        build_sum_extraction("standard", 3, 3, enumerate_multidegrees(3, 3), phi=phi)
+
+
 def test_construction_requires_matching_basis():
     with pytest.raises(ShapeError, match="basis built for d=1"):
         build_sum_extraction("standard", 3, 2, enumerate_multidegrees(1, 2))

@@ -40,7 +40,6 @@ def test_zero_psi_gives_zero_output():
     basis = enumerate_multidegrees(1, 2)
     spec = MlpSpec((3, 1))
     model = SumformerModel(
-        d=1,
         phi=PolynomialFeatureMap(basis),
         psi=MlpCombiner(spec, zero_mlp_params(spec)),
     )
@@ -54,7 +53,7 @@ def test_projection_psi_gives_identity():
     params = zero_mlp_params(spec)
     params[0][0][:2, :] = np.eye(2)  # psi(x, sigma) = x
     model = SumformerModel(
-        d=2, phi=PolynomialFeatureMap(basis),
+        phi=PolynomialFeatureMap(basis),
         psi=MlpCombiner(spec, params),
     )
     x = np.random.default_rng(1).uniform(size=(5, 2))
@@ -183,8 +182,7 @@ def _stacked_model(models):
     flats = np.stack([np.concatenate([a.ravel() for a in trainable_arrays(m)]) for m in models])
     phi, psi = param_views(flats, models[0].trainable_params())
     first = models[0]
-    return SumformerModel(first.d, MlpFeatureMap(first.phi.spec, phi),
-                          MlpCombiner(first.psi.spec, psi))
+    return SumformerModel(MlpFeatureMap(first.phi.spec, phi), MlpCombiner(first.psi.spec, psi))
 
 
 @pytest.mark.parametrize("count", [1, 4])
@@ -478,21 +476,22 @@ def test_model_width_validation():
     basis = enumerate_multidegrees(1, 2)
     spec = MlpSpec((5, 1))  # wrong: needs d + d_latent = 3
     with pytest.raises(ShapeError):
-        SumformerModel(d=1, phi=PolynomialFeatureMap(basis),
+        SumformerModel(phi=PolynomialFeatureMap(basis),
                        psi=MlpCombiner(spec, zero_mlp_params(spec)))
 
 
 def test_a_model_reads_its_latent_width_from_phi():
-    """d' is phi's output width by definition, so a model holds no other record of it."""
-    assert [f.name for f in dataclasses.fields(SumformerModel)] == ["d", "phi", "psi"]
+    """d is the width phi reads and d' its output width by definition, so a
+    model holds no other record of either."""
+    assert [f.name for f in dataclasses.fields(SumformerModel)] == ["phi", "psi"]
     models = [
         build_mlp_sumformer(2, 5, seed=0, hidden=(3,)),
         build_polynomial_sumformer(3, 2, seed=0, hidden=(3,)),
         build_continuous_sumformer(3, 1, np.zeros((0, 1), int), np.zeros((0, 3), int), np.zeros((0, 1))),
         build_discrete_sumformer(lambda x, rest: x, 3, 2, 1),
     ]
-    assert [model.d_latent for model in models] == [5, 9, 3, 3]
-    assert all(model.d_latent == model.phi.out_width for model in models)
+    assert [(model.d, model.d_latent) for model in models] == [(2, 5), (2, 9), (1, 3), (1, 3)]
+    assert all((model.d, model.d_latent) == (model.phi.d, model.phi.out_width) for model in models)
 
 
 # Faults in the polynomial psi's arrays at n = 2, d = 1 (d' = 2), each refused
@@ -530,7 +529,7 @@ def test_a_faulty_polynomial_psi_is_refused_when_built(case):
     else:
         psi = PolynomialCombiner(*arrays)
         with pytest.raises(error):
-            SumformerModel(1, PolynomialFeatureMap(enumerate_multidegrees(1, 2)), psi)
+            SumformerModel(PolynomialFeatureMap(enumerate_multidegrees(1, 2)), psi)
 
 
 def test_a_polynomial_psi_holds_only_its_three_arrays():

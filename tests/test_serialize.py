@@ -8,6 +8,7 @@ from sumformer.attention import HEADS, build_sum_extraction
 from sumformer.errors import ConfigError, ContractError
 from sumformer.model import (
     MlpFeatureMap,
+    PolynomialFeatureMap,
     build_continuous_sumformer,
     build_discrete_sumformer,
     build_mlp_sumformer,
@@ -161,6 +162,18 @@ def test_construction_with_a_wide_mlp_phi_round_trips_bitwise():
         assert np.array_equal(loaded.forward(xs), con.forward(xs))
 
 
+def test_construction_with_a_narrower_monomial_phi_round_trips_bitwise():
+    """The file holds the n_max of the phi the forward reads (2, d' = 5), not
+    that of the construction's basis (3, d' = 9)."""
+    phi = PolynomialFeatureMap(enumerate_multidegrees(2, 2))
+    xs = np.random.default_rng(10).uniform(size=(4, 3, 2))
+    for variant, (kwargs, _) in VARIANT_CASES.items():
+        con = build_sum_extraction(variant, 3, 2, enumerate_multidegrees(2, 3), phi=phi, **kwargs)
+        loaded = load_construction(dump_construction(con))
+        assert (loaded.d_latent, loaded.model_dim) == (con.d_latent, con.model_dim) == (5, 13)
+        assert np.array_equal(loaded.forward(xs), con.forward(xs))
+
+
 def test_grid_table_has_no_file_form():
     model = build_discrete_sumformer(lambda x, rest: x + rest.sum(axis=0), delta_cells=3, n=2, d=1)
     with pytest.raises(ContractError):
@@ -263,6 +276,14 @@ def _drop_first_row(text, matrix):
     return "\n".join(lines[:i + 1] + lines[i + 2:]) + "\n"
 
 
+def _repeat_first_row(text, matrix):
+    """The matrix ``matrix`` with its first row twice, its header saying so."""
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"matrix {matrix} "))
+    _, name, rows, cols = lines[i].split()
+    return "\n".join(lines[:i] + [f"matrix {name} {int(rows) + 1} {cols}", lines[i + 1]] + lines[i + 1:]) + "\n"
+
+
 def _replacing(*pairs):
     """The damage that makes each (old, new) replacement in turn."""
 
@@ -301,6 +322,16 @@ DAMAGED_FILES = {
     # The MLP phi outputs 2 latent columns; the model is rebuilt from phi and refused.
     "d_latent_disagrees_with_phi": (lambda text: text.replace("field d_latent int 2", "field d_latent int 3"),
                                     "field d_latent is 3, but phi outputs 2", ("mlp_model",)),
+    # The MLP phi reads tokens of width 1, and psi's widths agree with d = 2.
+    "d_disagrees_with_an_mlp_phi": (
+        _replacing(("field d int 1", "field d int 2"), ("field psi.widths str 3,", "field psi.widths str 4,")),
+        "field d is 2, but phi reads 1", ("mlp_model",)),
+    # An MLP part's weight of another shape than its widths, refused when the part is built.
+    "phi_W0_disagrees_with_its_widths": (lambda text: _repeat_first_row(text, "phi.W0"),
+                                         "layer 0: weight (2, ", MLP_FILES),
+    "psi_W0_disagrees_with_its_widths": (lambda text: _repeat_first_row(text, "psi.W0"),
+                                         "layer 0: weight (4, 50) / bias (1, 50) vs widths 3->50",
+                                         ("mlp_model",)),
     # The MLP phi reads tokens of width 1; the construction would feed it width 2.
     "phi_of_another_token_width": (lambda text: text.replace("field d int 1", "field d int 2"),
                                    "cannot rebuild construction", ("construction",)),

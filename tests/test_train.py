@@ -259,7 +259,7 @@ def test_untrainable_model_rejected():
     fixed = build_continuous_sumformer(2, 1, *no_terms)
     # A trainable phi is not enough: the training step needs an MLP psi.
     mlp_phi = build_mlp_sumformer(1, 2, seed=0).phi
-    no_mlp_psi = SumformerModel(1, mlp_phi, PolynomialCombiner(*no_terms))
+    no_mlp_psi = SumformerModel(mlp_phi, PolynomialCombiner(*no_terms))
     for model in (fixed, no_mlp_psi):
         with pytest.raises(ContractError):
             train(model, data, epochs=1, config=FAST, seed=0)
@@ -274,7 +274,7 @@ def test_train_refuses_a_psi_that_does_not_output_d_columns(psi_out):
 
     rng = np.random.default_rng(0)
     phi_spec, psi_spec = MlpSpec((2, 4, 3)), MlpSpec((5, 4, psi_out))
-    model = SumformerModel(2, MlpFeatureMap(phi_spec, init_mlp_params(phi_spec, rng)),
+    model = SumformerModel(MlpFeatureMap(phi_spec, init_mlp_params(phi_spec, rng)),
                            MlpCombiner(psi_spec, init_mlp_params(psi_spec, rng)))
     data = generate_dataset(get_target("cubic_coupling"), 3, 2, 20)
     with pytest.raises(ShapeError, match=f"2 outputs per token, but psi outputs {psi_out}"):

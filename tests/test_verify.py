@@ -66,8 +66,7 @@ def test_every_check_returns_one_record_and_a_passing_one_no_witness():
 def _unstacked_mse(model, vector, x, y):
     """The batch MSE of ``model`` with its parameters set to the flat ``vector``."""
     phi, psi = param_views(vector, model.trainable_params())
-    trial = SumformerModel(model.d, MlpFeatureMap(model.phi.spec, phi),
-                           MlpCombiner(model.psi.spec, psi))
+    trial = SumformerModel(MlpFeatureMap(model.phi.spec, phi), MlpCombiner(model.psi.spec, psi))
     return float(np.mean((batch_forward(trial, x) - y) ** 2))
 
 
