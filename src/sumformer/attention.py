@@ -403,7 +403,6 @@ class SumExtractionConstruction:
     X + (X + head(X)) @ w_fc on the lifted rows X."""
 
     n: int
-    basis: DegreeBasis
     head: HeadSpec
     w_fc: np.ndarray  # m x m token-wise weight
     phi: Phi
@@ -416,7 +415,7 @@ class SumExtractionConstruction:
 
     @property
     def d(self) -> int:
-        return self.basis.d
+        return self.phi.d
 
     @property
     def k(self) -> int | None:
@@ -469,8 +468,8 @@ def construction_bytes(variant: str, n: int, m: int, k: int | None) -> int:
 def build_sum_extraction(
     variant: str,
     n: int,
-    d: int,
-    basis: DegreeBasis,
+    d: int | None = None,
+    basis: DegreeBasis | None = None,
     phi: Phi | None = None,
     k: int | None = None,
     seed: int | None = None,
@@ -481,24 +480,23 @@ def build_sum_extraction(
     The head's queries and keys depend only on the constant leading 1 of
     the lifted layout, so every attention weight is uniform.  The value
     matrix and the token-wise layer carry scales that exactly cancel the
-    averaging; each variant's ``construction`` says which.  phi is the
-    monomial map over ``basis`` unless given, and reads tokens of width d;
-    d' is its output width.  Only a variant that draws random features
-    takes ``seed`` or ``omegas``.  Weights past ``linalg.MEMORY_BUDGET_BYTES``
-    are a BudgetError, raised before any is allocated.
+    averaging; each variant's ``construction`` says which.  phi is given or is
+    the monomial map over ``basis`` (both or neither is a ContractError); d,
+    checked when given, is the width it reads and d' its output width.  Only a
+    variant that draws random features takes ``seed`` or ``omegas``.  Weights
+    past ``linalg.MEMORY_BUDGET_BYTES`` are a BudgetError, raised before allocation.
 
     The token-wise layer selects the trailing d' columns of
     (X + head(X)); with the outer residual this leaves rows
     [1, x_i, phi(x_i), Sigma].
     """
-    n, d = require_size("n", n), require_size("d", d)
-    seed = None if seed is None else require_size("seed", seed, 0)
-    if basis.d != d:
-        raise ShapeError(f"basis built for d={basis.d}, construction wants d={d}")
-    if phi is None:
-        phi = PolynomialFeatureMap(basis)
-    elif phi.d != d:
+    if (basis is None) == (phi is None):
+        raise ContractError("a construction takes exactly one of basis and phi")
+    phi = PolynomialFeatureMap(basis) if phi is None else phi
+    if d is not None and require_size("d", d) != phi.d:
         raise ShapeError(f"phi reads tokens of width {phi.d}, construction wants d={d}")
+    n, d = require_size("n", n), phi.d
+    seed = None if seed is None else require_size("seed", seed, 0)
     d_latent = phi.out_width
     m = 1 + d + 2 * d_latent
     head_type = head_class(variant)
@@ -512,7 +510,7 @@ def build_sum_extraction(
     w_fc = np.zeros((m, m))  # keeps only the trailing d' columns, scaled
     w_fc[-d_latent:, -d_latent:] = fc_scale * np.eye(d_latent)
     return SumExtractionConstruction(
-        n=n, basis=basis, head=head, w_fc=w_fc, phi=phi, seed=seed, lambda_value=lambda_value,
+        n=n, head=head, w_fc=w_fc, phi=phi, seed=seed, lambda_value=lambda_value,
     )
 
 

@@ -25,11 +25,14 @@ BUILD_BUDGET = 10**6
 
 def require_rows(m: np.ndarray, name: str, width: int | None = None) -> np.ndarray:
     """``m`` if it is a matrix or a stack of matrices, with ``width`` columns
-    when given; anything else, array-likes included, is a ShapeError."""
+    when given; anything else, array-likes included, is a ShapeError.  An
+    array of other than bools, integers or floats is a DomainError."""
     if not isinstance(m, np.ndarray) or m.ndim not in (2, 3) or width not in (None, m.shape[-1]):
         got = f"shape {m.shape}" if isinstance(m, np.ndarray) else type(m).__name__
         columns = "" if width is None else f" of width {width}"
         raise ShapeError(f"{name} must be a 2-D array or a 3-D stack{columns}, got {got}")
+    if m.dtype.kind not in "biuf":
+        raise DomainError(f"{name} must hold real numbers, got dtype {m.dtype}")
     return m
 
 

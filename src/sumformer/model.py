@@ -51,14 +51,17 @@ class PolynomialFeatureMap:
 
 @dataclass
 class MlpPart:
-    """A trainable MLP phi or psi: its layer widths and its parameters,
-    checked against each other when built (a ShapeError if they disagree)."""
+    """A trainable MLP phi or psi: its layer widths and its parameters, checked
+    when built (a ShapeError if they disagree, a DomainError if not finite)."""
 
     spec: MlpSpec
     params: MlpParams
 
     def __post_init__(self):
         _check_params(self.spec, self.params)
+        for i, (w, b) in enumerate(self.params):
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise DomainError(f"layer {i}: weight or bias holds non-finite entries")
 
     @property
     def out_width(self) -> int:
@@ -203,12 +206,21 @@ class MlpCombiner(MlpPart):
 class TableCombiner:
     """psi over a ``CellFeatureMap`` phi: a table keyed by (own flat cell, integer
     histogram Sigma - phi(x) of the other tokens' cells), built and read through
-    ``keys`` alone, so a stored key and a looked-up key cannot disagree."""
+    ``keys`` alone, so a stored key and a looked-up key cannot disagree.  Each
+    value is a finite vector of ``out_width`` entries, checked when built."""
 
     table: dict
     out_width: int
 
-    def keys(self, phi_rows: np.ndarray, sigma: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
+    def __post_init__(self):
+        require_size("out_width", self.out_width)
+        if any(np.shape(value) != (self.out_width,) for value in self.table.values()):
+            raise ShapeError(f"every table value must be a vector of {self.out_width} entries")
+        values = np.reshape(list(self.table.values()), (-1, self.out_width))
+        require_finite(require_rows(values, "table values"), "table values")
+
+    @staticmethod
+    def keys(phi_rows: np.ndarray, sigma: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
         """(own cell, histogram of the other tokens) of each token.  A histogram
         entry more than 1e-8 from an integer is never rounded to a key."""
         others = _others(phi_rows, sigma).reshape(-1, phi_rows.shape[-1])
@@ -412,7 +424,7 @@ def build_discrete_sumformer(
             f"table of {delta_cells}^{n * d} keys with {delta_cells}^{d}-long histograms "
             f"exceeds the budget of {BUILD_BUDGET}"
         )
-    phi, psi = CellFeatureMap(delta_cells, d), TableCombiner({}, d)
+    phi, table = CellFeatureMap(delta_cells, d), {}
     anchors = np.array(list(product(range(delta_cells), repeat=d))) / delta_cells
     anchor_rows = phi.rows(anchors)
     rests = np.array(list(combinations_with_replacement(range(len(anchors)), n - 1)), dtype=np.intp)
@@ -421,10 +433,10 @@ def build_discrete_sumformer(
     hists = np.bincount(flat.ravel(), minlength=len(rests) * phi.out_width).reshape(len(rests), -1)
     rest_rows = anchors[rests]  # (rests, n - 1, d)
     for own, own_row in enumerate(anchor_rows):
-        keys = psi.keys(np.broadcast_to(own_row, hists.shape), hists + own_row)
+        keys = TableCombiner.keys(np.broadcast_to(own_row, hists.shape), hists + own_row)
         for rest, key in zip(rest_rows, keys):
             value = np.asarray(g(anchors[own], rest), dtype=np.float64).reshape(-1)
             if value.shape[0] != d:
                 raise ShapeError(f"g returned {value.shape[0]} components, want {d}")
-            psi.table[key] = value
-    return SumformerModel(phi, psi)
+            table[key] = value
+    return SumformerModel(phi, TableCombiner(table, d))

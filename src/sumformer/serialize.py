@@ -168,7 +168,7 @@ def dump_construction(con) -> str:
         "variant": con.variant,
         "n": con.n,
         "d": con.d,
-        "n_max": (con.basis if mlp_phi else con.phi.basis).n_max,  # a monomial phi's own basis
+        **({} if mlp_phi else {"n_max": con.phi.basis.n_max}),
         "k": con.k,
         "seed": con.seed,
         "lambda": con.lambda_value,
@@ -191,7 +191,8 @@ def load_construction(text: str):
     only the random-feature vectors are read.  Without them the vectors
     are redrawn from the seed, so a stored Gram constant that the redraw
     does not reproduce is an error.  The seed of a variant that draws no
-    features is ignored: earlier files may hold one.
+    features, and the n_max of an MLP phi, are ignored: earlier files may
+    hold them.
     """
     kind, fields, mats = _load(text)
     if kind != "sum_extraction":
@@ -202,11 +203,10 @@ def load_construction(text: str):
     variant, d = _field(fields, "variant", str), _field(fields, "d", int, 1)
     seed = _field(fields, "seed", int, 0, nullable=True)
     try:
-        phi = MlpFeatureMap(*_mlp_from_entries("phi.", fields, mats)) if phi_kind == "mlp" else None
+        phi = (MlpFeatureMap(*_mlp_from_entries("phi.", fields, mats)) if phi_kind == "mlp"
+               else PolynomialFeatureMap(enumerate_multidegrees(d, _field(fields, "n_max", int, 1))))
         con = build_sum_extraction(
-            variant, _field(fields, "n", int, 1), d,
-            enumerate_multidegrees(d, _field(fields, "n_max", int, 1)),
-            phi=phi, k=_field(fields, "k", int, 1, nullable=True),
+            variant, _field(fields, "n", int, 1), d, phi=phi, k=_field(fields, "k", int, 1, nullable=True),
             seed=seed if draws_features(variant) else None, omegas=mats.get("omegas"),
         )
     except (BudgetError, ContractError, CountOverflowError, DomainError, ShapeError) as exc:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 import sumformer as sf  # noqa: E402
 from sumformer.attention import HEADS, draws_features  # noqa: E402
 from sumformer.errors import BudgetError, ContractError, DomainError, ShapeError  # noqa: E402
-from sumformer.model import CellFeatureMap, batch_forward  # noqa: E402
+from sumformer.model import CellFeatureMap, TableCombiner, batch_forward  # noqa: E402
 
 RNG = np.random.default_rng(0)
 BASIS = sf.enumerate_multidegrees(2, 2)
@@ -30,6 +30,7 @@ MLP = sf.MlpSpec((2, 4, 1))
 PARAMS = sf.init_mlp_params(MLP, RNG)
 TARGET = sf.get_target("quadratic_sum")
 NO_TERMS = (np.zeros((0, 2), int), np.zeros((0, 5), int), np.zeros((0, 2)))  # no psi terms at d = 2, n = 2
+COMPLEX = np.full((3, 2), 0.5 + 0.5j)
 
 
 def _head(variant, n=5, m=4, k=2):
@@ -191,7 +192,7 @@ def test_a_malformed_size_is_a_contract_error(case):
 
 
 def _discrete(*sizes):
-    sf.build_discrete_sumformer(lambda x, rest: x, *sizes)
+    return sf.build_discrete_sumformer(lambda x, rest: x, *sizes)
 
 
 def _performer_seed(seed):
@@ -273,6 +274,15 @@ PROBE = [
     (ContractError, lambda: CellFeatureMap(2, 0)),                               # accepted
     (ShapeError, lambda: sf.MlpFeatureMap(MLP, PARAMS[:1])),                      # accepted: ShapeError at forward
     (ShapeError, lambda: sf.MlpCombiner(MLP, [(w.T, b) for w, b in PARAMS])),     # accepted: ShapeError at forward
+    (DomainError, lambda: sf.sumformer_forward(MODEL, COMPLEX)),                  # ComplexWarning, real parts used
+    (DomainError, lambda: sf.head_forward(COMPLEX, _head("standard", n=3, m=2))),  # ComplexWarning
+    (DomainError, lambda: _construction("standard").forward(COMPLEX)),           # UFuncTypeError
+    (DomainError, lambda: sf.power_sum_vector(COMPLEX, BASIS)),                  # accepted: complex sums
+    (DomainError, lambda: sf.sumformer_forward(MODEL, COMPLEX.real.astype(object))),  # TypeError
+    (DomainError, lambda: sf.MlpFeatureMap(MLP, [(w * np.nan, b) for w, b in PARAMS])),  # accepted: finite forward
+    (ShapeError, lambda: TableCombiner(_discrete(2, 2, 1).psi.table, 3)),         # accepted: ValueError at forward
+    (ContractError, lambda: TableCombiner({}, True)),                            # accepted
+    (DomainError, lambda: TableCombiner({(0, (1, 0)): np.array([np.nan])}, 1)),  # accepted
 ]
 
 

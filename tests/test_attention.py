@@ -314,7 +314,7 @@ def test_construction_with_mlp_phi():
     rng = np.random.default_rng(20)
     spec = MlpSpec((d, 8, basis.size))
     params = init_mlp_params(spec, rng)
-    con = build_sum_extraction("standard", n, d, basis, phi=MlpFeatureMap(spec, params))
+    con = build_sum_extraction("standard", n, d, phi=MlpFeatureMap(spec, params))
     x = rng.uniform(size=(n, d))
     out = con.forward(x)
     expected = mlp_forward(spec, params, x).sum(axis=0)
@@ -358,15 +358,14 @@ def test_construction_takes_its_width_from_phi():
     xs = np.random.default_rng(6).uniform(size=(4, n, d))
     expected = mlp_forward(spec, params, xs).sum(axis=-2)
     for variant, (kwargs, tol) in VARIANT_CASES.items():
-        con = build_sum_extraction(variant, n, d, enumerate_multidegrees(d, n),
-                                   phi=MlpFeatureMap(spec, params), **kwargs)
+        con = build_sum_extraction(variant, n, d, phi=MlpFeatureMap(spec, params), **kwargs)
         assert con.d_latent == 32 and con.model_dim == 1 + d + 64
         sigma = con.forward(xs)[..., -32:]
         assert np.max(np.abs(sigma - expected[:, np.newaxis])) <= tol
     # The phi's token width must still be d.
     for phi in (MlpFeatureMap(spec, params), CellFeatureMap(4, d)):
         with pytest.raises(ShapeError):
-            build_sum_extraction("standard", n, 3, enumerate_multidegrees(3, n), phi=phi)
+            build_sum_extraction("standard", n, 3, phi=phi)
 
 
 def test_building_a_construction_runs_no_phi_forward():
@@ -379,20 +378,38 @@ def test_building_a_construction_runs_no_phi_forward():
 
     phi.rows = refuse
     for variant, (kwargs, _) in VARIANT_CASES.items():
-        assert build_sum_extraction(variant, 3, 2, enumerate_multidegrees(2, 3), phi=phi, **kwargs).phi is phi
+        assert build_sum_extraction(variant, 3, 2, phi=phi, **kwargs).phi is phi
     with pytest.raises(ShapeError, match="phi reads tokens of width 2, construction wants d=3"):
-        build_sum_extraction("standard", 3, 3, enumerate_multidegrees(3, 3), phi=phi)
+        build_sum_extraction("standard", 3, 3, phi=phi)
 
 
 def test_construction_requires_matching_basis():
-    with pytest.raises(ShapeError, match="basis built for d=1"):
+    with pytest.raises(ShapeError, match="phi reads tokens of width 1, construction wants d=2"):
         build_sum_extraction("standard", 3, 2, enumerate_multidegrees(1, 2))
 
 
 def test_construction_reads_its_token_width_from_its_basis():
     con = build_sum_extraction("standard", 3, 2, enumerate_multidegrees(2, 3))
     assert "d" not in {f.name for f in fields(con)}
-    assert con.d == con.basis.d == 2
+    assert con.d == con.phi.basis.d == 2
+
+
+def test_construction_holds_only_its_phi():
+    """The one feature map is phi, or the monomial phi that a basis names; d
+    is phi's, checked when given."""
+    basis = enumerate_multidegrees(2, 3)
+    spec = MlpSpec((2, 4, 3))
+    phi = MlpFeatureMap(spec, init_mlp_params(spec, np.random.default_rng(8)))
+    for con in (build_sum_extraction("standard", 3, phi=phi), build_sum_extraction("standard", 3, basis=basis)):
+        assert [f.name for f in fields(con)] == ["n", "head", "w_fc", "phi", "seed", "lambda_value"]
+        assert con.d == con.phi.d == 2
+    with pytest.raises(ContractError, match="exactly one of basis and phi"):
+        build_sum_extraction("standard", 3, 2, basis, phi=phi)
+    with pytest.raises(ContractError, match="exactly one of basis and phi"):
+        build_sum_extraction("standard", 3, 2)
+    for d in (1, 3):
+        with pytest.raises(ShapeError, match=f"phi reads tokens of width 2, construction wants d={d}"):
+            build_sum_extraction("standard", 3, d, phi=phi)
 
 
 def test_construction_k_bounds():
@@ -941,7 +958,7 @@ def test_stacked_mlp_phi_construction_is_bitwise_each_sequence_alone():
     n, d = 4, 2
     basis = enumerate_multidegrees(d, n)
     spec = MlpSpec((d, 8, basis.size))
-    con = build_sum_extraction("standard", n, d, basis,
+    con = build_sum_extraction("standard", n, d,
                                phi=MlpFeatureMap(spec, init_mlp_params(spec, np.random.default_rng(41))))
     xs = np.random.default_rng(42).uniform(size=(6, n, d))
     out = con.forward(xs)

@@ -436,7 +436,7 @@ def test_discrete_model_through_each_head_is_bitwise_its_forward(variant, delta,
         return x + rest.sum(axis=0) ** 2
 
     model = build_discrete_sumformer(g, delta_cells=delta, n=n, d=d)
-    con = build_sum_extraction(variant, n, d, enumerate_multidegrees(d, n), phi=model.phi,
+    con = build_sum_extraction(variant, n, d, phi=model.phi,
                                k=n - 1 if HEADS[variant].needs_k else None,
                                seed=0 if draws_features(variant) else None)
     assert con.d_latent == delta**d

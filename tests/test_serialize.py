@@ -142,10 +142,22 @@ def test_construction_with_mlp_phi_round_trip():
     basis = enumerate_multidegrees(1, 2)
     rng = np.random.default_rng(4)
     spec = MlpSpec((1, 5, basis.size))
-    con = build_sum_extraction("standard", 3, 1, basis, phi=MlpFeatureMap(spec, init_mlp_params(spec, rng)))
+    con = build_sum_extraction("standard", 3, 1, phi=MlpFeatureMap(spec, init_mlp_params(spec, rng)))
     loaded = load_construction(dump_construction(con))
     x = rng.uniform(size=(3, 1))
     assert np.array_equal(loaded.forward(x), con.forward(x))
+
+
+def test_an_earlier_mlp_phi_construction_file_loads_to_its_forward_bits():
+    """Files of MLP-phi constructions once held an n_max that no forward
+    read; such a file loads to the forward it was written beside, and is
+    rewritten without that line alone."""
+    text = (DATA / "mlp_phi_construction_with_n_max.txt").read_text()
+    _, _, check = _load((DATA / "mlp_phi_construction_with_n_max.forward.txt").read_text())
+    con = load_construction(text)
+    assert np.array_equal(con.forward(check["x"]), check["forward"])
+    assert dump_construction(con) == text.replace("field n_max int 2\n", "")
+    assert "n_max" not in dump_construction(con)
 
 
 def test_construction_with_a_wide_mlp_phi_round_trips_bitwise():
@@ -156,19 +168,19 @@ def test_construction_with_a_wide_mlp_phi_round_trips_bitwise():
     phi = MlpFeatureMap(spec, init_mlp_params(spec, np.random.default_rng(8)))
     xs = np.random.default_rng(9).uniform(size=(5, 3, 2))
     for variant, (kwargs, _) in VARIANT_CASES.items():
-        con = build_sum_extraction(variant, 3, 2, enumerate_multidegrees(2, 3), phi=phi, **kwargs)
+        con = build_sum_extraction(variant, 3, 2, phi=phi, **kwargs)
         loaded = load_construction(dump_construction(con))
         assert loaded.d_latent == 32
         assert np.array_equal(loaded.forward(xs), con.forward(xs))
 
 
 def test_construction_with_a_narrower_monomial_phi_round_trips_bitwise():
-    """The file holds the n_max of the phi the forward reads (2, d' = 5), not
-    that of the construction's basis (3, d' = 9)."""
+    """The file holds the n_max of the phi the forward reads (2, d' = 5), below
+    the construction's n = 3."""
     phi = PolynomialFeatureMap(enumerate_multidegrees(2, 2))
     xs = np.random.default_rng(10).uniform(size=(4, 3, 2))
     for variant, (kwargs, _) in VARIANT_CASES.items():
-        con = build_sum_extraction(variant, 3, 2, enumerate_multidegrees(2, 3), phi=phi, **kwargs)
+        con = build_sum_extraction(variant, 3, 2, phi=phi, **kwargs)
         loaded = load_construction(dump_construction(con))
         assert (loaded.d_latent, loaded.model_dim) == (con.d_latent, con.model_dim) == (5, 13)
         assert np.array_equal(loaded.forward(xs), con.forward(xs))
@@ -178,7 +190,7 @@ def test_grid_table_has_no_file_form():
     model = build_discrete_sumformer(lambda x, rest: x + rest.sum(axis=0), delta_cells=3, n=2, d=1)
     with pytest.raises(ContractError):
         dump_model(model)
-    con = build_sum_extraction("standard", 2, 1, enumerate_multidegrees(1, 2), phi=model.phi)
+    con = build_sum_extraction("standard", 2, 1, phi=model.phi)
     with pytest.raises(ContractError):
         dump_construction(con)
 
@@ -284,6 +296,14 @@ def _repeat_first_row(text, matrix):
     return "\n".join(lines[:i] + [f"matrix {name} {int(rows) + 1} {cols}", lines[i + 1]] + lines[i + 1:]) + "\n"
 
 
+def _nan_first_entry(text, matrix):
+    """The matrix ``matrix`` with its first entry NaN."""
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"matrix {matrix} ")) + 1
+    lines[i] = " ".join(["nan", *lines[i].split()[1:]])
+    return "\n".join(lines) + "\n"
+
+
 def _replacing(*pairs):
     """The damage that makes each (old, new) replacement in turn."""
 
@@ -340,7 +360,10 @@ DAMAGED_FILES = {
                                   .replace("field phi_n_max int 3", "field phi_n_max int 100")
                                   .replace("field n_max int 2", "field n_max int 100"),
                                   "degree count C(200,100)-1 exceeds 64-bit range",
-                                  ("polynomial_psi_model", "construction")),
+                                  ("polynomial_psi_model", "monomial_construction")),
+    # The ReLU's fmax would turn the NaN units to 0 and the forward stay finite.
+    "nan_in_phi_W0": (lambda text: _nan_first_entry(text, "phi.W0"),
+                      "layer 0: weight or bias holds non-finite entries", MLP_FILES),
     # Faults of the polynomial psi: the groups' rows are stacked into its
     # arrays, which PolynomialCombiner and the model refuse.
     "alpha_wider_than_d": (
@@ -383,11 +406,13 @@ def test_damaged_files_raise_config_error_naming_the_fault(case):
     damage, named, applies_to = DAMAGED_FILES[case]
     basis = enumerate_multidegrees(1, 2)
     spec = MlpSpec((1, 5, basis.size))
-    con = build_sum_extraction("standard", 3, 1, basis,
+    con = build_sum_extraction("standard", 3, 1,
                                phi=MlpFeatureMap(spec, init_mlp_params(spec, np.random.default_rng(0))))
     files = {
         "mlp_model": (load_model, dump_model(build_mlp_sumformer(1, 2, seed=0))),
         "construction": (load_construction, dump_construction(con)),
+        "monomial_construction": (load_construction,
+                                  dump_construction(build_sum_extraction("standard", 3, 1, basis))),
         "polynomial_psi_model": (load_model, dump_model(_continuous_model())),
     }
     for load, text in (files[name] for name in applies_to):
