@@ -18,7 +18,6 @@ from .model import (
     MlpCombiner,
     MlpFeatureMap,
     PolynomialCombiner,
-    PolynomialFeatureMap,
     SumformerModel,
     build_continuous_sumformer,
     build_discrete_sumformer,

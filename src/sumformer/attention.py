@@ -27,8 +27,7 @@ from .errors import (
     UnsupportedInspectionError,
 )
 from .linalg import require_finite, require_rows, require_size, require_within_budget
-from .model import Phi, PolynomialFeatureMap
-from .multisym import DegreeBasis
+from .model import Phi
 from .parallel import run_in_threads
 
 
@@ -469,7 +468,6 @@ def build_sum_extraction(
     variant: str,
     n: int,
     d: int | None = None,
-    basis: DegreeBasis | None = None,
     phi: Phi | None = None,
     k: int | None = None,
     seed: int | None = None,
@@ -480,19 +478,19 @@ def build_sum_extraction(
     The head's queries and keys depend only on the constant leading 1 of
     the lifted layout, so every attention weight is uniform.  The value
     matrix and the token-wise layer carry scales that exactly cancel the
-    averaging; each variant's ``construction`` says which.  phi is given or is
-    the monomial map over ``basis`` (both or neither is a ContractError); d,
-    checked when given, is the width it reads and d' its output width.  Only a
-    variant that draws random features takes ``seed`` or ``omegas``.  Weights
-    past ``linalg.MEMORY_BUDGET_BYTES`` are a BudgetError, raised before allocation.
+    averaging; each variant's ``construction`` says which.  phi (a degree basis
+    is the monomial map) is required; d, checked when given, is the width it
+    reads and d' its output width.  Only a variant that draws random features
+    takes ``seed`` or ``omegas``, and not both: its features are drawn from the
+    seed or given.  Weights past ``linalg.MEMORY_BUDGET_BYTES`` are a
+    BudgetError, raised before allocation.
 
     The token-wise layer selects the trailing d' columns of
     (X + head(X)); with the outer residual this leaves rows
     [1, x_i, phi(x_i), Sigma].
     """
-    if (basis is None) == (phi is None):
-        raise ContractError("a construction takes exactly one of basis and phi")
-    phi = PolynomialFeatureMap(basis) if phi is None else phi
+    if phi is None:
+        raise ContractError("a construction needs a phi")
     if d is not None and require_size("d", d) != phi.d:
         raise ShapeError(f"phi reads tokens of width {phi.d}, construction wants d={d}")
     n, d = require_size("n", n), phi.d
@@ -505,6 +503,8 @@ def build_sum_extraction(
         raise ContractError(f"the {variant} construction needs 1 <= k < n={n}, got k={k}")
     if (seed is not None or omegas is not None) and not draws_features(variant):
         raise ContractError(f"the {variant} construction takes no seed or omegas")
+    if seed is not None and omegas is not None:
+        raise ContractError(f"the {variant} construction takes a seed or omegas, not both")
     require_within_budget(construction_bytes(variant, n, m, k), f"the {variant} construction's weights")
     head, fc_scale, lambda_value = head_type.construction(n, d, d_latent, k=k, seed=seed, omegas=omegas)
     w_fc = np.zeros((m, m))  # keeps only the trailing d' columns, scaled

@@ -27,9 +27,10 @@ import numpy as np
 from .attention import HEADS, head_class, mac_count
 from .errors import BudgetError, ConfigError, ContractError, TrainingDivergedError
 from .linalg import BUILD_BUDGET, require_within_budget
+from .parallel import process_count
 from .targets import TARGETS, get_target
-from .train import SPLIT_FRACTION, OptimizerConfig
-from .verify import VerifyConfig
+from .train import BETA1, BETA2, EPS, SPLIT_FRACTION, OptimizerConfig, latent_sweep, train_cell, training_bytes
+from .verify import ALL_CHECKS, VerifyConfig, run_verification, verify_bytes
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -207,8 +208,6 @@ def _refuse_over_budget(need: int, keys: str):
 
 def _check_memory(config: dict, batch_size: int | None):
     """Refuse a train or sweep config whose largest cell would not fit the budget."""
-    from .train import training_bytes
-
     # The dataset alone, in integers: training_bytes takes a float fraction
     # of points, which overflows for a points value past the float range.
     dataset = max(4 * config["points"] * config["n"] * d * 8 for d in _listed(config["d"]))
@@ -223,9 +222,6 @@ def _check_memory(config: dict, batch_size: int | None):
 
 def cmd_verify(config: dict) -> int:
     """Run the oracle and invariant suites."""
-    from .parallel import process_count
-    from .verify import ALL_CHECKS, run_verification, verify_bytes
-
     vconfig = VerifyConfig(
         n_list=_listed(config["n"]),
         d_list=_listed(config["d"]),
@@ -265,8 +261,6 @@ def _start_training(config: dict):
     the memory budget, after writing its ``manifest.txt``: every key but
     ``out``, with ``lr`` and ``batch_size`` as the run uses them, and Adam's
     betas and eps, one sorted key per line (no paths or times)."""
-    from .train import BETA1, BETA2, EPS
-
     batch_size = config["batch_size"]
     opt = OptimizerConfig(lr=float(config["lr"]), batch_size=None if batch_size == "full" else batch_size)
     _check_memory(config, opt.batch_size)
@@ -287,8 +281,6 @@ def _curve_lines(report) -> list[str]:
 
 def cmd_train(config: dict) -> int:
     """Train one model, write the curve CSV."""
-    from .train import train_cell
-
     out, opt = _start_training(config)
     try:
         report = train_cell(
@@ -307,8 +299,6 @@ def cmd_train(config: dict) -> int:
 
 def cmd_sweep(config: dict) -> int:
     """Latent-dimension sweep, write the sweep CSV."""
-    from .train import latent_sweep
-
     out, opt = _start_training(config)
     try:
         rows = latent_sweep(

@@ -22,8 +22,7 @@ class MlpSpec:
     def __post_init__(self):
         if len(self.layer_widths) < 2:
             raise ShapeError("an MLP needs at least input and output widths")
-        for width in self.layer_widths:
-            require_size("layer width", width)
+        object.__setattr__(self, "layer_widths", tuple(require_size("layer width", w) for w in self.layer_widths))
 
     @property
     def in_width(self) -> int:

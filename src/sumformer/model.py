@@ -1,8 +1,8 @@
 """The sum-aggregation sequence model and its exact constructions.
 
 A model computes Sigma = sum_k phi(x_k) once per sequence and then maps
-each token through psi(x_i, Sigma).  phi is the exact monomial feature
-map over a degree basis, a trainable MLP or the one-hot of each token's
+each token through psi(x_i, Sigma).  phi is a degree basis (the exact
+monomial feature map), a trainable MLP or the one-hot of each token's
 grid cell; psi is a trainable MLP, fixed polynomial arithmetic (the exact
 continuous construction) or a table keyed by (own cell, histogram of the
 other tokens' cells) over the cell one-hot (the piecewise-constant
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import BudgetError, DomainError, ShapeError
 from .linalg import BUILD_BUDGET, require_finite, require_rows, require_size
 from .mlp import MlpParams, MlpSpec, _check_params, init_mlp_params, mlp_forward
-from .multisym import DegreeBasis, _canonical_row_order, enumerate_multidegrees, monomial_feature_matrix
+from .multisym import DegreeBasis, _canonical_row_order, enumerate_multidegrees
 
 DEFAULT_HIDDEN = (50, 50, 50, 50, 50)
 
@@ -29,25 +29,6 @@ DEFAULT_HIDDEN = (50, 50, 50, 50, 50)
 # ---------------------------------------------------------------------------
 # phi / psi variants
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PolynomialFeatureMap:
-    """Exact monomial features over a degree basis (no trainable state)."""
-
-    basis: DegreeBasis
-
-    @property
-    def d(self) -> int:
-        return self.basis.d
-
-    @property
-    def out_width(self) -> int:
-        return self.basis.size
-
-    def rows(self, x: np.ndarray, outs: list | None = None) -> np.ndarray:
-        """Features of each token of rows or of a stack; ``outs`` is unused."""
-        return monomial_feature_matrix(x, self.basis)
-
 
 @dataclass
 class MlpPart:
@@ -240,7 +221,7 @@ class TableCombiner:
         return np.array(values).reshape(*x_rows.shape[:-1], self.out_width)
 
 
-Phi = Union[PolynomialFeatureMap, MlpFeatureMap, CellFeatureMap]
+Phi = Union[DegreeBasis, MlpFeatureMap, CellFeatureMap]
 Psi = Union[PolynomialCombiner, MlpCombiner, TableCombiner]
 
 
@@ -387,7 +368,7 @@ def build_polynomial_sumformer(
     rng = np.random.default_rng(require_size("seed", seed, 0))
     psi_spec = MlpSpec((d + basis.size, *hidden, d))
     return SumformerModel(
-        phi=PolynomialFeatureMap(basis),
+        phi=basis,
         psi=MlpCombiner(psi_spec, init_mlp_params(psi_spec, rng)),
     )
 
@@ -402,7 +383,7 @@ def build_continuous_sumformer(
     """Fully fixed model: the monomial phi over ``enumerate_multidegrees(d, n)``
     and the polynomial psi of the given term rows, as wide as the coefficients."""
     return SumformerModel(
-        phi=PolynomialFeatureMap(enumerate_multidegrees(d, n)),
+        phi=enumerate_multidegrees(d, n),
         psi=PolynomialCombiner(x_exponents, latent_exponents, coefficients),
     )
 

@@ -1,9 +1,9 @@
 """Multidegree enumeration, monomial features, and multisymmetric power sums.
 
 A multidegree is an exponent vector alpha in N_0^d with 1 <= |alpha|.
-The feature map stacks the monomials x1^a1 * ... * xd^ad for every
-multidegree with |alpha| <= n_max; summing it over the rows of a
-sequence yields the corresponding vector of power sums.
+A degree basis is the monomial feature map: it stacks the monomials
+x1^a1 * ... * xd^ad for every multidegree with |alpha| <= n_max; summing
+it over the rows of a sequence yields the corresponding vector of power sums.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ _MAX_COUNT = 2**63 - 1
 
 @dataclass(frozen=True)
 class DegreeBasis:
-    """All multidegrees with 1 <= |alpha| <= n_max in graded-lex order.
+    """All multidegrees with 1 <= |alpha| <= n_max in graded-lex order, and the
+    exact monomial phi over them (no trainable state).
 
     Within one total degree, ordering is lexicographically descending,
     e.g. for d=2: (1,0), (0,1), (2,0), (1,1), (0,2).  The order is the
@@ -40,6 +41,14 @@ class DegreeBasis:
     @property
     def size(self) -> int:
         return len(self.degrees)
+
+    out_width = size
+
+    def rows(self, x: np.ndarray, outs: list | None = None) -> np.ndarray:
+        """Every basis monomial at every row of an n x d matrix or an (S, n, d)
+        stack; ``outs`` is unused.  0**0 == 1 under numpy float power, as
+        required for absent variables."""
+        return np.prod(require_rows(x, "rows", self.d)[..., np.newaxis, :] ** self.exponents, axis=-1)
 
 
 def basis_size(d: int, n_max: int) -> int:
@@ -76,14 +85,6 @@ def enumerate_multidegrees(d: int, n_max: int) -> DegreeBasis:
     return DegreeBasis(d=d, n_max=n_max, degrees=tuple(degrees), exponents=exponents)
 
 
-def monomial_feature_matrix(x_rows: np.ndarray, basis: DegreeBasis) -> np.ndarray:
-    """Every basis monomial at every row of an n x d matrix or an (S, n, d) stack.
-
-    0**0 == 1 under numpy float power, as required for absent variables.
-    """
-    return np.prod(require_rows(x_rows, "rows", basis.d)[..., np.newaxis, :] ** basis.exponents, axis=-1)
-
-
 def _canonical_row_order(x: np.ndarray) -> np.ndarray:
     """Indices sorting the rows of each sequence lexicographically (first
     column outermost): (n,) for one sequence, (S, n) for a stack."""
@@ -118,7 +119,7 @@ def power_sum_vector(x: np.ndarray, basis: DegreeBasis) -> np.ndarray:
     to rounding, not bitwise: numpy's power may round a monomial differently
     in the two functions' array layouts (seen at d = 1).
     """
-    return np.sum(monomial_feature_matrix(_canonical_rows(require_rows(x, "x", basis.d)), basis), axis=-2)
+    return np.sum(basis.rows(_canonical_rows(require_rows(x, "x", basis.d))), axis=-2)
 
 
 @dataclass(frozen=True)

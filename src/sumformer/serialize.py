@@ -22,9 +22,8 @@ import numpy as np
 from .attention import build_sum_extraction, draws_features
 from .errors import BudgetError, ConfigError, ContractError, CountOverflowError, DomainError, ShapeError
 from .mlp import MlpParams, MlpSpec
-from .model import (CellFeatureMap, MlpCombiner, MlpFeatureMap, PolynomialCombiner, PolynomialFeatureMap,
-                    SumformerModel, TableCombiner)
-from .multisym import enumerate_multidegrees
+from .model import CellFeatureMap, MlpCombiner, MlpFeatureMap, PolynomialCombiner, SumformerModel, TableCombiner
+from .multisym import DegreeBasis, enumerate_multidegrees
 
 FORMAT_LINE = "format sumformer/1"
 
@@ -33,34 +32,20 @@ FORMAT_LINE = "format sumformer/1"
 # Generic writer / reader
 # ---------------------------------------------------------------------------
 
+# A field's type tag and value text, by the value's type.
+_FIELD_TEXT = {type(None): lambda v: ("none", "-"), bool: lambda v: ("bool", int(v)), int: lambda v: ("int", v),
+               float: lambda v: ("float", repr(v)), str: lambda v: ("str", v)}
+
+
 def _dump(kind: str, fields: dict, matrices: list[tuple[str, np.ndarray]]) -> str:
     lines = [FORMAT_LINE, f"object {kind}"]
-    for name, value in fields.items():
-        if isinstance(value, np.integer):
-            value = int(value)
-        elif isinstance(value, np.floating):
-            value = float(value)
-        if value is None:
-            lines.append(f"field {name} none -")
-        elif isinstance(value, bool):
-            lines.append(f"field {name} bool {int(value)}")
-        elif isinstance(value, int):
-            lines.append(f"field {name} int {value}")
-        elif isinstance(value, float):
-            lines.append(f"field {name} float {float(value)!r}")
-        else:
-            lines.append(f"field {name} str {value}")
+    lines += ["field {} {} {}".format(name, *_FIELD_TEXT[type(value)](value)) for name, value in fields.items()]
     for name, mat in matrices:
-        mat = np.asarray(mat)
         if mat.ndim != 2:
-            raise ConfigError(f"matrix {name} must be 2-D")
-        tag = "imatrix" if np.issubdtype(mat.dtype, np.integer) else "matrix"
-        lines.append(f"{tag} {name} {mat.shape[0]} {mat.shape[1]}")
-        for row in mat:
-            if tag == "imatrix":
-                lines.append(" ".join(str(int(v)) for v in row))
-            else:
-                lines.append(" ".join(repr(float(v)) for v in row))
+            raise ContractError(f"matrix {name} must be 2-D")
+        integer = np.issubdtype(mat.dtype, np.integer)
+        lines.append(f"{'imatrix' if integer else 'matrix'} {name} {mat.shape[0]} {mat.shape[1]}")
+        lines += [" ".join(str(v) if integer else repr(float(v)) for v in row) for row in mat.tolist()]
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -161,14 +146,14 @@ def _mlp_from_entries(prefix: str, fields: dict, matrices: dict) -> tuple[MlpSpe
 def dump_construction(con) -> str:
     """Write the build parameters, plus phi's weights when phi is an MLP and
     the random features when no seed can redraw them."""
-    if not isinstance(con.phi, (MlpFeatureMap, PolynomialFeatureMap)):
+    if not isinstance(con.phi, (MlpFeatureMap, DegreeBasis)):
         raise ContractError(f"cannot write a construction whose phi is a {type(con.phi).__name__}")
     mlp_phi = isinstance(con.phi, MlpFeatureMap)
     fields = {
         "variant": con.variant,
         "n": con.n,
         "d": con.d,
-        **({} if mlp_phi else {"n_max": con.phi.basis.n_max}),
+        **({} if mlp_phi else {"n_max": con.phi.n_max}),
         "k": con.k,
         "seed": con.seed,
         "lambda": con.lambda_value,
@@ -188,11 +173,11 @@ def load_construction(text: str):
     """Rebuild a construction from its build parameters.
 
     Files that also hold the weight matrices load the same way; of those
-    only the random-feature vectors are read.  Without them the vectors
-    are redrawn from the seed, so a stored Gram constant that the redraw
-    does not reproduce is an error.  The seed of a variant that draws no
-    features, and the n_max of an MLP phi, are ignored: earlier files may
-    hold them.
+    only the random-feature vectors of a file without a seed are read.  A
+    seeded file's vectors are redrawn from its seed, so a stored Gram
+    constant that the redraw does not reproduce is an error.  The seed of a
+    variant that draws no features, and the n_max of an MLP phi, are
+    ignored: earlier files may hold them.
     """
     kind, fields, mats = _load(text)
     if kind != "sum_extraction":
@@ -204,10 +189,11 @@ def load_construction(text: str):
     seed = _field(fields, "seed", int, 0, nullable=True)
     try:
         phi = (MlpFeatureMap(*_mlp_from_entries("phi.", fields, mats)) if phi_kind == "mlp"
-               else PolynomialFeatureMap(enumerate_multidegrees(d, _field(fields, "n_max", int, 1))))
+               else enumerate_multidegrees(d, _field(fields, "n_max", int, 1)))
+        seed = seed if draws_features(variant) else None
         con = build_sum_extraction(
             variant, _field(fields, "n", int, 1), d, phi=phi, k=_field(fields, "k", int, 1, nullable=True),
-            seed=seed if draws_features(variant) else None, omegas=mats.get("omegas"),
+            seed=seed, omegas=mats.get("omegas") if seed is None else None,
         )
     except (BudgetError, ContractError, CountOverflowError, DomainError, ShapeError) as exc:
         raise ConfigError(f"cannot rebuild construction: {exc}") from exc
@@ -231,8 +217,8 @@ def dump_model(model: SumformerModel) -> str:
         raise ContractError("cannot write a grid-table model; rebuild it with build_discrete_sumformer")
     fields: dict = {"d": model.d, "d_latent": model.d_latent}
     mats: list[tuple[str, np.ndarray]] = []
-    if isinstance(model.phi, PolynomialFeatureMap):
-        fields.update(phi_kind="polynomial", phi_n_max=model.phi.basis.n_max)
+    if isinstance(model.phi, DegreeBasis):
+        fields.update(phi_kind="polynomial", phi_n_max=model.phi.n_max)
     else:
         fields["phi_kind"] = "mlp"
         f, m = _mlp_entries("phi.", model.phi.spec, model.phi.params)
@@ -264,7 +250,7 @@ def load_model(text: str) -> SumformerModel:
     kinds = ("polynomial", "mlp")
     try:
         if _field(fields, "phi_kind", str, choices=kinds) == "polynomial":
-            phi = PolynomialFeatureMap(enumerate_multidegrees(d, _field(fields, "phi_n_max", int, 1)))
+            phi = enumerate_multidegrees(d, _field(fields, "phi_n_max", int, 1))
         else:
             phi = MlpFeatureMap(*_mlp_from_entries("phi.", fields, mats))
         if phi.d != d:  # the model reads d and d' from phi alone

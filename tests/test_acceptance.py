@@ -38,7 +38,7 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
 
 def _sigma_residual(con, x):
     out = con.forward(x)
-    return float(np.max(np.abs(out[:, -con.d_latent:] - power_sum_vector(x, con.phi.basis))))
+    return float(np.max(np.abs(out[:, -con.d_latent:] - power_sum_vector(x, con.phi))))
 
 
 CONFIGS = [(n, d) for n in range(2, 7) for d in (1, 2, 3)]

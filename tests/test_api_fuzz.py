@@ -20,8 +20,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 import sumformer as sf  # noqa: E402
 from sumformer.attention import HEADS, draws_features  # noqa: E402
-from sumformer.errors import BudgetError, ContractError, DomainError, ShapeError  # noqa: E402
+from sumformer.errors import BudgetError, ConfigError, ContractError, DomainError, ShapeError  # noqa: E402
 from sumformer.model import CellFeatureMap, TableCombiner, batch_forward  # noqa: E402
+from sumformer.serialize import dump_construction, load_model  # noqa: E402
 
 RNG = np.random.default_rng(0)
 BASIS = sf.enumerate_multidegrees(2, 2)
@@ -57,7 +58,7 @@ ARRAY_CALLS = {
     "mlp_forward": (lambda x: sf.mlp_forward(MLP, PARAMS, x), 2),
     "power_sum": (lambda x: sf.power_sum(x, (1, 1)), 2),
     "power_sum_vector": (lambda x: sf.power_sum_vector(x, BASIS), 2),
-    "PolynomialFeatureMap.rows": (sf.PolynomialFeatureMap(BASIS).rows, 2),
+    "DegreeBasis.rows": (BASIS.rows, 2),
     "lift": (sf.lift(lambda x, rest: x + rest.sum(axis=-2)), None),
     "relative_l2_error": (lambda x: sf.relative_l2_error(x, x), None),
     "train": (_train_on, 2),
@@ -199,6 +200,17 @@ def _performer_seed(seed):
     return sf.build_sum_extraction("performer", 3, 2, BASIS, k=2, seed=seed)
 
 
+def _naming(text, call):
+    """``call``, checked to raise an error whose one-line message holds ``text``."""
+    def probed():
+        try:
+            call()
+        except Exception as exc:  # noqa: BLE001 - the class is checked by the caller
+            assert text in str(exc) and "\n" not in str(exc), str(exc)
+            raise
+    return probed
+
+
 def _train_at(lr):
     return sf.train(sf.build_mlp_sumformer(2, 3, hidden=(4,)), sf.generate_dataset(TARGET, 2, 2, 4),
                     2, sf.OptimizerConfig(lr=lr))
@@ -233,7 +245,7 @@ PROBE = [
     (ShapeError, lambda: sf.power_sum(None, (1, 0))),                            # AttributeError
     (ShapeError, lambda: sf.power_sum_vector([[0.1, 0.2]], BASIS)),              # AttributeError
     (ShapeError, lambda: sf.power_sum_vector(np.zeros(2), BASIS)),               # AxisError
-    (ShapeError, lambda: sf.PolynomialFeatureMap(BASIS).rows([[0.1, 0.2]])),     # AttributeError
+    (ShapeError, lambda: BASIS.rows([[0.1, 0.2]])),                              # AttributeError
     (ShapeError, lambda: sf.lift(lambda x, rest: x)([[0.1, 0.2]])),              # AttributeError
     (ShapeError, lambda: sf.lift(lambda x, rest: x)(np.zeros(2))),               # IndexError
     (ShapeError, lambda: batch_forward(MODEL, [[[0.1, 0.2]]])),                  # AttributeError
@@ -283,6 +295,16 @@ PROBE = [
     (ShapeError, lambda: TableCombiner(_discrete(2, 2, 1).psi.table, 3)),         # accepted: ValueError at forward
     (ContractError, lambda: TableCombiner({}, True)),                            # accepted
     (DomainError, lambda: TableCombiner({(0, (1, 0)): np.array([np.nan])}, 1)),  # accepted
+    (ContractError, _naming("takes a seed or omegas, not both", lambda: sf.build_sum_extraction(
+        "performer", 3, 1, sf.enumerate_multidegrees(1, 2), k=2, seed=0,
+        omegas=np.random.default_rng(0).standard_normal((2, 6))))),  # accepted: its file does not load
+    # Refusals that no other test reaches.
+    (ShapeError, _naming("e must be (2, 4), got (2, 5)",
+                         lambda: sf.head_forward(RNG.uniform(size=(4, 4)), _head("linformer", n=5)))),
+    (ShapeError, _naming("omegas must be (2, 4), got (2, 5)", lambda: sf.head_forward(
+        RNG.uniform(size=(3, 4)), HEADS["performer"](*[np.eye(4)] * 3, omegas=np.ones((2, 5)))))),
+    (ConfigError, _naming("expected sumformer_model, got sum_extraction",
+                          lambda: load_model(dump_construction(_construction("standard"))))),
 ]
 
 

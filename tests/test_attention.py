@@ -391,21 +391,19 @@ def test_construction_requires_matching_basis():
 def test_construction_reads_its_token_width_from_its_basis():
     con = build_sum_extraction("standard", 3, 2, enumerate_multidegrees(2, 3))
     assert "d" not in {f.name for f in fields(con)}
-    assert con.d == con.phi.basis.d == 2
+    assert con.d == con.phi.d == 2
 
 
 def test_construction_holds_only_its_phi():
-    """The one feature map is phi, or the monomial phi that a basis names; d
-    is phi's, checked when given."""
+    """The one feature map is phi, an MLP or the monomial phi that a basis is;
+    d is phi's, checked when given."""
     basis = enumerate_multidegrees(2, 3)
     spec = MlpSpec((2, 4, 3))
     phi = MlpFeatureMap(spec, init_mlp_params(spec, np.random.default_rng(8)))
-    for con in (build_sum_extraction("standard", 3, phi=phi), build_sum_extraction("standard", 3, basis=basis)):
+    for con in (build_sum_extraction("standard", 3, phi=phi), build_sum_extraction("standard", 3, phi=basis)):
         assert [f.name for f in fields(con)] == ["n", "head", "w_fc", "phi", "seed", "lambda_value"]
         assert con.d == con.phi.d == 2
-    with pytest.raises(ContractError, match="exactly one of basis and phi"):
-        build_sum_extraction("standard", 3, 2, basis, phi=phi)
-    with pytest.raises(ContractError, match="exactly one of basis and phi"):
+    with pytest.raises(ContractError, match="a construction needs a phi"):
         build_sum_extraction("standard", 3, 2)
     for d in (1, 3):
         with pytest.raises(ShapeError, match=f"phi reads tokens of width 2, construction wants d={d}"):

@@ -13,7 +13,6 @@ from sumformer.model import (
     MlpCombiner,
     MlpFeatureMap,
     PolynomialCombiner,
-    PolynomialFeatureMap,
     SumformerModel,
     TableCombiner,
     batch_forward,
@@ -40,7 +39,7 @@ def test_zero_psi_gives_zero_output():
     basis = enumerate_multidegrees(1, 2)
     spec = MlpSpec((3, 1))
     model = SumformerModel(
-        phi=PolynomialFeatureMap(basis),
+        phi=basis,
         psi=MlpCombiner(spec, zero_mlp_params(spec)),
     )
     x = np.random.default_rng(0).uniform(size=(4, 1))
@@ -53,7 +52,7 @@ def test_projection_psi_gives_identity():
     params = zero_mlp_params(spec)
     params[0][0][:2, :] = np.eye(2)  # psi(x, sigma) = x
     model = SumformerModel(
-        phi=PolynomialFeatureMap(basis),
+        phi=basis,
         psi=MlpCombiner(spec, params),
     )
     x = np.random.default_rng(1).uniform(size=(5, 2))
@@ -476,7 +475,7 @@ def test_model_width_validation():
     basis = enumerate_multidegrees(1, 2)
     spec = MlpSpec((5, 1))  # wrong: needs d + d_latent = 3
     with pytest.raises(ShapeError):
-        SumformerModel(phi=PolynomialFeatureMap(basis),
+        SumformerModel(phi=basis,
                        psi=MlpCombiner(spec, zero_mlp_params(spec)))
 
 
@@ -529,7 +528,7 @@ def test_a_faulty_polynomial_psi_is_refused_when_built(case):
     else:
         psi = PolynomialCombiner(*arrays)
         with pytest.raises(error):
-            SumformerModel(PolynomialFeatureMap(enumerate_multidegrees(1, 2)), psi)
+            SumformerModel(enumerate_multidegrees(1, 2), psi)
 
 
 def test_a_polynomial_psi_holds_only_its_three_arrays():

@@ -8,7 +8,7 @@ from sumformer.attention import HEADS, build_sum_extraction
 from sumformer.errors import ConfigError, ContractError
 from sumformer.model import (
     MlpFeatureMap,
-    PolynomialFeatureMap,
+    SumformerModel,
     build_continuous_sumformer,
     build_discrete_sumformer,
     build_mlp_sumformer,
@@ -177,7 +177,7 @@ def test_construction_with_a_wide_mlp_phi_round_trips_bitwise():
 def test_construction_with_a_narrower_monomial_phi_round_trips_bitwise():
     """The file holds the n_max of the phi the forward reads (2, d' = 5), below
     the construction's n = 3."""
-    phi = PolynomialFeatureMap(enumerate_multidegrees(2, 2))
+    phi = enumerate_multidegrees(2, 2)
     xs = np.random.default_rng(10).uniform(size=(4, 3, 2))
     for variant, (kwargs, _) in VARIANT_CASES.items():
         con = build_sum_extraction(variant, 3, 2, phi=phi, **kwargs)
@@ -276,6 +276,22 @@ def test_load_rejects_bad_header():
         load_model("not a header\nobject sumformer_model\nend\n")
 
 
+def test_a_model_of_stacked_parameter_sets_has_no_file_form():
+    """K parameter sets stacked on a leading axis run K models at once; a file
+    holds one model, so its dump refuses the 3-D weights as a caller's fault."""
+    model = build_mlp_sumformer(1, 2, seed=0)
+    stacked = SumformerModel(*(type(part)(part.spec, [(np.stack([w, w]), np.stack([b, b])) for w, b in part.params])
+                               for part in (model.phi, model.psi)))
+    with pytest.raises(ContractError, match="matrix phi.W0 must be 2-D"):
+        dump_model(stacked)
+
+
+def test_a_model_built_from_numpy_sizes_writes_the_same_file():
+    """The MLP widths are kept as Python ints, so every field is written as an int."""
+    assert dump_model(build_mlp_sumformer(np.int64(1), np.int32(2), seed=0)) == dump_model(
+        build_mlp_sumformer(1, 2, seed=0))
+
+
 def test_load_rejects_wrong_kind():
     model = build_mlp_sumformer(1, 2, seed=0)
     with pytest.raises(ConfigError):
@@ -321,6 +337,9 @@ MLP_FILES = ("mlp_model", "construction")
 POLYNOMIAL_PSI = ("polynomial_psi_model",)
 DAMAGED_FILES = {
     "header_only": (lambda text: text.splitlines()[0] + "\n", "object line", MLP_FILES),
+    "unexpected_line": (lambda text: text.replace("\nend\n", "\nweights follow\nend\n"),
+                        "unexpected line: 'weights follow'", MLP_FILES),
+    "missing_end_line": (lambda text: text.removesuffix("end\n"), "missing end line", MLP_FILES),
     "missing_field": (lambda text: text.replace("field d int 1\n", ""), "field 'd'", MLP_FILES),
     "field_not_an_int": (lambda text: text.replace("field d int 1", "field d int one"), "field d int one",
                          MLP_FILES),
